@@ -276,15 +276,12 @@ BENCHMARK(BM_LedgerVerifyChain);
 
 // Crypto-acceleration accounting for everything the experiments above did.
 // Deliberately a SEPARATE record from "audit_detection": those records are
-// determinism-gated (byte-diffed accel on/off and across shard counts) and
-// counter values are timing-free but config-dependent, so they must never
-// be folded into a gated record.
+// determinism-gated (byte-diffed against tests/golden/ and across shard and
+// worker counts) and counter values are timing-free but config-dependent,
+// so they must never be folded into a gated record.
 void print_crypto_counters() {
   const crypto::CounterSnapshot snap = crypto::counters().snapshot();
-  const crypto::AccelConfig config = crypto::accel();
   bench::JsonLine json("crypto_counters");
-  json.field("accel_multi_lane", config.multi_lane);
-  json.field("accel_merkle_cache", config.merkle_cache);
   json.field("scalar_blocks", snap.scalar_blocks);
   json.field("mb_lane_blocks", snap.mb_lane_blocks);
   json.field("mb_batches", snap.mb_batches);

@@ -10,10 +10,11 @@
 //     be IDENTICAL for every shard/worker combination — that is the
 //     determinism contract of runtime::Engine, checked here end to end.
 //
-// A second A/B sweep re-runs the workload with common::Payload's eager-copy
-// mode on (emulating the old by-value seed) vs normal COW sharing, on a
-// clean link and on a lossy/duplicating chaos link, and reports how many
-// byte copies the COW representation eliminated.
+// A second sweep runs the workload with COW payloads on a clean link and on
+// a lossy/duplicating chaos link, and reports how many byte copies the COW
+// representation eliminated against the by-value baseline. The baseline is
+// derived from the same run: by-value semantics would have deep-copied at
+// every share, so its copies are the COW copies plus the COW shares.
 //
 // A third sweep — the FLEET experiment — exercises the full fleet runtime:
 // C independent clients route single stores over a consistent-hash ring of
@@ -24,8 +25,8 @@
 // identical across TPNR_SHARDS=1,2,4 and the workers=4 point must beat
 // workers=1 wall-clock on a multi-core host.
 //
-// Env knobs: TPNR_SHARDS / TPNR_WORKERS / TPNR_TIMER_WHEEL add an extra
-// sweep point / select the event store; TPNR_SCALE_PAIRS /
+// Env knobs: TPNR_SHARDS / TPNR_WORKERS add an extra sweep point;
+// TPNR_SCALE_PAIRS /
 // TPNR_SCALE_TXNS_PER_PAIR resize the pair workload; TPNR_FLEET_CLIENTS /
 // TPNR_FLEET_PROVIDERS / TPNR_FLEET_TTPS / TPNR_FLEET_KEY_BITS /
 // TPNR_FLEET_CAPACITY_CLIENTS size the fleet sweep (CI holds 100k clients
@@ -68,7 +69,6 @@ struct ScaleConfig {
   std::uint32_t workers = 1;
   std::size_t payload_bytes = 4096;
   bool chaos = false;    ///< loss + duplication + reordering, reliable ARQ on
-  bool eager_copy = false;  ///< emulate the by-value payload baseline
 };
 
 struct ScaleResult {
@@ -95,7 +95,6 @@ common::SimTime percentile(std::vector<common::SimTime> values, double p) {
 }
 
 ScaleResult run_scale(const ScaleConfig& config) {
-  common::Payload::set_eager_copy_mode(config.eager_copy);
   common::Payload::reset_counters();
 
   const std::size_t n_pairs = pairs();
@@ -104,7 +103,6 @@ ScaleResult run_scale(const ScaleConfig& config) {
   net::NetworkOptions net_options;
   net_options.shards = config.shards;
   net_options.workers = config.workers;
-  net_options.use_timer_wheel = env_flag("TPNR_TIMER_WHEEL", true);
   net::Network network(42, net_options);
   net::LinkConfig link;
   link.latency = 5 * kMillisecond;
@@ -262,7 +260,6 @@ ScaleResult run_scale(const ScaleConfig& config) {
   result.events = network.engine().stats().events_executed;
   result.rounds = network.engine().stats().rounds;
   result.parallel_rounds = network.engine().stats().parallel_rounds;
-  common::Payload::set_eager_copy_mode(false);
   return result;
 }
 
@@ -278,7 +275,6 @@ void emit(const ScaleConfig& config, const ScaleResult& r,
       .field("shards", static_cast<std::uint64_t>(config.shards))
       .field("workers", static_cast<std::uint64_t>(config.workers))
       .field("chaos", config.chaos)
-      .field("eager_copy", config.eager_copy)
       .field("txns", static_cast<std::uint64_t>(r.txns))
       .field("completed", static_cast<std::uint64_t>(r.completed))
       .field("fetch_ok", static_cast<std::uint64_t>(r.fetch_ok))
@@ -365,61 +361,49 @@ void print_shard_sweep() {
                          : "");
 }
 
-/// COW vs by-value A/B: same workload, payload copy counters compared. The
-/// chaos point (loss + 10%% duplication + ARQ retransmissions) is where
-/// by-value semantics hurt most — every retransmit and duplicate re-copied
-/// the object bytes in the seed implementation.
+/// COW vs by-value: payload copy counters of one COW run, with the by-value
+/// baseline derived from them (copies + shares). The chaos point (loss +
+/// 10%% duplication + ARQ retransmissions) is where by-value semantics hurt
+/// most — every retransmit and duplicate re-copied the object bytes.
 void print_copy_ab() {
   std::vector<std::vector<std::string>> rows;
-  rows.push_back({"config", "mode", "copies", "copy-MB", "shares",
-                  "txns/s"});
+  rows.push_back({"config", "mode", "copies", "copy-MB", "txns/s"});
+  const auto mb = [](std::uint64_t bytes) {
+    return bench::fmt(static_cast<double>(bytes) / (1024.0 * 1024.0), 1);
+  };
   for (const bool chaos : {false, true}) {
-    std::uint64_t eager_bytes = 0;
-    std::uint64_t eager_copies = 0;
-    for (const bool eager : {true, false}) {
-      ScaleConfig config;
-      config.name = chaos ? "chaos" : "clean";
-      config.chaos = chaos;
-      config.eager_copy = eager;
-      const ScaleResult result = run_scale(config);
-      if (eager) {
-        eager_bytes = result.payload.copy_bytes;
-        eager_copies = result.payload.copies;
-      }
-      rows.push_back({config.name, eager ? "by-value" : "cow",
-                      std::to_string(result.payload.copies),
-                      bench::fmt(static_cast<double>(
-                                     result.payload.copy_bytes) /
-                                     (1024.0 * 1024.0),
-                                 1),
-                      std::to_string(result.payload.shares),
-                      bench::fmt(result.txns_per_sec, 0)});
-      if (!eager) {
-        const double copy_reduction =
-            eager_copies > 0
-                ? 1.0 - static_cast<double>(result.payload.copies) /
-                            static_cast<double>(eager_copies)
-                : 0.0;
-        const double byte_reduction =
-            eager_bytes > 0
-                ? 1.0 - static_cast<double>(result.payload.copy_bytes) /
-                            static_cast<double>(eager_bytes)
-                : 0.0;
-        bench::JsonLine("scale")
-            .field("config",
-                   std::string(chaos ? "chaos" : "clean") + "-copy-ab")
-            .field("txns", static_cast<std::uint64_t>(result.txns))
-            .field("eager_copies", eager_copies)
-            .field("cow_copies", result.payload.copies)
-            .field("copy_reduction", copy_reduction, 4)
-            .field("eager_copy_bytes", eager_bytes)
-            .field("cow_copy_bytes", result.payload.copy_bytes)
-            .field("copy_byte_reduction", byte_reduction, 4)
-            .print();
-      }
-    }
+    ScaleConfig config;
+    config.name = chaos ? "chaos" : "clean";
+    config.chaos = chaos;
+    const ScaleResult result = run_scale(config);
+    const common::PayloadCounters& p = result.payload;
+    const std::uint64_t by_value_copies = p.copies + p.shares;
+    const std::uint64_t by_value_bytes = p.copy_bytes + p.share_bytes;
+    rows.push_back({config.name, "by-value", std::to_string(by_value_copies),
+                    mb(by_value_bytes), "-"});
+    rows.push_back({config.name, "cow", std::to_string(p.copies),
+                    mb(p.copy_bytes), bench::fmt(result.txns_per_sec, 0)});
+    const double copy_reduction =
+        by_value_copies > 0 ? 1.0 - static_cast<double>(p.copies) /
+                                        static_cast<double>(by_value_copies)
+                            : 0.0;
+    const double byte_reduction =
+        by_value_bytes > 0 ? 1.0 - static_cast<double>(p.copy_bytes) /
+                                       static_cast<double>(by_value_bytes)
+                           : 0.0;
+    bench::JsonLine("scale")
+        .field("config", config.name + "-copy-ab")
+        .field("txns", static_cast<std::uint64_t>(result.txns))
+        .field("by_value_copies", by_value_copies)
+        .field("cow_copies", p.copies)
+        .field("copy_reduction", copy_reduction, 4)
+        .field("by_value_copy_bytes", by_value_bytes)
+        .field("cow_copy_bytes", p.copy_bytes)
+        .field("copy_byte_reduction", byte_reduction, 4)
+        .print();
   }
-  bench::print_table("payload copies: by-value baseline vs COW", rows);
+  bench::print_table("payload copies: by-value baseline (derived) vs COW",
+                     rows);
 }
 
 // ---------------------------------------------------------------------------
@@ -470,7 +454,6 @@ FleetResult run_fleet(const FleetConfig& config) {
   net::NetworkOptions net_options;
   net_options.shards = config.shards;
   net_options.workers = config.workers;
-  net_options.use_timer_wheel = env_flag("TPNR_TIMER_WHEEL", true);
   net::Network network(43, net_options);
   net::LinkConfig link;
   link.latency = 5 * kMillisecond;
@@ -802,9 +785,6 @@ void print_fleet_sweep() {
                             static_cast<double>(mb_batches);
   bench::JsonLine("crypto_counters")
       .field("scope", "fleet_sweep")
-      .field("accel_multi_lane", crypto::accel().multi_lane)
-      .field("accel_rsa_fast", crypto::accel().rsa_fast)
-      .field("accel_crypto_service", crypto::accel().crypto_service)
       .field("mb_batches", mb_batches)
       .field("mb_dispatch_jobs", mb_dispatch_jobs)
       .field("lane_fill_rate", fill_rate, 2)
@@ -869,16 +849,14 @@ BENCHMARK(BM_ScaleStoreFetchSharded)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  // TPNR_SCALE_RSS_PROBE=eager|cow runs exactly ONE chaos workload in that
-  // payload mode and exits. Peak RSS is a process-wide high-water mark, so
-  // comparing the by-value baseline against COW requires one process per
-  // mode — EXPERIMENTS.md quotes these probes.
+  // TPNR_SCALE_RSS_PROBE=1 runs exactly ONE chaos workload and exits. Peak
+  // RSS is a process-wide high-water mark, so a clean reading needs a
+  // process of its own — EXPERIMENTS.md quotes these probes.
   if (const char* probe = std::getenv("TPNR_SCALE_RSS_PROBE");
       probe != nullptr && *probe != '\0') {
     ScaleConfig config;
-    config.name = std::string("rss-probe-") + probe;
+    config.name = "rss-probe";
     config.chaos = true;
-    config.eager_copy = std::string(probe) == "eager";
     std::vector<std::vector<std::string>> rows;
     rows.push_back({"config", "shards", "workers", "txns", "completed",
                     "wall-ms", "txns/s", "p50-ms", "p99-ms", "digest"});

@@ -58,11 +58,10 @@ inline bool env_flag(const char* name, bool fallback) {
   return !(env[0] == '0' && env[1] == '\0');
 }
 
-/// Shard/worker/event-store knobs from the environment (`TPNR_SHARDS`,
-/// `TPNR_WORKERS`, `TPNR_TIMER_WHEEL`), so any bench re-runs sharded,
-/// threaded, or on the legacy heap without a rebuild. This is the one env
-/// contract every bench binary honors; protocol outcomes are invariant
-/// under all three knobs by construction — only wall-clock changes.
+/// Shard/worker knobs from the environment (`TPNR_SHARDS`, `TPNR_WORKERS`),
+/// so any bench re-runs sharded or threaded without a rebuild. This is the
+/// one env contract every bench binary honors; protocol outcomes are
+/// invariant under both knobs by construction — only wall-clock changes.
 inline net::NetworkOptions options_from_env() {
   net::NetworkOptions options;
   const auto parse = [](const char* name, std::uint32_t fallback) {
@@ -73,8 +72,6 @@ inline net::NetworkOptions options_from_env() {
   };
   options.shards = parse("TPNR_SHARDS", options.shards);
   options.workers = parse("TPNR_WORKERS", options.workers);
-  options.use_timer_wheel =
-      env_flag("TPNR_TIMER_WHEEL", options.use_timer_wheel);
   return options;
 }
 
@@ -215,7 +212,6 @@ inline void emit_process_meta(const std::string& bench_name) {
       .field("record", "process_meta")
       .field("shards", static_cast<std::uint64_t>(options.shards))
       .field("workers", static_cast<std::uint64_t>(options.workers))
-      .field("timer_wheel", options.use_timer_wheel)
       .field("hardware_cores",
              static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
       .field("peak_rss_kb", peak_rss_kb())

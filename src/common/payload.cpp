@@ -16,11 +16,6 @@ AtomicCounters& counters_ref() noexcept {
   return counters;
 }
 
-std::atomic<bool>& eager_mode_ref() noexcept {
-  static std::atomic<bool> eager{false};
-  return eager;
-}
-
 void count_copy(std::size_t bytes) noexcept {
   counters_ref().copies.fetch_add(1, std::memory_order_relaxed);
   counters_ref().copy_bytes.fetch_add(bytes, std::memory_order_relaxed);
@@ -47,13 +42,8 @@ Payload Payload::copy_of(BytesView data) {
 
 Payload::Payload(const Payload& other) {
   if (!other.buf_) return;
-  if (eager_copy_mode()) {
-    count_copy(other.buf_->size());
-    buf_ = std::make_shared<Bytes>(*other.buf_);
-  } else {
-    count_share(other.buf_->size());
-    buf_ = other.buf_;
-  }
+  count_share(other.buf_->size());
+  buf_ = other.buf_;
 }
 
 Payload& Payload::operator=(const Payload& other) {
@@ -87,14 +77,6 @@ Bytes& Payload::mutate() {
 void Payload::wipe() noexcept {
   if (buf_) secure_wipe(*buf_);
   buf_.reset();
-}
-
-void Payload::set_eager_copy_mode(bool eager) noexcept {
-  eager_mode_ref().store(eager, std::memory_order_relaxed);
-}
-
-bool Payload::eager_copy_mode() noexcept {
-  return eager_mode_ref().load(std::memory_order_relaxed);
 }
 
 PayloadCounters Payload::counters() noexcept {

@@ -42,9 +42,8 @@ class Payload {
   /// Deep copy of a view (counted as a copy).
   static Payload copy_of(BytesView data);
 
-  /// Sharing copy: bumps the refcount, never the bytes. In eager-copy mode
-  /// (see set_eager_copy_mode) this performs — and counts — a deep copy
-  /// instead, emulating the by-value baseline for A/B measurements.
+  /// Sharing copy: bumps the refcount, never the bytes (counted as a share:
+  /// the by-value baseline would have deep-copied here).
   Payload(const Payload& other);
   Payload& operator=(const Payload& other);
   Payload(Payload&& other) noexcept = default;
@@ -100,11 +99,6 @@ class Payload {
   /// Zeroes the underlying storage through secure_wipe — ALL aliases observe
   /// zeros (key material must die everywhere) — then drops this reference.
   void wipe() noexcept;
-
-  /// Eager-copy mode: every sharing copy performs a real deep copy instead,
-  /// emulating the pre-Payload by-value behaviour. For baseline benchmarks.
-  static void set_eager_copy_mode(bool eager) noexcept;
-  [[nodiscard]] static bool eager_copy_mode() noexcept;
 
   [[nodiscard]] static PayloadCounters counters() noexcept;
   static void reset_counters() noexcept;

@@ -49,7 +49,7 @@ ConsProviderActor::ConsProviderActor(std::string id, net::Network& network,
                                      crypto::Drbg& rng)
     : NrActor(std::move(id), network, identity, rng),
       store_(std::make_unique<storage::MemoryBackend>()) {
-  store_.bind_clock(&network.clock());
+  store_.bind_clock([&network] { return network.now(); });
 }
 
 const ConsProviderActor::SharedObjectState* ConsProviderActor::object_state(

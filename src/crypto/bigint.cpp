@@ -539,12 +539,11 @@ BigInt BigInt::mod(const BigInt& m) const {
 }
 
 BigInt BigInt::mod_pow(const BigInt& exp, const BigInt& m) const {
-  // The Montgomery path needs an odd modulus; anything else (and the A/B
-  // baseline) takes the classic multiply-then-reduce ladder. Both produce
-  // the same value bit-for-bit — this is a speed dispatch, not a semantic
-  // one. RSA moduli and primes are always odd, so the hot paths qualify.
-  if (accel().rsa_fast && m.is_odd() && m.compare(BigInt(1)) > 0 &&
-      !exp.is_negative()) {
+  // The Montgomery path needs an odd modulus; anything else takes the
+  // classic multiply-then-reduce ladder. Both produce the same value
+  // bit-for-bit — this is a speed dispatch, not a semantic one. RSA moduli
+  // and primes are always odd, so the hot paths qualify.
+  if (m.is_odd() && m.compare(BigInt(1)) > 0 && !exp.is_negative()) {
     return Montgomery(m).pow(*this, exp);
   }
   return mod_pow_classic(exp, m);

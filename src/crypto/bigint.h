@@ -88,12 +88,12 @@ class BigInt {
   /// Non-negative residue in [0, m).
   [[nodiscard]] BigInt mod(const BigInt& m) const;
   /// (this ^ exp) mod m, exp >= 0, m > 1. Dispatches to the Montgomery/CIOS
-  /// fast path when accel().rsa_fast is on and the modulus is odd; falls
-  /// back to mod_pow_classic otherwise. Results are bit-identical.
+  /// fast path when the modulus is odd; falls back to mod_pow_classic
+  /// otherwise. Results are bit-identical.
   [[nodiscard]] BigInt mod_pow(const BigInt& exp, const BigInt& m) const;
   /// The reference path: 4-bit fixed-window exponentiation with schoolbook
-  /// multiply-then-reduce steps. Kept reachable for equivalence tests and
-  /// the TPNR_CRYPTO_ACCEL=0 A/B baseline.
+  /// multiply-then-reduce steps. Public as the reference that equivalence
+  /// tests and the RSA ablation bench compare the fast path against.
   [[nodiscard]] BigInt mod_pow_classic(const BigInt& exp,
                                        const BigInt& m) const;
   /// Multiplicative inverse mod m; throws CryptoError if gcd != 1.

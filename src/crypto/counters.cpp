@@ -1,7 +1,5 @@
 #include "crypto/counters.h"
 
-#include <cstdlib>
-
 namespace tpnr::crypto {
 
 CounterSnapshot Counters::snapshot() const noexcept {
@@ -55,44 +53,6 @@ void Counters::reset() noexcept {
 Counters& counters() noexcept {
   static Counters instance;
   return instance;
-}
-
-namespace {
-
-AccelConfig initial_config() noexcept {
-  AccelConfig config;
-  const char* env = std::getenv("TPNR_CRYPTO_ACCEL");
-  if (env != nullptr && env[0] == '0' && env[1] == '\0') {
-    config.multi_lane = false;
-    config.hmac_midstate = false;
-    config.merkle_cache = false;
-    config.verify_memo = false;
-    config.rsa_fast = false;
-    config.crypto_service = false;
-  }
-  return config;
-}
-
-AccelConfig& config_storage() noexcept {
-  static AccelConfig config = initial_config();
-  return config;
-}
-
-}  // namespace
-
-AccelConfig accel() noexcept { return config_storage(); }
-
-void set_accel(AccelConfig config) noexcept { config_storage() = config; }
-
-void set_accel_enabled(bool enabled) noexcept {
-  AccelConfig config;
-  config.multi_lane = enabled;
-  config.hmac_midstate = enabled;
-  config.merkle_cache = enabled;
-  config.verify_memo = enabled;
-  config.rsa_fast = enabled;
-  config.crypto_service = enabled;
-  set_accel(config);
 }
 
 }  // namespace tpnr::crypto

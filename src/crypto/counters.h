@@ -1,7 +1,7 @@
-// Process-wide crypto acceleration accounting and the switch that turns the
-// acceleration layer off for A/B runs. Every mechanism (multi-lane SHA-256,
-// HMAC key-state caching, Merkle tree reuse, RSA verify memoization) bumps
-// its own counters so a benchmark can attribute a speedup per mechanism.
+// Process-wide crypto acceleration accounting. Every mechanism (multi-lane
+// SHA-256, HMAC key-state caching, Merkle tree reuse, RSA verify
+// memoization) bumps its own counters so a benchmark can attribute a
+// speedup per mechanism.
 //
 // The counters are monotonic atomics: safe to bump from sharded runtime
 // worker threads. They are NOT part of any protocol outcome — acceleration
@@ -74,27 +74,5 @@ struct Counters {
 
 /// The process-wide instance.
 Counters& counters() noexcept;
-
-/// Which acceleration mechanisms are live. All default to on; the
-/// environment variable TPNR_CRYPTO_ACCEL=0 turns everything off at process
-/// start (the unaccelerated baseline CI diffs digests against).
-struct AccelConfig {
-  bool multi_lane = true;    ///< batch SHA-256 uses the lane engine
-  bool hmac_midstate = true; ///< HMAC ipad/opad midstate caching
-  bool merkle_cache = true;  ///< per-object Merkle tree reuse
-  bool verify_memo = true;   ///< RSA verify result memoization
-  bool rsa_fast = true;      ///< Montgomery/CIOS modexp + CRT private ops
-  bool crypto_service = true;  ///< runtime::CryptoService cross-actor batching
-};
-
-/// Current configuration (initialized from the environment on first use).
-[[nodiscard]] AccelConfig accel() noexcept;
-
-/// Replaces the configuration — benchmarks and tests sweep mechanisms
-/// on/off. Not intended to be raced against in-flight crypto calls.
-void set_accel(AccelConfig config) noexcept;
-
-/// Convenience: everything on (true) / everything off (false).
-void set_accel_enabled(bool enabled) noexcept;
 
 }  // namespace tpnr::crypto

@@ -35,17 +35,15 @@ void derive_pads(HashKind kind, BytesView key, std::size_t block, Bytes& ipad,
 Hmac::Hmac(HashKind kind, BytesView key)
     : inner_(make_hash(kind)), outer_(make_hash(kind)) {
   derive_pads(kind, key, inner_->block_size(), ipad_, opad_);
-  if (accel().hmac_midstate) {
-    if (auto* inner_core = dynamic_cast<Sha256Core*>(inner_.get())) {
-      auto* outer_core = static_cast<Sha256Core*>(outer_.get());
-      inner_core->reset();
-      inner_core->update(ipad_);
-      inner_mid_ = inner_core->midstate();
-      outer_core->reset();
-      outer_core->update(opad_);
-      outer_mid_ = outer_core->midstate();
-      use_midstate_ = true;
-    }
+  if (auto* inner_core = dynamic_cast<Sha256Core*>(inner_.get())) {
+    auto* outer_core = static_cast<Sha256Core*>(outer_.get());
+    inner_core->reset();
+    inner_core->update(ipad_);
+    inner_mid_ = inner_core->midstate();
+    outer_core->reset();
+    outer_core->update(opad_);
+    outer_mid_ = outer_core->midstate();
+    use_midstate_ = true;
   }
   start();
 }
@@ -156,9 +154,6 @@ std::map<Bytes, HmacKeyState>& hmac_cache() {
 }  // namespace
 
 Bytes hmac_sha256_cached(BytesView key, BytesView data) {
-  if (!accel().hmac_midstate) {
-    return hmac_sha256(key, data);
-  }
   Bytes id = sha256(key);
   std::lock_guard<std::mutex> lock(g_hmac_cache_mu);
   auto& cache = hmac_cache();

@@ -74,11 +74,11 @@ Bytes hmac_sha256(BytesView key, BytesView data);
 
 /// HMAC-SHA256 through a process-wide HmacKeyState cache keyed by the key's
 /// digest: the first call for a key derives its pad midstates, later calls
-/// resume them. Bit-identical to hmac_sha256; falls back to it when
-/// accel().hmac_midstate is off. Thread-safe.
+/// resume them. Bit-identical to hmac_sha256, the uncached reference.
+/// Thread-safe.
 Bytes hmac_sha256_cached(BytesView key, BytesView data);
 
-/// Drops every cached HmacKeyState (tests and the ablation sweep).
+/// Drops every cached HmacKeyState (tests).
 void hmac_cache_clear();
 
 /// Constant-time tag check.

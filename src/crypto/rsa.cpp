@@ -167,19 +167,17 @@ Bytes mgf1(BytesView seed, std::size_t out_len) {
 constexpr std::size_t kWrapKeySize = 32;
 constexpr std::size_t kOaepSeedSize = 32;
 
-// c^d mod n. With accel().rsa_fast and valid factors this runs as two
-// half-width Montgomery exponentiations recombined with Garner's formula —
-// bit-identical to the full-width exponentiation, ~4x cheaper (each half is
-// half the iterations over a quarter-cost multiply).
+// c^d mod n. With valid factors this runs as two half-width Montgomery
+// exponentiations recombined with Garner's formula — bit-identical to the
+// full-width exponentiation, ~4x cheaper (each half is half the iterations
+// over a quarter-cost multiply).
 BigInt rsa_private_op(const RsaPrivateKey& key, const BigInt& c) {
-  if (accel().rsa_fast) {
-    if (const auto crt = key.crt_context()) {
-      const BigInt m1 = crt->mp.pow(c, crt->dp);
-      const BigInt m2 = crt->mq.pow(c, crt->dq);
-      const BigInt h = ((m1 - m2) * crt->qinv).mod(key.p);
-      counters().crt_signs.fetch_add(1, std::memory_order_relaxed);
-      return m2 + h * key.q;
-    }
+  if (const auto crt = key.crt_context()) {
+    const BigInt m1 = crt->mp.pow(c, crt->dp);
+    const BigInt m2 = crt->mq.pow(c, crt->dq);
+    const BigInt h = ((m1 - m2) * crt->qinv).mod(key.p);
+    counters().crt_signs.fetch_add(1, std::memory_order_relaxed);
+    return m2 + h * key.q;
   }
   counters().classic_signs.fetch_add(1, std::memory_order_relaxed);
   return c.mod_pow(key.d, key.n);
@@ -284,9 +282,8 @@ Bytes rsa_sign(const RsaPrivateKey& key, HashKind kind, BytesView message) {
 
 bool rsa_verify(const RsaPublicKey& key, HashKind kind, BytesView message,
                 BytesView signature) {
-  const std::shared_ptr<const Montgomery> ctx =
-      accel().rsa_fast ? key.mont_context() : nullptr;
-  return rsa_verify_core(key, kind, message, signature, ctx.get());
+  return rsa_verify_core(key, kind, message, signature,
+                         key.mont_context().get());
 }
 
 std::vector<bool> rsa_verify_many(const RsaPublicKey& key,
@@ -299,7 +296,6 @@ std::vector<bool> rsa_verify_many(const RsaPublicKey& key,
   // The key's shared Montgomery context serves the whole group; only fetched
   // when at least one item misses the memo (an all-hit group costs nothing).
   std::shared_ptr<const Montgomery> ctx;
-  const bool fast = accel().rsa_fast;
   for (std::size_t i = 0; i < items.size(); ++i) {
     const RsaVerifyItem& item = items[i];
     bool memoized = false;
@@ -308,7 +304,7 @@ std::vector<bool> rsa_verify_many(const RsaPublicKey& key,
       out[i] = memoized;
       continue;
     }
-    if (fast && !ctx) ctx = key.mont_context();
+    if (!ctx) ctx = key.mont_context();
     const bool ok = rsa_verify_core(key, item.kind, item.message,
                                     item.signature, ctx.get());
     verify_memo_store(key, item.kind, item.message, item.signature, ok);

@@ -107,7 +107,7 @@ struct RsaVerifyItem {
 /// Montgomery context across the whole group (the per-key setup — one
 /// division for R^2 mod n — is paid once instead of per signature). Each
 /// verdict is bit-identical to rsa_verify; the memo is consulted and fed
-/// per item when accel().verify_memo is on. This is the entry point for an
+/// per item. This is the entry point for an
 /// auditor's evidence stream, TTP Resolve and fork-arbitration walks.
 std::vector<bool> rsa_verify_many(const RsaPublicKey& key,
                                   std::span<const RsaVerifyItem> items);

@@ -206,7 +206,6 @@ bool sha256_mb_available(Sha256MbEngine engine) noexcept {
 }
 
 Sha256MbEngine sha256_mb_best_engine() noexcept {
-  if (!accel().multi_lane) return Sha256MbEngine::kScalar;
 #if TPNR_HAVE_SHA256_MB_AVX2
   if (__builtin_cpu_supports("avx2")) return Sha256MbEngine::kX8Avx2;
 #endif

@@ -29,7 +29,7 @@ enum class Sha256MbEngine {
 /// GCC/Clang builds; kX8Avx2 needs the AVX2 TU plus CPU support).
 [[nodiscard]] bool sha256_mb_available(Sha256MbEngine engine) noexcept;
 
-/// The engine dispatch would pick right now (honors accel().multi_lane).
+/// The widest engine this process supports; every batch call runs on it.
 [[nodiscard]] Sha256MbEngine sha256_mb_best_engine() noexcept;
 
 /// Lane count of the best engine (1, 4 or 8).

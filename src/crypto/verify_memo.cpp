@@ -40,7 +40,6 @@ Bytes memo_key(const RsaPublicKey& key, HashKind kind, BytesView message,
 
 bool verify_memo_lookup(const RsaPublicKey& key, HashKind kind,
                         BytesView message, BytesView signature, bool& result) {
-  if (!accel().verify_memo) return false;
   Bytes id = memo_key(key, kind, message, signature);
   std::lock_guard<std::mutex> lock(g_memo_mu);
   auto it = memo().find(id);
@@ -52,7 +51,6 @@ bool verify_memo_lookup(const RsaPublicKey& key, HashKind kind,
 
 void verify_memo_store(const RsaPublicKey& key, HashKind kind,
                        BytesView message, BytesView signature, bool result) {
-  if (!accel().verify_memo) return;
   counters().verify_memo_misses.fetch_add(1, std::memory_order_relaxed);
   Bytes id = memo_key(key, kind, message, signature);
   std::lock_guard<std::mutex> lock(g_memo_mu);
@@ -63,9 +61,6 @@ void verify_memo_store(const RsaPublicKey& key, HashKind kind,
 
 bool rsa_verify_memo(const RsaPublicKey& key, HashKind kind, BytesView message,
                      BytesView signature) {
-  if (!accel().verify_memo) {
-    return rsa_verify(key, kind, message, signature);
-  }
   bool memoized = false;
   if (verify_memo_lookup(key, kind, message, signature, memoized)) {
     return memoized;

@@ -14,20 +14,18 @@ namespace tpnr::crypto {
 /// rsa_verify with a process-wide memo keyed by
 /// SHA-256(pubkey-fingerprint || kind || SHA-256(message) || SHA-256(signature)).
 /// The fingerprint is cached on the key, so a lookup never re-encodes n||e.
-/// Bit-identical results to rsa_verify; falls back to it when
-/// accel().verify_memo is off. Thread-safe.
+/// Bit-identical results to rsa_verify, the unmemoized reference.
+/// Thread-safe.
 bool rsa_verify_memo(const RsaPublicKey& key, HashKind kind, BytesView message,
                      BytesView signature);
 
 /// Memo probe without computing anything on a miss: on a hit sets `result`
-/// and returns true (counted as a memo hit). Always misses when
-/// accel().verify_memo is off. rsa_verify_many uses this pair to fold the
-/// memo into batch verification.
+/// and returns true (counted as a memo hit). rsa_verify_many uses this pair
+/// to fold the memo into batch verification.
 bool verify_memo_lookup(const RsaPublicKey& key, HashKind kind,
                         BytesView message, BytesView signature, bool& result);
 
-/// Records a verdict computed elsewhere (counted as a memo miss). No-op when
-/// accel().verify_memo is off.
+/// Records a verdict computed elsewhere (counted as a memo miss).
 void verify_memo_store(const RsaPublicKey& key, HashKind kind,
                        BytesView message, BytesView signature, bool result);
 

@@ -5,8 +5,7 @@
 namespace tpnr::net {
 
 Network::Network(std::uint64_t seed, NetworkOptions options)
-    : engine_(seed, runtime::EngineOptions{options.shards, options.workers,
-                                           options.use_timer_wheel}) {
+    : engine_(seed, runtime::EngineOptions{options.shards, options.workers}) {
   stats_buckets_.resize(engine_.shard_count() + 1);
   recompute_lookahead();
 }

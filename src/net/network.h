@@ -142,10 +142,6 @@ struct NetworkStats {
 struct NetworkOptions {
   std::uint32_t shards = 1;
   std::uint32_t workers = 1;
-  /// Forwarded to EngineOptions::use_timer_wheel: hierarchical timer wheel
-  /// (default) vs the legacy per-shard binary heap. Same pop order either
-  /// way; the knob exists for A/B runs (TPNR_TIMER_WHEEL=0) and tests.
-  bool use_timer_wheel = true;
 };
 
 class Network {

@@ -28,7 +28,7 @@ ProviderActor::ProviderActor(std::string id, net::Network& network,
       store_(std::make_unique<storage::MemoryBackend>()) {
   // Fault events in the store carry simulated injection times, which is
   // what lets an auditor's detection latency be measured.
-  store_.bind_clock(&network.clock());
+  store_.bind_clock([&network] { return network.now(); });
 }
 
 const ProviderActor::TxnRecord* ProviderActor::transaction(

@@ -91,8 +91,7 @@ CryptoService::CryptoService(Engine& engine) : engine_(engine) {
 }
 
 bool CryptoService::deferrable() const {
-  return crypto::accel().crypto_service &&
-         engine_.current_bucket() < engine_.shard_count();
+  return engine_.current_bucket() < engine_.shard_count();
 }
 
 void CryptoService::submit_digests(std::vector<DigestJob> jobs,

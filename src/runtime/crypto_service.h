@@ -16,8 +16,8 @@
 //    timestamp than the oldest pending submission,
 // every event posted by a completion carries the identical (at, origin,
 // seq) merge key it would have had if the work had run inline — so
-// experiment records are byte-identical to TPNR_CRYPTO_ACCEL=0 at any shard
-// and worker count.
+// experiment records are byte-identical to the inline (unbatched) execution
+// at any shard and worker count; tests/golden/ pins them.
 //
 // Completions must observe two rules: touch only the submitting endpoint's
 // own state, and post events only at `submit time + engine lookahead` or
@@ -74,9 +74,9 @@ class CryptoService {
   CryptoService& operator=(const CryptoService&) = delete;
 
   /// True when a submit_* made right now would be queued for a batched
-  /// flush: the service is enabled and the caller is executing a shard
-  /// event. Driver code (tests, benchmark setup) always runs inline, so
-  /// direct calls into actor methods keep their synchronous semantics.
+  /// flush: the caller is executing a shard event. Driver code (tests,
+  /// benchmark setup) always runs inline, so direct calls into actor
+  /// methods keep their synchronous semantics.
   [[nodiscard]] bool deferrable() const;
 
   /// Hashes `jobs` and hands the digests to `done`. Deferred when

@@ -66,10 +66,8 @@ Engine::Engine(std::uint64_t seed, EngineOptions options)
   if (options_.workers == 0) options_.workers = 1;
   shards_.resize(options_.shards);
   for (Shard& shard : shards_) {
-    shard.queue = EventStore(options_.use_timer_wheel);
     shard.outbox.resize(options_.shards);
   }
-  external_ = EventStore(options_.use_timer_wheel);
   crypto_service_ = std::make_unique<CryptoService>(*this);
 }
 

@@ -75,11 +75,6 @@ class NameInterner {
 struct EngineOptions {
   std::uint32_t shards = 1;   ///< logical shards; endpoints are round-robined
   std::uint32_t workers = 1;  ///< worker threads; > 1 enables parallel rounds
-  /// Per-shard pending-event container: hierarchical timer wheel (default)
-  /// or the legacy binary heap. Both produce the identical (at, origin, seq)
-  /// pop order; the heap is kept for A/B runs (TPNR_TIMER_WHEEL=0) and the
-  /// equivalence tests.
-  bool use_timer_wheel = true;
 };
 
 struct EngineStats {
@@ -185,7 +180,7 @@ class Engine {
   };
 
   struct Shard {
-    EventStore queue;
+    TimerWheel queue;
     SimTime local_now = 0;
     std::uint64_t executed = 0;  ///< events executed in the current round
     /// Cross-shard events produced during a parallel round, keyed by target
@@ -212,7 +207,7 @@ class Engine {
   NameInterner endpoints_;
   std::vector<EndpointState> endpoint_state_;
   std::vector<Shard> shards_;
-  EventStore external_;  ///< driver-originated timers, executed serially
+  TimerWheel external_;  ///< driver-originated timers, executed serially
   std::uint64_t external_seq_ = 0;
   SimTime lookahead_ = 1;
   EngineStats stats_;

@@ -1,7 +1,8 @@
 // The engine's event record and its deterministic total order, shared by
-// the legacy binary-heap queue and the hierarchical timer wheel
-// (runtime/timer_wheel.h). Extracted from engine.h so both containers agree
-// on one comparator — the determinism contract hangs off this ordering.
+// the hierarchical timer wheel (runtime/timer_wheel.h) and EventQueue, the
+// binary-heap reference it is tested against and its overflow store. Both
+// containers agree on one comparator — the determinism contract hangs off
+// this ordering.
 #pragma once
 
 #include <cstdint>

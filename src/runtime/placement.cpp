@@ -73,21 +73,4 @@ const std::string& Placement::owner(std::string_view object_key) const {
   return providers_[ring_[ring_successor(object_key)].second];
 }
 
-std::vector<std::string> Placement::owners(std::string_view object_key,
-                                           std::size_t count) const {
-  std::vector<std::string> result;
-  if (ring_.empty() || count == 0) return result;
-  count = std::min(count, providers_.size());
-  std::vector<bool> taken(providers_.size(), false);
-  std::size_t at = ring_successor(object_key);
-  for (std::size_t step = 0; step < ring_.size() && result.size() < count;
-       ++step, at = (at + 1) % ring_.size()) {
-    const std::uint32_t index = ring_[at].second;
-    if (taken[index]) continue;
-    taken[index] = true;
-    result.push_back(providers_[index]);
-  }
-  return result;
-}
-
 }  // namespace tpnr::runtime

@@ -29,11 +29,6 @@ class Placement {
   /// empty ring.
   [[nodiscard]] const std::string& owner(std::string_view object_key) const;
 
-  /// The first `count` DISTINCT providers clockwise of the key's point —
-  /// the natural replica set for `object_key`.
-  [[nodiscard]] std::vector<std::string> owners(std::string_view object_key,
-                                               std::size_t count) const;
-
   [[nodiscard]] std::size_t provider_count() const noexcept {
     return providers_.size();
   }

@@ -1,7 +1,7 @@
-// Hierarchical timer wheel: the per-shard event container behind the
-// engine's fleet-scale mode.
+// Hierarchical timer wheel: the engine's per-shard event container.
 //
-// The legacy per-shard std::priority_queue costs O(log n) per push/pop with
+// A per-shard std::priority_queue (EventQueue, kept as the reference the
+// equivalence tests compare against) costs O(log n) per push/pop with
 // n = every pending event on the shard — at fleet scale that is hundreds of
 // thousands of armed receipt/verdict timers, most of which fire far in the
 // future (or never, their guards having been settled long before). The
@@ -11,7 +11,7 @@
 // ~19-hour horizon (2^36 us) overflow into a small heap.
 //
 // Determinism: pops leave the wheel in EXACTLY the (at, origin, seq) order
-// of runtime/event.h — the same total order the legacy heap produces. Two
+// of runtime/event.h — the same total order EventQueue produces. Two
 // mechanisms make that hold:
 //   * all events sharing the minimal timestamp are collected into one
 //     sorted `ready_` batch before anything pops. Equal timestamps can be
@@ -80,50 +80,6 @@ class TimerWheel {
   std::array<std::array<SimTime, kSlotsPerLevel>, kLevels> slot_min_;
   EventQueue overflow_;
   std::size_t size_ = 0;
-};
-
-/// A shard's pending-event set: the timer wheel or the legacy binary heap,
-/// selected once at engine construction (EngineOptions::use_timer_wheel /
-/// TPNR_TIMER_WHEEL). Both sides expose the same peek/pop contract and the
-/// same total order, which the wheel-vs-heap equivalence tests pin down.
-class EventStore {
- public:
-  explicit EventStore(bool use_wheel = true) : use_wheel_(use_wheel) {}
-
-  void push(Event event) {
-    if (use_wheel_) {
-      wheel_.push(std::move(event));
-    } else {
-      heap_.push(std::move(event));
-    }
-  }
-
-  [[nodiscard]] const Event* peek() {
-    if (use_wheel_) return wheel_.peek();
-    return heap_.empty() ? nullptr : &heap_.top();
-  }
-
-  Event pop() {
-    if (use_wheel_) return wheel_.pop();
-    // priority_queue::top() is const; moving out before pop avoids copying
-    // the std::function (safe: the pop discards the moved-from slot).
-    Event event = std::move(const_cast<Event&>(heap_.top()));
-    heap_.pop();
-    return event;
-  }
-
-  [[nodiscard]] bool empty() const noexcept {
-    return use_wheel_ ? wheel_.empty() : heap_.empty();
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    return use_wheel_ ? wheel_.size() : heap_.size();
-  }
-
- private:
-  bool use_wheel_;
-  TimerWheel wheel_;
-  EventQueue heap_;
 };
 
 }  // namespace tpnr::runtime

@@ -7,10 +7,6 @@ namespace tpnr::storage {
 std::shared_ptr<const crypto::MerkleTree> MerkleCache::get_or_build(
     const std::string& key, const common::Payload& data,
     std::size_t chunk_size, std::uint64_t version) {
-  if (!crypto::accel().merkle_cache) {
-    crypto::counters().tree_builds.fetch_add(1, std::memory_order_relaxed);
-    return std::make_shared<const crypto::MerkleTree>(data, chunk_size);
-  }
   const auto it = entries_.find(key);
   if (it != entries_.end() && it->second.chunk_size == chunk_size &&
       it->second.version == version && it->second.source.aliases(data)) {

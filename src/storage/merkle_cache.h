@@ -34,8 +34,7 @@ class MerkleCache {
   /// matches — entries are keyed on (object, version), so a tree primed
   /// before a mutation can never serve a post-mutation proof even if a
   /// buffer is recycled. Miss: builds, caches under `key` (replacing any
-  /// previous entry), returns. With crypto::accel().merkle_cache off every
-  /// call builds fresh and nothing is cached.
+  /// previous entry), returns.
   std::shared_ptr<const crypto::MerkleTree> get_or_build(
       const std::string& key, const common::Payload& data,
       std::size_t chunk_size, std::uint64_t version = 0);

@@ -213,7 +213,7 @@ void ObjectStore::log_fault(const std::string& key, FaultKind kind,
   event.key = key;
   event.kind = kind;
   event.version = version;
-  event.at = clock_ != nullptr ? clock_->now() : 0;
+  event.at = now_ ? now_() : 0;
   fault_log_.push_back(std::move(event));
 }
 

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -162,9 +163,15 @@ class ObjectStore {
     return faults_injected_;
   }
 
-  /// Binds the simulation clock so fault events carry injection times.
-  /// The store does not own the clock; nullptr unbinds.
-  void bind_clock(const common::SimClock* clock) noexcept { clock_ = clock; }
+  /// Binds the simulation time source so fault events carry injection
+  /// times. Actors inside the runtime bind the executing event's time
+  /// (Network::now()), which every shard/worker configuration agrees on.
+  void bind_clock(std::function<SimTime()> now) { now_ = std::move(now); }
+  /// Binds a plain clock, which the store does not own; nullptr unbinds.
+  void bind_clock(const common::SimClock* clock) {
+    now_ = clock == nullptr ? std::function<SimTime()>()
+                            : [clock] { return clock->now(); };
+  }
 
   /// Every fault injected so far (policy faults and tamper() calls), in
   /// injection order.
@@ -205,7 +212,7 @@ class ObjectStore {
   crypto::Drbg fault_rng_;
   std::uint64_t faults_injected_ = 0;
   std::uint64_t stale_mutations_armed_ = 0;
-  const common::SimClock* clock_ = nullptr;
+  std::function<SimTime()> now_;
   std::vector<FaultEvent> fault_log_;
   persist::Journal* journal_ = nullptr;
 };

@@ -173,9 +173,7 @@ TEST_F(AuditTest, PrimedMerkleCacheDoesNotMaskLaterTamper) {
   }
   EXPECT_EQ(auditor_.counters().verified, kChunks);
   // The clean round was served from the cache after the store-time build.
-  if (crypto::accel().merkle_cache) {
-    EXPECT_GE(bob_.merkle_cache().hits(), kChunks - 1);
-  }
+  EXPECT_GE(bob_.merkle_cache().hits(), kChunks - 1);
 
   Bytes tampered = data;
   tampered[9 * kChunkSize + 5] ^= 0x80;
@@ -433,6 +431,62 @@ TEST(AuditDeterminismTest, IdenticalSeedsProduceIdenticalLedgers) {
   EXPECT_GT(size_a, 0u);
   EXPECT_EQ(size_a, size_b);
   EXPECT_EQ(head_a, head_b);
+}
+
+// Fault-log timestamps are the executing event's time, so a fault-kind
+// world run with parallel rounds logs the same injections at the same
+// instants — and reports the same detection latencies — as the serial run.
+TEST(AuditDeterminismTest, FaultLogAndReportInvariantAcrossShardsAndWorkers) {
+  const auto run_world = [](net::NetworkOptions options) {
+    net::Network network(404, options);
+    crypto::Drbg rng(std::uint64_t{505});
+    pki::Identity alice_id = pooled("alice");
+    pki::Identity bob_id = pooled("bob");
+    pki::Identity auditor_id = pooled("auditor");
+    AuditLedger ledger;
+    nr::ClientActor alice("alice", network, alice_id, rng);
+    nr::ProviderActor bob("bob", network, bob_id, rng);
+    AuditorActor auditor("auditor", network, auditor_id, rng, ledger);
+    alice.trust_peer("bob", bob_id.public_key());
+    bob.trust_peer("alice", alice_id.public_key());
+    bob.trust_peer("auditor", auditor_id.public_key());
+    auditor.trust_peer("bob", bob_id.public_key());
+
+    for (int i = 0; i < 3; ++i) {
+      crypto::Drbg data_rng(std::uint64_t{100u + static_cast<unsigned>(i)});
+      const std::string txn = alice.store_chunked(
+          "bob", "", "obj-" + std::to_string(i),
+          data_rng.bytes(kChunkSize * 16), kChunkSize);
+      network.run();
+      EXPECT_TRUE(auditor.watch(alice, txn));
+    }
+    bob.store().set_fault_policy({storage::FaultKind::kBitFlip, 0.5});
+    AuditScheduler scheduler(network, auditor,
+                             {.period = common::kSecond,
+                              .sampling_rate = 0.25,
+                              .max_outstanding = 64,
+                              .seed = 17,
+                              .max_rounds = 4});
+    scheduler.start();
+    network.run();
+
+    std::vector<std::string> lines;
+    for (const storage::FaultEvent& fault : bob.store().fault_log()) {
+      lines.push_back(fault.key + "/v" + std::to_string(fault.version) +
+                      "@" + std::to_string(fault.at));
+    }
+    const AuditReport r =
+        build_report(ledger, bob.store().fault_log(), network.stats());
+    lines.push_back("detected " + std::to_string(r.faults_detected) + "/" +
+                    std::to_string(r.faults_injected) + " p50 " +
+                    std::to_string(r.detection_latency.p50_ms) + " p99 " +
+                    std::to_string(r.detection_latency.p99_ms) + " max " +
+                    std::to_string(r.detection_latency.max_ms));
+    return lines;
+  };
+  const std::vector<std::string> serial = run_world({1, 1});
+  ASSERT_GT(serial.size(), 1u);  // at least one fault plus the report line
+  EXPECT_EQ(run_world({2, 2}), serial);
 }
 
 }  // namespace

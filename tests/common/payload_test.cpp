@@ -1,6 +1,5 @@
 // common::Payload semantics: aliasing, copy-on-write detachment, counter
-// accounting, secure wiping through shared aliases, and the eager-copy
-// baseline mode the benchmarks use for A/B comparisons.
+// accounting, and secure wiping through shared aliases.
 #include "common/payload.h"
 
 #include <gtest/gtest.h>
@@ -20,14 +19,8 @@ Bytes sample(std::size_t n, std::uint8_t start = 1) {
 
 class PayloadTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    Payload::set_eager_copy_mode(false);
-    Payload::reset_counters();
-  }
-  void TearDown() override {
-    Payload::set_eager_copy_mode(false);
-    Payload::reset_counters();
-  }
+  void SetUp() override { Payload::reset_counters(); }
+  void TearDown() override { Payload::reset_counters(); }
 };
 
 TEST_F(PayloadTest, DefaultIsEmpty) {
@@ -159,18 +152,6 @@ TEST_F(PayloadTest, SecureWipeFreeFunctionMatchesMemberWipe) {
   secure_wipe(a);
   EXPECT_TRUE(a.empty());
   EXPECT_TRUE(alias.empty());
-}
-
-TEST_F(PayloadTest, EagerCopyModeTurnsSharesIntoCopies) {
-  Payload::set_eager_copy_mode(true);
-  const Payload a(sample(64));
-  const Payload b(a);  // NOLINT(performance-unnecessary-copy-initialization)
-  EXPECT_FALSE(b.aliases(a));  // by-value emulation: private buffer
-  EXPECT_EQ(b, a);
-  const PayloadCounters c = Payload::counters();
-  EXPECT_EQ(c.copies, 1u);
-  EXPECT_EQ(c.copy_bytes, 64u);
-  EXPECT_EQ(c.shares, 0u);
 }
 
 TEST_F(PayloadTest, EqualityComparesContentNotIdentity) {

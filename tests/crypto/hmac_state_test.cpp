@@ -84,20 +84,24 @@ TEST(HmacKeyStateTest, CachedOneShotMatchesAndCountsMidstateHits) {
     const Bytes msg = common::to_bytes("request " + std::to_string(i));
     EXPECT_EQ(hmac_sha256_cached(key, msg), hmac_sha256(key, msg));
   }
-  if (accel().hmac_midstate) {
-    const CounterSnapshot snap = counters().snapshot();
-    // One derivation for the key, five resumed MACs.
-    EXPECT_GE(snap.hmac_midstate_hits, 5u);
-  }
+  const CounterSnapshot snap = counters().snapshot();
+  // One derivation for the key, five resumed MACs.
+  EXPECT_GE(snap.hmac_midstate_hits, 5u);
 }
 
-TEST(HmacKeyStateTest, CachedFallsBackWhenAccelOff) {
-  const AccelConfig saved = accel();
-  set_accel_enabled(false);
-  const Bytes key = common::to_bytes("k");
+// More distinct keys than the cache holds: it restarts cold on overflow,
+// and every tag — before and after the restart — matches the uncached
+// reference.
+TEST(HmacKeyStateTest, CachedMatchesPlainThroughCacheOverflow) {
+  hmac_cache_clear();
   const Bytes msg = common::to_bytes("m");
-  EXPECT_EQ(hmac_sha256_cached(key, msg), hmac_sha256(key, msg));
-  set_accel(saved);
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 300; ++i) {
+      const Bytes key = common::to_bytes("key-" + std::to_string(i));
+      ASSERT_EQ(hmac_sha256_cached(key, msg), hmac_sha256(key, msg))
+          << "round " << round << " key " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // The RSA fast path must be a pure speedup: Montgomery/CIOS modexp, CRT
 // signing and batched verification all have to be bit-for-bit identical to
-// the classic big-integer path they replace. These tests pin that down with
-// randomized equivalence sweeps (512/1024/2048-bit), sign/verify round
-// trips through both paths, corrupted-signature rejection, and the
+// the reference exponentiation, BigInt::mod_pow_classic. These tests pin
+// that down with randomized equivalence sweeps (512/1024/2048-bit), sign and
+// verify checked against the reference computed over an independently
+// built RFC 8017 encoding, corrupted-signature rejection, and the
 // rsa_verify_many / verify-memo interplay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "common/error.h"
 #include "crypto/bigint.h"
 #include "crypto/counters.h"
+#include "crypto/hash.h"
 #include "crypto/rsa.h"
 
 namespace tpnr::crypto {
@@ -23,21 +26,40 @@ using common::BytesView;
 using common::CryptoError;
 using common::to_bytes;
 
-/// Forces accel().rsa_fast for one scope, restoring the prior config.
-class RsaFastGuard {
- public:
-  explicit RsaFastGuard(bool rsa_fast) : saved_(accel()) {
-    AccelConfig config = saved_;
-    config.rsa_fast = rsa_fast;
-    set_accel(config);
-  }
-  ~RsaFastGuard() { set_accel(saved_); }
-  RsaFastGuard(const RsaFastGuard&) = delete;
-  RsaFastGuard& operator=(const RsaFastGuard&) = delete;
+/// EMSA-PKCS1-v1_5 over SHA-256 (RFC 8017 §9.2), built here rather than
+/// taken from rsa.cpp so the reference path shares no code with the fast one.
+Bytes pkcs1_sha256_encoding(BytesView message, std::size_t k) {
+  const Bytes t = common::concat(
+      {common::from_hex("3031300d060960864801650304020105000420"),
+       sha256(message)});
+  Bytes em(k, 0xff);
+  em[0] = 0x00;
+  em[1] = 0x01;
+  em[k - t.size() - 1] = 0x00;
+  std::copy(t.begin(), t.end(),
+            em.end() - static_cast<std::ptrdiff_t>(t.size()));
+  return em;
+}
 
- private:
-  AccelConfig saved_;
-};
+/// The reference signature: EM^d mod n, full width, classic arithmetic.
+Bytes classic_sign(const RsaPrivateKey& key, BytesView message) {
+  const std::size_t k = (key.n.bit_length() + 7) / 8;
+  return BigInt::from_bytes(pkcs1_sha256_encoding(message, k))
+      .mod_pow_classic(key.d, key.n)
+      .to_bytes(k);
+}
+
+/// The reference verification: s^e mod n, classic arithmetic, compared with
+/// the expected encoding.
+bool classic_verify(const RsaPublicKey& key, BytesView message,
+                    BytesView signature) {
+  const std::size_t k = key.modulus_bytes();
+  if (signature.size() != k) return false;
+  const BigInt s = BigInt::from_bytes(signature);
+  if (s.compare(key.n) >= 0) return false;
+  return s.mod_pow_classic(key.e, key.n).to_bytes(k) ==
+         pkcs1_sha256_encoding(message, k);
+}
 
 BigInt random_odd_modulus(std::size_t bits, Drbg& rng) {
   BigInt m;
@@ -99,19 +121,17 @@ TEST(MontgomeryEquivalence, RejectsUnusableModulus) {
   EXPECT_THROW(Montgomery(BigInt(0)), CryptoError);
 }
 
+// mod_pow dispatches on the modulus: odd moduli take the Montgomery path,
+// even ones fall back to the classic ladder. Both must match the reference.
 TEST(MontgomeryEquivalence, ModPowDispatcherMatchesClassicBothWays) {
   Drbg rng(std::uint64_t{31337});
-  const BigInt m = random_odd_modulus(1024, rng);
-  const BigInt base = BigInt::random_below(m, rng);
+  const BigInt odd = random_odd_modulus(1024, rng);
+  const BigInt even = odd + BigInt(1);
   const BigInt exp = BigInt::random_bits(1024, rng);
-  const BigInt classic = base.mod_pow_classic(exp, m);
-  {
-    RsaFastGuard fast(true);
-    EXPECT_EQ(base.mod_pow(exp, m).compare(classic), 0);
-  }
-  {
-    RsaFastGuard slow(false);
-    EXPECT_EQ(base.mod_pow(exp, m).compare(classic), 0);
+  for (const BigInt& m : {odd, even}) {
+    const BigInt base = BigInt::random_below(m, rng);
+    EXPECT_EQ(base.mod_pow(exp, m).compare(base.mod_pow_classic(exp, m)), 0)
+        << (m.is_odd() ? "odd" : "even") << " modulus";
   }
 }
 
@@ -147,46 +167,32 @@ TEST_F(RsaFastPathTest, SignVerifyRoundTripAcrossSizesAndPaths) {
   for (const RsaKeyPair* key : all_keys()) {
     const Bytes msg = to_bytes("round trip at " +
                                std::to_string(key->pub.modulus_bytes() * 8));
-    Bytes fast_sig;
-    Bytes classic_sig;
-    {
-      RsaFastGuard fast(true);
-      fast_sig = rsa_sign(key->priv, HashKind::kSha256, msg);
-      EXPECT_TRUE(rsa_verify(key->pub, HashKind::kSha256, msg, fast_sig));
-    }
-    {
-      RsaFastGuard slow(false);
-      classic_sig = rsa_sign(key->priv, HashKind::kSha256, msg);
-      EXPECT_TRUE(rsa_verify(key->pub, HashKind::kSha256, msg, classic_sig));
-    }
+    const Bytes fast_sig = rsa_sign(key->priv, HashKind::kSha256, msg);
+    const Bytes classic_sig = classic_sign(key->priv, msg);
     // CRT signing and classic full-width signing are bit-for-bit identical,
     // and each path verifies what the other produced.
     EXPECT_EQ(fast_sig, classic_sig);
-    {
-      RsaFastGuard fast(true);
-      EXPECT_TRUE(rsa_verify(key->pub, HashKind::kSha256, msg, classic_sig));
-    }
-    {
-      RsaFastGuard slow(false);
-      EXPECT_TRUE(rsa_verify(key->pub, HashKind::kSha256, msg, fast_sig));
-    }
+    EXPECT_TRUE(rsa_verify(key->pub, HashKind::kSha256, msg, classic_sig));
+    EXPECT_TRUE(classic_verify(key->pub, msg, fast_sig));
   }
 }
 
+// Keys with valid factors sign through CRT; a key without them (hand-built,
+// factors absent) takes the full-width exponentiation and is counted as a
+// classic sign. Both produce the same signature.
 TEST_F(RsaFastPathTest, CrtSignsAreCountedAndClassicSignsAreNot) {
   const Bytes msg = to_bytes("counter attribution");
-  {
-    RsaFastGuard fast(true);
-    const std::uint64_t before = counters().crt_signs.load();
-    (void)rsa_sign(k1024_->priv, HashKind::kSha256, msg);
-    EXPECT_GT(counters().crt_signs.load(), before);
-  }
-  {
-    RsaFastGuard slow(false);
-    const std::uint64_t before = counters().classic_signs.load();
-    (void)rsa_sign(k1024_->priv, HashKind::kSha256, msg);
-    EXPECT_GT(counters().classic_signs.load(), before);
-  }
+  const std::uint64_t crt_before = counters().crt_signs.load();
+  const std::uint64_t classic_before = counters().classic_signs.load();
+  const Bytes crt_sig = rsa_sign(k1024_->priv, HashKind::kSha256, msg);
+  EXPECT_GT(counters().crt_signs.load(), crt_before);
+  EXPECT_EQ(counters().classic_signs.load(), classic_before);
+
+  const RsaPrivateKey no_factors(k1024_->priv.n, k1024_->priv.e,
+                                 k1024_->priv.d, BigInt(), BigInt());
+  ASSERT_EQ(no_factors.crt_context(), nullptr);
+  EXPECT_EQ(rsa_sign(no_factors, HashKind::kSha256, msg), crt_sig);
+  EXPECT_GT(counters().classic_signs.load(), classic_before);
 }
 
 TEST_F(RsaFastPathTest, CorruptedSignaturesRejectedOnBothPaths) {
@@ -198,14 +204,8 @@ TEST_F(RsaFastPathTest, CorruptedSignaturesRejectedOnBothPaths) {
       Bytes bad = good;
       const std::size_t at = rng.next_u64() % bad.size();
       bad[at] ^= static_cast<std::uint8_t>(1 + (rng.next_u64() % 255));
-      {
-        RsaFastGuard fast(true);
-        EXPECT_FALSE(rsa_verify(key->pub, HashKind::kSha256, msg, bad));
-      }
-      {
-        RsaFastGuard slow(false);
-        EXPECT_FALSE(rsa_verify(key->pub, HashKind::kSha256, msg, bad));
-      }
+      EXPECT_FALSE(rsa_verify(key->pub, HashKind::kSha256, msg, bad));
+      EXPECT_FALSE(classic_verify(key->pub, msg, bad));
     }
   }
 }
@@ -249,11 +249,6 @@ TEST_F(RsaFastPathTest, VerifyManyMatchesSingleVerifies) {
 }
 
 TEST_F(RsaFastPathTest, VerifyManyFeedsAndConsultsTheMemo) {
-  AccelConfig config = accel();
-  const AccelConfig saved = config;
-  config.verify_memo = true;
-  set_accel(config);
-
   const Bytes msg = to_bytes("memoized batch item");
   const Bytes sig = rsa_sign(k1024_->priv, HashKind::kSha256, msg);
   const std::vector<RsaVerifyItem> items = {
@@ -266,8 +261,6 @@ TEST_F(RsaFastPathTest, VerifyManyFeedsAndConsultsTheMemo) {
   EXPECT_TRUE(second[0]);
   // The repeat run answers from the memo the first run fed.
   EXPECT_GT(counters().verify_memo_hits.load(), hits_before);
-
-  set_accel(saved);
 }
 
 TEST_F(RsaFastPathTest, VerifyManyEmptyBatch) {

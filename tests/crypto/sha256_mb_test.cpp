@@ -166,16 +166,18 @@ TEST(Sha256MbTest, MixedTagBatchHonorsPerMessageTags) {
   EXPECT_EQ(digests[2], sha256(leaf));
 }
 
-TEST(Sha256MbTest, AccelToggleFallsBackToScalar) {
-  const AccelConfig saved = accel();
-  set_accel_enabled(false);
-  EXPECT_EQ(sha256_mb_best_engine(), Sha256MbEngine::kScalar);
-  EXPECT_EQ(sha256_mb_lanes(), 1u);
-  set_accel_enabled(true);
-  if (sha256_mb_available(Sha256MbEngine::kX4)) {
-    EXPECT_GT(sha256_mb_lanes(), 1u);
+// Dispatch always runs on the widest engine this process supports.
+TEST(Sha256MbTest, BestEngineIsTheWidestAvailable) {
+  if (sha256_mb_available(Sha256MbEngine::kX8Avx2)) {
+    EXPECT_EQ(sha256_mb_best_engine(), Sha256MbEngine::kX8Avx2);
+    EXPECT_EQ(sha256_mb_lanes(), 8u);
+  } else if (sha256_mb_available(Sha256MbEngine::kX4)) {
+    EXPECT_EQ(sha256_mb_best_engine(), Sha256MbEngine::kX4);
+    EXPECT_EQ(sha256_mb_lanes(), 4u);
+  } else {
+    EXPECT_EQ(sha256_mb_best_engine(), Sha256MbEngine::kScalar);
+    EXPECT_EQ(sha256_mb_lanes(), 1u);
   }
-  set_accel(saved);
 }
 
 TEST(Sha256MbTest, CountersAttributeLaneWork) {

@@ -1,5 +1,5 @@
 // Memoized RSA verification: identical verdicts to rsa_verify for both
-// accepting and rejecting cases, hit accounting, and the accel toggle.
+// accepting and rejecting cases, and hit accounting.
 #include <gtest/gtest.h>
 
 #include "crypto/counters.h"
@@ -31,16 +31,17 @@ TEST_F(VerifyMemoTest, MatchesPlainVerifyAndMemoizesBothVerdicts) {
   Bytes bad_sig = sig;
   bad_sig[10] ^= 0x40;
 
+  // rsa_verify is the unmemoized reference.
+  ASSERT_TRUE(rsa_verify(keys_->pub, HashKind::kSha256, msg, sig));
+  ASSERT_FALSE(rsa_verify(keys_->pub, HashKind::kSha256, msg, bad_sig));
   for (int round = 0; round < 3; ++round) {
     EXPECT_TRUE(rsa_verify_memo(keys_->pub, HashKind::kSha256, msg, sig));
     EXPECT_FALSE(
         rsa_verify_memo(keys_->pub, HashKind::kSha256, msg, bad_sig));
   }
-  if (accel().verify_memo) {
-    const CounterSnapshot snap = counters().snapshot();
-    EXPECT_EQ(snap.verify_memo_misses, 2u);  // one per distinct signature
-    EXPECT_EQ(snap.verify_memo_hits, 4u);    // two repeats each
-  }
+  const CounterSnapshot snap = counters().snapshot();
+  EXPECT_EQ(snap.verify_memo_misses, 2u);  // one per distinct signature
+  EXPECT_EQ(snap.verify_memo_hits, 4u);    // two repeats each
 }
 
 TEST_F(VerifyMemoTest, DistinguishesMessageKindAndKey) {
@@ -55,19 +56,21 @@ TEST_F(VerifyMemoTest, DistinguishesMessageKindAndKey) {
   EXPECT_FALSE(rsa_verify_memo(keys_->pub, HashKind::kSha512, msg, sig));
 }
 
-TEST_F(VerifyMemoTest, AccelOffBypassesMemo) {
-  const AccelConfig saved = accel();
-  set_accel_enabled(false);
+// rsa_verify is the reference the memo is checked against: it must do the
+// full verification every time and neither consult nor feed the memo.
+TEST_F(VerifyMemoTest, PlainVerifyBypassesMemo) {
   verify_memo_clear();
   counters().reset();
   const Bytes msg = common::to_bytes("direct");
   const Bytes sig = rsa_sign(keys_->priv, HashKind::kSha256, msg);
-  EXPECT_TRUE(rsa_verify_memo(keys_->pub, HashKind::kSha256, msg, sig));
-  EXPECT_TRUE(rsa_verify_memo(keys_->pub, HashKind::kSha256, msg, sig));
+  EXPECT_TRUE(rsa_verify(keys_->pub, HashKind::kSha256, msg, sig));
+  EXPECT_TRUE(rsa_verify(keys_->pub, HashKind::kSha256, msg, sig));
   const CounterSnapshot snap = counters().snapshot();
   EXPECT_EQ(snap.verify_memo_hits, 0u);
   EXPECT_EQ(snap.verify_memo_misses, 0u);
-  set_accel(saved);
+  // Nothing was memoized: the first memoized call is a miss.
+  EXPECT_TRUE(rsa_verify_memo(keys_->pub, HashKind::kSha256, msg, sig));
+  EXPECT_EQ(counters().snapshot().verify_memo_misses, 1u);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "crypto/drbg.h"
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_mb.h"
 #include "runtime/engine.h"
 
 namespace tpnr::runtime {
@@ -31,22 +32,6 @@ using common::SimTime;
 using common::to_bytes;
 
 constexpr SimTime kLatency = 10;
-
-/// Forces accel().crypto_service for one scope, restoring the prior config.
-class ServiceGuard {
- public:
-  explicit ServiceGuard(bool service_on) : saved_(crypto::accel()) {
-    crypto::AccelConfig config = saved_;
-    config.crypto_service = service_on;
-    crypto::set_accel(config);
-  }
-  ~ServiceGuard() { crypto::set_accel(saved_); }
-  ServiceGuard(const ServiceGuard&) = delete;
-  ServiceGuard& operator=(const ServiceGuard&) = delete;
-
- private:
-  crypto::AccelConfig saved_;
-};
 
 /// Shared signing key — generation is the slow part, do it once.
 struct Fixture {
@@ -79,14 +64,40 @@ const Fixture& fixture() {
 /// trace line and posts the next hop. Each trace line folds in sim-time, an
 /// rng draw, the per-endpoint counter, a digest prefix and both verdicts —
 /// so any reordering, re-timing or cross-talk between deferred completions
-/// shows up as a trace diff.
+/// shows up as a trace diff. With `use_service` false the same ring calls
+/// crypto::sha256_many_mixed / crypto::rsa_verify_many inline and runs each
+/// continuation inside the submitting event: the reference trace.
 std::vector<std::vector<std::string>> run_ring(std::uint64_t seed,
                                                EngineOptions options,
+                                               bool use_service = true,
                                                std::size_t endpoints = 4,
                                                std::size_t hops = 6) {
   const Fixture& fx = fixture();
   Engine engine(seed, options);
   engine.set_lookahead(kLatency);
+  const auto submit_digests = [&](std::vector<DigestJob> jobs,
+                                  CryptoService::DigestCompletion done) {
+    if (use_service) {
+      engine.crypto_service().submit_digests(std::move(jobs), std::move(done));
+      return;
+    }
+    std::vector<crypto::TaggedMessage> msgs;
+    for (const DigestJob& job : jobs) msgs.push_back({job.message, job.tag});
+    done(crypto::sha256_many_mixed(msgs));
+  };
+  const auto submit_verifies = [&](std::vector<VerifyJob> jobs,
+                                   CryptoService::VerifyCompletion done) {
+    if (use_service) {
+      engine.crypto_service().submit_verifies(std::move(jobs),
+                                              std::move(done));
+      return;
+    }
+    std::vector<crypto::RsaVerifyItem> items;
+    for (const VerifyJob& job : jobs) {
+      items.push_back({job.kind, job.message, job.signature});
+    }
+    done(crypto::rsa_verify_many(*fx.pub, items));
+  };
   std::vector<EndpointId> ids;
   ids.reserve(endpoints);
   for (std::size_t e = 0; e < endpoints; ++e) {
@@ -103,7 +114,7 @@ std::vector<std::vector<std::string>> run_ring(std::uint64_t seed,
         digest_jobs[0].message = common::Payload::copy_of(payload);
         digest_jobs[1].message = common::Payload::copy_of(payload);
         digest_jobs[1].tag = 0x00;
-        engine.crypto_service().submit_digests(
+        submit_digests(
             std::move(digest_jobs),
             [&, token, at_endpoint, remaining, self](std::vector<Bytes> dgs) {
               const std::size_t which = (token + remaining) % fx.msgs.size();
@@ -114,7 +125,7 @@ std::vector<std::vector<std::string>> run_ring(std::uint64_t seed,
               verify_jobs[1].key = fx.pub;
               verify_jobs[1].message = fx.msgs[2];
               verify_jobs[1].signature = fx.sigs[2];  // always rejected
-              engine.crypto_service().submit_verifies(
+              submit_verifies(
                   std::move(verify_jobs),
                   [&, token, at_endpoint, remaining, self,
                    prefix = static_cast<int>(dgs[0][0]) * 256 +
@@ -149,17 +160,13 @@ std::vector<std::vector<std::string>> run_ring(std::uint64_t seed,
 }
 
 TEST(CryptoServiceDeterminism, TraceMatchesInlineAcrossShardsAndWorkers) {
-  // Inline baseline: the service disabled, every submit completes
-  // synchronously inside the submitting event.
-  std::vector<std::vector<std::string>> baseline;
-  {
-    ServiceGuard off(false);
-    baseline = run_ring(13, {1, 1});
-  }
+  // Inline baseline: no service, every batch computed synchronously
+  // inside the submitting event.
+  const std::vector<std::vector<std::string>> baseline =
+      run_ring(13, {1, 1}, /*use_service=*/false);
   ASSERT_FALSE(baseline.empty());
   ASSERT_FALSE(baseline[0].empty());
 
-  ServiceGuard on(true);
   for (const EngineOptions options :
        {EngineOptions{1, 1}, EngineOptions{2, 1}, EngineOptions{4, 1},
         EngineOptions{1, 2}, EngineOptions{2, 2}, EngineOptions{2, 4},
@@ -178,12 +185,10 @@ TEST(CryptoServiceDeterminism, TraceMatchesInlineAcrossShardsAndWorkers) {
 }
 
 TEST(CryptoServiceDeterminism, ServiceRunsAreReproducible) {
-  ServiceGuard on(true);
   EXPECT_EQ(run_ring(77, {4, 4}), run_ring(77, {4, 4}));
 }
 
 TEST(CryptoService, DriverContextCompletesSynchronously) {
-  ServiceGuard on(true);
   Engine engine(1);
   const Fixture& fx = fixture();
 
@@ -237,7 +242,6 @@ TEST(CryptoService, EmptySubmissionsCompleteImmediately) {
 }
 
 TEST(CryptoService, DeferredCompletionRunsAtSubmissionTime) {
-  ServiceGuard on(true);
   Engine engine(1, {2, 1});
   engine.set_lookahead(kLatency);
   const EndpointId a = engine.endpoint("a");

@@ -27,9 +27,9 @@ constexpr SimTime kLatency = 10;  // also the lookahead in the ring workload
 /// engine's observable behaviour — the determinism contract says they must
 /// not depend on shards/workers.
 std::vector<std::vector<std::string>> run_ring(std::uint64_t seed,
-                                               EngineOptions options,
-                                               std::size_t endpoints = 5,
-                                               std::size_t hops = 8) {
+                                               EngineOptions options) {
+  constexpr std::size_t endpoints = 5;
+  constexpr std::size_t hops = 8;
   Engine engine(seed, options);
   engine.set_lookahead(kLatency);
   std::vector<EndpointId> ids;
@@ -80,22 +80,6 @@ TEST(EngineDeterminism, TraceInvariantAcrossShardAndWorkerCounts) {
     EXPECT_EQ(trace, baseline)
         << "divergence at shards=" << options.shards
         << " workers=" << options.workers;
-  }
-}
-
-TEST(EngineDeterminism, TimerWheelMatchesLegacyHeapTraces) {
-  // The timer wheel (default) and the legacy heap must produce byte-
-  // identical event traces for the same seed at every shard/worker shape —
-  // the wheel is a pure representation change, never an ordering change.
-  for (const auto& [shards, workers] :
-       {std::pair<std::uint32_t, std::uint32_t>{1, 1}, {4, 1}, {4, 4}}) {
-    EngineOptions wheel{shards, workers};
-    wheel.use_timer_wheel = true;
-    EngineOptions heap{shards, workers};
-    heap.use_timer_wheel = false;
-    EXPECT_EQ(run_ring(23, wheel, 6, 12), run_ring(23, heap, 6, 12))
-        << "wheel/heap divergence at shards=" << shards
-        << " workers=" << workers;
   }
 }
 

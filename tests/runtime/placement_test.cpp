@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -47,17 +46,6 @@ TEST(Placement, EmptyRingThrows) {
   Placement ring;
   EXPECT_TRUE(ring.empty());
   EXPECT_THROW((void)ring.owner("anything"), std::runtime_error);
-}
-
-TEST(Placement, OwnersAreDistinctClockwiseSuccessors) {
-  const Placement ring = make_ring(6);
-  const std::vector<std::string> replicas = ring.owners("obj-17", 3);
-  ASSERT_EQ(replicas.size(), 3u);
-  EXPECT_EQ(replicas.front(), ring.owner("obj-17"));
-  EXPECT_EQ(std::set<std::string>(replicas.begin(), replicas.end()).size(),
-            3u);
-  // Asking for more replicas than providers returns each provider once.
-  EXPECT_EQ(ring.owners("obj-17", 99).size(), 6u);
 }
 
 TEST(Placement, SpreadsKeysAcrossAllProviders) {

@@ -1,5 +1,6 @@
-// runtime::TimerWheel and runtime::EventStore: the wheel must be an exact
-// drop-in for the binary-heap event queue — identical pop order under every
+// runtime::TimerWheel against runtime::EventQueue, the std::priority_queue
+// reference: the wheel must be an exact drop-in for the binary-heap event
+// queue — identical pop order under every
 // interleaving of pushes and pops, including same-instant events spread
 // across wheel levels, pushes landing mid-drain at the current instant, and
 // events beyond the 2^36-tick horizon (overflow heap).
@@ -32,10 +33,17 @@ Key key_of(const Event& event) {
   return {event.at, event.origin, event.seq};
 }
 
-/// Drains a store completely, returning the pop order as merge keys.
-std::vector<Key> drain(EventStore& store) {
+/// Drains a wheel completely, returning the pop order as merge keys.
+std::vector<Key> drain(TimerWheel& wheel) {
   std::vector<Key> keys;
-  while (!store.empty()) keys.push_back(key_of(store.pop()));
+  while (!wheel.empty()) keys.push_back(key_of(wheel.pop()));
+  return keys;
+}
+
+/// The same for the reference heap.
+std::vector<Key> drain(EventQueue& heap) {
+  std::vector<Key> keys;
+  for (; !heap.empty(); heap.pop()) keys.push_back(key_of(heap.top()));
   return keys;
 }
 
@@ -50,7 +58,7 @@ TEST(TimerWheel, PopsInMergeKeyOrder) {
   std::mt19937 shuffle_rng(7);
   std::shuffle(events.begin(), events.end(), shuffle_rng);
 
-  EventStore wheel(/*use_wheel=*/true);
+  TimerWheel wheel;
   for (const Event& event : events) wheel.push(event);
   std::vector<Key> expected;
   for (const Event& event : events) expected.push_back(key_of(event));
@@ -59,14 +67,14 @@ TEST(TimerWheel, PopsInMergeKeyOrder) {
 }
 
 TEST(TimerWheel, MatchesHeapUnderRandomizedInterleaving) {
-  // Property check: a wheel-backed and a heap-backed store fed the exact
-  // same interleaved push/pop sequence must agree on every popped key.
+  // Property check: the wheel and the reference heap fed the exact same
+  // interleaved push/pop sequence must agree on every popped key.
   // Timestamps cluster (many duplicates), occasionally jump levels, and
   // occasionally land below the current floor (the engine never does this,
   // but the wheel keeps heap semantics there too).
   std::mt19937_64 rng(20260809);
-  EventStore wheel(true);
-  EventStore heap(false);
+  TimerWheel wheel;
+  EventQueue heap;
   common::SimTime floor = 0;
   std::uint64_t seq = 0;
   std::size_t pending = 0;
@@ -90,12 +98,11 @@ TEST(TimerWheel, MatchesHeapUnderRandomizedInterleaving) {
       ++pending;
     } else {
       const Event* wheel_head = wheel.peek();
-      const Event* heap_head = heap.peek();
       ASSERT_NE(wheel_head, nullptr);
-      ASSERT_NE(heap_head, nullptr);
-      EXPECT_EQ(key_of(*wheel_head), key_of(*heap_head)) << "at step " << step;
+      ASSERT_FALSE(heap.empty());
+      EXPECT_EQ(key_of(*wheel_head), key_of(heap.top())) << "at step " << step;
       const Event popped = wheel.pop();
-      EXPECT_EQ(key_of(popped), key_of(heap.pop()));
+      heap.pop();
       floor = popped.at;
       --pending;
     }
@@ -106,7 +113,7 @@ TEST(TimerWheel, MatchesHeapUnderRandomizedInterleaving) {
 TEST(TimerWheel, SameInstantEventsPushedAtDifferentFloors) {
   // Two events at the same instant can sit in DIFFERENT wheel levels when
   // they were pushed at different floors; advancing must drain both.
-  EventStore wheel(true);
+  TimerWheel wheel;
   wheel.push(make_event(5000, 0, 1));  // pushed at floor 0: a high level
   wheel.push(make_event(10, 0, 2));
   EXPECT_EQ(key_of(wheel.pop()), (Key{10, 0, 2}));  // floor is now 10
@@ -121,7 +128,7 @@ TEST(TimerWheel, SameInstantEventsPushedAtDifferentFloors) {
 TEST(TimerWheel, PushAtCurrentInstantDuringDrainKeepsOrder) {
   // The engine may post a same-shard event at `now` while draining a tick.
   // A heap would interleave it by merge key; the wheel must do the same.
-  EventStore wheel(true);
+  TimerWheel wheel;
   wheel.push(make_event(10, 0, 1));
   wheel.push(make_event(10, 0, 3));
   EXPECT_EQ(key_of(wheel.pop()), (Key{10, 0, 1}));
@@ -135,7 +142,7 @@ TEST(TimerWheel, OverflowBeyondHorizonIsOrderedWithNearEvents) {
   // Events past the 2^36-tick horizon park in the overflow heap and must
   // still pop in global order after every near event.
   constexpr common::SimTime kHorizon = common::SimTime{1} << 36;
-  EventStore wheel(true);
+  TimerWheel wheel;
   wheel.push(make_event(kHorizon + 7, 0, 1));
   wheel.push(make_event(kHorizon, 0, 2));
   wheel.push(make_event(3, 0, 3));
@@ -148,7 +155,7 @@ TEST(TimerWheel, OverflowBeyondHorizonIsOrderedWithNearEvents) {
 }
 
 TEST(TimerWheel, PeekIsStableAndNonConsuming) {
-  EventStore wheel(true);
+  TimerWheel wheel;
   wheel.push(make_event(42, 1, 9));
   wheel.push(make_event(7, 2, 5));
   const Event* head = wheel.peek();
@@ -158,13 +165,11 @@ TEST(TimerWheel, PeekIsStableAndNonConsuming) {
   EXPECT_EQ(wheel.size(), 2u);
 }
 
-TEST(EventStore, EmptyStoreBehaviour) {
-  for (const bool use_wheel : {true, false}) {
-    EventStore store(use_wheel);
-    EXPECT_TRUE(store.empty());
-    EXPECT_EQ(store.size(), 0u);
-    EXPECT_EQ(store.peek(), nullptr);
-  }
+TEST(TimerWheel, EmptyWheelBehaviour) {
+  TimerWheel wheel;
+  EXPECT_TRUE(wheel.empty());
+  EXPECT_EQ(wheel.size(), 0u);
+  EXPECT_EQ(wheel.peek(), nullptr);
 }
 
 }  // namespace

@@ -27,7 +27,6 @@ Bytes test_bytes(std::size_t n) {
 }
 
 TEST(MerkleCacheTest, RepeatLookupServesSameTreeAndCountsAvoidedRebuilds) {
-  if (!crypto::accel().merkle_cache) GTEST_SKIP() << "cache disabled by env";
   crypto::counters().reset();
   MerkleCache cache;
   const Payload data(test_bytes(10 * kChunk));
@@ -49,7 +48,6 @@ TEST(MerkleCacheTest, RepeatLookupServesSameTreeAndCountsAvoidedRebuilds) {
 }
 
 TEST(MerkleCacheTest, ChunkSizeChangeMisses) {
-  if (!crypto::accel().merkle_cache) GTEST_SKIP() << "cache disabled by env";
   MerkleCache cache;
   const Payload data(test_bytes(8 * kChunk));
   const auto a = cache.get_or_build("obj", data, kChunk);
@@ -59,7 +57,6 @@ TEST(MerkleCacheTest, ChunkSizeChangeMisses) {
 }
 
 TEST(MerkleCacheTest, MutationDetachesBufferAndForcesRebuild) {
-  if (!crypto::accel().merkle_cache) GTEST_SKIP() << "cache disabled by env";
   MerkleCache cache;
   Payload data(test_bytes(6 * kChunk));
   const auto before = cache.get_or_build("obj", data, kChunk);
@@ -72,7 +69,6 @@ TEST(MerkleCacheTest, MutationDetachesBufferAndForcesRebuild) {
 }
 
 TEST(MerkleCacheTest, AdminTamperInObjectStoreIsNeverMasked) {
-  if (!crypto::accel().merkle_cache) GTEST_SKIP() << "cache disabled by env";
   ObjectStore store(std::make_unique<MemoryBackend>());
   MerkleCache cache;
   const Bytes original = test_bytes(12 * kChunk);
@@ -101,7 +97,6 @@ TEST(MerkleCacheTest, AdminTamperInObjectStoreIsNeverMasked) {
 }
 
 TEST(MerkleCacheTest, VersionKeyingRejectsRecycledBuffers) {
-  if (!crypto::accel().merkle_cache) GTEST_SKIP() << "cache disabled by env";
   MerkleCache cache;
   const Payload data(test_bytes(6 * kChunk));
   const auto v1 = cache.get_or_build("obj", data, kChunk, /*version=*/1);
@@ -116,7 +111,6 @@ TEST(MerkleCacheTest, VersionKeyingRejectsRecycledBuffers) {
 }
 
 TEST(MerkleCacheTest, StoreMutationIsNeverMaskedByTheCache) {
-  if (!crypto::accel().merkle_cache) GTEST_SKIP() << "cache disabled by env";
   ObjectStore store(std::make_unique<MemoryBackend>());
   MerkleCache cache;
   Bytes content = test_bytes(8 * kChunk);
@@ -150,7 +144,6 @@ TEST(MerkleCacheTest, StoreMutationIsNeverMaskedByTheCache) {
 }
 
 TEST(MerkleCacheTest, InvalidateDropsEntry) {
-  if (!crypto::accel().merkle_cache) GTEST_SKIP() << "cache disabled by env";
   MerkleCache cache;
   const Payload data(test_bytes(4 * kChunk));
   const auto a = cache.get_or_build("obj", data, kChunk);
@@ -162,7 +155,6 @@ TEST(MerkleCacheTest, InvalidateDropsEntry) {
 }
 
 TEST(MerkleCacheTest, CapacityOverflowRestartsCold) {
-  if (!crypto::accel().merkle_cache) GTEST_SKIP() << "cache disabled by env";
   MerkleCache cache(2);
   const Payload a(test_bytes(2 * kChunk));
   const Payload b(test_bytes(3 * kChunk));
@@ -174,17 +166,20 @@ TEST(MerkleCacheTest, CapacityOverflowRestartsCold) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(MerkleCacheTest, AccelOffBuildsFreshEveryTime) {
-  const crypto::AccelConfig saved = crypto::accel();
-  crypto::set_accel_enabled(false);
+// A tree served from the cache is the tree a direct MerkleTree build over
+// the same bytes produces: same root, same proof for every chunk.
+TEST(MerkleCacheTest, CachedTreeMatchesDirectBuild) {
   MerkleCache cache;
-  const Payload data(test_bytes(4 * kChunk));
-  const auto a = cache.get_or_build("obj", data, kChunk);
-  const auto b = cache.get_or_build("obj", data, kChunk);
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(a->root(), b->root());
-  EXPECT_EQ(cache.size(), 0u);
-  crypto::set_accel(saved);
+  const Payload data(test_bytes(5 * kChunk + kChunk / 2));
+  (void)cache.get_or_build("obj", data, kChunk);
+  const auto cached = cache.get_or_build("obj", data, kChunk);
+  ASSERT_EQ(cache.hits(), 1u);
+  const crypto::MerkleTree direct(data, kChunk);
+  EXPECT_EQ(cached->root(), direct.root());
+  ASSERT_EQ(cached->leaf_count(), direct.leaf_count());
+  for (std::size_t i = 0; i < direct.leaf_count(); ++i) {
+    EXPECT_EQ(cached->prove(i).siblings, direct.prove(i).siblings) << i;
+  }
 }
 
 }  // namespace
