@@ -122,15 +122,12 @@ void AuditorActor::send_agg_challenge(const DynAuditTarget& target,
   payload.u64(challenge.seed);
   payload.u64(challenge.count);
 
-  nr::NrMessage message;
   // data_hash pins the header to the freshness reference at challenge
   // time: the chain head root the response will be judged against.
-  message.header = next_header(nr::MsgType::kAggChallenge, target.provider,
-                               /*ttp=*/"", target.txn_id,
-                               target.chain->head_root(),
-                               network_->now() + options_.reply_window);
-  message.payload = payload.take();
-  send(target.provider, std::move(message));
+  send(next_header(nr::MsgType::kAggChallenge, target.provider, /*ttp=*/"",
+                   target.txn_id, target.chain->head_root(),
+                   network_->now() + options_.reply_window),
+       payload.take());
 }
 
 bool AuditorActor::challenge(const std::string& txn_id,
@@ -158,12 +155,10 @@ void AuditorActor::send_challenge(const AuditTarget& target,
   common::BinaryWriter payload;
   payload.u64(chunk_index);
 
-  nr::NrMessage message;
-  message.header = next_header(nr::MsgType::kChunkRequest, target.provider,
-                               /*ttp=*/"", target.txn_id, target.root,
-                               network_->now() + options_.reply_window);
-  message.payload = payload.take();
-  send(target.provider, std::move(message));
+  send(next_header(nr::MsgType::kChunkRequest, target.provider, /*ttp=*/"",
+                   target.txn_id, target.root,
+                   network_->now() + options_.reply_window),
+       payload.take());
 }
 
 void AuditorActor::arm_timeout(const PendingKey& key,

@@ -45,6 +45,14 @@ void BinaryReader::need(std::size_t n) const {
   if (remaining() < n) throw SerialError("BinaryReader: truncated input");
 }
 
+std::uint32_t BinaryReader::count(std::size_t min_element_size) {
+  const std::uint32_t n = u32();
+  if (min_element_size != 0 && remaining() / min_element_size < n) {
+    throw SerialError("BinaryReader: element count exceeds input");
+  }
+  return n;
+}
+
 std::uint8_t BinaryReader::u8() {
   need(1);
   return data_[pos_++];

@@ -49,6 +49,11 @@ class BinaryReader {
   Bytes bytes();
   std::string str();
   bool boolean();
+  /// A u32 element count, checked against the unread bytes: each element
+  /// takes at least `min_element_size` bytes (4 for bytes()/str(), 8 for
+  /// u64()). Throws SerialError if they cannot all be there, so a hostile
+  /// count can be reserve()d without allocating more than the input holds.
+  std::uint32_t count(std::size_t min_element_size);
 
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;

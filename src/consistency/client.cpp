@@ -5,7 +5,6 @@
 #include "common/error.h"
 #include "common/serial.h"
 #include "crypto/hash.h"
-#include "nr/evidence.h"
 
 namespace tpnr::consistency {
 
@@ -76,22 +75,12 @@ std::string ConsClientActor::store_shared(const std::string& provider,
   const std::vector<Bytes> chunks = dyn::split_chunks(data, chunk_size);
   const dyn::DynMerkleTree tree =
       dyn::DynMerkleTree::build(dyn::chunk_views(chunks));
-  VersionRecord record;
-  record.object_key = object_key;
-  record.version = 1;
-  record.op = MutateOp::kStore;
-  record.chunk_index = 0;
-  record.chunk_count = tree.leaf_count();
-  record.old_root = dyn::DynMerkleTree::empty_root();
-  record.new_root = tree.root();
-  record.chunk_tag = 0;
-  record.prev_record_hash = VersionRecord::genesis_link();
-
   SharedObject::PendingOp pending;
   pending.op = MutateOp::kStore;
   pending.chunk = Bytes(data.begin(), data.end());
-  pending.client_sig = identity_->sign(record.encode());
-  pending.record = std::move(record);
+  pending.record = obj.chain.next_record(object_key, MutateOp::kStore, 0,
+                                         tree.leaf_count(), tree.root(), 0);
+  pending.client_sig = identity_->sign(pending.record.encode());
   obj.pending = std::move(pending);
 
   const std::string txn_id = obj.txn_id;
@@ -119,21 +108,13 @@ bool ConsClientActor::open_shared(const std::string& provider,
 }
 
 void ConsClientActor::request_view(SharedObject& obj) {
-  const crypto::RsaPublicKey* provider_key = peer_key(obj.provider);
-  if (provider_key == nullptr) return;
-  nr::MessageHeader header =
-      next_header(nr::MsgType::kViewQuery, obj.provider, obj.ttp, obj.txn_id,
-                  Bytes{}, network_->now() + options_.reply_window);
-  Bytes evidence = nr::make_evidence(*identity_, *provider_key, header, *rng_);
-
+  if (peer_key(obj.provider) == nullptr) return;
+  auto [header, evidence] =
+      make_receipt(nr::MsgType::kViewQuery, obj.provider, obj.ttp, obj.txn_id,
+                   Bytes{}, network_->now() + options_.reply_window);
   common::BinaryWriter payload;
   payload.str(obj.object_key);
-
-  nr::NrMessage message;
-  message.header = std::move(header);
-  message.payload = payload.take();
-  message.evidence = std::move(evidence);
-  send(obj.provider, std::move(message));
+  send(std::move(header), payload.take(), std::move(evidence));
 }
 
 bool ConsClientActor::update(const std::string& object_key,
@@ -179,57 +160,23 @@ bool ConsClientActor::begin_op(SharedObject& obj, MutateOp op,
 
 bool ConsClientActor::build_pending_record(SharedObject& obj) {
   SharedObject::PendingOp& pending = *obj.pending;
-  if (pending.op == MutateOp::kStore) return false;  // store never rebuilds
-  const std::uint64_t count = obj.tree.leaf_count();
-  const bool inserting =
-      pending.op == MutateOp::kInsert || pending.op == MutateOp::kAppend;
-  if (pending.op == MutateOp::kAppend) pending.index = count;
-  const std::uint64_t index = pending.index;
-  if (inserting ? index > count : index >= count) return false;
-  if (pending.op == MutateOp::kErase) {
-    if (!pending.chunk.empty()) return false;
-  } else {
-    if (pending.chunk.empty() || pending.chunk.size() > obj.chunk_size) {
-      return false;
-    }
-    const bool at_tail = inserting ? index == count : index + 1 == count;
-    if (!at_tail && pending.chunk.size() != obj.chunk_size) return false;
-  }
-  if (inserting && index == count && count > 0 &&
-      obj.chunks[count - 1].size() != obj.chunk_size) {
-    return false;  // appending after a short tail would break the stride
+  if (pending.op == MutateOp::kAppend) pending.index = obj.chunks.size();
+  if (dyn::check_chunk_op(pending.op, pending.index, pending.chunk,
+                          obj.chunks, obj.chunk_size) !=
+      dyn::ChunkOpFault::kNone) {
+    return false;  // store never rebuilds; the op may no longer apply
   }
 
-  // Compute the post-op root on a scratch copy; the real mirror only moves
-  // when the provider's commit comes back.
-  dyn::DynMerkleTree scratch = obj.tree.clone();
-  switch (pending.op) {
-    case MutateOp::kUpdate:
-      scratch.update(index, pending.chunk);
-      break;
-    case MutateOp::kInsert:
-    case MutateOp::kAppend:
-      scratch.insert(index, pending.chunk);
-      break;
-    case MutateOp::kErase:
-      scratch.erase(index);
-      break;
-    case MutateOp::kStore:
-      return false;
-  }
-
-  VersionRecord record;
-  record.object_key = obj.object_key;
-  record.version = obj.chain.head_version() + 1;
-  record.op = pending.op;
-  record.chunk_index = index;
-  record.chunk_count = scratch.leaf_count();
-  record.old_root = obj.chain.head_root();
-  record.new_root = scratch.root();
-  record.chunk_tag = 0;
-  record.prev_record_hash = obj.chain.head_hash();
-  pending.client_sig = identity_->sign(record.encode());
-  pending.record = std::move(record);
+  // Read the post-op root off the mirror and put the mirror straight back:
+  // it only really moves when the provider's commit comes back.
+  const dyn::ChunkMirror mirror{.tree = obj.tree, .chunks = obj.chunks};
+  dyn::ChunkOpUndo undo = dyn::apply_chunk_op(mirror, pending.op,
+                                              pending.index, pending.chunk);
+  pending.record = obj.chain.next_record(obj.object_key, pending.op,
+                                         pending.index, obj.tree.leaf_count(),
+                                         obj.tree.root(), 0);
+  dyn::undo_chunk_op(mirror, std::move(undo));
+  pending.client_sig = identity_->sign(pending.record.encode());
   pending.attempts = 0;
   return true;
 }
@@ -237,8 +184,7 @@ bool ConsClientActor::build_pending_record(SharedObject& obj) {
 void ConsClientActor::transmit_pending(const std::string& object_key) {
   SharedObject* obj = mutable_object(object_key);
   if (obj == nullptr || !obj->pending) return;
-  const crypto::RsaPublicKey* provider_key = peer_key(obj->provider);
-  if (provider_key == nullptr) return;
+  if (peer_key(obj->provider) == nullptr) return;
   SharedObject::PendingOp& pending = *obj->pending;
 
   // The declared observed head: the commitment under which the base
@@ -250,10 +196,9 @@ void ConsClientActor::transmit_pending(const std::string& object_key) {
     observed = at->view.hash();
   }
 
-  nr::MessageHeader header = next_header(
+  auto [header, evidence] = make_receipt(
       nr::MsgType::kConsOpRequest, obj->provider, obj->ttp, obj->txn_id,
       pending.record.new_root, network_->now() + options_.reply_window);
-  Bytes evidence = nr::make_evidence(*identity_, *provider_key, header, *rng_);
   ++pending.attempts;
 
   common::BinaryWriter payload;
@@ -265,12 +210,7 @@ void ConsClientActor::transmit_pending(const std::string& object_key) {
   payload.bytes(pending.record.encode());
   payload.bytes(pending.client_sig);
   payload.bytes(observed);
-
-  nr::NrMessage message;
-  message.header = std::move(header);
-  message.payload = payload.take();
-  message.evidence = std::move(evidence);
-  send(obj->provider, std::move(message));
+  send(std::move(header), payload.take(), std::move(evidence));
   arm_receipt_timer(object_key, pending.record.version, pending.attempts);
 }
 
@@ -353,49 +293,27 @@ bool ConsClientActor::advance_mirror(SharedObject& obj,
     return false;
   }
 
-  // Apply on scratch state so a record that misdescribes its op (a
-  // byzantine provider) leaves the mirror untouched.
-  std::vector<Bytes> chunks = obj.chunks;
-  dyn::DynMerkleTree tree = obj.tree.clone();
+  // A record that misdescribes its op (a byzantine provider) leaves the
+  // mirror untouched: it must keep the stride rule, and the applier
+  // restores the mirror unless the result matches the record.
   if (rec.op == MutateOp::kStore) {
-    chunks = dyn::split_chunks(op.op_bytes, obj.chunk_size);
-    tree = dyn::DynMerkleTree::build(dyn::chunk_views(chunks));
-  } else {
-    const auto at = static_cast<std::ptrdiff_t>(rec.chunk_index);
-    if (rec.op == MutateOp::kErase
-            ? rec.chunk_index >= tree.leaf_count()
-            : rec.chunk_index > tree.leaf_count()) {
+    std::vector<Bytes> chunks = dyn::split_chunks(op.op_bytes, obj.chunk_size);
+    dyn::DynMerkleTree tree =
+        dyn::DynMerkleTree::build(dyn::chunk_views(chunks));
+    if (tree.root() != rec.new_root || tree.leaf_count() != rec.chunk_count) {
       ++obj.rejected;
       return false;
     }
-    switch (rec.op) {
-      case MutateOp::kUpdate:
-        if (rec.chunk_index >= tree.leaf_count()) {
-          ++obj.rejected;
-          return false;
-        }
-        tree.update(rec.chunk_index, op.op_bytes);
-        chunks[rec.chunk_index] = op.op_bytes;
-        break;
-      case MutateOp::kInsert:
-      case MutateOp::kAppend:
-        tree.insert(rec.chunk_index, op.op_bytes);
-        chunks.insert(chunks.begin() + at, op.op_bytes);
-        break;
-      case MutateOp::kErase:
-        tree.erase(rec.chunk_index);
-        chunks.erase(chunks.begin() + at);
-        break;
-      case MutateOp::kStore:
-        break;
-    }
-  }
-  if (tree.root() != rec.new_root || tree.leaf_count() != rec.chunk_count) {
+    obj.chunks = std::move(chunks);
+    obj.tree = std::move(tree);
+  } else if (dyn::check_chunk_op(rec.op, rec.chunk_index, op.op_bytes,
+                                 obj.chunks, obj.chunk_size) !=
+                 dyn::ChunkOpFault::kNone ||
+             dyn::apply_chunk_op({.tree = obj.tree, .chunks = obj.chunks}, rec,
+                                 op.op_bytes) != dyn::ChunkOpFault::kNone) {
     ++obj.rejected;
     return false;
   }
-  obj.chunks = std::move(chunks);
-  obj.tree = std::move(tree);
   obj.chain = std::move(chain_probe);
   ++obj.commits_applied;
   obj.opened = true;
@@ -538,7 +456,7 @@ void ConsClientActor::handle_gossip(const nr::NrMessage& message) {
   try {
     common::BinaryReader r(message.payload);
     object_key = r.str();
-    const std::uint32_t count = r.u32();
+    const std::uint32_t count = r.count(4);
     commits.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
       commits.push_back(SignedViewCommitment::decode(r.bytes()));
@@ -571,27 +489,19 @@ void ConsClientActor::maybe_report_fork(SharedObject& obj) {
   obj.fork_reported = true;
   ++forks_detected_;
   if (!gossip_ || gossip_->arbiter.empty()) return;
-  const crypto::RsaPublicKey* arbiter_key = peer_key(gossip_->arbiter);
-  if (arbiter_key == nullptr) return;
+  if (peer_key(gossip_->arbiter) == nullptr) return;
   const EquivocationProof& proof = *obj.checker->proof();
   const Bytes proof_bytes = proof.encode();
 
-  nr::MessageHeader header = next_header(
+  auto [header, evidence] = make_receipt(
       nr::MsgType::kForkReport, gossip_->arbiter, obj.ttp, obj.txn_id,
       crypto::sha256(proof_bytes), network_->now() + options_.reply_window);
-  Bytes evidence = nr::make_evidence(*identity_, *arbiter_key, header, *rng_);
-
   common::BinaryWriter payload;
   payload.str(obj.provider);
   payload.str(obj.object_key);
   payload.str(obj.txn_id);
   payload.bytes(proof_bytes);
-
-  nr::NrMessage message;
-  message.header = std::move(header);
-  message.payload = payload.take();
-  message.evidence = std::move(evidence);
-  send(gossip_->arbiter, std::move(message));
+  send(std::move(header), payload.take(), std::move(evidence));
 }
 
 void ConsClientActor::enable_gossip(GossipOptions options) {
@@ -614,17 +524,14 @@ void ConsClientActor::gossip_now() {
     if (!obj.checker || obj.checker->view().empty()) continue;
     const auto& commits = obj.checker->view().commitments();
     for (const std::string& peer : gossip_peers_) {
-      const crypto::RsaPublicKey* peer_pub = peer_key(peer);
-      if (peer_pub == nullptr) continue;
+      if (peer_key(peer) == nullptr) continue;
       // Full witnessed view, not a bounded tail: detection must not hinge
       // on the victim being within a window of the speaker (histories in
       // these experiments are short; see docs/PROTOCOL.md).
-      nr::MessageHeader header = next_header(
+      auto [header, evidence] = make_receipt(
           nr::MsgType::kGossipViews, peer, /*ttp=*/"",
           "gossip|" + id() + "|" + object_key, obj.checker->view().head_hash(),
           network_->now() + options_.reply_window);
-      Bytes evidence = nr::make_evidence(*identity_, *peer_pub, header, *rng_);
-
       common::BinaryWriter payload;
       payload.str(object_key);
       payload.u32(static_cast<std::uint32_t>(commits.size()));

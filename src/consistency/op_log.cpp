@@ -26,7 +26,7 @@ void write_op_log(common::BinaryWriter& w, std::span<const CommittedOp> log) {
 }
 
 std::vector<CommittedOp> read_op_log(common::BinaryReader& r) {
-  const std::uint32_t count = r.u32();
+  const std::uint32_t count = r.count(4);
   std::vector<CommittedOp> log;
   log.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -4,7 +4,7 @@
 
 #include "common/serial.h"
 #include "crypto/hash.h"
-#include "nr/evidence.h"
+#include "dyn/provider.h"
 #include "storage/backend.h"
 
 namespace tpnr::consistency {
@@ -13,24 +13,6 @@ using dyn::MutateOp;
 using dyn::VersionRecord;
 
 namespace {
-
-constexpr common::SimTime kReplyWindow = 30 * common::kSecond;
-
-bool fail(std::string* why, std::string reason) {
-  if (why != nullptr) *why = std::move(reason);
-  return false;
-}
-
-common::Bytes concat_chunks(const std::vector<common::Bytes>& chunks) {
-  common::Bytes out;
-  std::size_t total = 0;
-  for (const auto& chunk : chunks) total += chunk.size();
-  out.reserve(total);
-  for (const auto& chunk : chunks) {
-    out.insert(out.end(), chunk.begin(), chunk.end());
-  }
-  return out;
-}
 
 ConsProviderActor::Branch clone_branch(const ConsProviderActor::Branch& b) {
   ConsProviderActor::Branch c;
@@ -91,13 +73,10 @@ void ConsProviderActor::sync_store_views(const std::string& object_key,
                                          const SharedObjectState& state) {
   std::map<std::string, storage::ClientView> views;
   for (const std::string& client : state.participants) {
-    const auto branch_it = state.branch_of.find(client);
-    const std::size_t branch_index =
-        branch_it == state.branch_of.end() ? 0 : branch_it->second;
-    const Branch& branch = state.branches[branch_index];
+    const Branch& branch = state.branches[state.branch_index(client)];
     storage::ClientView view;
     view.version = branch.chain.head_version();
-    view.data = concat_chunks(branch.chunks);
+    view.data = dyn::join_chunks(branch.chunks);
     views.emplace(client, std::move(view));
   }
   store_.arm_equivocation(object_key, std::move(views));
@@ -116,77 +95,6 @@ void ConsProviderActor::on_message(const nr::NrMessage& message) {
   }
 }
 
-bool ConsProviderActor::apply_op(Branch& branch, std::size_t chunk_size,
-                                 const VersionRecord& record, BytesView chunk,
-                                 std::string* why) {
-  const std::uint64_t count = branch.tree.leaf_count();
-  const std::uint64_t index = record.chunk_index;
-  const bool inserting =
-      record.op == MutateOp::kInsert || record.op == MutateOp::kAppend;
-  const bool erasing = record.op == MutateOp::kErase;
-  if (record.op == MutateOp::kStore) {
-    return fail(why, "store op on an existing object");
-  }
-  if (inserting ? index > count : index >= count) {
-    return fail(why, "chunk index out of range");
-  }
-  if (erasing) {
-    if (!chunk.empty()) return fail(why, "erase carries chunk bytes");
-  } else if (chunk.empty()) {
-    return fail(why, "mutation carries no chunk bytes");
-  }
-  const std::uint64_t expected_count =
-      inserting ? count + 1 : (erasing ? count - 1 : count);
-  if (record.chunk_count != expected_count) {
-    return fail(why, "chunk_count does not match the op");
-  }
-
-  // Same stride rule the dynamic layer enforces: the store serves reads at
-  // a fixed chunk_size stride, so only the LAST chunk may be short.
-  if (!erasing) {
-    if (chunk.size() > chunk_size) {
-      return fail(why, "chunk exceeds the object's chunk size");
-    }
-    const bool at_tail = inserting ? index == count : index + 1 == count;
-    if (!at_tail && chunk.size() != chunk_size) {
-      return fail(why, "interior chunk must be full stride");
-    }
-    if (inserting && index == count && count > 0 &&
-        branch.chunks[count - 1].size() != chunk_size) {
-      return fail(why, "append after a short tail breaks the stride");
-    }
-  }
-
-  dyn::DynMerkleTree backup = branch.tree.clone();
-  std::vector<Bytes> chunks_backup = branch.chunks;
-  const auto at = static_cast<std::ptrdiff_t>(index);
-  switch (record.op) {
-    case MutateOp::kUpdate:
-      branch.tree.update(index, chunk);
-      branch.chunks[index] = Bytes(chunk.begin(), chunk.end());
-      break;
-    case MutateOp::kInsert:
-    case MutateOp::kAppend:
-      branch.tree.insert(index, chunk);
-      branch.chunks.insert(branch.chunks.begin() + at,
-                           Bytes(chunk.begin(), chunk.end()));
-      break;
-    case MutateOp::kErase:
-      branch.tree.erase(index);
-      branch.chunks.erase(branch.chunks.begin() + at);
-      break;
-    case MutateOp::kStore:
-      return fail(why, "unreachable");
-  }
-  if (branch.tree.leaf_count() != record.chunk_count ||
-      branch.tree.root() != record.new_root) {
-    branch.tree = std::move(backup);
-    branch.chunks = std::move(chunks_backup);
-    return fail(why, "claimed new_root does not match the applied op");
-  }
-  return true;
-}
-
 void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
   const nr::MessageHeader& h = message.header;
   const crypto::RsaPublicKey* sender_key = peer_key(h.sender);
@@ -196,8 +104,7 @@ void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
   std::uint64_t index = 0;
   Bytes chunk;
   std::uint32_t chunk_size = 0;
-  VersionRecord record;
-  Bytes client_sig;
+  dyn::SignedVersionRecord signed_record;
   Bytes observed_head;
   try {
     common::BinaryReader r(message.payload);
@@ -206,8 +113,8 @@ void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
     index = r.u64();
     chunk = r.bytes();
     chunk_size = r.u32();
-    record = VersionRecord::decode(r.bytes());
-    client_sig = r.bytes();
+    signed_record.record = VersionRecord::decode(r.bytes());
+    signed_record.client_sig = r.bytes();
     observed_head = r.bytes();
     r.expect_done();
   } catch (const common::SerialError&) {
@@ -217,21 +124,18 @@ void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
 
   // Envelope consistency before any state is touched: the loose fields
   // must restate the signed record and the header must bind its new_root.
-  if (record.object_key != object_key ||
-      static_cast<std::uint8_t>(record.op) != op_byte ||
-      record.chunk_index != index ||
-      !common::constant_time_equal(h.data_hash, record.new_root)) {
+  const VersionRecord& rec = signed_record.record;
+  if (rec.object_key != object_key ||
+      static_cast<std::uint8_t>(rec.op) != op_byte ||
+      rec.chunk_index != index ||
+      !common::constant_time_equal(h.data_hash, rec.new_root)) {
     ++stats_.rejected_bad_hash;
     return;
   }
-  dyn::SignedVersionRecord signed_record;
-  signed_record.record = std::move(record);
-  signed_record.client_sig = std::move(client_sig);
   if (!signed_record.verify_client(*sender_key)) {
     ++stats_.rejected_bad_evidence;
     return;
   }
-  const VersionRecord& rec = signed_record.record;
 
   const auto it = objects_.find(object_key);
 
@@ -240,11 +144,8 @@ void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
       SharedObjectState& state = it->second;
       // Idempotent store retry: same creator, same signed v1 record.
       const Branch& main = state.branches.front();
-      if (h.sender == state.creator && rec.version == 1 && !main.log.empty() &&
-          common::constant_time_equal(
-              main.log.front().record.record.encode(), rec.encode()) &&
-          common::constant_time_equal(main.log.front().record.client_sig,
-                                      signed_record.client_sig)) {
+      if (h.sender == state.creator &&
+          main.chain.committed_version(signed_record) == 1u) {
         ++receipts_resent_;
         if (behavior_.send_commits) {
           send_commit(h.sender, state.txn_id, object_key, state.chunk_size,
@@ -292,14 +193,8 @@ void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
     return;
   }
   SharedObjectState& state = it->second;
-  bool registered = false;
-  for (const std::string& p : state.participants) {
-    registered = registered || p == h.sender;
-  }
-  if (!registered) state.participants.push_back(h.sender);
-  const auto branch_it = state.branch_of.find(h.sender);
-  const std::size_t branch_index =
-      branch_it == state.branch_of.end() ? 0 : branch_it->second;
+  state.join(h.sender);
+  const std::size_t branch_index = state.branch_index(h.sender);
   Branch& branch = state.branches[branch_index];
 
   // Version-number idempotency: an already-committed version re-issues its
@@ -307,15 +202,11 @@ void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
   // conflict the client resolves by catching up on the suffix.
   const std::uint64_t head = branch.chain.head_version();
   if (rec.version >= 1 && rec.version <= head) {
-    const CommittedOp& committed = branch.log[rec.version - 1];
-    if (common::constant_time_equal(committed.record.record.encode(),
-                                    rec.encode()) &&
-        common::constant_time_equal(committed.record.client_sig,
-                                    signed_record.client_sig)) {
+    if (const auto version = branch.chain.committed_version(signed_record)) {
       ++receipts_resent_;
       if (behavior_.send_commits) {
         send_commit(h.sender, state.txn_id, object_key, state.chunk_size,
-                    committed);
+                    branch.log[*version - 1]);
       }
     } else {
       send_op_error(h.sender, h.txn_id, object_key, rec.version,
@@ -340,9 +231,15 @@ void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
                   "record does not link to the committed head", {});
     return;
   }
-  std::string why;
-  if (!apply_op(branch, state.chunk_size, rec, chunk, &why)) {
-    send_op_error(h.sender, h.txn_id, object_key, rec.version, why, {});
+  dyn::ChunkOpFault fault = dyn::check_chunk_op(
+      rec.op, rec.chunk_index, chunk, branch.chunks, state.chunk_size);
+  if (fault == dyn::ChunkOpFault::kNone) {
+    fault = dyn::apply_chunk_op(
+        {.tree = branch.tree, .chunks = branch.chunks}, rec, chunk);
+  }
+  if (fault != dyn::ChunkOpFault::kNone) {
+    send_op_error(h.sender, h.txn_id, object_key, rec.version,
+                  dyn::chunk_op_fault_reason(fault), {});
     return;
   }
   commit_op(object_key, state, branch_index, h.sender,
@@ -371,10 +268,7 @@ void ConsProviderActor::commit_op(const std::string& object_key,
                                   Bytes op_bytes) {
   Branch& branch = state.branches[branch_index];
 
-  Bytes countersigned = record.record.encode();
-  countersigned.insert(countersigned.end(), record.client_sig.begin(),
-                       record.client_sig.end());
-  record.provider_sig = identity_->sign(countersigned);
+  record.countersign(*identity_);
 
   ViewCommitment view;
   view.object_key = object_key;
@@ -400,21 +294,8 @@ void ConsProviderActor::commit_op(const std::string& object_key,
   // Storage effects: the main branch is what the store "really" holds;
   // fork branches exist as armed per-client views on top of it.
   if (branch_index == 0) {
-    common::Payload stored(concat_chunks(branch.chunks));
-    const Bytes data_md5 = crypto::md5(stored);
-    const VersionRecord& rec = op.record.record;
-    if (rec.op == MutateOp::kStore) {
-      store_.put(object_key, std::move(stored), data_md5, network_->now());
-    } else {
-      storage::MutationInfo info;
-      info.op = static_cast<std::uint8_t>(rec.op);
-      info.chunk_index = rec.chunk_index;
-      info.chunk_count = rec.chunk_count;
-      info.old_root = rec.old_root;
-      info.new_root = rec.new_root;
-      store_.mutate(object_key, std::move(stored), data_md5, network_->now(),
-                    info);
-    }
+    dyn::write_through(store_, op.record.record, branch.chunks,
+                       network_->now());
   }
   if (state.branches.size() > 1) sync_store_views(object_key, state);
 
@@ -422,10 +303,7 @@ void ConsProviderActor::commit_op(const std::string& object_key,
   // copy doubles as its receipt.
   if (!behavior_.send_commits) return;
   for (const std::string& client : state.participants) {
-    const auto client_branch = state.branch_of.find(client);
-    const std::size_t assigned =
-        client_branch == state.branch_of.end() ? 0 : client_branch->second;
-    if (assigned != branch_index) continue;
+    if (state.branch_index(client) != branch_index) continue;
     send_commit(client, state.txn_id, object_key, state.chunk_size, op);
     ++commits_sent_;
   }
@@ -436,23 +314,15 @@ void ConsProviderActor::send_commit(const std::string& client,
                                     const std::string& object_key,
                                     std::size_t chunk_size,
                                     const CommittedOp& op) {
-  const crypto::RsaPublicKey* client_key = peer_key(client);
-  if (client_key == nullptr) return;
-  nr::MessageHeader header =
-      next_header(nr::MsgType::kConsCommit, client, /*ttp=*/"", txn_id,
-                  op.commit.view.hash(), network_->now() + kReplyWindow);
-  Bytes evidence = nr::make_evidence(*identity_, *client_key, header, *rng_);
-
+  if (peer_key(client) == nullptr) return;
+  auto [header, evidence] =
+      make_receipt(nr::MsgType::kConsCommit, client, /*ttp=*/"", txn_id,
+                   op.commit.view.hash(), network_->now() + nr::kReplyWindow);
   common::BinaryWriter payload;
   payload.str(object_key);
   payload.u32(static_cast<std::uint32_t>(chunk_size));
   payload.bytes(op.encode());
-
-  nr::NrMessage reply;
-  reply.header = std::move(header);
-  reply.payload = payload.take();
-  reply.evidence = std::move(evidence);
-  send(client, std::move(reply));
+  send(std::move(header), payload.take(), std::move(evidence));
 }
 
 void ConsProviderActor::send_op_error(const std::string& client,
@@ -467,12 +337,9 @@ void ConsProviderActor::send_op_error(const std::string& client,
   payload.u64(version);
   payload.str(reason);
   write_op_log(payload, suffix);
-
-  nr::NrMessage reply;
-  reply.header = next_header(nr::MsgType::kConsOpError, client, /*ttp=*/"",
-                             txn_id, Bytes{}, network_->now() + kReplyWindow);
-  reply.payload = payload.take();
-  send(client, std::move(reply));
+  send(next_header(nr::MsgType::kConsOpError, client, /*ttp=*/"", txn_id,
+                   Bytes{}, network_->now() + nr::kReplyWindow),
+       payload.take());
 }
 
 void ConsProviderActor::handle_view_query(const nr::NrMessage& message) {
@@ -490,36 +357,20 @@ void ConsProviderActor::handle_view_query(const nr::NrMessage& message) {
   const auto it = objects_.find(object_key);
   if (it == objects_.end()) return;
   SharedObjectState& state = it->second;
-  bool registered = false;
-  for (const std::string& p : state.participants) {
-    registered = registered || p == h.sender;
+  if (state.join(h.sender) && state.branches.size() > 1) {
+    sync_store_views(object_key, state);
   }
-  if (!registered) {
-    state.participants.push_back(h.sender);
-    if (state.branches.size() > 1) sync_store_views(object_key, state);
-  }
-  const auto branch_it = state.branch_of.find(h.sender);
-  const Branch& branch =
-      state.branches[branch_it == state.branch_of.end() ? 0
-                                                        : branch_it->second];
+  const Branch& branch = state.branches[state.branch_index(h.sender)];
 
-  const crypto::RsaPublicKey* client_key = peer_key(h.sender);
-  if (client_key == nullptr) return;
-  nr::MessageHeader header = next_header(
+  if (peer_key(h.sender) == nullptr) return;
+  auto [header, evidence] = make_receipt(
       nr::MsgType::kViewUpdate, h.sender, /*ttp=*/"", h.txn_id,
-      branch.views.head_hash(), network_->now() + kReplyWindow);
-  Bytes evidence = nr::make_evidence(*identity_, *client_key, header, *rng_);
-
+      branch.views.head_hash(), network_->now() + nr::kReplyWindow);
   common::BinaryWriter payload;
   payload.str(object_key);
   payload.u32(static_cast<std::uint32_t>(state.chunk_size));
   write_op_log(payload, branch.log);
-
-  nr::NrMessage reply;
-  reply.header = std::move(header);
-  reply.payload = payload.take();
-  reply.evidence = std::move(evidence);
-  send(h.sender, std::move(reply));
+  send(std::move(header), payload.take(), std::move(evidence));
 }
 
 }  // namespace tpnr::consistency

@@ -18,6 +18,7 @@
 // log records the attack alongside every other at-rest fault.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -59,6 +60,21 @@ class ConsProviderActor final : public nr::NrActor {
     std::vector<std::string> participants;        ///< registration order
     std::map<std::string, std::size_t> branch_of; ///< client -> branch index
     std::vector<Branch> branches;                 ///< [0] is the main branch
+
+    /// The branch `client` is served: 0 unless fork_object() assigned one.
+    [[nodiscard]] std::size_t branch_index(const std::string& client) const {
+      const auto it = branch_of.find(client);
+      return it == branch_of.end() ? 0 : it->second;
+    }
+    /// Registers `client` as a participant; false if it already was one.
+    bool join(const std::string& client) {
+      if (std::find(participants.begin(), participants.end(), client) !=
+          participants.end()) {
+        return false;
+      }
+      participants.push_back(client);
+      return true;
+    }
   };
 
   ConsProviderActor(std::string id, net::Network& network,
@@ -104,13 +120,6 @@ class ConsProviderActor final : public nr::NrActor {
  private:
   void handle_op_request(const nr::NrMessage& message);
   void handle_view_query(const nr::NrMessage& message);
-
-  /// Validates a well-formed next-version record against `branch`'s mirror,
-  /// applies it, and verifies the claimed new_root. Returns false (mirror
-  /// untouched) with an explanation otherwise.
-  bool apply_op(Branch& branch, std::size_t chunk_size,
-                const dyn::VersionRecord& record, BytesView chunk,
-                std::string* why);
 
   /// Countersigns and commits a validated op onto `branch`, updates the
   /// store (main branch: real write; forked: re-armed equivocation views),

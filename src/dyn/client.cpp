@@ -71,20 +71,11 @@ std::string DynClientActor::store_dyn(const std::string& provider,
   obj.alphas = obj.tag_key.alphas(sectors_per_chunk(chunk_size));
   obj.tags = make_tags(obj.tag_key, chunk_views(obj.chunks), chunk_size);
 
-  VersionRecord record;
-  record.object_key = object_key;
-  record.version = 1;
-  record.op = MutateOp::kStore;
-  record.chunk_index = 0;
-  record.chunk_count = obj.tree.leaf_count();
-  record.old_root = DynMerkleTree::empty_root();
-  record.new_root = obj.tree.root();
-  record.chunk_tag = 0;
-  record.prev_record_hash = VersionRecord::genesis_link();
-
   DynObject::PendingOp pending;
-  pending.client_sig = identity_->sign(record.encode());
-  pending.record = std::move(record);
+  pending.record = obj.chain.next_record(object_key, MutateOp::kStore, 0,
+                                         obj.tree.leaf_count(),
+                                         obj.tree.root(), 0);
+  pending.client_sig = identity_->sign(pending.record.encode());
   pending.chunk = Bytes(data.begin(), data.end());
   obj.pending = std::move(pending);
 
@@ -127,73 +118,28 @@ bool DynClientActor::erase(const std::string& object_key,
 bool DynClientActor::begin_mutation(DynObject& obj, MutateOp op,
                                     std::uint64_t index, BytesView chunk) {
   if (obj.pending) return false;  // one in-flight mutation per object
-  const std::uint64_t count = obj.tree.leaf_count();
-  const bool inserting = op == MutateOp::kInsert || op == MutateOp::kAppend;
-  if (inserting ? index > count : index >= count) return false;
-
   // The store serves aggregate challenges by slicing the object at a fixed
-  // chunk_size stride, so only the LAST chunk may be short — enforce that
-  // invariant here rather than letting the provider reject later.
-  if (op != MutateOp::kErase) {
-    if (chunk.empty() || chunk.size() > obj.chunk_size) return false;
-    const bool at_tail = inserting ? index == count : index + 1 == count;
-    if (!at_tail && chunk.size() != obj.chunk_size) return false;
-  }
-  if (inserting && index == count && count > 0 &&
-      obj.chunks[count - 1].size() != obj.chunk_size) {
-    return false;  // appending after a short tail would break the stride
+  // chunk_size stride — refuse here what the provider would reject later.
+  if (check_chunk_op(op, index, chunk, obj.chunks, obj.chunk_size) !=
+      ChunkOpFault::kNone) {
+    return false;
   }
 
-  VersionRecord record;
-  record.object_key = obj.object_key;
-  record.version = obj.chain.head_version() + 1;
-  record.op = op;
-  record.chunk_index = index;
-  record.old_root = obj.chain.head_root();
-  record.prev_record_hash = obj.chain.head_hash();
-
-  DynObject::PendingOp pending;
-  pending.tree_backup = obj.tree.clone();
-
+  // The leaf hash feeds both the tag and the tree: hash the chunk once.
   Bytes leaf_hash;
   std::uint64_t tag = 0;
   if (op != MutateOp::kErase) {
     leaf_hash = DynMerkleTree::hash_chunk(chunk);
     tag = make_tag(obj.tag_key, chunk, leaf_hash, obj.alphas);
   }
-
-  const auto at = static_cast<std::ptrdiff_t>(index);
-  switch (op) {
-    case MutateOp::kUpdate:
-      pending.old_chunk = obj.chunks[index];
-      pending.old_tag = obj.tags[index];
-      obj.tree.update_leaf(index, std::move(leaf_hash));
-      obj.chunks[index] = Bytes(chunk.begin(), chunk.end());
-      obj.tags[index] = tag;
-      break;
-    case MutateOp::kInsert:
-    case MutateOp::kAppend:
-      obj.tree.insert_leaf(index, std::move(leaf_hash));
-      obj.chunks.insert(obj.chunks.begin() + at,
-                        Bytes(chunk.begin(), chunk.end()));
-      obj.tags.insert(obj.tags.begin() + at, tag);
-      break;
-    case MutateOp::kErase:
-      pending.old_chunk = std::move(obj.chunks[index]);
-      pending.old_tag = obj.tags[index];
-      obj.tree.erase(index);
-      obj.chunks.erase(obj.chunks.begin() + at);
-      obj.tags.erase(obj.tags.begin() + at);
-      break;
-    case MutateOp::kStore:
-      return false;  // store_dyn builds its own record
-  }
-
-  record.chunk_count = obj.tree.leaf_count();
-  record.new_root = obj.tree.root();
-  record.chunk_tag = tag;
-  pending.client_sig = identity_->sign(record.encode());
-  pending.record = std::move(record);
+  DynObject::PendingOp pending;
+  pending.undo = apply_chunk_op(
+      {.tree = obj.tree, .chunks = obj.chunks, .tags = &obj.tags}, op, index,
+      chunk, tag, std::move(leaf_hash));
+  pending.record = obj.chain.next_record(obj.object_key, op, index,
+                                         obj.tree.leaf_count(),
+                                         obj.tree.root(), tag);
+  pending.client_sig = identity_->sign(pending.record.encode());
   pending.chunk = Bytes(chunk.begin(), chunk.end());
   obj.pending = std::move(pending);
   transmit_pending(obj.object_key);
@@ -203,8 +149,7 @@ bool DynClientActor::begin_mutation(DynObject& obj, MutateOp op,
 void DynClientActor::transmit_pending(const std::string& object_key) {
   DynObject* obj = mutable_object(object_key);
   if (obj == nullptr || !obj->pending) return;
-  const crypto::RsaPublicKey* provider_key = peer_key(obj->provider);
-  if (provider_key == nullptr) return;
+  if (peer_key(obj->provider) == nullptr) return;
   DynObject::PendingOp& pending = *obj->pending;
 
   // Same idempotent-retry contract as the static client: every (re-)send
@@ -212,12 +157,10 @@ void DynClientActor::transmit_pending(const std::string& object_key) {
   // record; the version number is the idempotency key the provider
   // deduplicates on. data_hash binds the header to the post-op root.
   const bool is_store = pending.record.op == MutateOp::kStore;
-  nr::MessageHeader header = next_header(
+  auto [header, evidence] = make_receipt(
       is_store ? nr::MsgType::kDynStoreRequest : nr::MsgType::kMutateRequest,
       obj->provider, obj->ttp, obj->txn_id, pending.record.new_root,
       network_->now() + options_.reply_window);
-  common::Payload evidence(
-      nr::make_evidence(*identity_, *provider_key, header, *rng_));
   ++pending.attempts;
 
   common::BinaryWriter payload;
@@ -235,12 +178,7 @@ void DynClientActor::transmit_pending(const std::string& object_key) {
   }
   payload.bytes(pending.record.encode());
   payload.bytes(pending.client_sig);
-
-  nr::NrMessage message;
-  message.header = std::move(header);
-  message.payload = payload.take();
-  message.evidence = std::move(evidence);
-  send(obj->provider, std::move(message));
+  send(std::move(header), payload.take(), std::move(evidence));
   arm_receipt_timer(object_key, pending.record.version, pending.attempts);
 }
 
@@ -270,31 +208,14 @@ void DynClientActor::arm_receipt_timer(const std::string& object_key,
 
 void DynClientActor::revert_pending(DynObject& obj) {
   if (!obj.pending) return;
-  DynObject::PendingOp& pending = *obj.pending;
-  const std::uint64_t index = pending.record.chunk_index;
-  const auto at = static_cast<std::ptrdiff_t>(index);
-  switch (pending.record.op) {
-    case MutateOp::kStore:
-      // Version 1 never committed — the object does not exist.
-      txn_to_object_.erase(obj.txn_id);
-      objects_.erase(obj.object_key);  // `obj` is dead past this line
-      return;
-    case MutateOp::kUpdate:
-      obj.chunks[index] = std::move(pending.old_chunk);
-      obj.tags[index] = pending.old_tag;
-      break;
-    case MutateOp::kInsert:
-    case MutateOp::kAppend:
-      obj.chunks.erase(obj.chunks.begin() + at);
-      obj.tags.erase(obj.tags.begin() + at);
-      break;
-    case MutateOp::kErase:
-      obj.chunks.insert(obj.chunks.begin() + at,
-                        std::move(pending.old_chunk));
-      obj.tags.insert(obj.tags.begin() + at, pending.old_tag);
-      break;
+  if (obj.pending->record.op == MutateOp::kStore) {
+    // Version 1 never committed — the object does not exist.
+    txn_to_object_.erase(obj.txn_id);
+    objects_.erase(obj.object_key);  // `obj` is dead past this line
+    return;
   }
-  obj.tree = std::move(pending.tree_backup);
+  undo_chunk_op({.tree = obj.tree, .chunks = obj.chunks, .tags = &obj.tags},
+                std::move(obj.pending->undo));
   obj.pending.reset();
 }
 
@@ -312,12 +233,18 @@ void DynClientActor::on_message(const nr::NrMessage& message) {
   }
 }
 
+DynClientActor::DynObject* DynClientActor::reply_target(
+    const nr::MessageHeader& h) {
+  const auto txn_it = txn_to_object_.find(h.txn_id);
+  if (txn_it == txn_to_object_.end()) return nullptr;
+  DynObject* obj = mutable_object(txn_it->second);
+  return obj != nullptr && h.sender == obj->provider ? obj : nullptr;
+}
+
 void DynClientActor::handle_receipt(const nr::NrMessage& message) {
   const nr::MessageHeader& h = message.header;
-  const auto txn_it = txn_to_object_.find(h.txn_id);
-  if (txn_it == txn_to_object_.end()) return;
-  DynObject* obj = mutable_object(txn_it->second);
-  if (obj == nullptr || h.sender != obj->provider) return;
+  DynObject* obj = reply_target(h);
+  if (obj == nullptr) return;
 
   SignedVersionRecord signed_record;
   try {
@@ -378,11 +305,8 @@ void DynClientActor::handle_receipt(const nr::NrMessage& message) {
 }
 
 void DynClientActor::handle_mutate_error(const nr::NrMessage& message) {
-  const nr::MessageHeader& h = message.header;
-  const auto txn_it = txn_to_object_.find(h.txn_id);
-  if (txn_it == txn_to_object_.end()) return;
-  DynObject* obj = mutable_object(txn_it->second);
-  if (obj == nullptr || h.sender != obj->provider) return;
+  DynObject* obj = reply_target(message.header);
+  if (obj == nullptr) return;
 
   std::uint64_t version = 0;
   try {

@@ -12,8 +12,8 @@
 // The version number is the idempotency key (the PR 3 pattern): a retry
 // re-sends the SAME signed record under a fresh header, and the provider
 // re-issues the receipt without re-applying. Mutations are optimistic — the
-// mirror advances when the request is sent and is reverted by the exact
-// inverse op if the provider rejects (every DynMerkleTree op has one).
+// mirror advances when the request is sent and is restored to its exact
+// pre-op state if the provider rejects.
 #pragma once
 
 #include <cstdint>
@@ -60,14 +60,8 @@ class DynClientActor final : public nr::NrActor {
     struct PendingOp {
       VersionRecord record;
       Bytes client_sig;
-      Bytes chunk;      ///< op payload bytes (empty for erase; data for store)
-      Bytes old_chunk;  ///< pre-image for the inverse (update/erase)
-      std::uint64_t old_tag = 0;
-      /// Pre-op structural snapshot. Tree shapes are history-dependent, so
-      /// a rejected insert/erase cannot be undone by the inverse op alone
-      /// (rebalance rotations need not invert exactly) — the revert
-      /// restores this instead.
-      DynMerkleTree tree_backup;
+      Bytes chunk;  ///< op payload bytes (empty for erase; data for store)
+      ChunkOpUndo undo;  ///< restores the mirror if the op is rejected
       std::size_t attempts = 0;
     };
     std::optional<PendingOp> pending;
@@ -112,6 +106,8 @@ class DynClientActor final : public nr::NrActor {
 
  private:
   DynObject* mutable_object(const std::string& object_key);
+  /// The object a provider reply is about: known txn, sent by its provider.
+  DynObject* reply_target(const nr::MessageHeader& h);
   bool begin_mutation(DynObject& obj, MutateOp op, std::uint64_t index,
                       BytesView chunk);
   /// (Re-)sends the pending record under a fresh header and re-arms the
@@ -119,7 +115,7 @@ class DynClientActor final : public nr::NrActor {
   void transmit_pending(const std::string& object_key);
   void arm_receipt_timer(const std::string& object_key, std::uint64_t version,
                          std::size_t attempt);
-  /// Applies the inverse op to the mirror and drops the pending record.
+  /// Restores the pre-op mirror and drops the pending record.
   void revert_pending(DynObject& obj);
   void handle_receipt(const nr::NrMessage& message);
   void handle_mutate_error(const nr::NrMessage& message);

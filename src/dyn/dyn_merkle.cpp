@@ -1,6 +1,7 @@
 #include "dyn/dyn_merkle.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -586,11 +587,141 @@ std::vector<Bytes> split_chunks(BytesView data, std::size_t chunk_size) {
   return chunks;
 }
 
+Bytes join_chunks(std::span<const Bytes> chunks) {
+  std::size_t total = 0;
+  for (const Bytes& chunk : chunks) total += chunk.size();
+  Bytes out;
+  out.reserve(total);
+  for (const Bytes& chunk : chunks) {
+    out.insert(out.end(), chunk.begin(), chunk.end());
+  }
+  return out;
+}
+
 std::vector<BytesView> chunk_views(std::span<const Bytes> chunks) {
   std::vector<BytesView> views;
   views.reserve(chunks.size());
   for (const Bytes& chunk : chunks) views.emplace_back(chunk);
   return views;
+}
+
+const char* chunk_op_fault_reason(ChunkOpFault fault) {
+  static constexpr const char* kReasons[] = {
+      "ok",
+      "store op on an existing object",
+      "chunk index out of range",
+      "erase carries chunk bytes",
+      "mutation carries no chunk bytes",
+      "chunk exceeds the object's chunk size",
+      "interior chunk must be full stride",
+      "append after a short tail breaks the stride",
+      "chunk_count does not match the op",
+      "claimed new_root does not match the applied op",
+  };
+  static_assert(std::size(kReasons) ==
+                static_cast<std::size_t>(ChunkOpFault::kNewRoot) + 1);
+  return kReasons[static_cast<std::size_t>(fault)];
+}
+
+ChunkOpFault check_chunk_op(MutateOp op, std::uint64_t index, BytesView chunk,
+                            std::span<const Bytes> chunks,
+                            std::size_t chunk_size) {
+  if (op == MutateOp::kStore) return ChunkOpFault::kStoreOp;
+  const std::uint64_t count = chunks.size();
+  const bool inserting = op == MutateOp::kInsert || op == MutateOp::kAppend;
+  if ((inserting ? index > count : index >= count) ||
+      (op == MutateOp::kAppend && index != count)) {
+    return ChunkOpFault::kIndexOutOfRange;
+  }
+  if (op == MutateOp::kErase) {
+    return chunk.empty() ? ChunkOpFault::kNone
+                         : ChunkOpFault::kEraseCarriesBytes;
+  }
+  if (chunk.empty()) return ChunkOpFault::kNoChunkBytes;
+  if (chunk.size() > chunk_size) return ChunkOpFault::kOversizeChunk;
+  const bool at_tail = inserting ? index == count : index + 1 == count;
+  if (!at_tail && chunk.size() != chunk_size) {
+    return ChunkOpFault::kShortInteriorChunk;
+  }
+  if (inserting && at_tail && count > 0 &&
+      chunks[count - 1].size() != chunk_size) {
+    return ChunkOpFault::kAppendAfterShortTail;
+  }
+  return ChunkOpFault::kNone;
+}
+
+ChunkOpUndo apply_chunk_op(ChunkMirror mirror, MutateOp op,
+                           std::uint64_t index, BytesView chunk,
+                           std::uint64_t tag, Bytes leaf_hash) {
+  if (op == MutateOp::kStore) {
+    throw common::Error("apply_chunk_op: kStore is not a chunk op");
+  }
+  ChunkOpUndo undo;
+  undo.op = op;
+  undo.index = index;
+  undo.tree = mirror.tree.clone();
+  std::vector<std::uint64_t>* tags = mirror.tags;
+  const auto at = static_cast<std::ptrdiff_t>(index);
+  if (op == MutateOp::kErase) {
+    mirror.tree.erase(index);
+    undo.chunk = std::move(mirror.chunks[index]);
+    mirror.chunks.erase(mirror.chunks.begin() + at);
+    if (tags != nullptr) {
+      undo.tag = (*tags)[index];
+      tags->erase(tags->begin() + at);
+    }
+    return undo;
+  }
+  if (leaf_hash.empty()) leaf_hash = DynMerkleTree::hash_chunk(chunk);
+  if (op == MutateOp::kUpdate) {
+    mirror.tree.update_leaf(index, std::move(leaf_hash));
+    undo.chunk = std::exchange(mirror.chunks[index],
+                               Bytes(chunk.begin(), chunk.end()));
+    if (tags != nullptr) undo.tag = std::exchange((*tags)[index], tag);
+  } else {
+    mirror.tree.insert_leaf(index, std::move(leaf_hash));
+    mirror.chunks.insert(mirror.chunks.begin() + at,
+                         Bytes(chunk.begin(), chunk.end()));
+    if (tags != nullptr) tags->insert(tags->begin() + at, tag);
+  }
+  return undo;
+}
+
+void undo_chunk_op(ChunkMirror mirror, ChunkOpUndo undo) {
+  std::vector<std::uint64_t>* tags = mirror.tags;
+  const auto at = static_cast<std::ptrdiff_t>(undo.index);
+  switch (undo.op) {
+    case MutateOp::kUpdate:
+      mirror.chunks[undo.index] = std::move(undo.chunk);
+      if (tags != nullptr) (*tags)[undo.index] = undo.tag;
+      break;
+    case MutateOp::kInsert:
+    case MutateOp::kAppend:
+      mirror.chunks.erase(mirror.chunks.begin() + at);
+      if (tags != nullptr) tags->erase(tags->begin() + at);
+      break;
+    case MutateOp::kErase:
+      mirror.chunks.insert(mirror.chunks.begin() + at, std::move(undo.chunk));
+      if (tags != nullptr) tags->insert(tags->begin() + at, undo.tag);
+      break;
+    case MutateOp::kStore:
+      break;
+  }
+  mirror.tree = std::move(undo.tree);
+}
+
+ChunkOpFault apply_chunk_op(ChunkMirror mirror, const VersionRecord& rec,
+                            BytesView chunk) {
+  ChunkOpUndo undo =
+      apply_chunk_op(mirror, rec.op, rec.chunk_index, chunk, rec.chunk_tag);
+  ChunkOpFault fault = ChunkOpFault::kNone;
+  if (mirror.tree.leaf_count() != rec.chunk_count) {
+    fault = ChunkOpFault::kChunkCount;
+  } else if (!common::constant_time_equal(mirror.tree.root(), rec.new_root)) {
+    fault = ChunkOpFault::kNewRoot;
+  }
+  if (fault != ChunkOpFault::kNone) undo_chunk_op(mirror, std::move(undo));
+  return fault;
 }
 
 }  // namespace tpnr::dyn

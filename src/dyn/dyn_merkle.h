@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "dyn/version_chain.h"
 
 namespace tpnr::dyn {
 
@@ -202,7 +203,75 @@ class DynMerkleTree {
 /// common::Error on chunk_size == 0; empty data yields no chunks.
 std::vector<Bytes> split_chunks(BytesView data, std::size_t chunk_size);
 
+/// The inverse of split_chunks: the object bytes the chunks slice.
+Bytes join_chunks(std::span<const Bytes> chunks);
+
 /// Non-owning views over an owned chunk vector (for span-taking APIs).
 std::vector<BytesView> chunk_views(std::span<const Bytes> chunks);
+
+// ---- The chunk-op rule ---------------------------------------------------
+//
+// A dynamic or shared object is one byte string that the store re-slices at
+// a fixed chunk_size stride, so every chunk op must keep "only the last
+// chunk may be short". check_chunk_op is that data-layout policy and
+// apply_chunk_op the one way an op reaches a mirror; the dyn and
+// consistency clients and providers all go through them.
+
+/// Why a chunk op was refused (kNone: it was not).
+enum class ChunkOpFault : std::uint8_t {
+  kNone = 0,
+  kStoreOp,               ///< kStore only ever creates version 1
+  kIndexOutOfRange,       ///< past the end, or an append not at the end
+  kEraseCarriesBytes,
+  kNoChunkBytes,
+  kOversizeChunk,
+  kShortInteriorChunk,    ///< only the last chunk may be short
+  kAppendAfterShortTail,
+  kChunkCount,            ///< record's chunk_count is not the post-op count
+  kNewRoot,               ///< record's new_root is not the post-op root
+};
+/// The reason a rejection of `fault` carries.
+const char* chunk_op_fault_reason(ChunkOpFault fault);
+
+/// The stride rule: may `op` at `index`, carrying `chunk`, apply to an
+/// object sliced into `chunks` at `chunk_size`? Checks the index range per
+/// op (append only at the end), that an erase carries no bytes, that a
+/// written chunk is non-empty and at most one stride, that only the tail
+/// may be short, and that nothing is appended after a short tail.
+ChunkOpFault check_chunk_op(MutateOp op, std::uint64_t index, BytesView chunk,
+                            std::span<const Bytes> chunks,
+                            std::size_t chunk_size);
+
+/// An actor's mirror of one chunked object. PoR tags, where the actor keeps
+/// them, ride along chunk for chunk.
+struct ChunkMirror {
+  DynMerkleTree& tree;
+  std::vector<Bytes>& chunks;
+  std::vector<std::uint64_t>* tags = nullptr;
+};
+
+/// What undo_chunk_op needs to restore a mirror to its exact pre-op state.
+struct ChunkOpUndo {
+  MutateOp op = MutateOp::kUpdate;
+  std::uint64_t index = 0;
+  /// The pre-op tree. Shapes are history-dependent (rotations need not
+  /// invert), so it is restored, never re-derived by an inverse op.
+  DynMerkleTree tree;
+  Bytes chunk;  ///< the chunk an update replaced or an erase removed
+  std::uint64_t tag = 0;
+};
+
+/// Applies a checked op to `mirror`: `tag` is the written chunk's tag, and
+/// `leaf_hash` its precomputed leaf hash (empty: hashed here, once).
+ChunkOpUndo apply_chunk_op(ChunkMirror mirror, MutateOp op,
+                           std::uint64_t index, BytesView chunk,
+                           std::uint64_t tag = 0, Bytes leaf_hash = {});
+void undo_chunk_op(ChunkMirror mirror, ChunkOpUndo undo);
+
+/// Applies a checked op as `rec` describes it (tag: rec.chunk_tag) and
+/// verifies the record's chunk_count and new_root against the result. On a
+/// mismatch the mirror is restored and kChunkCount or kNewRoot returned.
+ChunkOpFault apply_chunk_op(ChunkMirror mirror, const VersionRecord& rec,
+                            BytesView chunk);
 
 }  // namespace tpnr::dyn

@@ -153,7 +153,7 @@ AggResponse AggResponse::decode(BytesView data) {
   out.version = r.u64();
   out.root = r.bytes();
   out.sigma = r.u64();
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(8);
   out.mu.reserve(n);
   for (std::uint32_t j = 0; j < n; ++j) out.mu.push_back(r.u64());
   out.proof = DynBatchProof::decode(r.bytes());

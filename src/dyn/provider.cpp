@@ -11,20 +11,38 @@ namespace tpnr::dyn {
 
 namespace {
 
-constexpr common::SimTime kReplyWindow = 30 * common::kSecond;
-
-Bytes concat_chunks(std::span<const Bytes> chunks) {
-  std::size_t total = 0;
-  for (const Bytes& chunk : chunks) total += chunk.size();
-  Bytes out;
-  out.reserve(total);
-  for (const Bytes& chunk : chunks) {
-    out.insert(out.end(), chunk.begin(), chunk.end());
+/// kMutateError keeps its coarse reasons: one per class of layout fault.
+const char* mutate_error_reason(ChunkOpFault fault) {
+  switch (fault) {
+    case ChunkOpFault::kStoreOp:
+    case ChunkOpFault::kIndexOutOfRange:
+      return "index out of range";
+    case ChunkOpFault::kChunkCount:
+    case ChunkOpFault::kNewRoot:
+      return "claimed new root does not match the applied op";
+    default:
+      return "chunk breaks the stride layout";
   }
-  return out;
 }
 
 }  // namespace
+
+void write_through(storage::ObjectStore& store, const VersionRecord& rec,
+                   std::span<const Bytes> chunks, common::SimTime now) {
+  common::Payload stored(join_chunks(chunks));
+  const Bytes data_md5 = crypto::md5(stored);
+  if (rec.op == MutateOp::kStore) {
+    store.put(rec.object_key, std::move(stored), data_md5, now);
+    return;
+  }
+  storage::MutationInfo info;
+  info.op = static_cast<std::uint8_t>(rec.op);
+  info.chunk_index = rec.chunk_index;
+  info.chunk_count = rec.chunk_count;
+  info.old_root = rec.old_root;
+  info.new_root = rec.new_root;
+  store.mutate(rec.object_key, std::move(stored), data_md5, now, info);
+}
 
 DynProviderActor::DynProviderActor(std::string id, net::Network& network,
                                    pki::Identity& identity,
@@ -60,23 +78,14 @@ void DynProviderActor::send_receipt(const std::string& client,
                                     const std::string& txn_id,
                                     nr::MsgType flag,
                                     const SignedVersionRecord& rec) {
-  if (!behavior_.send_receipts) return;
-  const crypto::RsaPublicKey* client_key = peer_key(client);
-  if (client_key == nullptr) return;
-  nr::MessageHeader header =
-      next_header(flag, client, /*ttp=*/"", txn_id, rec.record.new_root,
-                  network_->now() + kReplyWindow);
-  Bytes evidence = nr::make_evidence(*identity_, *client_key, header, *rng_);
-
+  if (!behavior_.send_receipts || peer_key(client) == nullptr) return;
+  auto [header, evidence] =
+      make_receipt(flag, client, /*ttp=*/"", txn_id, rec.record.new_root,
+                   network_->now() + nr::kReplyWindow);
   common::BinaryWriter payload;
   payload.str(rec.record.object_key);
   payload.bytes(rec.encode());
-
-  nr::NrMessage reply;
-  reply.header = std::move(header);
-  reply.payload = payload.take();
-  reply.evidence = std::move(evidence);
-  send(client, std::move(reply));
+  send(std::move(header), payload.take(), std::move(evidence));
 }
 
 void DynProviderActor::send_mutate_error(const std::string& client,
@@ -89,12 +98,9 @@ void DynProviderActor::send_mutate_error(const std::string& client,
   payload.str(object_key);
   payload.u64(version);
   payload.str(reason);
-
-  nr::NrMessage reply;
-  reply.header = next_header(nr::MsgType::kMutateError, client, /*ttp=*/"",
-                             txn_id, Bytes{}, network_->now() + kReplyWindow);
-  reply.payload = payload.take();
-  send(client, std::move(reply));
+  send(next_header(nr::MsgType::kMutateError, client, /*ttp=*/"", txn_id,
+                   Bytes{}, network_->now() + nr::kReplyWindow),
+       payload.take());
 }
 
 void DynProviderActor::handle_dyn_store(const nr::NrMessage& message) {
@@ -105,18 +111,16 @@ void DynProviderActor::handle_dyn_store(const nr::NrMessage& message) {
   std::uint32_t chunk_size = 0;
   Bytes data;
   std::vector<std::uint64_t> tags;
-  VersionRecord record;
-  Bytes client_sig;
+  SignedVersionRecord signed_record;
   try {
     common::BinaryReader r(message.payload);
     object_key = r.str();
     chunk_size = r.u32();
     data = r.bytes();
-    const std::uint32_t tag_count = r.u32();
-    tags.reserve(tag_count);
-    for (std::uint32_t i = 0; i < tag_count; ++i) tags.push_back(r.u64());
-    record = VersionRecord::decode(r.bytes());
-    client_sig = r.bytes();
+    tags.resize(r.count(8));
+    for (std::uint64_t& tag : tags) tag = r.u64();
+    signed_record.record = VersionRecord::decode(r.bytes());
+    signed_record.client_sig = r.bytes();
     r.expect_done();
   } catch (const common::SerialError&) {
     ++stats_.rejected_bad_hash;
@@ -129,31 +133,26 @@ void DynProviderActor::handle_dyn_store(const nr::NrMessage& message) {
 
   // The record IS the agreement: the header must bind to its new_root and
   // the client signature must cover it.
-  if (!common::constant_time_equal(h.data_hash, record.new_root)) {
+  const VersionRecord& rec = signed_record.record;
+  if (!common::constant_time_equal(h.data_hash, rec.new_root)) {
     ++stats_.rejected_bad_hash;
     return;
   }
-  SignedVersionRecord signed_record;
-  signed_record.record = std::move(record);
-  signed_record.client_sig = std::move(client_sig);
   if (!signed_record.verify_client(*sender_key)) {
     ++stats_.rejected_bad_evidence;
     return;
   }
-  const VersionRecord& rec = signed_record.record;
 
   // Idempotent re-store: same version-1 record for a known object → only
   // the receipt is re-issued (the chain already holds the countersigned
   // copy). A different record under a known key is a conflict.
   const auto existing = objects_.find(object_key);
   if (existing != objects_.end()) {
-    const SignedVersionRecord& committed = existing->second.chain.records()[0];
-    if (common::constant_time_equal(committed.record.encode(), rec.encode()) &&
-        common::constant_time_equal(committed.client_sig,
-                                    signed_record.client_sig)) {
+    const VersionChain& chain = existing->second.chain;
+    if (chain.committed_version(signed_record) == 1u) {
       ++receipts_resent_;
       send_receipt(h.sender, h.txn_id, nr::MsgType::kDynStoreReceipt,
-                   committed);
+                   chain.records().front());
     } else {
       send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
                         "object exists under a different record");
@@ -189,21 +188,14 @@ void DynProviderActor::handle_dyn_store(const nr::NrMessage& message) {
     return;
   }
 
-  signed_record.provider_sig = [&] {
-    Bytes material = rec.encode();
-    const Bytes& sig = signed_record.client_sig;
-    material.insert(material.end(), sig.begin(), sig.end());
-    return identity_->sign(material);
-  }();
+  signed_record.countersign(*identity_);
   std::string why;
   if (!state.chain.append(signed_record, &why)) {
     ++stats_.rejected_bad_hash;  // cannot happen for a validated v1 record
     return;
   }
 
-  common::Payload stored(std::move(data));
-  const Bytes data_md5 = crypto::md5(stored);
-  store_.put(object_key, std::move(stored), data_md5, network_->now());
+  write_through(store_, rec, state.chunks, network_->now());
   journal_evidence("dyn-nro", h.txn_id, h.sender, object_key, chunk_size, h,
                    *nro);
   const auto [it, inserted] = objects_.emplace(object_key, std::move(state));
@@ -220,8 +212,7 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
   std::uint64_t index = 0;
   Bytes chunk;
   std::uint64_t tag = 0;
-  VersionRecord record;
-  Bytes client_sig;
+  SignedVersionRecord signed_record;
   try {
     common::BinaryReader r(message.payload);
     object_key = r.str();
@@ -229,17 +220,18 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
     index = r.u64();
     chunk = r.bytes();
     tag = r.u64();
-    record = VersionRecord::decode(r.bytes());
-    client_sig = r.bytes();
+    signed_record.record = VersionRecord::decode(r.bytes());
+    signed_record.client_sig = r.bytes();
     r.expect_done();
   } catch (const common::SerialError&) {
     ++stats_.rejected_bad_hash;
     return;
   }
 
+  const VersionRecord& rec = signed_record.record;
   const auto it = objects_.find(object_key);
   if (it == objects_.end()) {
-    send_mutate_error(h.sender, h.txn_id, object_key, record.version,
+    send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
                       "unknown object");
     return;
   }
@@ -250,23 +242,20 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
   }
 
   // Envelope consistency: the loose payload fields must restate the signed
-  // record, the header must bind to its new_root, and the client signature
-  // must verify — all before any state is touched.
-  if (record.object_key != object_key ||
-      static_cast<std::uint8_t>(record.op) != op_byte ||
-      record.chunk_index != index || record.chunk_tag != tag ||
-      !common::constant_time_equal(h.data_hash, record.new_root)) {
+  // record (an erase carries no tag), the header must bind to its new_root,
+  // and the client signature must verify — all before any state is touched.
+  if (rec.object_key != object_key ||
+      static_cast<std::uint8_t>(rec.op) != op_byte ||
+      rec.chunk_index != index || rec.chunk_tag != tag ||
+      (rec.op == MutateOp::kErase && tag != 0) ||
+      !common::constant_time_equal(h.data_hash, rec.new_root)) {
     ++stats_.rejected_bad_hash;
     return;
   }
-  SignedVersionRecord signed_record;
-  signed_record.record = std::move(record);
-  signed_record.client_sig = std::move(client_sig);
   if (!signed_record.verify_client(*sender_key)) {
     ++stats_.rejected_bad_evidence;
     return;
   }
-  const VersionRecord& rec = signed_record.record;
 
   // Version-number idempotency (the retry contract): an already-committed
   // version re-issues its receipt verbatim; nothing is re-applied. The
@@ -274,14 +263,10 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
   // is a conflict, not a retry.
   const std::uint64_t head = state.chain.head_version();
   if (rec.version >= 1 && rec.version <= head) {
-    const SignedVersionRecord& committed =
-        state.chain.records()[rec.version - 1];
-    if (common::constant_time_equal(committed.record.encode(), rec.encode()) &&
-        common::constant_time_equal(committed.client_sig,
-                                    signed_record.client_sig)) {
+    if (const auto version = state.chain.committed_version(signed_record)) {
       ++receipts_resent_;
       send_receipt(h.sender, h.txn_id, nr::MsgType::kMutateReceipt,
-                   committed);
+                   state.chain.records()[*version - 1]);
     } else {
       send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
                         "version already committed to a different record");
@@ -301,30 +286,17 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
     return;
   }
 
-  // Structural validation against the committed mirror — same stride rules
-  // the client enforces (only the last chunk may be short).
-  const std::uint64_t count = state.tree.leaf_count();
-  const bool inserting =
-      rec.op == MutateOp::kInsert || rec.op == MutateOp::kAppend;
-  const bool erasing = rec.op == MutateOp::kErase;
-  if (rec.op == MutateOp::kStore || (inserting ? index > count : index >= count) ||
-      (rec.op == MutateOp::kAppend && index != count)) {
-    send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
-                      "index out of range");
+  // The stride rule against the committed mirror — the same check the
+  // client made before sending.
+  const ChunkOpFault layout = check_chunk_op(rec.op, index, chunk,
+                                             state.chunks, state.chunk_size);
+  if (layout == ChunkOpFault::kEraseCarriesBytes) {
+    ++stats_.rejected_bad_hash;
     return;
   }
-  if (!erasing) {
-    const bool at_tail = inserting ? index == count : index + 1 == count;
-    if (chunk.empty() || chunk.size() > state.chunk_size ||
-        (!at_tail && chunk.size() != state.chunk_size) ||
-        (inserting && index == count && count > 0 &&
-         state.chunks[count - 1].size() != state.chunk_size)) {
-      send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
-                        "chunk breaks the stride layout");
-      return;
-    }
-  } else if (chunk.size() != 0 || tag != 0) {
-    ++stats_.rejected_bad_hash;
+  if (layout != ChunkOpFault::kNone) {
+    send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
+                      mutate_error_reason(layout));
     return;
   }
 
@@ -335,76 +307,29 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
     return;
   }
 
-  // Apply to the tree first (O(log n)) and check the claimed post-op root
-  // before committing anything — a mismatch reverts the snapshot and
-  // rejects.
-  DynMerkleTree backup = state.tree.clone();
-  const auto at = static_cast<std::ptrdiff_t>(index);
-  switch (rec.op) {
-    case MutateOp::kUpdate:
-      state.tree.update(index, chunk);
-      break;
-    case MutateOp::kInsert:
-    case MutateOp::kAppend:
-      state.tree.insert(index, chunk);
-      break;
-    case MutateOp::kErase:
-      state.tree.erase(index);
-      break;
-    case MutateOp::kStore:
-      return;  // unreachable (rejected above)
-  }
-  if (state.tree.leaf_count() != rec.chunk_count ||
-      !common::constant_time_equal(state.tree.root(), rec.new_root)) {
-    state.tree = std::move(backup);
+  // Apply and check the claimed post-op count and root before committing
+  // anything — a mismatch restores the mirror and rejects.
+  if (const ChunkOpFault fault = apply_chunk_op(
+          {.tree = state.tree, .chunks = state.chunks, .tags = &state.tags},
+          rec, chunk);
+      fault != ChunkOpFault::kNone) {
     send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
-                      "claimed new root does not match the applied op");
+                      mutate_error_reason(fault));
     return;
-  }
-  switch (rec.op) {
-    case MutateOp::kUpdate:
-      state.chunks[index] = std::move(chunk);
-      state.tags[index] = tag;
-      break;
-    case MutateOp::kInsert:
-    case MutateOp::kAppend:
-      state.chunks.insert(state.chunks.begin() + at, std::move(chunk));
-      state.tags.insert(state.tags.begin() + at, tag);
-      break;
-    case MutateOp::kErase:
-      state.chunks.erase(state.chunks.begin() + at);
-      state.tags.erase(state.tags.begin() + at);
-      break;
-    case MutateOp::kStore:
-      break;
   }
 
   // Commit: countersign, extend the chain, and write the mutated object
   // through to the store (which journals a MutationRecord). A store that
   // ACKs but drops the write — arm_stale_mutations() — diverges here, and
   // the next audit answered from the store exposes it.
-  signed_record.provider_sig = [&] {
-    Bytes material = rec.encode();
-    const Bytes& sig = signed_record.client_sig;
-    material.insert(material.end(), sig.begin(), sig.end());
-    return identity_->sign(material);
-  }();
+  signed_record.countersign(*identity_);
   std::string why;
   if (!state.chain.append(signed_record, &why)) {
     throw common::ProtocolError(
         "DynProviderActor: validated record does not extend the chain: " +
         why);
   }
-  storage::MutationInfo info;
-  info.op = static_cast<std::uint8_t>(rec.op);
-  info.chunk_index = rec.chunk_index;
-  info.chunk_count = rec.chunk_count;
-  info.old_root = rec.old_root;
-  info.new_root = rec.new_root;
-  common::Payload stored(concat_chunks(state.chunks));
-  const Bytes data_md5 = crypto::md5(stored);
-  store_.mutate(object_key, std::move(stored), data_md5, network_->now(),
-                info);
+  write_through(store_, rec, state.chunks, network_->now());
   journal_evidence("dyn-nro", h.txn_id, h.sender, object_key,
                    state.chunk_size, h, *nro);
   send_receipt(h.sender, h.txn_id, nr::MsgType::kMutateReceipt,
@@ -414,8 +339,6 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
 void DynProviderActor::handle_agg_challenge(const nr::NrMessage& message) {
   if (!behavior_.respond_to_audit) return;
   const nr::MessageHeader& h = message.header;
-  const crypto::RsaPublicKey* sender_key = peer_key(h.sender);
-
   std::string object_key;
   AggChallenge challenge;
   try {
@@ -457,23 +380,14 @@ void DynProviderActor::handle_agg_challenge(const nr::NrMessage& message) {
                         state.chunk_size, record->version);
   const Bytes response_bytes = response.encode();
 
-  nr::MessageHeader header = next_header(
-      nr::MsgType::kAggResponse, h.sender, h.ttp, h.txn_id,
-      crypto::sha256(response_bytes), network_->now() + kReplyWindow);
-  Bytes evidence;
-  if (sender_key != nullptr) {
-    evidence = nr::make_evidence(*identity_, *sender_key, header, *rng_);
-  }
-
+  auto [header, evidence] =
+      make_receipt(nr::MsgType::kAggResponse, h.sender, h.ttp, h.txn_id,
+                   crypto::sha256(response_bytes),
+                   network_->now() + nr::kReplyWindow);
   common::BinaryWriter payload;
   payload.str(object_key);
   payload.bytes(response_bytes);
-
-  nr::NrMessage reply;
-  reply.header = std::move(header);
-  reply.payload = payload.take();
-  reply.evidence = std::move(evidence);
-  send(h.sender, std::move(reply));
+  send(std::move(header), payload.take(), std::move(evidence));
 }
 
 }  // namespace tpnr::dyn

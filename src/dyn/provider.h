@@ -34,6 +34,11 @@ struct DynProviderBehavior {
   bool respond_to_audit = true;   ///< false: ignores aggregate challenges
 };
 
+/// Writes the object `chunks` slice through to `store` as `rec` commits it:
+/// a put for the version-1 store, a journaled mutation after that.
+void write_through(storage::ObjectStore& store, const VersionRecord& rec,
+                   std::span<const Bytes> chunks, common::SimTime now);
+
 class DynProviderActor final : public nr::NrActor {
  public:
   /// Provider-side state of one dynamic object.

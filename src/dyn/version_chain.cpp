@@ -89,6 +89,14 @@ SignedVersionRecord SignedVersionRecord::decode(BytesView data) {
   return out;
 }
 
+Bytes SignedVersionRecord::countersigned() const {
+  return common::concat({BytesView(record.encode()), BytesView(client_sig)});
+}
+
+void SignedVersionRecord::countersign(const pki::Identity& provider) {
+  provider_sig = provider.sign(countersigned());
+}
+
 bool SignedVersionRecord::verify_client(
     const crypto::RsaPublicKey& client) const {
   return pki::Identity::verify(client, record.encode(), client_sig);
@@ -96,9 +104,7 @@ bool SignedVersionRecord::verify_client(
 
 bool SignedVersionRecord::verify_provider(
     const crypto::RsaPublicKey& provider) const {
-  const Bytes countersigned =
-      common::concat({BytesView(record.encode()), BytesView(client_sig)});
-  return pki::Identity::verify(provider, countersigned, provider_sig);
+  return pki::Identity::verify(provider, countersigned(), provider_sig);
 }
 
 bool SignedVersionRecord::verify(const crypto::RsaPublicKey& client,
@@ -113,25 +119,31 @@ bool fail(std::string* why, std::string message) {
   return false;
 }
 
-/// Structural continuity of `rec` against the current head. Shared by
-/// VersionChain::append and walk_chain so both enforce the same rules.
-bool extends_head(const VersionRecord& rec, std::uint64_t head_version,
-                  BytesView head_root, std::uint64_t head_chunk_count,
-                  BytesView head_hash, std::string* why) {
-  if (rec.version != head_version + 1) {
+}  // namespace
+
+// Structural continuity against the current head — the one link rule, which
+// walk_chain replays through this same function.
+bool VersionChain::append(SignedVersionRecord signed_rec, std::string* why) {
+  const VersionRecord& rec = signed_rec.record;
+  if (!records_.empty() &&
+      rec.object_key != records_.front().record.object_key) {
+    return fail(why, "record for a different object");
+  }
+  const std::uint64_t head_count = head_chunk_count();
+  if (rec.version != head_version() + 1) {
     return fail(why, "version " + std::to_string(rec.version) +
-                         " does not follow " + std::to_string(head_version));
+                         " does not follow " + std::to_string(head_version()));
   }
   if ((rec.op == MutateOp::kStore) != (rec.version == 1)) {
     return fail(why, "store op must be (exactly) the first record");
   }
-  if (!common::constant_time_equal(rec.old_root, head_root)) {
+  if (!common::constant_time_equal(rec.old_root, head_root())) {
     return fail(why, "old_root does not match chain head root");
   }
-  if (!common::constant_time_equal(rec.prev_record_hash, head_hash)) {
+  if (!common::constant_time_equal(rec.prev_record_hash, head_hash())) {
     return fail(why, "prev_record_hash does not match chain head");
   }
-  std::uint64_t expect_count = head_chunk_count;
+  std::uint64_t expect_count = head_count;
   switch (rec.op) {
     case MutateOp::kStore:
       expect_count = rec.chunk_count;  // free choice, but must be non-empty
@@ -141,41 +153,27 @@ bool extends_head(const VersionRecord& rec, std::uint64_t head_version,
       break;  // count unchanged
     case MutateOp::kInsert:
     case MutateOp::kAppend:
-      expect_count = head_chunk_count + 1;
+      expect_count = head_count + 1;
       break;
     case MutateOp::kErase:
-      if (head_chunk_count == 0) return fail(why, "erase on empty object");
-      expect_count = head_chunk_count - 1;
+      if (head_count == 0) return fail(why, "erase on empty object");
+      expect_count = head_count - 1;
       break;
   }
   if (rec.chunk_count != expect_count) {
     return fail(why, "chunk_count inconsistent with op");
   }
-  if (rec.op == MutateOp::kAppend && rec.chunk_index != head_chunk_count) {
+  if (rec.op == MutateOp::kAppend && rec.chunk_index != head_count) {
     return fail(why, "append index must equal previous chunk_count");
   }
   if ((rec.op == MutateOp::kUpdate || rec.op == MutateOp::kErase) &&
-      rec.chunk_index >= head_chunk_count) {
+      rec.chunk_index >= head_count) {
     return fail(why, "chunk_index out of range");
   }
-  if (rec.op == MutateOp::kInsert && rec.chunk_index > head_chunk_count) {
+  if (rec.op == MutateOp::kInsert && rec.chunk_index > head_count) {
     return fail(why, "insert index out of range");
   }
-  return true;
-}
-
-}  // namespace
-
-bool VersionChain::append(SignedVersionRecord rec, std::string* why) {
-  if (!records_.empty() &&
-      rec.record.object_key != records_.front().record.object_key) {
-    return fail(why, "record for a different object");
-  }
-  if (!extends_head(rec.record, head_version(), head_root(),
-                    head_chunk_count(), head_hash(), why)) {
-    return false;
-  }
-  records_.push_back(std::move(rec));
+  records_.push_back(std::move(signed_rec));
   return true;
 }
 
@@ -195,6 +193,37 @@ std::uint64_t VersionChain::head_chunk_count() const noexcept {
 Bytes VersionChain::head_hash() const {
   return records_.empty() ? VersionRecord::genesis_link()
                           : records_.back().record.hash();
+}
+
+VersionRecord VersionChain::next_record(std::string object_key, MutateOp op,
+                                        std::uint64_t chunk_index,
+                                        std::uint64_t chunk_count,
+                                        Bytes new_root,
+                                        std::uint64_t chunk_tag) const {
+  VersionRecord rec;
+  rec.object_key = std::move(object_key);
+  rec.version = head_version() + 1;
+  rec.op = op;
+  rec.chunk_index = chunk_index;
+  rec.chunk_count = chunk_count;
+  rec.old_root = head_root();
+  rec.new_root = std::move(new_root);
+  rec.chunk_tag = chunk_tag;
+  rec.prev_record_hash = head_hash();
+  return rec;
+}
+
+std::optional<std::uint64_t> VersionChain::committed_version(
+    const SignedVersionRecord& rec) const {
+  const std::uint64_t version = rec.record.version;
+  if (version == 0 || version > head_version()) return std::nullopt;
+  const SignedVersionRecord& committed = records_[version - 1];
+  if (!common::constant_time_equal(committed.record.encode(),
+                                   rec.record.encode()) ||
+      !common::constant_time_equal(committed.client_sig, rec.client_sig)) {
+    return std::nullopt;
+  }
+  return version;
 }
 
 std::optional<std::uint64_t> VersionChain::version_of_root(
@@ -231,45 +260,26 @@ ChainWalkResult walk_chain(std::span<const SignedVersionRecord> records,
   ChainWalkResult result;
   if (records.empty()) return result;
 
-  std::uint64_t head_version = 0;
-  Bytes head_root = DynMerkleTree::empty_root();
-  std::uint64_t head_count = 0;
-  Bytes head_hash = VersionRecord::genesis_link();
-  const std::string& object = records.front().record.object_key;
-
-  // Structural pass first: replay the links up to the first break, keeping
-  // each linked record's encoded bytes and countersigned message. The
-  // client signatures then run as ONE rsa_verify_many group under the
-  // client key, the countersignatures as another under the provider key —
-  // each group sharing its key's Montgomery context. The verdict is the
-  // earliest failure in original walk order (link, then client sig, then
-  // provider sig per record), exactly as the per-record walk reported it.
+  // Structural pass first: replay the links through VersionChain::append
+  // up to the first break, keeping each linked record's encoded bytes and
+  // countersigned message. The client signatures then run as ONE
+  // rsa_verify_many group under the client key, the countersignatures as
+  // another under the provider key — each group sharing its key's
+  // Montgomery context. The verdict is the earliest failure in original
+  // walk order (link, then client sig, then provider sig per record),
+  // exactly as the per-record walk reported it.
+  VersionChain chain;
   std::size_t linked = records.size();  // records that extend the chain
   std::string link_why;
   std::vector<Bytes> encoded(records.size());
   std::vector<Bytes> countersigned(records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const VersionRecord& rec = records[i].record;
-    result.at_version = rec.version;
-    std::string why;
-    if (rec.object_key != object) {
+    if (!chain.append(records[i], &link_why)) {
       linked = i;
-      link_why = "record for a different object";
       break;
     }
-    if (!extends_head(rec, head_version, head_root, head_count, head_hash,
-                      &why)) {
-      linked = i;
-      link_why = std::move(why);
-      break;
-    }
-    encoded[i] = rec.encode();
-    countersigned[i] = common::concat(
-        {BytesView(encoded[i]), BytesView(records[i].client_sig)});
-    head_version = rec.version;
-    head_root = rec.new_root;
-    head_count = rec.chunk_count;
-    head_hash = rec.hash();
+    encoded[i] = records[i].record.encode();
+    countersigned[i] = records[i].countersigned();
   }
   std::vector<crypto::RsaVerifyItem> client_items(linked);
   std::vector<crypto::RsaVerifyItem> provider_items(linked);
@@ -307,8 +317,9 @@ ChainWalkResult walk_chain(std::span<const SignedVersionRecord> records,
     return result;
   }
   result.status = ChainStatus::kValid;
-  result.at_version = head_version;
-  result.detail = "chain intact through version " + std::to_string(head_version);
+  result.at_version = chain.head_version();
+  result.detail =
+      "chain intact through version " + std::to_string(chain.head_version());
   return result;
 }
 

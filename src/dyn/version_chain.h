@@ -24,6 +24,10 @@
 #include "common/bytes.h"
 #include "crypto/rsa.h"
 
+namespace tpnr::pki {
+class Identity;
+}  // namespace tpnr::pki
+
 namespace tpnr::dyn {
 
 using common::Bytes;
@@ -72,6 +76,11 @@ struct SignedVersionRecord {
   [[nodiscard]] Bytes encode() const;
   static SignedVersionRecord decode(BytesView data);
 
+  /// record.encode() ‖ client_sig: what the provider countersigns.
+  [[nodiscard]] Bytes countersigned() const;
+  /// Sets provider_sig: `provider` signs countersigned().
+  void countersign(const pki::Identity& provider);
+
   [[nodiscard]] bool verify_client(const crypto::RsaPublicKey& client) const;
   [[nodiscard]] bool verify_provider(
       const crypto::RsaPublicKey& provider) const;
@@ -103,6 +112,22 @@ class VersionChain {
   [[nodiscard]] std::uint64_t head_chunk_count() const noexcept;
   /// genesis_link() for an empty chain.
   [[nodiscard]] Bytes head_hash() const;
+
+  /// The record committing `op` at `chunk_index` on top of the head, which
+  /// leaves `chunk_count` chunks under `new_root`. On an empty chain that is
+  /// the version-1 kStore record.
+  [[nodiscard]] VersionRecord next_record(std::string object_key, MutateOp op,
+                                          std::uint64_t chunk_index,
+                                          std::uint64_t chunk_count,
+                                          Bytes new_root,
+                                          std::uint64_t chunk_tag) const;
+
+  /// Retry idempotency (§5.5): the version at which exactly `rec` — the
+  /// same record under the same client signature — is already committed.
+  /// A retry re-issues that version's receipt without re-applying; a
+  /// different record at a committed version is a conflict (nullopt).
+  [[nodiscard]] std::optional<std::uint64_t> committed_version(
+      const SignedVersionRecord& rec) const;
 
   /// The version whose new_root equals `root`, if any — the rollback check:
   /// a served root matching an OLDER committed version is a revert, not

@@ -112,6 +112,16 @@ void NrActor::send(const std::string& to, NrMessage message) {
                 std::move(message));
 }
 
+void NrActor::send(MessageHeader header, common::Payload payload,
+                   common::Payload evidence) {
+  NrMessage message;
+  message.header = std::move(header);
+  message.payload = std::move(payload);
+  message.evidence = std::move(evidence);
+  const std::string to = message.header.recipient;
+  send(to, std::move(message));
+}
+
 void NrActor::send_on_topic(const std::string& to, const std::string& topic,
                             NrMessage message) {
   ++stats_.sent;
@@ -160,6 +170,20 @@ MessageHeader NrActor::next_header(MsgType flag, const std::string& recipient,
   h.time_limit = time_limit;
   h.data_hash = Bytes(data_hash.begin(), data_hash.end());
   return h;
+}
+
+std::pair<MessageHeader, Bytes> NrActor::make_receipt(
+    MsgType flag, const std::string& recipient, const std::string& ttp,
+    const std::string& txn_id, BytesView data_hash,
+    common::SimTime time_limit) {
+  const crypto::RsaPublicKey* recipient_key = peer_key(recipient);
+  MessageHeader header =
+      next_header(flag, recipient, ttp, txn_id, data_hash, time_limit);
+  Bytes evidence;
+  if (recipient_key != nullptr) {
+    evidence = make_evidence(*identity_, *recipient_key, header, *rng_);
+  }
+  return {std::move(header), std::move(evidence)};
 }
 
 }  // namespace tpnr::nr

@@ -9,6 +9,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "crypto/drbg.h"
 #include "crypto/hash.h"
@@ -24,6 +25,10 @@ class CryptoService;
 }  // namespace tpnr::runtime
 
 namespace tpnr::nr {
+
+/// How long a provider's reply stays actionable: the time limit (§5.5) on
+/// every receipt, response and error a provider sends.
+inline constexpr common::SimTime kReplyWindow = 30 * common::kSecond;
 
 /// Why an inbound message was rejected (accumulated per actor; the attack
 /// benches read these to show WHICH defence fired).
@@ -102,6 +107,9 @@ class NrActor {
   bool screen(const NrMessage& message);
 
   void send(const std::string& to, NrMessage message);
+  /// send() to header.recipient.
+  void send(MessageHeader header, common::Payload payload,
+            common::Payload evidence = {});
 
   /// send() with an explicit topic, overriding the default/reply topic.
   /// Out-of-band conversations (the consistency layer's client↔client
@@ -135,6 +143,14 @@ class NrActor {
   MessageHeader next_header(MsgType flag, const std::string& recipient,
                             const std::string& ttp, const std::string& txn_id,
                             BytesView data_hash, common::SimTime time_limit);
+
+  /// next_header() plus the evidence sealed for `recipient` over it — or
+  /// no evidence when `recipient`'s key is unknown. The draw order is fixed:
+  /// the header's nonce first, then the evidence.
+  std::pair<MessageHeader, Bytes> make_receipt(
+      MsgType flag, const std::string& recipient, const std::string& ttp,
+      const std::string& txn_id, BytesView data_hash,
+      common::SimTime time_limit);
 
   /// Encodes and journals one piece of accepted evidence; no-op without a
   /// bound journal. Defined in actor.cpp.

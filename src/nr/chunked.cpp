@@ -18,7 +18,7 @@ crypto::MerkleProof decode_proof(BytesView data) {
   crypto::MerkleProof proof;
   proof.leaf_index = r.u64();
   proof.leaf_count = r.u64();
-  const std::uint32_t count = r.u32();
+  const std::uint32_t count = r.count(4);
   proof.siblings.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) proof.siblings.push_back(r.bytes());
   r.expect_done();

@@ -167,20 +167,18 @@ void ClientActor::transmit_store(const std::string& txn_id, BytesView data) {
   const auto it = txns_.find(txn_id);
   if (it == txns_.end()) return;
   Txn& txn = it->second;
-  const crypto::RsaPublicKey* provider_key = peer_key(txn.provider);
-  if (provider_key == nullptr) return;
+  if (peer_key(txn.provider) == nullptr) return;
 
   // Every (re-)send carries a fresh header: new nonce/seq so the replay
   // defence stays intact, new time_limit so the deadline is live. The
   // txn_id and data_hash bind it to the same transaction; the provider
   // treats a repeated NRO for a known transaction idempotently.
-  MessageHeader header =
-      next_header(MsgType::kStoreRequest, txn.provider, txn.ttp, txn_id,
-                  txn.data_hash, network_->now() + options_.reply_window);
+  auto [header, sealed] =
+      make_receipt(MsgType::kStoreRequest, txn.provider, txn.ttp, txn_id,
+                   txn.data_hash, network_->now() + options_.reply_window);
   // Wrap the evidence once; the txn record and the outgoing message share
   // the same buffer.
-  common::Payload evidence(make_evidence(*identity_, *provider_key, header,
-                                         *rng_));
+  common::Payload evidence(std::move(sealed));
   txn.store_header = header;
   txn.store_evidence = evidence;
   ++txn.store_attempts;
@@ -189,12 +187,7 @@ void ClientActor::transmit_store(const std::string& txn_id, BytesView data) {
   payload.str(txn.object_key);
   payload.bytes(data);
   payload.u32(static_cast<std::uint32_t>(txn.chunk_size));
-
-  NrMessage message;
-  message.header = std::move(header);
-  message.payload = payload.take();
-  message.evidence = std::move(evidence);
-  send(txn.provider, std::move(message));
+  send(std::move(header), payload.take(), std::move(evidence));
   arm_receipt_timer(txn_id, txn.store_attempts);
 }
 
@@ -248,12 +241,9 @@ void ClientActor::abort(const std::string& txn_id) {
   payload.bytes(txn.store_header.encode());
   payload.bytes(txn.store_evidence);
 
-  NrMessage message;
-  message.header =
-      next_header(MsgType::kAbortRequest, txn.provider, txn.ttp, txn_id,
-                  txn.data_hash, network_->now() + options_.reply_window);
-  message.payload = payload.take();
-  send(txn.provider, std::move(message));
+  send(next_header(MsgType::kAbortRequest, txn.provider, txn.ttp, txn_id,
+                   txn.data_hash, network_->now() + options_.reply_window),
+       payload.take());
 }
 
 void ClientActor::fetch(const std::string& txn_id) {
@@ -264,12 +254,9 @@ void ClientActor::fetch(const std::string& txn_id) {
   common::BinaryWriter payload;
   payload.str(txn.object_key);
 
-  NrMessage message;
-  message.header =
-      next_header(MsgType::kFetchRequest, txn.provider, txn.ttp, txn_id,
-                  txn.data_hash, network_->now() + options_.reply_window);
-  message.payload = payload.take();
-  send(txn.provider, std::move(message));
+  send(next_header(MsgType::kFetchRequest, txn.provider, txn.ttp, txn_id,
+                   txn.data_hash, network_->now() + options_.reply_window),
+       payload.take());
 }
 
 void ClientActor::audit(const std::string& txn_id, std::size_t chunk_index) {
@@ -280,12 +267,9 @@ void ClientActor::audit(const std::string& txn_id, std::size_t chunk_index) {
   common::BinaryWriter payload;
   payload.u64(chunk_index);
 
-  NrMessage message;
-  message.header =
-      next_header(MsgType::kChunkRequest, txn.provider, txn.ttp, txn_id,
-                  txn.data_hash, network_->now() + options_.reply_window);
-  message.payload = payload.take();
-  send(txn.provider, std::move(message));
+  send(next_header(MsgType::kChunkRequest, txn.provider, txn.ttp, txn_id,
+                   txn.data_hash, network_->now() + options_.reply_window),
+       payload.take());
 }
 
 void ClientActor::audit_sample(const std::string& txn_id, std::size_t count) {
@@ -438,15 +422,12 @@ void ClientActor::defer_store(const std::string& ttp,
   common::BinaryWriter payload;
   payload.str(object_key);
 
-  NrMessage message;
   // All of one client's lookups share the pseudo-txn "dir": the per-txn
   // sequence check still sees a strictly increasing stream per sender.
-  message.header =
-      next_header(MsgType::kDirLookup, directory_, /*ttp=*/"", "dir",
-                  crypto::sha256(common::BytesView{}),
-                  network_->now() + options_.reply_window);
-  message.payload = payload.take();
-  send(directory_, std::move(message));
+  send(next_header(MsgType::kDirLookup, directory_, /*ttp=*/"", "dir",
+                   crypto::sha256(common::BytesView{}),
+                   network_->now() + options_.reply_window),
+       payload.take());
 }
 
 void ClientActor::handle_dir_reply(const NrMessage& message) {
@@ -509,13 +490,10 @@ void ClientActor::handle_resolve_query(const NrMessage& message) {
   payload.bytes(acknowledged ? identity_->sign(queried_header.encode())
                              : Bytes{});
 
-  NrMessage reply;
-  reply.header =
-      next_header(MsgType::kResolveResponse, h.sender, h.ttp, h.txn_id,
-                  queried_header.data_hash,
-                  network_->now() + options_.reply_window);
-  reply.payload = payload.take();
-  send(h.sender, std::move(reply));
+  send(next_header(MsgType::kResolveResponse, h.sender, h.ttp, h.txn_id,
+                   queried_header.data_hash,
+                   network_->now() + options_.reply_window),
+       payload.take());
 }
 
 void ClientActor::handle_store_receipt(const NrMessage& message) {

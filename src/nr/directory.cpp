@@ -45,12 +45,9 @@ void DirectoryActor::on_message(const NrMessage& message) {
   payload.u64(placement_->version());
 
   const MessageHeader& h = message.header;
-  NrMessage reply;
-  reply.header = next_header(MsgType::kDirReply, h.sender, /*ttp=*/"",
-                             h.txn_id, h.data_hash,
-                             network_->now() + 10 * common::kSecond);
-  reply.payload = payload.take();
-  send(h.sender, std::move(reply));
+  send(next_header(MsgType::kDirReply, h.sender, /*ttp=*/"", h.txn_id,
+                   h.data_hash, network_->now() + 10 * common::kSecond),
+       payload.take());
 }
 
 }  // namespace tpnr::nr

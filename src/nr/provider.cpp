@@ -7,7 +7,6 @@
 namespace tpnr::nr {
 
 namespace {
-constexpr common::SimTime kReplyWindow = 30 * common::kSecond;
 
 // The cache key proofs for `object_key` are served under. Equivocating
 // service keeps its pre-tamper snapshot in a separate view (the shared
@@ -59,19 +58,6 @@ std::optional<Bytes> ProviderActor::produce_object(const std::string& txn_id) {
   auto record = store_.get(it->second.object_key);
   if (!record) return std::nullopt;
   return record->data.to_bytes();
-}
-
-std::pair<MessageHeader, Bytes> ProviderActor::make_receipt(
-    const std::string& txn_id, const std::string& for_whom, MsgType flag,
-    BytesView data_hash, common::SimTime time_limit) {
-  const crypto::RsaPublicKey* recipient = peer_key(for_whom);
-  MessageHeader header =
-      next_header(flag, for_whom, /*ttp=*/"", txn_id, data_hash, time_limit);
-  Bytes evidence;
-  if (recipient != nullptr) {
-    evidence = make_evidence(*identity_, *recipient, header, *rng_);
-  }
-  return {std::move(header), std::move(evidence)};
 }
 
 void ProviderActor::on_message(const NrMessage& message) {
@@ -153,55 +139,39 @@ void ProviderActor::handle_store(const NrMessage& message) {
   // hash → nothing is re-stored or re-journalled; only the receipt is
   // re-issued. A different hash under a known txn id is an attack, not a
   // retry.
-  const auto existing = txns_.find(h.txn_id);
-  if (existing != txns_.end()) {
-    TxnRecord& known = existing->second;
-    if (h.data_hash != known.data_hash) {
+  auto [it, is_new] = txns_.try_emplace(h.txn_id);
+  TxnRecord& txn = it->second;
+  if (!is_new) {
+    if (h.data_hash != txn.data_hash) {
       ++stats_.rejected_bad_hash;
       return;
     }
-    if (known.state == TxnRecord::State::kAborted) return;  // stays aborted
+    if (txn.state == TxnRecord::State::kAborted) return;  // stays aborted
     ++receipts_resent_;
-    if (!behavior_.send_store_receipts) return;
-    auto [receipt_header, evidence] =
-        make_receipt(h.txn_id, h.sender, MsgType::kStoreReceipt, h.data_hash,
-                     network_->now() + kReplyWindow);
-    known.receipt_header = receipt_header;
-    NrMessage reply;
-    reply.header = std::move(receipt_header);
-    reply.evidence = std::move(evidence);
-    send(h.sender, std::move(reply));
-    return;
-  }
-
-  TxnRecord record;
-  record.object_key = object_key;
-  record.data_hash = h.data_hash;
-  record.chunk_size = chunk_size;
-  record.nro_header = h;
-  record.nro = *nro;
-  const Bytes data_md5 = crypto::md5(stored);
-  if (chunk_size > 0) record.original_data = stored;
-  store_.put(object_key, stored, data_md5, network_->now());
-  txns_[h.txn_id] = std::move(record);
-  // The NRO is Bob's proof Alice sent these bytes: journal it with the
-  // transaction facts before acknowledging anything.
-  journal_evidence("nro", h.txn_id, h.sender, object_key, chunk_size, h,
-                   *nro);
-
-  if (behavior_.tamper_after_store) {
-    store_.tamper(object_key, behavior_.tamper_replacement);
+  } else {
+    txn.object_key = object_key;
+    txn.data_hash = h.data_hash;
+    txn.chunk_size = chunk_size;
+    txn.nro_header = h;
+    txn.nro = *nro;
+    const Bytes data_md5 = crypto::md5(stored);
+    if (chunk_size > 0) txn.original_data = stored;
+    store_.put(object_key, stored, data_md5, network_->now());
+    // The NRO is Bob's proof Alice sent these bytes: journal it with the
+    // transaction facts before acknowledging anything.
+    journal_evidence("nro", h.txn_id, h.sender, object_key, chunk_size, h,
+                     *nro);
+    if (behavior_.tamper_after_store) {
+      store_.tamper(object_key, behavior_.tamper_replacement);
+    }
   }
   if (!behavior_.send_store_receipts) return;  // the unfair Bob of §4.3
 
   auto [receipt_header, evidence] =
-      make_receipt(h.txn_id, h.sender, MsgType::kStoreReceipt, h.data_hash,
-                   network_->now() + kReplyWindow);
-  txns_[h.txn_id].receipt_header = receipt_header;
-  NrMessage reply;
-  reply.header = std::move(receipt_header);
-  reply.evidence = std::move(evidence);
-  send(h.sender, std::move(reply));
+      make_receipt(MsgType::kStoreReceipt, h.sender, /*ttp=*/"", h.txn_id,
+                   h.data_hash, network_->now() + kReplyWindow);
+  txn.receipt_header = receipt_header;
+  send(std::move(receipt_header), {}, std::move(evidence));
 }
 
 void ProviderActor::resolve(const std::string& txn_id,
@@ -219,12 +189,9 @@ void ProviderActor::resolve(const std::string& txn_id,
   payload.bytes(identity_->sign(receipt.encode()));
   payload.bytes(Bytes{});
 
-  NrMessage message;
-  message.header = next_header(MsgType::kResolveRequest, ttp, ttp, txn_id,
-                               receipt.data_hash,
-                               network_->now() + kReplyWindow);
-  message.payload = payload.take();
-  send(ttp, std::move(message));
+  send(next_header(MsgType::kResolveRequest, ttp, ttp, txn_id,
+                   receipt.data_hash, network_->now() + kReplyWindow),
+       payload.take());
 }
 
 void ProviderActor::handle_resolve_verdict(const NrMessage& message) {
@@ -287,13 +254,10 @@ void ProviderActor::handle_fetch(const NrMessage& message) {
   // cannot later deny having served these exact bytes.
   const Bytes served_hash = crypto::sha256(record->data);
   auto [response_header, evidence] =
-      make_receipt(h.txn_id, h.sender, MsgType::kFetchResponse, served_hash,
-                   network_->now() + kReplyWindow);
-  NrMessage reply;
-  reply.header = std::move(response_header);
-  reply.payload = std::move(record->data);
-  reply.evidence = std::move(evidence);
-  send(h.sender, std::move(reply));
+      make_receipt(MsgType::kFetchResponse, h.sender, /*ttp=*/"", h.txn_id,
+                   served_hash, network_->now() + kReplyWindow);
+  send(std::move(response_header), std::move(record->data),
+       std::move(evidence));
 }
 
 void ProviderActor::handle_chunk_request(const NrMessage& message) {
@@ -342,19 +306,14 @@ void ProviderActor::handle_chunk_request(const NrMessage& message) {
 
   // Evidence signs the served chunk's hash: Bob cannot later deny what he
   // served for this audit.
-  auto [response_header, evidence] = make_receipt(
-      h.txn_id, h.sender, MsgType::kChunkResponse, crypto::sha256(chunk),
-      network_->now() + kReplyWindow);
+  auto [response_header, evidence] =
+      make_receipt(MsgType::kChunkResponse, h.sender, /*ttp=*/"", h.txn_id,
+                   crypto::sha256(chunk), network_->now() + kReplyWindow);
   common::BinaryWriter payload;
   payload.u64(chunk_index);
   payload.bytes(chunk);
   payload.bytes(encode_proof(tree->prove(chunk_index)));
-
-  NrMessage reply;
-  reply.header = std::move(response_header);
-  reply.payload = payload.take();
-  reply.evidence = std::move(evidence);
-  send(h.sender, std::move(reply));
+  send(std::move(response_header), payload.take(), std::move(evidence));
 }
 
 void ProviderActor::handle_abort(const NrMessage& message) {
@@ -385,12 +344,9 @@ void ProviderActor::handle_abort(const NrMessage& message) {
   if (!well_formed) {
     // "Bob will send an Error message that requests Alice double check the
     // parameters ... regenerate it, and re-submit the request."
-    MessageHeader error_header =
-        next_header(MsgType::kAbortError, h.sender, "", h.txn_id, {},
-                    network_->now() + kReplyWindow);
-    NrMessage reply;
-    reply.header = std::move(error_header);
-    send(h.sender, std::move(reply));
+    send(next_header(MsgType::kAbortError, h.sender, "", h.txn_id, {},
+                     network_->now() + kReplyWindow),
+         {});
     return;
   }
 
@@ -405,12 +361,9 @@ void ProviderActor::handle_abort(const NrMessage& message) {
     merkle_cache_.invalidate(proof_cache_key(it->second.object_key, true));
   }
   auto [reply_header, evidence] =
-      make_receipt(h.txn_id, h.sender, verdict, original_header.data_hash,
-                   network_->now() + kReplyWindow);
-  NrMessage reply;
-  reply.header = std::move(reply_header);
-  reply.evidence = std::move(evidence);
-  send(h.sender, std::move(reply));
+      make_receipt(verdict, h.sender, /*ttp=*/"", h.txn_id,
+                   original_header.data_hash, network_->now() + kReplyWindow);
+  send(std::move(reply_header), {}, std::move(evidence));
 }
 
 void ProviderActor::handle_resolve_query(const NrMessage& message) {
@@ -433,9 +386,8 @@ void ProviderActor::handle_resolve_query(const NrMessage& message) {
   // Alice (the initiator), not for the TTP.
   const std::string initiator = original_header.sender;
   auto [receipt_header, evidence] =
-      make_receipt(h.txn_id, initiator, MsgType::kStoreReceipt,
-                   original_header.data_hash,
-                   network_->now() + kReplyWindow);
+      make_receipt(MsgType::kStoreReceipt, initiator, /*ttp=*/"", h.txn_id,
+                   original_header.data_hash, network_->now() + kReplyWindow);
   // If Bob never saw the transaction he still answers, but with no receipt
   // evidence — the TTP reports "restart".
   common::BinaryWriter payload;
@@ -443,13 +395,9 @@ void ProviderActor::handle_resolve_query(const NrMessage& message) {
   payload.bytes(receipt_header.encode());
   payload.bytes(it != txns_.end() ? evidence : Bytes{});
 
-  MessageHeader reply_header =
-      next_header(MsgType::kResolveResponse, h.sender, h.ttp, h.txn_id,
-                  original_header.data_hash, network_->now() + kReplyWindow);
-  NrMessage reply;
-  reply.header = std::move(reply_header);
-  reply.payload = payload.take();
-  send(h.sender, std::move(reply));
+  send(next_header(MsgType::kResolveResponse, h.sender, h.ttp, h.txn_id,
+                   original_header.data_hash, network_->now() + kReplyWindow),
+       payload.take());
 }
 
 }  // namespace tpnr::nr

@@ -112,14 +112,6 @@ class ProviderActor final : public NrActor {
   void handle_resolve_query(const NrMessage& message);
   void handle_resolve_verdict(const NrMessage& message);
 
-  /// Builds Bob's receipt evidence (NRR) for a transaction and the header
-  /// it covers.
-  std::pair<MessageHeader, Bytes> make_receipt(const std::string& txn_id,
-                                               const std::string& for_whom,
-                                               MsgType flag,
-                                               BytesView data_hash,
-                                               common::SimTime time_limit);
-
   ProviderBehavior behavior_;
   storage::ObjectStore store_;
   /// Each stored object's tree is built once (at store-time validation) and

@@ -152,12 +152,10 @@ void TtpActor::finish_resolve_request(const MessageHeader& h,
   common::BinaryWriter payload;
   payload.bytes(original_header_bytes);
 
-  NrMessage query;
-  query.header = next_header(MsgType::kResolveQuery, respondent, id(),
-                             h.txn_id, original_header.data_hash,
-                             network_->now() + options_.reply_window);
-  query.payload = payload.take();
-  send(respondent, std::move(query));
+  send(next_header(MsgType::kResolveQuery, respondent, id(), h.txn_id,
+                   original_header.data_hash,
+                   network_->now() + options_.reply_window),
+       payload.take());
 
   const std::string txn_id = h.txn_id;
   network_->schedule(options_.respondent_timeout, [this, txn_id] {
@@ -230,44 +228,31 @@ void TtpActor::deliver_verdict(const std::string& txn_id,
                                       receipt_evidence.end());
   it->second.statement = statement_bytes;
   it->second.statement_signature = signature;
-
-  common::BinaryWriter payload;
-  payload.str(outcome);
-  payload.bytes(receipt_header);
-  payload.bytes(receipt_evidence);
-  payload.bytes(statement_bytes);
-  payload.bytes(signature);
-
-  NrMessage verdict;
-  verdict.header = next_header(
-      MsgType::kResolveVerdict, it->second.initiator, id(), txn_id,
-      it->second.original_header.data_hash,
-      network_->now() + options_.reply_window);
-  verdict.payload = payload.take();
-  send(it->second.initiator, std::move(verdict));
+  send_verdict(txn_id, it->second);
 }
 
 void TtpActor::resend_verdict(const std::string& txn_id) {
   const auto it = pending_.find(txn_id);
   if (it == pending_.end() || !it->second.settled) return;
   ++verdicts_resent_;
+  send_verdict(txn_id, it->second);
+}
 
+void TtpActor::send_verdict(const std::string& txn_id,
+                            const PendingResolve& resolve) {
   common::BinaryWriter payload;
-  payload.str(it->second.outcome);
-  payload.bytes(it->second.receipt_header);
-  payload.bytes(it->second.receipt_evidence);
-  payload.bytes(it->second.statement);
-  payload.bytes(it->second.statement_signature);
-
-  // Fresh header (new nonce/seq, live deadline) over the CACHED verdict
-  // bytes — the peer's replay screen accepts it, the decision is unchanged.
-  NrMessage verdict;
-  verdict.header = next_header(
-      MsgType::kResolveVerdict, it->second.initiator, id(), txn_id,
-      it->second.original_header.data_hash,
-      network_->now() + options_.reply_window);
-  verdict.payload = payload.take();
-  send(it->second.initiator, std::move(verdict));
+  payload.str(resolve.outcome);
+  payload.bytes(resolve.receipt_header);
+  payload.bytes(resolve.receipt_evidence);
+  payload.bytes(resolve.statement);
+  payload.bytes(resolve.statement_signature);
+  // A fresh header (new nonce/seq, live deadline) over the cached verdict
+  // bytes: a resend passes the peer's replay screen, the decision is
+  // unchanged.
+  send(next_header(MsgType::kResolveVerdict, resolve.initiator, id(), txn_id,
+                   resolve.original_header.data_hash,
+                   network_->now() + options_.reply_window),
+       payload.take());
 }
 
 }  // namespace tpnr::nr

@@ -95,6 +95,8 @@ class TtpActor final : public NrActor {
                        BytesView receipt_header, BytesView receipt_evidence);
   /// Re-sends the cached verdict under a fresh header; no new log entry.
   void resend_verdict(const std::string& txn_id);
+  /// Sends `resolve`'s cached verdict to its initiator under a fresh header.
+  void send_verdict(const std::string& txn_id, const PendingResolve& resolve);
 
   TtpOptions options_;
   std::map<std::string, PendingResolve> pending_;

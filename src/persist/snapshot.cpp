@@ -46,17 +46,17 @@ std::optional<SnapshotState> Snapshotter::decode(BytesView image) {
     common::BinaryReader b(body);
     SnapshotState state;
     state.wal_lsn = b.u64();
-    const std::uint32_t ledger_count = b.u32();
+    const std::uint32_t ledger_count = b.count(4);
     state.ledger.reserve(ledger_count);
     for (std::uint32_t i = 0; i < ledger_count; ++i) {
       state.ledger.push_back(audit::AuditEntry::decode_full(b.bytes()));
     }
-    const std::uint32_t evidence_count = b.u32();
+    const std::uint32_t evidence_count = b.count(4);
     state.evidence.reserve(evidence_count);
     for (std::uint32_t i = 0; i < evidence_count; ++i) {
       state.evidence.push_back(EvidenceRecord::decode(b.bytes()));
     }
-    const std::uint32_t object_count = b.u32();
+    const std::uint32_t object_count = b.count(4);
     state.objects.reserve(object_count);
     for (std::uint32_t i = 0; i < object_count; ++i) {
       state.objects.push_back(ObjectMeta::decode(b.bytes()));

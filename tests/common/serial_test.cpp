@@ -88,6 +88,29 @@ TEST(SerialTest, RemainingTracksPosition) {
   EXPECT_EQ(r.remaining(), 1u);
 }
 
+TEST(SerialTest, CountIsCheckedAgainstUnreadBytes) {
+  BinaryWriter w;
+  w.u32(2);
+  w.u64(7);
+  w.u64(8);
+  BinaryReader fits(w.data());
+  EXPECT_EQ(fits.count(8), 2u);
+  EXPECT_EQ(fits.remaining(), 16u);
+
+  // Two u64 elements need 16 bytes; 9 u64s cannot fit, and neither can a
+  // hostile 0xffffffff count of length-prefixed (4+ byte) elements.
+  BinaryWriter over;
+  over.u32(9);
+  over.u64(7);
+  over.u64(8);
+  BinaryReader too_many(over.data());
+  EXPECT_THROW(too_many.count(8), SerialError);
+  BinaryWriter hostile;
+  hostile.u32(0xffffffffu);
+  BinaryReader r(hostile.data());
+  EXPECT_THROW(r.count(4), SerialError);
+}
+
 // --- Systematic per-encoder coverage: the durability layer snapshots and
 // --- journals through these, so each must (a) encode deterministically,
 // --- (b) round-trip exactly, (c) reject EVERY strictly truncated input.
