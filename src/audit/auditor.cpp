@@ -16,10 +16,8 @@ namespace tpnr::audit {
 
 AuditorActor::AuditorActor(std::string id, net::Network& network,
                            pki::Identity& identity, crypto::Drbg& rng,
-                           AuditLedger& ledger, AuditorOptions options)
-    : NrActor(std::move(id), network, identity, rng),
-      options_(options),
-      ledger_(&ledger) {
+                           AuditLedger& ledger)
+    : NrActor(std::move(id), network, identity, rng), ledger_(&ledger) {
   // Audit traffic travels on its own topic so net::TopicStats can separate
   // audit overhead from protocol traffic.
   set_default_topic("nr.audit");
@@ -107,7 +105,7 @@ bool AuditorActor::challenge_aggregate(const std::string& txn_id,
   Pending pending;
   pending.id = next_attempt_id_++;
   pending.challenged_at = network_->now();
-  pending.retries_left = options_.max_retries;
+  pending.retries_left = kChallengeWait.retries;
   pending_[key] = pending;
   ++counters_.challenges;
   send_agg_challenge(it->second, challenge);
@@ -126,7 +124,7 @@ void AuditorActor::send_agg_challenge(const DynAuditTarget& target,
   // time: the chain head root the response will be judged against.
   send(next_header(nr::MsgType::kAggChallenge, target.provider, /*ttp=*/"",
                    target.txn_id, target.chain->head_root(),
-                   network_->now() + options_.reply_window),
+                   network_->now() + nr::kRequestWindow),
        payload.take());
 }
 
@@ -142,7 +140,7 @@ bool AuditorActor::challenge(const std::string& txn_id,
   Pending pending;
   pending.id = next_attempt_id_++;
   pending.challenged_at = network_->now();
-  pending.retries_left = options_.max_retries;
+  pending.retries_left = kChallengeWait.retries;
   pending_[key] = pending;
   ++counters_.challenges;
   send_challenge(it->second, chunk_index);
@@ -157,13 +155,13 @@ void AuditorActor::send_challenge(const AuditTarget& target,
 
   send(next_header(nr::MsgType::kChunkRequest, target.provider, /*ttp=*/"",
                    target.txn_id, target.root,
-                   network_->now() + options_.reply_window),
+                   network_->now() + nr::kRequestWindow),
        payload.take());
 }
 
 void AuditorActor::arm_timeout(const PendingKey& key,
                                std::uint64_t attempt_id) {
-  network_->schedule(options_.response_timeout, [this, key, attempt_id] {
+  network_->schedule(kChallengeWait.timeout, [this, key, attempt_id] {
     const auto it = pending_.find(key);
     // Concluded meanwhile, or a retry re-armed with a newer attempt id.
     if (it == pending_.end() || it->second.id != attempt_id) return;
@@ -191,7 +189,7 @@ void AuditorActor::arm_timeout(const PendingKey& key,
     }
     conclude(key, it->second, AuditVerdict::kNoResponse,
              "provider silent through " +
-                 std::to_string(1 + options_.max_retries) + " attempt(s)");
+                 std::to_string(1 + kChallengeWait.retries) + " attempt(s)");
   });
 }
 
@@ -242,26 +240,18 @@ void AuditorActor::on_message(const nr::NrMessage& message) {
 
 void AuditorActor::handle_fork_report(const nr::NrMessage& message) {
   const nr::MessageHeader& h = message.header;
-  std::string provider;
-  std::string object_key;
-  std::string txn_id;
-  consistency::EquivocationProof proof;
-  try {
-    common::BinaryReader r(message.payload);
-    provider = r.str();
-    object_key = r.str();
-    txn_id = r.str();
-    const Bytes proof_bytes = r.bytes();
-    r.expect_done();
-    if (h.data_hash != crypto::sha256(proof_bytes)) {
-      ++stats_.rejected_bad_hash;
-      return;
-    }
-    proof = consistency::EquivocationProof::decode(proof_bytes);
-  } catch (const common::SerialError&) {
+  common::BinaryReader r(message.payload);
+  const std::string provider = r.str();
+  const std::string object_key = r.str();
+  const std::string txn_id = r.str();
+  const Bytes proof_bytes = r.bytes();
+  r.expect_done();
+  if (h.data_hash != crypto::sha256(proof_bytes)) {
     ++stats_.rejected_bad_hash;
     return;
   }
+  consistency::EquivocationProof proof =
+      consistency::EquivocationProof::decode(proof_bytes);
   std::shared_ptr<const crypto::RsaPublicKey> reporter_key =
       peer_key_shared(h.sender);
   if (reporter_key == nullptr) return;

@@ -61,11 +61,8 @@ struct DynAuditTarget {
 inline constexpr std::uint64_t kAggregateIndex =
     ~static_cast<std::uint64_t>(0);
 
-struct AuditorOptions {
-  SimTime reply_window = 10 * common::kSecond;  ///< header time limit
-  SimTime response_timeout = 15 * common::kSecond;
-  int max_retries = 1;  ///< re-challenges before recording no-response
-};
+/// Response wait per challenge attempt: one re-challenge, then no-response.
+inline constexpr nr::RetryPolicy kChallengeWait{15 * common::kSecond, 0, 1};
 
 class AuditorActor final : public nr::NrActor {
  public:
@@ -81,8 +78,7 @@ class AuditorActor final : public nr::NrActor {
   };
 
   AuditorActor(std::string id, net::Network& network, pki::Identity& identity,
-               crypto::Drbg& rng, AuditLedger& ledger,
-               AuditorOptions options = AuditorOptions{});
+               crypto::Drbg& rng, AuditLedger& ledger);
 
   /// Registers the object behind a completed chunked transaction. The root
   /// is taken from the client's signed agreement; when the client holds the
@@ -150,7 +146,7 @@ class AuditorActor final : public nr::NrActor {
   struct Pending {
     std::uint64_t id = 0;  ///< distinguishes this attempt's timeout timer
     SimTime challenged_at = 0;
-    int retries_left = 0;
+    std::size_t retries_left = 0;
   };
   using PendingKey = std::pair<std::string, std::uint64_t>;  // txn, chunk
 
@@ -164,7 +160,6 @@ class AuditorActor final : public nr::NrActor {
   void handle_agg_response(const nr::NrMessage& message);
   void handle_fork_report(const nr::NrMessage& message);
 
-  AuditorOptions options_;
   AuditLedger* ledger_;
   std::map<std::string, AuditTarget> targets_;
   std::map<std::string, DynAuditTarget> dyn_targets_;

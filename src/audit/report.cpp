@@ -56,6 +56,9 @@ AuditReport build_report(const AuditLedger& ledger,
       case AuditVerdict::kRollback:
         ++report.rollbacks;
         break;
+      case AuditVerdict::kForkDetected:
+        ++report.forks;
+        break;
     }
   }
 

@@ -40,6 +40,7 @@ struct AuditReport {
   std::uint64_t no_responses = 0;
   std::uint64_t stale_versions = 0;  ///< aggregate mode: outdated version served
   std::uint64_t rollbacks = 0;       ///< aggregate mode: silent revert detected
+  std::uint64_t forks = 0;           ///< verified equivocation proofs
 
   // Fault detection, matched per injected fault: a fault on key K at time t
   // counts as detected by the first flagging ledger entry (any verdict but

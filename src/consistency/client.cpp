@@ -12,10 +12,8 @@ using dyn::MutateOp;
 using dyn::VersionRecord;
 
 ConsClientActor::ConsClientActor(std::string id, net::Network& network,
-                                 pki::Identity& identity, crypto::Drbg& rng,
-                                 ConsClientOptions options)
+                                 pki::Identity& identity, crypto::Drbg& rng)
     : NrActor(std::move(id), network, identity, rng),
-      options_(options),
       txn_ids_(rng.next_u64()) {}
 
 const ConsClientActor::SharedObject* ConsClientActor::object(
@@ -111,7 +109,7 @@ void ConsClientActor::request_view(SharedObject& obj) {
   if (peer_key(obj.provider) == nullptr) return;
   auto [header, evidence] =
       make_receipt(nr::MsgType::kViewQuery, obj.provider, obj.ttp, obj.txn_id,
-                   Bytes{}, network_->now() + options_.reply_window);
+                   Bytes{}, network_->now() + nr::kRequestWindow);
   common::BinaryWriter payload;
   payload.str(obj.object_key);
   send(std::move(header), payload.take(), std::move(evidence));
@@ -198,7 +196,7 @@ void ConsClientActor::transmit_pending(const std::string& object_key) {
 
   auto [header, evidence] = make_receipt(
       nr::MsgType::kConsOpRequest, obj->provider, obj->ttp, obj->txn_id,
-      pending.record.new_root, network_->now() + options_.reply_window);
+      pending.record.new_root, network_->now() + nr::kRequestWindow);
   ++pending.attempts;
 
   common::BinaryWriter payload;
@@ -217,9 +215,7 @@ void ConsClientActor::transmit_pending(const std::string& object_key) {
 void ConsClientActor::arm_receipt_timer(const std::string& object_key,
                                         std::uint64_t version,
                                         std::size_t attempt) {
-  const common::SimTime wait =
-      options_.receipt_timeout +
-      options_.retry_backoff * static_cast<common::SimTime>(attempt - 1);
+  const common::SimTime wait = kOpWait.wait(attempt);
   network_->schedule(wait, [this, object_key, version, attempt] {
     SharedObject* obj = mutable_object(object_key);
     // Guard on version AND attempt: a timer firing after the commit landed
@@ -229,7 +225,7 @@ void ConsClientActor::arm_receipt_timer(const std::string& object_key,
         obj->pending->attempts != attempt) {
       return;
     }
-    if (attempt <= options_.op_retries) {
+    if (attempt <= kOpWait.retries) {
       transmit_pending(object_key);
       return;
     }
@@ -356,19 +352,11 @@ bool ConsClientActor::absorb_committed_op(SharedObject& obj,
 
 void ConsClientActor::handle_commit(const nr::NrMessage& message) {
   const nr::MessageHeader& h = message.header;
-  std::string object_key;
-  std::uint32_t chunk_size = 0;
-  CommittedOp op;
-  try {
-    common::BinaryReader r(message.payload);
-    object_key = r.str();
-    chunk_size = r.u32();
-    op = CommittedOp::decode(r.bytes());
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    ++stats_.rejected_bad_hash;
-    return;
-  }
+  common::BinaryReader r(message.payload);
+  const std::string object_key = r.str();
+  const std::uint32_t chunk_size = r.u32();
+  const CommittedOp op = CommittedOp::decode(r.bytes());
+  r.expect_done();
   SharedObject* obj = mutable_object(object_key);
   if (obj == nullptr || h.sender != obj->provider) return;
   if (op.commit.view.object_key != object_key) {
@@ -381,19 +369,11 @@ void ConsClientActor::handle_commit(const nr::NrMessage& message) {
 
 void ConsClientActor::handle_view_update(const nr::NrMessage& message) {
   const nr::MessageHeader& h = message.header;
-  std::string object_key;
-  std::uint32_t chunk_size = 0;
-  std::vector<CommittedOp> log;
-  try {
-    common::BinaryReader r(message.payload);
-    object_key = r.str();
-    chunk_size = r.u32();
-    log = read_op_log(r);
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    ++stats_.rejected_bad_hash;
-    return;
-  }
+  common::BinaryReader r(message.payload);
+  const std::string object_key = r.str();
+  const std::uint32_t chunk_size = r.u32();
+  const std::vector<CommittedOp> log = read_op_log(r);
+  r.expect_done();
   SharedObject* obj = mutable_object(object_key);
   if (obj == nullptr || h.sender != obj->provider) return;
   if (obj->chunk_size == 0) {
@@ -407,21 +387,12 @@ void ConsClientActor::handle_view_update(const nr::NrMessage& message) {
 
 void ConsClientActor::handle_op_error(const nr::NrMessage& message) {
   const nr::MessageHeader& h = message.header;
-  std::string object_key;
-  std::uint64_t version = 0;
-  std::string reason;
-  std::vector<CommittedOp> suffix;
-  try {
-    common::BinaryReader r(message.payload);
-    object_key = r.str();
-    version = r.u64();
-    reason = r.str();
-    suffix = read_op_log(r);
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    ++stats_.rejected_bad_hash;
-    return;
-  }
+  common::BinaryReader r(message.payload);
+  const std::string object_key = r.str();
+  const std::uint64_t version = r.u64();
+  r.str();  // human-readable reason; narration only
+  const std::vector<CommittedOp> suffix = read_op_log(r);
+  r.expect_done();
   SharedObject* obj = mutable_object(object_key);
   if (obj == nullptr || h.sender != obj->provider) return;
 
@@ -440,7 +411,7 @@ void ConsClientActor::handle_op_error(const nr::NrMessage& message) {
     return;
   }
   ++pending.resubmits;
-  if (pending.resubmits > options_.max_resubmits ||
+  if (pending.resubmits > kMaxResubmits ||
       !build_pending_record(*obj)) {
     ++obj->rejected;
     obj->pending.reset();
@@ -451,21 +422,15 @@ void ConsClientActor::handle_op_error(const nr::NrMessage& message) {
 }
 
 void ConsClientActor::handle_gossip(const nr::NrMessage& message) {
-  std::string object_key;
+  common::BinaryReader r(message.payload);
+  const std::string object_key = r.str();
+  const std::uint32_t count = r.count(4);
   std::vector<SignedViewCommitment> commits;
-  try {
-    common::BinaryReader r(message.payload);
-    object_key = r.str();
-    const std::uint32_t count = r.count(4);
-    commits.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      commits.push_back(SignedViewCommitment::decode(r.bytes()));
-    }
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    ++stats_.rejected_bad_hash;
-    return;
+  commits.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    commits.push_back(SignedViewCommitment::decode(r.bytes()));
   }
+  r.expect_done();
   SharedObject* obj = mutable_object(object_key);
   if (obj == nullptr) return;  // not our object: nothing to compare against
   const ObserveOutcome outcome = obj->checker->merge(commits);
@@ -495,7 +460,7 @@ void ConsClientActor::maybe_report_fork(SharedObject& obj) {
 
   auto [header, evidence] = make_receipt(
       nr::MsgType::kForkReport, gossip_->arbiter, obj.ttp, obj.txn_id,
-      crypto::sha256(proof_bytes), network_->now() + options_.reply_window);
+      crypto::sha256(proof_bytes), network_->now() + nr::kRequestWindow);
   common::BinaryWriter payload;
   payload.str(obj.provider);
   payload.str(obj.object_key);
@@ -531,7 +496,7 @@ void ConsClientActor::gossip_now() {
       auto [header, evidence] = make_receipt(
           nr::MsgType::kGossipViews, peer, /*ttp=*/"",
           "gossip|" + id() + "|" + object_key, obj.checker->view().head_hash(),
-          network_->now() + options_.reply_window);
+          network_->now() + nr::kRequestWindow);
       common::BinaryWriter payload;
       payload.str(object_key);
       payload.u32(static_cast<std::uint32_t>(commits.size()));

@@ -39,18 +39,13 @@
 
 namespace tpnr::consistency {
 
-struct ConsClientOptions {
-  common::SimTime reply_window = 10 * common::kSecond;  ///< header time limit
-  common::SimTime receipt_timeout = 15 * common::kSecond;
-  /// Re-send an unacknowledged submission this many times (same signed
-  /// record, fresh header) before giving up.
-  std::size_t op_retries = 2;
-  /// Extra receipt wait added per successive attempt (linear backoff).
-  common::SimTime retry_backoff = 5 * common::kSecond;
-  /// How many times a stale-view bounce may rebuild + re-submit an op
-  /// against the caught-up head before the op is dropped.
-  std::size_t max_resubmits = 4;
-};
+/// Commit wait per submission attempt: an unacknowledged submission is
+/// re-sent (same signed record, fresh header) `retries` times, then dropped.
+inline constexpr nr::RetryPolicy kOpWait{15 * common::kSecond,
+                                         5 * common::kSecond, 2};
+/// How many times a stale-view bounce may rebuild + re-submit an op
+/// against the caught-up head before the op is dropped.
+inline constexpr std::size_t kMaxResubmits = 4;
 
 /// Out-of-band client↔client exchange of witnessed views.
 struct GossipOptions {
@@ -100,8 +95,7 @@ class ConsClientActor final : public nr::NrActor {
   };
 
   ConsClientActor(std::string id, net::Network& network,
-                  pki::Identity& identity, crypto::Drbg& rng,
-                  ConsClientOptions options = ConsClientOptions{});
+                  pki::Identity& identity, crypto::Drbg& rng);
 
   /// Creates the shared object (version 1, global position 1). Returns the
   /// txn id. Throws ProtocolError on unknown provider key, zero chunk
@@ -175,7 +169,6 @@ class ConsClientActor final : public nr::NrActor {
   void handle_op_error(const nr::NrMessage& message);
   void handle_gossip(const nr::NrMessage& message);
 
-  ConsClientOptions options_;
   std::optional<GossipOptions> gossip_;
   std::vector<std::string> gossip_peers_;
   bool gossip_timer_armed_ = false;

@@ -99,28 +99,17 @@ void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
   const nr::MessageHeader& h = message.header;
   const crypto::RsaPublicKey* sender_key = peer_key(h.sender);
 
-  std::string object_key;
-  std::uint8_t op_byte = 0;
-  std::uint64_t index = 0;
-  Bytes chunk;
-  std::uint32_t chunk_size = 0;
+  common::BinaryReader r(message.payload);
+  const std::string object_key = r.str();
+  const std::uint8_t op_byte = r.u8();
+  const std::uint64_t index = r.u64();
+  Bytes chunk = r.bytes();
+  const std::uint32_t chunk_size = r.u32();
   dyn::SignedVersionRecord signed_record;
-  Bytes observed_head;
-  try {
-    common::BinaryReader r(message.payload);
-    object_key = r.str();
-    op_byte = r.u8();
-    index = r.u64();
-    chunk = r.bytes();
-    chunk_size = r.u32();
-    signed_record.record = VersionRecord::decode(r.bytes());
-    signed_record.client_sig = r.bytes();
-    observed_head = r.bytes();
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    ++stats_.rejected_bad_hash;
-    return;
-  }
+  signed_record.record = VersionRecord::decode(r.bytes());
+  signed_record.client_sig = r.bytes();
+  const Bytes observed_head = r.bytes();
+  r.expect_done();
 
   // Envelope consistency before any state is touched: the loose fields
   // must restate the signed record and the header must bind its new_root.
@@ -345,15 +334,9 @@ void ConsProviderActor::send_op_error(const std::string& client,
 void ConsProviderActor::handle_view_query(const nr::NrMessage& message) {
   if (!behavior_.respond_to_view_query) return;
   const nr::MessageHeader& h = message.header;
-  std::string object_key;
-  try {
-    common::BinaryReader r(message.payload);
-    object_key = r.str();
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    ++stats_.rejected_bad_hash;
-    return;
-  }
+  common::BinaryReader r(message.payload);
+  const std::string object_key = r.str();
+  r.expect_done();
   const auto it = objects_.find(object_key);
   if (it == objects_.end()) return;
   SharedObjectState& state = it->second;

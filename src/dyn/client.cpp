@@ -160,7 +160,7 @@ void DynClientActor::transmit_pending(const std::string& object_key) {
   auto [header, evidence] = make_receipt(
       is_store ? nr::MsgType::kDynStoreRequest : nr::MsgType::kMutateRequest,
       obj->provider, obj->ttp, obj->txn_id, pending.record.new_root,
-      network_->now() + options_.reply_window);
+      network_->now() + nr::kRequestWindow);
   ++pending.attempts;
 
   common::BinaryWriter payload;
@@ -185,9 +185,7 @@ void DynClientActor::transmit_pending(const std::string& object_key) {
 void DynClientActor::arm_receipt_timer(const std::string& object_key,
                                        std::uint64_t version,
                                        std::size_t attempt) {
-  const common::SimTime wait =
-      options_.receipt_timeout +
-      options_.retry_backoff * static_cast<common::SimTime>(attempt - 1);
+  const common::SimTime wait = kMutateWait.wait(attempt);
   network_->schedule(wait, [this, object_key, version, attempt] {
     DynObject* obj = mutable_object(object_key);
     // Guard on version AND attempt: a timer that fires after the receipt
@@ -246,16 +244,10 @@ void DynClientActor::handle_receipt(const nr::NrMessage& message) {
   DynObject* obj = reply_target(h);
   if (obj == nullptr) return;
 
-  SignedVersionRecord signed_record;
-  try {
-    common::BinaryReader r(message.payload);
-    if (r.str() != obj->object_key) return;
-    signed_record = SignedVersionRecord::decode(r.bytes());
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    ++stats_.rejected_bad_hash;
-    return;
-  }
+  common::BinaryReader r(message.payload);
+  if (r.str() != obj->object_key) return;
+  SignedVersionRecord signed_record = SignedVersionRecord::decode(r.bytes());
+  r.expect_done();
   if (!common::constant_time_equal(h.data_hash,
                                    signed_record.record.new_root)) {
     ++stats_.rejected_bad_hash;
@@ -308,16 +300,11 @@ void DynClientActor::handle_mutate_error(const nr::NrMessage& message) {
   DynObject* obj = reply_target(message.header);
   if (obj == nullptr) return;
 
-  std::uint64_t version = 0;
-  try {
-    common::BinaryReader r(message.payload);
-    if (r.str() != obj->object_key) return;
-    version = r.u64();
-    (void)r.str();  // human-readable reason; narration only
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    return;
-  }
+  common::BinaryReader r(message.payload);
+  if (r.str() != obj->object_key) return;
+  const std::uint64_t version = r.u64();
+  (void)r.str();  // human-readable reason; narration only
+  r.expect_done();
   if (!obj->pending || obj->pending->record.version != version) return;
   ++obj->rejected;
   revert_pending(*obj);

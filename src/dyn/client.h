@@ -30,14 +30,14 @@
 
 namespace tpnr::dyn {
 
+/// Receipt wait per store/mutation attempt; the op reverts after the last.
+inline constexpr nr::RetryPolicy kMutateWait{15 * common::kSecond,
+                                             5 * common::kSecond};
+
 struct DynClientOptions {
-  common::SimTime reply_window = 10 * common::kSecond;  ///< header time limit
-  common::SimTime receipt_timeout = 15 * common::kSecond;
   /// Re-send an unacknowledged store/mutation this many times (same signed
   /// record, fresh header). 0 keeps single-shot behaviour.
   std::size_t mutate_retries = 0;
-  /// Extra receipt wait added per successive attempt (linear backoff).
-  common::SimTime retry_backoff = 5 * common::kSecond;
 };
 
 class DynClientActor final : public nr::NrActor {

@@ -107,25 +107,16 @@ void DynProviderActor::handle_dyn_store(const nr::NrMessage& message) {
   const nr::MessageHeader& h = message.header;
   const crypto::RsaPublicKey* sender_key = peer_key(h.sender);
 
-  std::string object_key;
-  std::uint32_t chunk_size = 0;
-  Bytes data;
-  std::vector<std::uint64_t> tags;
+  common::BinaryReader r(message.payload);
+  const std::string object_key = r.str();
+  const std::uint32_t chunk_size = r.u32();
+  const Bytes data = r.bytes();
+  std::vector<std::uint64_t> tags(r.count(8));
+  for (std::uint64_t& tag : tags) tag = r.u64();
   SignedVersionRecord signed_record;
-  try {
-    common::BinaryReader r(message.payload);
-    object_key = r.str();
-    chunk_size = r.u32();
-    data = r.bytes();
-    tags.resize(r.count(8));
-    for (std::uint64_t& tag : tags) tag = r.u64();
-    signed_record.record = VersionRecord::decode(r.bytes());
-    signed_record.client_sig = r.bytes();
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    ++stats_.rejected_bad_hash;
-    return;
-  }
+  signed_record.record = VersionRecord::decode(r.bytes());
+  signed_record.client_sig = r.bytes();
+  r.expect_done();
   if (chunk_size == 0 || data.empty()) {
     ++stats_.rejected_bad_hash;
     return;
@@ -207,26 +198,16 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
   const nr::MessageHeader& h = message.header;
   const crypto::RsaPublicKey* sender_key = peer_key(h.sender);
 
-  std::string object_key;
-  std::uint8_t op_byte = 0;
-  std::uint64_t index = 0;
-  Bytes chunk;
-  std::uint64_t tag = 0;
+  common::BinaryReader r(message.payload);
+  const std::string object_key = r.str();
+  const std::uint8_t op_byte = r.u8();
+  const std::uint64_t index = r.u64();
+  const Bytes chunk = r.bytes();
+  const std::uint64_t tag = r.u64();
   SignedVersionRecord signed_record;
-  try {
-    common::BinaryReader r(message.payload);
-    object_key = r.str();
-    op_byte = r.u8();
-    index = r.u64();
-    chunk = r.bytes();
-    tag = r.u64();
-    signed_record.record = VersionRecord::decode(r.bytes());
-    signed_record.client_sig = r.bytes();
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    ++stats_.rejected_bad_hash;
-    return;
-  }
+  signed_record.record = VersionRecord::decode(r.bytes());
+  signed_record.client_sig = r.bytes();
+  r.expect_done();
 
   const VersionRecord& rec = signed_record.record;
   const auto it = objects_.find(object_key);
@@ -339,18 +320,12 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
 void DynProviderActor::handle_agg_challenge(const nr::NrMessage& message) {
   if (!behavior_.respond_to_audit) return;
   const nr::MessageHeader& h = message.header;
-  std::string object_key;
+  common::BinaryReader r(message.payload);
+  const std::string object_key = r.str();
   AggChallenge challenge;
-  try {
-    common::BinaryReader r(message.payload);
-    object_key = r.str();
-    challenge.seed = r.u64();
-    challenge.count = r.u64();
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    ++stats_.rejected_bad_hash;
-    return;
-  }
+  challenge.seed = r.u64();
+  challenge.count = r.u64();
+  r.expect_done();
   const auto it = objects_.find(object_key);
   if (it == objects_.end()) return;  // silence → auditor times out
   const DynObjectState& state = it->second;

@@ -238,22 +238,6 @@ std::optional<std::uint64_t> VersionChain::version_of_root(
   return std::nullopt;
 }
 
-std::string chain_status_name(ChainStatus status) {
-  switch (status) {
-    case ChainStatus::kValid:
-      return "valid";
-    case ChainStatus::kEmpty:
-      return "empty";
-    case ChainStatus::kBrokenLink:
-      return "broken-link";
-    case ChainStatus::kBadClientSig:
-      return "bad-client-sig";
-    case ChainStatus::kBadProviderSig:
-      return "bad-provider-sig";
-  }
-  return "?";
-}
-
 ChainWalkResult walk_chain(std::span<const SignedVersionRecord> records,
                            const crypto::RsaPublicKey& client_key,
                            const crypto::RsaPublicKey& provider_key) {

@@ -147,7 +147,6 @@ enum class ChainStatus : std::uint8_t {
   kBadClientSig = 4,    ///< some record's client signature fails
   kBadProviderSig = 5,  ///< some record's provider countersignature fails
 };
-std::string chain_status_name(ChainStatus status);
 
 struct ChainWalkResult {
   ChainStatus status = ChainStatus::kEmpty;

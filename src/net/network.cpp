@@ -5,7 +5,7 @@
 namespace tpnr::net {
 
 Network::Network(std::uint64_t seed, NetworkOptions options)
-    : engine_(seed, runtime::EngineOptions{options.shards, options.workers}) {
+    : engine_(seed, options) {
   stats_buckets_.resize(engine_.shard_count() + 1);
   recompute_lookahead();
 }

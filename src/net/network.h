@@ -136,13 +136,10 @@ struct NetworkStats {
   }
 };
 
-/// Sharding/threading knobs, forwarded to the runtime engine. The default
+/// Sharding/threading knobs of the runtime engine underneath. The default
 /// (1 shard, 1 worker) is the classic serial simulator; any combination
 /// produces bit-identical protocol outcomes for the same seed.
-struct NetworkOptions {
-  std::uint32_t shards = 1;
-  std::uint32_t workers = 1;
-};
+using NetworkOptions = runtime::EngineOptions;
 
 class Network {
  public:

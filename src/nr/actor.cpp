@@ -19,19 +19,19 @@ NrActor::NrActor(std::string id, net::Network& network,
 
 void NrActor::receive(const net::Envelope& envelope) {
   ++stats_.received;
-  NrMessage message;
   try {
-    message = NrMessage::decode(envelope.payload);
+    const NrMessage message = NrMessage::decode(envelope.payload);
+    if (!screen(message)) return;
+    ++stats_.accepted;
+    // Replies sent from inside on_message stay on the inbound topic, so a
+    // whole conversation is accounted under one topic.
+    reply_topic_ = envelope.topic;
+    on_message(message);
   } catch (const common::SerialError&) {
+    // Handlers read their whole payload before their first state change,
+    // so a rejected message leaves no trace beyond this count.
     ++stats_.rejected_bad_hash;
-    return;
   }
-  if (!screen(message)) return;
-  ++stats_.accepted;
-  // Replies sent from inside on_message stay on the inbound topic, so a
-  // whole conversation is accounted under one topic.
-  reply_topic_ = envelope.topic;
-  on_message(message);
   reply_topic_.clear();
 }
 

@@ -4,6 +4,7 @@
 // every message is an encoded NrMessage on topic "nr".
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -29,6 +30,22 @@ namespace tpnr::nr {
 /// How long a provider's reply stays actionable: the time limit (§5.5) on
 /// every receipt, response and error a provider sends.
 inline constexpr common::SimTime kReplyWindow = 30 * common::kSecond;
+/// The time limit (§5.5) on every request, query and verdict a client,
+/// auditor, TTP or directory sends.
+inline constexpr common::SimTime kRequestWindow = 10 * common::kSecond;
+
+/// How long a party waits for a reply (§5.5) before it re-sends or gives
+/// up: attempt n (from 1) waits timeout + backoff·(n−1), and `retries`
+/// re-sends may follow the first send.
+struct RetryPolicy {
+  common::SimTime timeout = 0;
+  common::SimTime backoff = 0;
+  std::size_t retries = 0;
+
+  [[nodiscard]] constexpr common::SimTime wait(std::size_t attempt) const {
+    return timeout + backoff * static_cast<common::SimTime>(attempt - 1);
+  }
+};
 
 /// Why an inbound message was rejected (accumulated per actor; the attack
 /// benches read these to show WHICH defence fired).
@@ -169,7 +186,9 @@ class NrActor {
  private:
   /// The shared inbound path (decode, screen, dispatch) — reached directly
   /// from the network, or through the reliable channel's dedup when one is
-  /// installed.
+  /// installed. It owns the malformed-payload rule: a SerialError from the
+  /// message decode or from any handler's payload reads rejects the message
+  /// as rejected_bad_hash, so handlers read their fields without a catch.
   void receive(const net::Envelope& envelope);
 
   std::unique_ptr<net::ReliableChannel> channel_;

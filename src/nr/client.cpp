@@ -206,10 +206,7 @@ void ClientActor::arm_receipt_timer(const std::string& txn_id,
   // the time out, she can initiate the Resolve mode." With retries
   // configured she first re-sends the NRO (linear backoff) and escalates
   // only once the budget is spent.
-  const common::SimTime wait =
-      options_.receipt_timeout +
-      options_.store_retry_backoff * static_cast<common::SimTime>(attempt - 1);
-  network_->schedule(wait, [this, txn_id, attempt] {
+  network_->schedule(kStoreWait.wait(attempt), [this, txn_id, attempt] {
     const auto it = txns_.find(txn_id);
     // Guard on state AND attempt: a timer firing after the NRR arrived (or
     // the txn aborted/resolved) must do nothing, and a stale timer from a
@@ -332,10 +329,7 @@ void ClientActor::resolve(const std::string& txn_id,
 void ClientActor::arm_verdict_timer(const std::string& txn_id,
                                     std::size_t attempt) {
   if (options_.resolve_retries == 0) return;  // paper mode: wait forever
-  const common::SimTime wait =
-      options_.resolve_timeout +
-      options_.resolve_backoff * static_cast<common::SimTime>(attempt - 1);
-  network_->schedule(wait, [this, txn_id, attempt] {
+  network_->schedule(kResolveWait.wait(attempt), [this, txn_id, attempt] {
     const auto it = txns_.find(txn_id);
     if (it == txns_.end() || it->second.state != TxnState::kResolvePending ||
         it->second.resolve_attempts != attempt) {
@@ -431,20 +425,12 @@ void ClientActor::defer_store(const std::string& ttp,
 }
 
 void ClientActor::handle_dir_reply(const NrMessage& message) {
-  std::string object_key;
-  std::string owner;
-  crypto::RsaPublicKey owner_key;
-  try {
-    common::BinaryReader r(message.payload);
-    object_key = r.str();
-    owner = r.str();
-    owner_key = crypto::RsaPublicKey::decode(r.bytes());
-    r.u64();  // ring version (informational; a later reply may re-route)
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    ++stats_.rejected_bad_hash;
-    return;
-  }
+  common::BinaryReader r(message.payload);
+  const std::string object_key = r.str();
+  const std::string owner = r.str();
+  crypto::RsaPublicKey owner_key = crypto::RsaPublicKey::decode(r.bytes());
+  r.u64();  // ring version (informational; a later reply may re-route)
+  r.expect_done();
   // The reply came through screen(), so it is from the trusted directory —
   // adopting the key it vouches for is the §5.1 out-of-band key channel.
   owner_cache_[object_key] = owner;
@@ -470,14 +456,9 @@ void ClientActor::handle_resolve_query(const NrMessage& message) {
   // receipt. If we hold the NRR for that exact header, acknowledge it by
   // signing the header; otherwise ask for a restart.
   const MessageHeader& h = message.header;  // sender == TTP
-  MessageHeader queried_header;
-  try {
-    common::BinaryReader r(message.payload);
-    queried_header = MessageHeader::decode(r.bytes());
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    return;
-  }
+  common::BinaryReader r(message.payload);
+  const MessageHeader queried_header = MessageHeader::decode(r.bytes());
+  r.expect_done();
 
   const auto it = txns_.find(h.txn_id);
   const bool acknowledged =
@@ -670,31 +651,18 @@ void ClientActor::handle_resolve_verdict(const NrMessage& message) {
     return;
   }
 
-  std::string outcome;
-  Bytes receipt_header_bytes;
-  Bytes receipt_evidence;
-  Bytes ttp_statement;
-  Bytes ttp_signature;
-  try {
-    common::BinaryReader r(message.payload);
-    outcome = r.str();
-    receipt_header_bytes = r.bytes();
-    receipt_evidence = r.bytes();
-    ttp_statement = r.bytes();
-    ttp_signature = r.bytes();
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    return;
-  }
+  common::BinaryReader r(message.payload);
+  const std::string outcome = r.str();
+  const Bytes receipt_header_bytes = r.bytes();
+  const Bytes receipt_evidence = r.bytes();
+  const Bytes ttp_statement = r.bytes();
+  const Bytes ttp_signature = r.bytes();
+  r.expect_done();
 
   if (outcome == "continued" && !receipt_evidence.empty()) {
     const crypto::RsaPublicKey* provider_key = peer_key(txn.provider);
-    MessageHeader receipt_header;
-    try {
-      receipt_header = MessageHeader::decode(receipt_header_bytes);
-    } catch (const common::SerialError&) {
-      return;
-    }
+    const MessageHeader receipt_header =
+        MessageHeader::decode(receipt_header_bytes);
     const auto nrr = open_evidence(*identity_, *provider_key, receipt_header,
                                    receipt_evidence);
     if (nrr) {

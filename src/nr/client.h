@@ -48,22 +48,23 @@ std::string txn_state_name(TxnState state);
   }
 }
 
+/// Receipt wait per store attempt; escalation follows the last one.
+inline constexpr RetryPolicy kStoreWait{15 * common::kSecond,
+                                        5 * common::kSecond};
+/// Verdict wait per resolve attempt; ttp-unreachable follows the last one.
+inline constexpr RetryPolicy kResolveWait{20 * common::kSecond,
+                                          10 * common::kSecond};
+
 struct ClientOptions {
-  common::SimTime reply_window = 10 * common::kSecond;  ///< header time limit
-  common::SimTime receipt_timeout = 15 * common::kSecond;
+  common::SimTime reply_window = kRequestWindow;  ///< header time limit
   bool auto_resolve = true;  ///< on timeout, escalate to the TTP
   /// §5.5 fault tolerance: re-send the store request (fresh header, same
   /// txn/data) this many times BEFORE escalating to the TTP. 0 keeps the
   /// paper's single-shot behaviour. Also spent on "restart" verdicts.
   std::size_t store_retries = 0;
-  /// Extra receipt wait added per successive store attempt (linear backoff).
-  common::SimTime store_retry_backoff = 5 * common::kSecond;
   /// Re-send the resolve request this many times when no verdict arrives —
   /// this is what rides out a TTP down-window. 0 = wait forever (paper).
   std::size_t resolve_retries = 0;
-  common::SimTime resolve_timeout = 20 * common::kSecond;
-  /// Extra verdict wait added per successive resolve attempt.
-  common::SimTime resolve_backoff = 10 * common::kSecond;
 };
 
 class ClientActor final : public NrActor {

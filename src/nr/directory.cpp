@@ -17,15 +17,9 @@ void DirectoryActor::register_provider_key(const std::string& provider,
 
 void DirectoryActor::on_message(const NrMessage& message) {
   if (message.header.flag != MsgType::kDirLookup) return;
-  std::string object_key;
-  try {
-    common::BinaryReader r(message.payload);
-    object_key = r.str();
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    ++stats_.rejected_bad_hash;
-    return;
-  }
+  common::BinaryReader r(message.payload);
+  const std::string object_key = r.str();
+  r.expect_done();
   if (placement_->empty()) {
     ++lookups_unroutable_;
     return;
@@ -46,7 +40,7 @@ void DirectoryActor::on_message(const NrMessage& message) {
 
   const MessageHeader& h = message.header;
   send(next_header(MsgType::kDirReply, h.sender, /*ttp=*/"", h.txn_id,
-                   h.data_hash, network_->now() + 10 * common::kSecond),
+                   h.data_hash, network_->now() + kRequestWindow),
        payload.take());
 }
 

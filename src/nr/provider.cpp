@@ -90,19 +90,11 @@ void ProviderActor::handle_store(const NrMessage& message) {
   const crypto::RsaPublicKey* sender_key = peer_key(h.sender);
 
   // Payload: object key + object bytes + chunk size (0 = flat object).
-  std::string object_key;
-  Bytes data;
-  std::uint32_t chunk_size = 0;
-  try {
-    common::BinaryReader r(message.payload);
-    object_key = r.str();
-    data = r.bytes();
-    chunk_size = r.u32();
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    ++stats_.rejected_bad_hash;
-    return;
-  }
+  common::BinaryReader r(message.payload);
+  const std::string object_key = r.str();
+  Bytes data = r.bytes();
+  const std::uint32_t chunk_size = r.u32();
+  r.expect_done();
   // Wrap the decoded bytes once, up front: hash validation, the txn
   // record's equivocation snapshot and the store's current version all
   // alias this single buffer — and the Merkle tree built for validation is
@@ -200,22 +192,13 @@ void ProviderActor::handle_resolve_verdict(const NrMessage& message) {
   if (it == txns_.end()) return;
   TxnRecord& record = it->second;
 
-  std::string outcome;
-  Bytes acked_header_bytes;
-  Bytes ack_signature;
-  Bytes ttp_statement;
-  Bytes ttp_signature;
-  try {
-    common::BinaryReader r(message.payload);
-    outcome = r.str();
-    acked_header_bytes = r.bytes();
-    ack_signature = r.bytes();
-    ttp_statement = r.bytes();
-    ttp_signature = r.bytes();
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    return;
-  }
+  common::BinaryReader r(message.payload);
+  const std::string outcome = r.str();
+  const Bytes acked_header_bytes = r.bytes();
+  const Bytes ack_signature = r.bytes();
+  const Bytes ttp_statement = r.bytes();
+  const Bytes ttp_signature = r.bytes();
+  r.expect_done();
 
   if (outcome == "continued" && record.receipt_header) {
     // The acknowledgment: the client's signature over Bob's receipt header.
@@ -268,14 +251,9 @@ void ProviderActor::handle_chunk_request(const NrMessage& message) {
       it->second.chunk_size == 0) {
     return;  // unknown or not a chunked object
   }
-  std::uint64_t chunk_index = 0;
-  try {
-    common::BinaryReader r(message.payload);
-    chunk_index = r.u64();
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    return;
-  }
+  common::BinaryReader r(message.payload);
+  const std::uint64_t chunk_index = r.u64();
+  r.expect_done();
   auto record = store_.get(it->second.object_key);
   if (!record) return;
 
@@ -370,14 +348,9 @@ void ProviderActor::handle_resolve_query(const NrMessage& message) {
   if (!behavior_.respond_to_resolve) return;  // malicious silence
   const MessageHeader& h = message.header;  // sender == TTP
 
-  MessageHeader original_header;
-  try {
-    common::BinaryReader r(message.payload);
-    original_header = MessageHeader::decode(r.bytes());
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    return;
-  }
+  common::BinaryReader r(message.payload);
+  const MessageHeader original_header = MessageHeader::decode(r.bytes());
+  r.expect_done();
   const auto it = txns_.find(h.txn_id);
   const std::string action =
       it != txns_.end() ? "continue" : "restart";  // §4.3's two outcomes

@@ -24,9 +24,8 @@ std::string ttp_partition_name(const std::string& base, std::uint32_t index) {
 }
 
 TtpActor::TtpActor(std::string id, net::Network& network,
-                   pki::Identity& identity, crypto::Drbg& rng,
-                   TtpOptions options)
-    : NrActor(std::move(id), network, identity, rng), options_(options) {}
+                   pki::Identity& identity, crypto::Drbg& rng)
+    : NrActor(std::move(id), network, identity, rng) {}
 
 std::optional<TtpVerdictRecord> TtpActor::verdict_for(
     const std::string& txn_id) const {
@@ -53,22 +52,13 @@ void TtpActor::on_message(const NrMessage& message) {
 void TtpActor::handle_resolve_request(const NrMessage& message) {
   const MessageHeader& h = message.header;
 
-  std::string respondent;
-  std::string report;
-  Bytes original_header_bytes;
-  Bytes header_signature;
-  Bytes nro_evidence;
-  try {
-    common::BinaryReader r(message.payload);
-    respondent = r.str();
-    report = r.str();
-    original_header_bytes = r.bytes();
-    header_signature = r.bytes();
-    nro_evidence = r.bytes();
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    return;
-  }
+  common::BinaryReader r(message.payload);
+  const std::string respondent = r.str();
+  const std::string report = r.str();
+  const Bytes original_header_bytes = r.bytes();
+  Bytes header_signature = r.bytes();
+  r.bytes();  // NRO evidence, sealed for the respondent
+  r.expect_done();
 
   // Genuineness: the initiator must prove the original header is theirs.
   // The signature check runs through the crypto batching service — resolve
@@ -154,11 +144,11 @@ void TtpActor::finish_resolve_request(const MessageHeader& h,
 
   send(next_header(MsgType::kResolveQuery, respondent, id(), h.txn_id,
                    original_header.data_hash,
-                   network_->now() + options_.reply_window),
+                   network_->now() + kRequestWindow),
        payload.take());
 
   const std::string txn_id = h.txn_id;
-  network_->schedule(options_.respondent_timeout, [this, txn_id] {
+  network_->schedule(kRespondentTimeout, [this, txn_id] {
     const auto it = pending_.find(txn_id);
     if (it == pending_.end() || it->second.settled) return;
     deliver_verdict(txn_id, "no-response", {}, {});
@@ -171,18 +161,11 @@ void TtpActor::handle_resolve_response(const NrMessage& message) {
   if (it == pending_.end() || it->second.settled) return;
   if (h.sender != it->second.respondent) return;
 
-  std::string action;
-  Bytes receipt_header;
-  Bytes receipt_evidence;
-  try {
-    common::BinaryReader r(message.payload);
-    action = r.str();
-    receipt_header = r.bytes();
-    receipt_evidence = r.bytes();
-    r.expect_done();
-  } catch (const common::SerialError&) {
-    return;
-  }
+  common::BinaryReader r(message.payload);
+  const std::string action = r.str();
+  const Bytes receipt_header = r.bytes();
+  const Bytes receipt_evidence = r.bytes();
+  r.expect_done();
   const std::string outcome =
       (action == "continue" && !receipt_evidence.empty()) ? "continued"
                                                           : "restart";
@@ -251,7 +234,7 @@ void TtpActor::send_verdict(const std::string& txn_id,
   // unchanged.
   send(next_header(MsgType::kResolveVerdict, resolve.initiator, id(), txn_id,
                    resolve.original_header.data_hash,
-                   network_->now() + options_.reply_window),
+                   network_->now() + kRequestWindow),
        payload.take());
 }
 

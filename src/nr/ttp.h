@@ -27,10 +27,9 @@ struct TtpVerdictRecord {
   Bytes statement_signature;  ///< Sign_TTP(statement)
 };
 
-struct TtpOptions {
-  common::SimTime respondent_timeout = 10 * common::kSecond;
-  common::SimTime reply_window = 10 * common::kSecond;
-};
+/// How long the TTP waits for the respondent's answer to its resolve query
+/// before it decides "no-response".
+inline constexpr common::SimTime kRespondentTimeout = 10 * common::kSecond;
 
 /// Which of `partitions` TTP instances adjudicates `txn_id` (FNV-1a 64 of
 /// the id, mod the partition count). Every party — the client escalating,
@@ -49,7 +48,7 @@ struct TtpOptions {
 class TtpActor final : public NrActor {
  public:
   TtpActor(std::string id, net::Network& network, pki::Identity& identity,
-           crypto::Drbg& rng, TtpOptions options = TtpOptions{});
+           crypto::Drbg& rng);
 
   [[nodiscard]] const std::vector<TtpVerdictRecord>& log() const noexcept {
     return log_;
@@ -98,7 +97,6 @@ class TtpActor final : public NrActor {
   /// Sends `resolve`'s cached verdict to its initiator under a fresh header.
   void send_verdict(const std::string& txn_id, const PendingResolve& resolve);
 
-  TtpOptions options_;
   std::map<std::string, PendingResolve> pending_;
   std::vector<TtpVerdictRecord> log_;
   std::uint64_t verdicts_resent_ = 0;

@@ -32,9 +32,4 @@ std::shared_ptr<const crypto::RsaPublicKey> intern_public_key(
   return shared;
 }
 
-std::size_t interned_key_count() {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  return table().size();
-}
-
 }  // namespace tpnr::pki

@@ -24,7 +24,4 @@ namespace tpnr::pki {
 std::shared_ptr<const crypto::RsaPublicKey> intern_public_key(
     crypto::RsaPublicKey key);
 
-/// Number of distinct keys currently interned (diagnostics/benchmarks).
-std::size_t interned_key_count();
-
 }  // namespace tpnr::pki

@@ -103,9 +103,6 @@ class Engine {
   [[nodiscard]] std::uint32_t shard_count() const noexcept {
     return static_cast<std::uint32_t>(shards_.size());
   }
-  [[nodiscard]] std::uint32_t worker_count() const noexcept {
-    return options_.workers;
-  }
 
   /// Per-endpoint deterministic random stream, derived from
   /// (engine seed, endpoint name) — NOT from consumption order.

@@ -229,6 +229,7 @@ void ObjectStore::apply_fault(const std::string& key, ObjectRecord& record) {
     case FaultKind::kRollbackAttack:  // explicit rollback_attack() only
     case FaultKind::kCrash:           // logged by the persistence harness
     case FaultKind::kTornWrite:
+    case FaultKind::kEquivocation:    // arm_equivocation() only
       break;
     case FaultKind::kBitFlip: {
       if (record.data.empty()) break;

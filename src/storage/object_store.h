@@ -155,9 +155,6 @@ class ObjectStore {
   [[nodiscard]] std::vector<std::string> list() const;
 
   void set_fault_policy(FaultPolicy policy) { policy_ = policy; }
-  [[nodiscard]] const FaultPolicy& fault_policy() const noexcept {
-    return policy_;
-  }
   /// Number of faults actually injected so far.
   [[nodiscard]] std::uint64_t faults_injected() const noexcept {
     return faults_injected_;

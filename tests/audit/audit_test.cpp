@@ -241,7 +241,7 @@ TEST_F(AuditTest, UnresponsiveProviderTimesOutIntoNoResponseVerdict) {
   EXPECT_EQ(entry.detail, "provider silent through 2 attempt(s)");
   // Two timeout windows elapsed before the verdict.
   EXPECT_GE(entry.concluded_at - entry.challenged_at,
-            2 * AuditorOptions{}.response_timeout);
+            2 * kChallengeWait.timeout);
 }
 
 TEST_F(AuditTest, LostObjectYieldsNoResponseAndFaultLogEntry) {
@@ -388,6 +388,21 @@ TEST_F(AuditTest, ReportAggregatesDetectionAndTraffic) {
   // Detection latency measured from the logged injection time.
   const AuditEntry& first_flag = ledger_.entries()[0];
   EXPECT_GE(first_flag.concluded_at, tampered_at);
+}
+
+TEST(AuditReportTest, VerdictTalliesSumToEntries) {
+  AuditLedger ledger;
+  for (std::uint8_t v = 1; v <= 8; ++v) {
+    AuditEntry entry;
+    entry.verdict = static_cast<AuditVerdict>(v);
+    ledger.append(entry);
+  }
+  const AuditReport r = build_report(ledger, {}, net::NetworkStats{});
+  EXPECT_EQ(r.entries, 8u);
+  EXPECT_EQ(r.verified + r.mismatches + r.bad_evidence + r.malformed +
+                r.no_responses + r.stale_versions + r.rollbacks + r.forks,
+            r.entries);
+  EXPECT_EQ(r.forks, 1u);
 }
 
 // Two independently constructed worlds with identical seeds replay the

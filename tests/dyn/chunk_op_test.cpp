@@ -137,7 +137,9 @@ void check_verdict_and_apply(const Case& c) {
 
   EXPECT_EQ(chunks, expected_chunks);
   ASSERT_EQ(tags.size(), chunks.size());
-  if (c.op != MutateOp::kErase) EXPECT_EQ(tags[c.index], 99u);
+  if (c.op != MutateOp::kErase) {
+    EXPECT_EQ(tags[c.index], 99u);
+  }
   ASSERT_EQ(tree.leaf_count(), chunks.size());
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     EXPECT_EQ(tree.leaf_hash(i), DynMerkleTree::hash_chunk(chunks[i]));

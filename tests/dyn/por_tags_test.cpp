@@ -77,7 +77,9 @@ TEST(PorTagsTest, ChallengeDerivationIsDeterministicAndDistinct) {
     EXPECT_EQ(a[i].nu, b[i].nu);
     EXPECT_GE(a[i].nu, 1u);
     EXPECT_LT(a[i].nu, fp::kP);
-    if (i > 0) EXPECT_LT(a[i - 1].index, a[i].index);  // sorted, distinct
+    if (i > 0) {
+      EXPECT_LT(a[i - 1].index, a[i].index);  // sorted, distinct
+    }
   }
   // Count clamps to the leaf count.
   const AggChallenge oversized{/*seed=*/7, /*count=*/500};

@@ -102,11 +102,9 @@ TEST_F(ChaosTest, NrrJustBeforeReceiptTimerLeavesTxnCompleted) {
   // The NRR lands a hair BEFORE the receipt timer fires. The stale timer
   // must be a no-op: without the state guard it would call resolve() on a
   // finished transaction and un-settle it.
-  ClientOptions options;
-  options.receipt_timeout = 100 * kMillisecond;
-  spawn(options);
+  spawn();
   net::LinkConfig slow;
-  slow.latency = 45 * kMillisecond;  // round trip 90ms < 100ms timeout
+  slow.latency = 7450 * kMillisecond;  // round trip 14.9 s < 15 s wait
   network_.set_default_link(slow);
 
   const std::string txn = alice_->store("bob", "ttp", "obj", to_bytes("d"));
@@ -188,9 +186,7 @@ TEST_F(ChaosTest, WireDuplicatesAreScreenedWithoutChannelsToo) {
 
 TEST_F(ChaosTest, RetriedStoreReissuesReceiptWithoutRestoringOrRejournal) {
   ClientOptions options;
-  options.receipt_timeout = kSecond;
   options.store_retries = 2;
-  options.store_retry_backoff = kSecond;
   spawn(options);
 
   // The first receipt is swallowed; the store retry must succeed without
@@ -262,8 +258,6 @@ TEST_F(ChaosTest, RetriedStoreWithDifferentHashIsRejected) {
 TEST_F(ChaosTest, ResolveRetriesRideOutTtpDownWindow) {
   ClientOptions options;
   options.resolve_retries = 3;
-  options.resolve_timeout = 20 * kSecond;
-  options.resolve_backoff = 10 * kSecond;
   spawn(options);
   ProviderBehavior unfair;
   unfair.send_store_receipts = false;  // force the escalation
@@ -295,8 +289,6 @@ TEST_F(ChaosTest, ResolveRetriesRideOutTtpDownWindow) {
 TEST_F(ChaosTest, PermanentTtpOutageParksTxnAsUnreachable) {
   ClientOptions options;
   options.resolve_retries = 2;
-  options.resolve_timeout = 10 * kSecond;
-  options.resolve_backoff = 5 * kSecond;
   spawn(options);
   ProviderBehavior unfair;
   unfair.send_store_receipts = false;
@@ -316,7 +308,6 @@ TEST_F(ChaosTest, PermanentTtpOutageParksTxnAsUnreachable) {
 TEST_F(ChaosTest, DuplicateResolveRequestAnsweredFromCachedVerdict) {
   ClientOptions options;
   options.resolve_retries = 2;
-  options.resolve_timeout = 20 * kSecond;
   spawn(options);
   ProviderBehavior silent;
   silent.send_store_receipts = false;

@@ -53,7 +53,8 @@ TEST(TimerWheel, PopsInMergeKeyOrder) {
   std::vector<Event> events;
   std::uint64_t seq = 0;
   for (const common::SimTime at : {5, 5, 5, 70, 70, 4096, 4096, 0, 1}) {
-    events.push_back(make_event(at, static_cast<EndpointId>(seq % 3), ++seq));
+    ++seq;
+    events.push_back(make_event(at, static_cast<EndpointId>(seq % 3), seq));
   }
   std::mt19937 shuffle_rng(7);
   std::shuffle(events.begin(), events.end(), shuffle_rng);
