@@ -102,30 +102,10 @@ bool AuditorActor::challenge_aggregate(const std::string& txn_id,
   challenge.count = count;
   agg_inflight_[txn_id] = challenge;
 
-  Pending pending;
-  pending.id = next_attempt_id_++;
-  pending.challenged_at = network_->now();
-  pending.retries_left = kChallengeWait.retries;
-  pending_[key] = pending;
+  pending_[key].challenged_at = network_->now();
   ++counters_.challenges;
-  send_agg_challenge(it->second, challenge);
-  arm_timeout(key, pending.id);
+  transmit(key, 1);
   return true;
-}
-
-void AuditorActor::send_agg_challenge(const DynAuditTarget& target,
-                                      const dyn::AggChallenge& challenge) {
-  common::BinaryWriter payload;
-  payload.str(target.object_key);
-  payload.u64(challenge.seed);
-  payload.u64(challenge.count);
-
-  // data_hash pins the header to the freshness reference at challenge
-  // time: the chain head root the response will be judged against.
-  send(next_header(nr::MsgType::kAggChallenge, target.provider, /*ttp=*/"",
-                   target.txn_id, target.chain->head_root(),
-                   network_->now() + nr::kRequestWindow),
-       payload.take());
 }
 
 bool AuditorActor::challenge(const std::string& txn_id,
@@ -137,60 +117,57 @@ bool AuditorActor::challenge(const std::string& txn_id,
   const PendingKey key{txn_id, chunk_index};
   if (pending_.contains(key)) return false;  // already in flight
 
-  Pending pending;
-  pending.id = next_attempt_id_++;
-  pending.challenged_at = network_->now();
-  pending.retries_left = kChallengeWait.retries;
-  pending_[key] = pending;
+  pending_[key].challenged_at = network_->now();
   ++counters_.challenges;
-  send_challenge(it->second, chunk_index);
-  arm_timeout(key, pending.id);
+  transmit(key, 1);
   return true;
 }
 
-void AuditorActor::send_challenge(const AuditTarget& target,
-                                  std::uint64_t chunk_index) {
+void AuditorActor::transmit(const PendingKey& key, std::size_t attempt) {
   common::BinaryWriter payload;
-  payload.u64(chunk_index);
-
-  send(next_header(nr::MsgType::kChunkRequest, target.provider, /*ttp=*/"",
-                   target.txn_id, target.root,
-                   network_->now() + nr::kRequestWindow),
-       payload.take());
-}
-
-void AuditorActor::arm_timeout(const PendingKey& key,
-                               std::uint64_t attempt_id) {
-  network_->schedule(kChallengeWait.timeout, [this, key, attempt_id] {
-    const auto it = pending_.find(key);
-    // Concluded meanwhile, or a retry re-armed with a newer attempt id.
-    if (it == pending_.end() || it->second.id != attempt_id) return;
-    if (it->second.retries_left > 0) {
-      --it->second.retries_left;
-      it->second.id = next_attempt_id_++;
-      ++counters_.retries;
-      if (key.second == kAggregateIndex) {
-        // Re-issue the SAME expanded challenge: the provider's answer is a
-        // pure function of (seed, count, object), so a retry is idempotent.
-        const auto target_it = dyn_targets_.find(key.first);
-        const auto challenge_it = agg_inflight_.find(key.first);
-        if (target_it != dyn_targets_.end() &&
-            challenge_it != agg_inflight_.end()) {
-          send_agg_challenge(target_it->second, challenge_it->second);
-        }
-      } else {
-        const auto target_it = targets_.find(key.first);
-        if (target_it != targets_.end()) {
-          send_challenge(target_it->second, key.second);
-        }
-      }
-      arm_timeout(key, it->second.id);
-      return;
+  if (key.second == kAggregateIndex) {
+    // Every attempt sends the SAME expanded challenge: the provider's answer
+    // is a pure function of (seed, count, object), so a retry is idempotent.
+    const auto target_it = dyn_targets_.find(key.first);
+    const auto challenge_it = agg_inflight_.find(key.first);
+    if (target_it != dyn_targets_.end() &&
+        challenge_it != agg_inflight_.end()) {
+      const DynAuditTarget& target = target_it->second;
+      payload.str(target.object_key);
+      payload.u64(challenge_it->second.seed);
+      payload.u64(challenge_it->second.count);
+      // data_hash pins the header to the freshness reference at challenge
+      // time: the chain head root the response will be judged against.
+      send(next_header(nr::MsgType::kAggChallenge, target.provider,
+                       /*ttp=*/"", target.txn_id, target.chain->head_root(),
+                       network_->now() + nr::kRequestWindow),
+           payload.take());
     }
-    conclude(key, it->second, AuditVerdict::kNoResponse,
-             "provider silent through " +
-                 std::to_string(1 + kChallengeWait.retries) + " attempt(s)");
-  });
+  } else if (const auto target_it = targets_.find(key.first);
+             target_it != targets_.end()) {
+    const AuditTarget& target = target_it->second;
+    payload.u64(key.second);
+    send(next_header(nr::MsgType::kChunkRequest, target.provider, /*ttp=*/"",
+                     target.txn_id, target.root,
+                     network_->now() + nr::kRequestWindow),
+         payload.take());
+  }
+  await_reply(
+      kChallengeWait, attempt, key,
+      [this](const PendingKey& k) -> std::uint64_t* {
+        const auto it = pending_.find(k);
+        return it == pending_.end() ? nullptr : &it->second.wait;
+      },
+      [this](const PendingKey& k, std::size_t next) {
+        ++counters_.retries;
+        transmit(k, next);
+      },
+      [this](const PendingKey& k) {
+        conclude(k, pending_.at(k), AuditVerdict::kNoResponse,
+                 "provider silent through " +
+                     std::to_string(1 + kChallengeWait.retries) +
+                     " attempt(s)");
+      });
 }
 
 void AuditorActor::conclude(const PendingKey& key, const Pending& pending,

@@ -144,16 +144,14 @@ class AuditorActor final : public nr::NrActor {
 
  private:
   struct Pending {
-    std::uint64_t id = 0;  ///< distinguishes this attempt's timeout timer
     SimTime challenged_at = 0;
-    std::size_t retries_left = 0;
+    std::uint64_t wait = 0;  ///< token of the live response wait
   };
   using PendingKey = std::pair<std::string, std::uint64_t>;  // txn, chunk
 
-  void send_challenge(const AuditTarget& target, std::uint64_t chunk_index);
-  void send_agg_challenge(const DynAuditTarget& target,
-                          const dyn::AggChallenge& challenge);
-  void arm_timeout(const PendingKey& key, std::uint64_t attempt_id);
+  /// Sends attempt `attempt` of the in-flight challenge `key` (the same
+  /// challenge every time) and awaits the response.
+  void transmit(const PendingKey& key, std::size_t attempt);
   void conclude(const PendingKey& key, const Pending& pending,
                 AuditVerdict verdict, std::string detail);
   void handle_chunk_response(const nr::NrMessage& message);
@@ -166,7 +164,6 @@ class AuditorActor final : public nr::NrActor {
   /// The expanded challenge a retry must repeat verbatim, by txn id.
   std::map<std::string, dyn::AggChallenge> agg_inflight_;
   std::map<PendingKey, Pending> pending_;
-  std::uint64_t next_attempt_id_ = 1;
   Counters counters_;
 };
 

@@ -83,7 +83,7 @@ std::string ConsClientActor::store_shared(const std::string& provider,
 
   const std::string txn_id = obj.txn_id;
   objects_.emplace(object_key, std::move(obj));
-  transmit_pending(object_key);
+  transmit_pending(object_key, 1);
   return txn_id;
 }
 
@@ -152,7 +152,7 @@ bool ConsClientActor::begin_op(SharedObject& obj, MutateOp op,
     obj.pending.reset();
     return false;
   }
-  transmit_pending(obj.object_key);
+  transmit_pending(obj.object_key, 1);
   return true;
 }
 
@@ -175,11 +175,11 @@ bool ConsClientActor::build_pending_record(SharedObject& obj) {
                                          obj.tree.root(), 0);
   dyn::undo_chunk_op(mirror, std::move(undo));
   pending.client_sig = identity_->sign(pending.record.encode());
-  pending.attempts = 0;
   return true;
 }
 
-void ConsClientActor::transmit_pending(const std::string& object_key) {
+void ConsClientActor::transmit_pending(const std::string& object_key,
+                                       std::size_t attempt) {
   SharedObject* obj = mutable_object(object_key);
   if (obj == nullptr || !obj->pending) return;
   if (peer_key(obj->provider) == nullptr) return;
@@ -197,7 +197,6 @@ void ConsClientActor::transmit_pending(const std::string& object_key) {
   auto [header, evidence] = make_receipt(
       nr::MsgType::kConsOpRequest, obj->provider, obj->ttp, obj->txn_id,
       pending.record.new_root, network_->now() + nr::kRequestWindow);
-  ++pending.attempts;
 
   common::BinaryWriter payload;
   payload.str(obj->object_key);
@@ -209,33 +208,26 @@ void ConsClientActor::transmit_pending(const std::string& object_key) {
   payload.bytes(pending.client_sig);
   payload.bytes(observed);
   send(std::move(header), payload.take(), std::move(evidence));
-  arm_receipt_timer(object_key, pending.record.version, pending.attempts);
-}
-
-void ConsClientActor::arm_receipt_timer(const std::string& object_key,
-                                        std::uint64_t version,
-                                        std::size_t attempt) {
-  const common::SimTime wait = kOpWait.wait(attempt);
-  network_->schedule(wait, [this, object_key, version, attempt] {
-    SharedObject* obj = mutable_object(object_key);
-    // Guard on version AND attempt: a timer firing after the commit landed
-    // (or after a superseding re-send) must do nothing.
-    if (obj == nullptr || !obj->pending ||
-        obj->pending->record.version != version ||
-        obj->pending->attempts != attempt) {
-      return;
-    }
-    if (attempt <= kOpWait.retries) {
-      transmit_pending(object_key);
-      return;
-    }
-    ++obj->timeouts;
-    if (obj->pending->op == MutateOp::kStore) {
-      objects_.erase(object_key);  // version 1 never committed
-      return;
-    }
-    obj->pending.reset();
-  });
+  await_reply(
+      kOpWait, attempt, object_key,
+      [this](const std::string& key) -> std::uint64_t* {
+        SharedObject* pending_obj = mutable_object(key);
+        return pending_obj != nullptr && pending_obj->pending
+                   ? &pending_obj->pending->wait
+                   : nullptr;
+      },
+      [this](const std::string& key, std::size_t next) {
+        transmit_pending(key, next);
+      },
+      [this](const std::string& key) {
+        SharedObject& stalled = *mutable_object(key);
+        ++stalled.timeouts;
+        if (stalled.pending->op == MutateOp::kStore) {
+          objects_.erase(key);  // version 1 never committed
+        } else {
+          stalled.pending.reset();
+        }
+      });
 }
 
 void ConsClientActor::on_message(const nr::NrMessage& message) {
@@ -418,7 +410,7 @@ void ConsClientActor::handle_op_error(const nr::NrMessage& message) {
     return;
   }
   ++obj->stale_resubmits;
-  transmit_pending(object_key);
+  transmit_pending(object_key, 1);
 }
 
 void ConsClientActor::handle_gossip(const nr::NrMessage& message) {

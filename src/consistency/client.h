@@ -79,7 +79,7 @@ class ConsClientActor final : public nr::NrActor {
       Bytes chunk;
       dyn::VersionRecord record;
       Bytes client_sig;
-      std::size_t attempts = 0;   ///< transmissions of the current record
+      std::uint64_t wait = 0;     ///< token of the live commit wait
       std::size_t resubmits = 0;  ///< stale-view rebuilds of the record
     };
     std::optional<PendingOp> pending;
@@ -152,9 +152,9 @@ class ConsClientActor final : public nr::NrActor {
   /// Builds (or rebuilds, after catch-up) pending's record against the
   /// current head. Returns false if the op no longer applies.
   bool build_pending_record(SharedObject& obj);
-  void transmit_pending(const std::string& object_key);
-  void arm_receipt_timer(const std::string& object_key, std::uint64_t version,
-                         std::size_t attempt);
+  /// Sends attempt `attempt` of the pending record under a fresh header and
+  /// awaits its commit.
+  void transmit_pending(const std::string& object_key, std::size_t attempt);
   /// Runs one committed op through the checker and (if it extends the
   /// mirror) applies it. Returns false only on a verification failure.
   bool absorb_committed_op(SharedObject& obj, const CommittedOp& op);

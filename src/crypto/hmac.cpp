@@ -1,7 +1,7 @@
 #include "crypto/hmac.h"
 
-#include <map>
 #include <mutex>
+#include <unordered_map>
 #include <utility>
 
 #include "common/error.h"
@@ -146,8 +146,8 @@ namespace {
 // the cache instead of growing it.
 constexpr std::size_t kHmacCacheCap = 256;
 std::mutex g_hmac_cache_mu;
-std::map<Bytes, HmacKeyState>& hmac_cache() {
-  static std::map<Bytes, HmacKeyState> cache;
+std::unordered_map<Bytes, HmacKeyState, common::BytesHash>& hmac_cache() {
+  static std::unordered_map<Bytes, HmacKeyState, common::BytesHash> cache;
   return cache;
 }
 

@@ -1,8 +1,8 @@
 #include "crypto/verify_memo.h"
 
 #include <cstdint>
-#include <map>
 #include <mutex>
+#include <unordered_map>
 #include <utility>
 
 #include "crypto/counters.h"
@@ -16,8 +16,8 @@ namespace {
 // disputes; on overflow the memo cycles rather than grows.
 constexpr std::size_t kMemoCap = 4096;
 std::mutex g_memo_mu;
-std::map<Bytes, bool>& memo() {
-  static std::map<Bytes, bool> m;
+std::unordered_map<Bytes, bool, common::BytesHash>& memo() {
+  static std::unordered_map<Bytes, bool, common::BytesHash> m;
   return m;
 }
 

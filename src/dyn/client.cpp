@@ -82,7 +82,7 @@ std::string DynClientActor::store_dyn(const std::string& provider,
   const std::string txn_id = obj.txn_id;
   txn_to_object_[txn_id] = object_key;
   objects_.emplace(object_key, std::move(obj));
-  transmit_pending(object_key);
+  transmit_pending(object_key, 1);
   return txn_id;
 }
 
@@ -142,11 +142,12 @@ bool DynClientActor::begin_mutation(DynObject& obj, MutateOp op,
   pending.client_sig = identity_->sign(pending.record.encode());
   pending.chunk = Bytes(chunk.begin(), chunk.end());
   obj.pending = std::move(pending);
-  transmit_pending(obj.object_key);
+  transmit_pending(obj.object_key, 1);
   return true;
 }
 
-void DynClientActor::transmit_pending(const std::string& object_key) {
+void DynClientActor::transmit_pending(const std::string& object_key,
+                                      std::size_t attempt) {
   DynObject* obj = mutable_object(object_key);
   if (obj == nullptr || !obj->pending) return;
   if (peer_key(obj->provider) == nullptr) return;
@@ -161,7 +162,6 @@ void DynClientActor::transmit_pending(const std::string& object_key) {
       is_store ? nr::MsgType::kDynStoreRequest : nr::MsgType::kMutateRequest,
       obj->provider, obj->ttp, obj->txn_id, pending.record.new_root,
       network_->now() + nr::kRequestWindow);
-  ++pending.attempts;
 
   common::BinaryWriter payload;
   payload.str(obj->object_key);
@@ -179,29 +179,22 @@ void DynClientActor::transmit_pending(const std::string& object_key) {
   payload.bytes(pending.record.encode());
   payload.bytes(pending.client_sig);
   send(std::move(header), payload.take(), std::move(evidence));
-  arm_receipt_timer(object_key, pending.record.version, pending.attempts);
-}
-
-void DynClientActor::arm_receipt_timer(const std::string& object_key,
-                                       std::uint64_t version,
-                                       std::size_t attempt) {
-  const common::SimTime wait = kMutateWait.wait(attempt);
-  network_->schedule(wait, [this, object_key, version, attempt] {
-    DynObject* obj = mutable_object(object_key);
-    // Guard on version AND attempt: a timer that fires after the receipt
-    // landed (or after a superseding re-send) must do nothing.
-    if (obj == nullptr || !obj->pending ||
-        obj->pending->record.version != version ||
-        obj->pending->attempts != attempt) {
-      return;
-    }
-    if (attempt <= options_.mutate_retries) {
-      transmit_pending(object_key);
-      return;
-    }
-    ++obj->timeouts;
-    revert_pending(*obj);
-  });
+  await_reply(
+      mutate_wait(options_.mutate_retries), attempt, object_key,
+      [this](const std::string& key) -> std::uint64_t* {
+        DynObject* pending_obj = mutable_object(key);
+        return pending_obj != nullptr && pending_obj->pending
+                   ? &pending_obj->pending->wait
+                   : nullptr;
+      },
+      [this](const std::string& key, std::size_t next) {
+        transmit_pending(key, next);
+      },
+      [this](const std::string& key) {
+        DynObject& stalled = *mutable_object(key);
+        ++stalled.timeouts;
+        revert_pending(stalled);
+      });
 }
 
 void DynClientActor::revert_pending(DynObject& obj) {

@@ -30,9 +30,11 @@
 
 namespace tpnr::dyn {
 
-/// Receipt wait per store/mutation attempt; the op reverts after the last.
-inline constexpr nr::RetryPolicy kMutateWait{15 * common::kSecond,
-                                             5 * common::kSecond};
+/// Receipt wait per store/mutation attempt, `retries` being
+/// DynClientOptions::mutate_retries; the op reverts after the last attempt.
+[[nodiscard]] constexpr nr::RetryPolicy mutate_wait(std::size_t retries) {
+  return {15 * common::kSecond, 5 * common::kSecond, retries};
+}
 
 struct DynClientOptions {
   /// Re-send an unacknowledged store/mutation this many times (same signed
@@ -62,7 +64,7 @@ class DynClientActor final : public nr::NrActor {
       Bytes client_sig;
       Bytes chunk;  ///< op payload bytes (empty for erase; data for store)
       ChunkOpUndo undo;  ///< restores the mirror if the op is rejected
-      std::size_t attempts = 0;
+      std::uint64_t wait = 0;  ///< token of the live receipt wait
     };
     std::optional<PendingOp> pending;
 
@@ -110,11 +112,9 @@ class DynClientActor final : public nr::NrActor {
   DynObject* reply_target(const nr::MessageHeader& h);
   bool begin_mutation(DynObject& obj, MutateOp op, std::uint64_t index,
                       BytesView chunk);
-  /// (Re-)sends the pending record under a fresh header and re-arms the
-  /// receipt timer.
-  void transmit_pending(const std::string& object_key);
-  void arm_receipt_timer(const std::string& object_key, std::uint64_t version,
-                         std::size_t attempt);
+  /// Sends attempt `attempt` of the pending record under a fresh header and
+  /// awaits its receipt.
+  void transmit_pending(const std::string& object_key, std::size_t attempt);
   /// Restores the pre-op mirror and drops the pending record.
   void revert_pending(DynObject& obj);
   void handle_receipt(const nr::NrMessage& message);

@@ -36,7 +36,7 @@ inline constexpr common::SimTime kRequestWindow = 10 * common::kSecond;
 
 /// How long a party waits for a reply (§5.5) before it re-sends or gives
 /// up: attempt n (from 1) waits timeout + backoff·(n−1), and `retries`
-/// re-sends may follow the first send.
+/// re-sends may follow the first send. NrActor::await_reply runs it.
 struct RetryPolicy {
   common::SimTime timeout = 0;
   common::SimTime backoff = 0;
@@ -169,6 +169,32 @@ class NrActor {
       const std::string& txn_id, BytesView data_hash,
       common::SimTime time_limit);
 
+  /// The one reply wait (§4.3, §5.5): every request that re-sends or gives
+  /// up on a silent peer goes through here. It stamps the request's wait
+  /// slot — `slot(key)` returns the request's token field, or nullptr once
+  /// the request is gone or no longer waiting — with a fresh per-actor
+  /// token, and waits policy.wait(attempt). Only a timer whose token is
+  /// still in the slot acts: it calls retry(key, attempt + 1) while
+  /// attempt <= policy.retries, and give_up(key) after. A re-send or a new
+  /// request re-stamps the slot, so a superseded timer never fires on it.
+  template <typename Key, typename Slot, typename Retry, typename GiveUp>
+  void await_reply(const RetryPolicy& policy, std::size_t attempt, Key key,
+                   Slot slot, Retry retry, GiveUp give_up) {
+    const std::uint64_t token = ++last_wait_token_;
+    if (std::uint64_t* live = slot(key)) *live = token;
+    network_->schedule(policy.wait(attempt),
+                       [policy, attempt, token, key = std::move(key), slot,
+                        retry, give_up] {
+                         const std::uint64_t* live = slot(key);
+                         if (live == nullptr || *live != token) return;
+                         if (attempt <= policy.retries) {
+                           retry(key, attempt + 1);
+                         } else {
+                           give_up(key);
+                         }
+                       });
+  }
+
   /// Encodes and journals one piece of accepted evidence; no-op without a
   /// bound journal. Defined in actor.cpp.
   void journal_evidence(const std::string& role, const std::string& txn_id,
@@ -197,6 +223,7 @@ class NrActor {
   std::string default_topic_ = "nr";
   std::string reply_topic_;  ///< topic of the message currently being handled
   ScreeningPolicy policy_;
+  std::uint64_t last_wait_token_ = 0;  ///< await_reply's token counter
   /// Peer keys are interned process-wide (pki/key_intern.h): a fleet's
   /// (actor, peer) trust edges share one immutable copy per distinct key
   /// instead of duplicating BigInts per actor.

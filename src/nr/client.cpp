@@ -188,7 +188,24 @@ void ClientActor::transmit_store(const std::string& txn_id, BytesView data) {
   payload.bytes(data);
   payload.u32(static_cast<std::uint32_t>(txn.chunk_size));
   send(std::move(header), payload.take(), std::move(evidence));
-  arm_receipt_timer(txn_id, txn.store_attempts);
+  // §4.3: "if Alice has sent the NRO and has not received the NRR before
+  // the time out, she can initiate the Resolve mode." With retries
+  // configured she first re-sends the NRO (linear backoff) and escalates
+  // only once the budget is spent.
+  await_reply(
+      store_wait(options_.store_retries), txn.store_attempts, txn_id,
+      [this](const std::string& id) {
+        return wait_slot(id, TxnState::kStorePending);
+      },
+      [this](const std::string& id, std::size_t) { send_store(id); },
+      [this](const std::string& id) {
+        Txn& stalled = txns_.at(id);
+        if (options_.auto_resolve && !stalled.ttp.empty()) {
+          resolve(id, "no NRR before timeout");
+        } else {
+          set_state(stalled, TxnState::kTimedOut);
+        }
+      });
 }
 
 void ClientActor::send_store(const std::string& txn_id) {
@@ -200,31 +217,11 @@ void ClientActor::send_store(const std::string& txn_id) {
   transmit_store(txn_id, it->second.retry_data);
 }
 
-void ClientActor::arm_receipt_timer(const std::string& txn_id,
-                                    std::size_t attempt) {
-  // §4.3: "if Alice has sent the NRO and has not received the NRR before
-  // the time out, she can initiate the Resolve mode." With retries
-  // configured she first re-sends the NRO (linear backoff) and escalates
-  // only once the budget is spent.
-  network_->schedule(kStoreWait.wait(attempt), [this, txn_id, attempt] {
-    const auto it = txns_.find(txn_id);
-    // Guard on state AND attempt: a timer firing after the NRR arrived (or
-    // the txn aborted/resolved) must do nothing, and a stale timer from a
-    // superseded attempt must not double-fire the escalation.
-    if (it == txns_.end() || it->second.state != TxnState::kStorePending ||
-        it->second.store_attempts != attempt) {
-      return;
-    }
-    if (attempt <= options_.store_retries) {
-      send_store(txn_id);
-      return;
-    }
-    if (options_.auto_resolve && !it->second.ttp.empty()) {
-      resolve(txn_id, "no NRR before timeout");
-    } else {
-      set_state(it->second, TxnState::kTimedOut);
-    }
-  });
+std::uint64_t* ClientActor::wait_slot(const std::string& txn_id,
+                                      TxnState waiting) {
+  const auto it = txns_.find(txn_id);
+  return it != txns_.end() && it->second.state == waiting ? &it->second.wait
+                                                          : nullptr;
 }
 
 void ClientActor::abort(const std::string& txn_id) {
@@ -318,34 +315,28 @@ void ClientActor::resolve(const std::string& txn_id,
       }
       ++txn.resolve_attempts;
       send(txn.ttp, std::move(message));
-      arm_verdict_timer(txn_id, txn.resolve_attempts);
+      // No resolve retries is the paper's mode: wait for the verdict forever.
+      if (options_.resolve_retries == 0) break;
+      await_reply(
+          resolve_wait(options_.resolve_retries), txn.resolve_attempts, txn_id,
+          [this](const std::string& id) {
+            return wait_slot(id, TxnState::kResolvePending);
+          },
+          [this](const std::string& id, std::size_t) {
+            // Back off and re-resolve: this rides out a TTP down-window.
+            set_state(txns_.at(id), TxnState::kResolveRetrying);
+            resolve(id, "re-resolve: no verdict before timeout");
+          },
+          [this](const std::string& id) {
+            // Every attempt went unanswered: the TTP is unreachable, and the
+            // txn parks in a degraded terminal state the caller can count.
+            set_state(txns_.at(id), TxnState::kTtpUnreachable);
+          });
       break;
     default:
       send(txn.ttp, std::move(message));
       break;
   }
-}
-
-void ClientActor::arm_verdict_timer(const std::string& txn_id,
-                                    std::size_t attempt) {
-  if (options_.resolve_retries == 0) return;  // paper mode: wait forever
-  network_->schedule(kResolveWait.wait(attempt), [this, txn_id, attempt] {
-    const auto it = txns_.find(txn_id);
-    if (it == txns_.end() || it->second.state != TxnState::kResolvePending ||
-        it->second.resolve_attempts != attempt) {
-      return;
-    }
-    Txn& txn = it->second;
-    if (attempt > options_.resolve_retries) {
-      // Every attempt went unanswered — the TTP is unreachable. The txn is
-      // parked in a degraded terminal state the caller can account for.
-      set_state(txn, TxnState::kTtpUnreachable);
-      return;
-    }
-    // Back off and re-resolve — this is what rides out a TTP down-window.
-    set_state(txn, TxnState::kResolveRetrying);
-    resolve(txn_id, "re-resolve: no verdict before timeout");
-  });
 }
 
 void ClientActor::on_message(const NrMessage& message) {

@@ -48,12 +48,16 @@ std::string txn_state_name(TxnState state);
   }
 }
 
-/// Receipt wait per store attempt; escalation follows the last one.
-inline constexpr RetryPolicy kStoreWait{15 * common::kSecond,
-                                        5 * common::kSecond};
-/// Verdict wait per resolve attempt; ttp-unreachable follows the last one.
-inline constexpr RetryPolicy kResolveWait{20 * common::kSecond,
-                                          10 * common::kSecond};
+/// Receipt wait per store attempt, `retries` being
+/// ClientOptions::store_retries; escalation follows the last attempt.
+[[nodiscard]] constexpr RetryPolicy store_wait(std::size_t retries) {
+  return {15 * common::kSecond, 5 * common::kSecond, retries};
+}
+/// Verdict wait per resolve attempt, `retries` being
+/// ClientOptions::resolve_retries; ttp-unreachable follows the last attempt.
+[[nodiscard]] constexpr RetryPolicy resolve_wait(std::size_t retries) {
+  return {20 * common::kSecond, 10 * common::kSecond, retries};
+}
 
 struct ClientOptions {
   common::SimTime reply_window = kRequestWindow;  ///< header time limit
@@ -97,6 +101,7 @@ class ClientActor final : public NrActor {
     common::SimTime finished_at = 0;  ///< set on entering a terminal state
     std::size_t store_attempts = 0;   ///< store transmissions incl. first
     std::size_t resolve_attempts = 0;
+    std::uint64_t wait = 0;  ///< token of the live store or verdict wait
     common::Payload retry_data;  ///< object bytes, iff store_retries > 0
     /// Every state transition with its sim time, packed (at << 8) | state —
     /// 8 bytes per entry instead of 16 keeps a fleet's millions of
@@ -203,11 +208,12 @@ class ClientActor final : public NrActor {
   /// timeline and stamps finished_at on terminal states.
   void set_state(Txn& txn, TxnState state);
   /// (Re-)sends the store request with a fresh header over the same
-  /// txn/data and re-arms the receipt timer.
+  /// txn/data and awaits the receipt.
   void send_store(const std::string& txn_id);
   void transmit_store(const std::string& txn_id, BytesView data);
-  void arm_receipt_timer(const std::string& txn_id, std::size_t attempt);
-  void arm_verdict_timer(const std::string& txn_id, std::size_t attempt);
+  /// The txn's wait token while it is in `waiting`, else nullptr: the store
+  /// wait lives only in kStorePending, the verdict wait in kResolvePending.
+  std::uint64_t* wait_slot(const std::string& txn_id, TxnState waiting);
   void handle_store_receipt(const NrMessage& message);
   void handle_fetch_response(const NrMessage& message);
   void handle_chunk_response(const NrMessage& message);

@@ -147,12 +147,17 @@ void TtpActor::finish_resolve_request(const MessageHeader& h,
                    network_->now() + kRequestWindow),
        payload.take());
 
-  const std::string txn_id = h.txn_id;
-  network_->schedule(kRespondentTimeout, [this, txn_id] {
-    const auto it = pending_.find(txn_id);
-    if (it == pending_.end() || it->second.settled) return;
-    deliver_verdict(txn_id, "no-response", {}, {});
-  });
+  await_reply(
+      kRespondentWait, 1, h.txn_id,
+      [this](const std::string& txn_id) -> std::uint64_t* {
+        const auto it = pending_.find(txn_id);
+        return it == pending_.end() || it->second.settled ? nullptr
+                                                          : &it->second.wait;
+      },
+      [](const std::string&, std::size_t) {},  // no retries: never re-queries
+      [this](const std::string& txn_id) {
+        deliver_verdict(txn_id, "no-response", {}, {});
+      });
 }
 
 void TtpActor::handle_resolve_response(const NrMessage& message) {

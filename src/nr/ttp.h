@@ -28,8 +28,8 @@ struct TtpVerdictRecord {
 };
 
 /// How long the TTP waits for the respondent's answer to its resolve query
-/// before it decides "no-response".
-inline constexpr common::SimTime kRespondentTimeout = 10 * common::kSecond;
+/// before it decides "no-response" (one query, no re-send).
+inline constexpr RetryPolicy kRespondentWait{10 * common::kSecond};
 
 /// Which of `partitions` TTP instances adjudicates `txn_id` (FNV-1a 64 of
 /// the id, mod the partition count). Every party — the client escalating,
@@ -72,6 +72,7 @@ class TtpActor final : public NrActor {
     MessageHeader original_header;
     std::string report;
     bool settled = false;
+    std::uint64_t wait = 0;  ///< token of the live respondent wait
     // Cached verdict material, kept so a duplicate resolve request (client
     // retry after a lost verdict) gets the SAME decision re-sent — same
     // statement bytes, same signature — instead of being re-adjudicated.

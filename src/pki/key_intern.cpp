@@ -1,7 +1,7 @@
 #include "pki/key_intern.h"
 
-#include <map>
 #include <mutex>
+#include <unordered_map>
 
 #include "common/bytes.h"
 
@@ -10,11 +10,12 @@ namespace tpnr::pki {
 namespace {
 
 std::mutex g_mutex;
-std::map<common::Bytes, std::shared_ptr<const crypto::RsaPublicKey>>&
-table() {
-  static auto* t =
-      new std::map<common::Bytes,
-                   std::shared_ptr<const crypto::RsaPublicKey>>();
+using KeyTable =
+    std::unordered_map<common::Bytes,
+                       std::shared_ptr<const crypto::RsaPublicKey>,
+                       common::BytesHash>;
+KeyTable& table() {
+  static auto* t = new KeyTable();
   return *t;
 }
 

@@ -1,7 +1,7 @@
 #include "runtime/crypto_service.h"
 
 #include <iterator>
-#include <map>
+#include <unordered_map>
 #include <utility>
 
 #include "crypto/counters.h"
@@ -58,7 +58,8 @@ std::vector<std::vector<bool>> CryptoService::verify_batches(
     std::vector<JobRef> refs;
   };
   std::vector<Group> groups;
-  std::map<Bytes, std::size_t> group_of;  // fingerprint -> groups index
+  // fingerprint -> groups index
+  std::unordered_map<Bytes, std::size_t, common::BytesHash> group_of;
   for (std::size_t b = 0; b < work.size(); ++b) {
     if (!work[b].verify_done) continue;
     results[b].resize(work[b].verifies.size(), false);
