@@ -84,7 +84,8 @@ void BM_ChunkedStore(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     const std::string txn = world.alice.store_chunked(
-        "bob", "", "o" + std::to_string(i++), data, chunk_size);
+        "bob", "", std::string("o").append(std::to_string(i++)), data,
+        chunk_size);
     world.network.run();
     benchmark::DoNotOptimize(world.alice.transaction(txn));
   }

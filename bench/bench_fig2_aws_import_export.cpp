@@ -33,7 +33,8 @@ Device make_device(std::size_t files, std::size_t bytes_per_file,
                    crypto::Drbg& rng) {
   Device device;
   for (std::size_t i = 0; i < files; ++i) {
-    device["f" + std::to_string(i)] = rng.bytes(bytes_per_file);
+    device[std::string("f").append(std::to_string(i))] =
+        rng.bytes(bytes_per_file);
   }
   return device;
 }

@@ -82,11 +82,11 @@ BENCHMARK(BM_UploadDownloadRoundTrip)->Range(1 << 10, 1 << 22);
 void BM_HmacAuthOnly(benchmark::State& state) {
   // Authentication cost isolated: signature over the canonicalized request.
   auto& f = fixture();
-  RestRequest request;
-  request.method = "GET";
-  request.path = "/user/x";
-  request.headers["x-ms-date"] = "d";
-  request.headers["x-ms-version"] = "2009-09-19";
+  const RestRequest request{
+      .method = "GET",
+      .path = "/user/x",
+      .headers = {{"x-ms-date", "d"}, {"x-ms-version", "2009-09-19"}},
+      .body = {}};
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         providers::shared_key_authorization("user", f.key, request));

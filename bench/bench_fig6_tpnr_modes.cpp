@@ -166,8 +166,8 @@ void BM_NormalStore(benchmark::State& state) {
   TpnrWorld world(11);
   std::size_t i = 0;
   for (auto _ : state) {
-    const std::string txn =
-        world.alice.store("bob", "ttp", "o" + std::to_string(i++), data);
+    const std::string txn = world.alice.store(
+        "bob", "ttp", std::string("o").append(std::to_string(i++)), data);
     world.network.run();
     benchmark::DoNotOptimize(world.alice.transaction(txn));
   }

@@ -38,7 +38,7 @@ struct ForkWorld {
     bob = std::make_unique<consistency::ConsProviderActor>("bob", network,
                                                            *bob_id, rng);
     for (std::size_t i = 0; i < client_count; ++i) {
-      const std::string name = "c" + std::to_string(i);
+      const std::string name = std::string("c").append(std::to_string(i));
       client_ids.push_back(std::make_unique<pki::Identity>(
           bench::pooled_identity(name, "client-key")));
       clients.push_back(std::make_unique<consistency::ConsClientActor>(

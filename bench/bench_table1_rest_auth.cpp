@@ -138,11 +138,11 @@ void BM_AuthenticatedGet(benchmark::State& state) {
   providers::sign_request(put, "jerry", w.key);
   w.service.handle(put);
 
-  RestRequest get;
-  get.method = "GET";
-  get.path = put.path;
-  get.headers["x-ms-date"] = "d";
-  get.headers["x-ms-version"] = "2009-09-19";
+  RestRequest get{
+      .method = "GET",
+      .path = put.path,
+      .headers = {{"x-ms-date", "d"}, {"x-ms-version", "2009-09-19"}},
+      .body = {}};
   providers::sign_request(get, "jerry", w.key);
   for (auto _ : state) {
     benchmark::DoNotOptimize(w.service.handle(get));

@@ -749,89 +749,81 @@ Montgomery::Limbs Montgomery::pad(const BigInt& x) const {
   return out;
 }
 
-BigInt Montgomery::unpack(const Limbs& limbs) {
+BigInt Montgomery::unpack(const Word* x) const {
   constexpr std::size_t kPer = sizeof(Word) / sizeof(std::uint32_t);
   BigInt out;
-  out.limbs_.resize(limbs.size() * kPer);
+  out.limbs_.resize(n_limbs_.size() * kPer);
   for (std::size_t i = 0; i < out.limbs_.size(); ++i) {
     out.limbs_[i] =
-        static_cast<std::uint32_t>(limbs[i / kPer] >> (32 * (i % kPer)));
+        static_cast<std::uint32_t>(x[i / kPer] >> (32 * (i % kPer)));
   }
   out.normalize();
   return out;
 }
 
-Montgomery::Limbs Montgomery::mont_mul(const Limbs& a, const Limbs& b) const {
-  // CIOS (coarsely integrated operand scanning): each outer step adds one
-  // partial product row, then folds in one reduction row chosen so the low
-  // word cancels — the running sum stays at s+2 words and the final value is
-  // a·b·R^{-1} mod n (up to one conditional subtract).
+void Montgomery::mont_mul_into(Word* out, const Word* a, const Word* b,
+                               Word* t) const {
+  // Fused CIOS: each outer step adds the row a[i]·b and the reduction row
+  // m·n (m chosen so the low word cancels) in one inner pass with two carry
+  // chains, shifting the running sum down a word as it goes. The sum stays
+  // below 2n, so s + 1 words hold it.
   constexpr unsigned kWordBits = sizeof(Word) * 8;
   const std::size_t s = n_limbs_.size();
-  Limbs t(s + 2, 0);
+  const Word* n = n_limbs_.data();
+  std::fill(t, t + s + 1, Word{0});
+  // p and r carry their row's pending high word between steps (GCC keeps
+  // two double-width accumulators in registers; separate carry words spill).
   for (std::size_t i = 0; i < s; ++i) {
     const Word ai = a[i];
-    Word carry = 0;
-    for (std::size_t j = 0; j < s; ++j) {
-      const MontDword sum =
-          static_cast<MontDword>(ai) * b[j] + t[j] + carry;
-      t[j] = static_cast<Word>(sum);
-      carry = static_cast<Word>(sum >> kWordBits);
-    }
-    MontDword sum = static_cast<MontDword>(t[s]) + carry;
-    t[s] = static_cast<Word>(sum);
-    t[s + 1] = static_cast<Word>(sum >> kWordBits);
-
-    const Word m = t[0] * n0_;
-    sum = static_cast<MontDword>(m) * n_limbs_[0] + t[0];
-    carry = static_cast<Word>(sum >> kWordBits);
+    MontDword p = static_cast<MontDword>(ai) * b[0] + t[0];
+    const Word m = static_cast<Word>(p) * n0_;
+    MontDword r = static_cast<MontDword>(m) * n[0] + static_cast<Word>(p);
     for (std::size_t j = 1; j < s; ++j) {
-      const MontDword sum2 =
-          static_cast<MontDword>(m) * n_limbs_[j] + t[j] + carry;
-      t[j - 1] = static_cast<Word>(sum2);
-      carry = static_cast<Word>(sum2 >> kWordBits);
+      p = static_cast<MontDword>(ai) * b[j] + t[j] +
+          static_cast<Word>(p >> kWordBits);
+      r = static_cast<MontDword>(m) * n[j] + static_cast<Word>(p) +
+          static_cast<Word>(r >> kWordBits);
+      t[j - 1] = static_cast<Word>(r);
     }
-    sum = static_cast<MontDword>(t[s]) + carry;
-    t[s - 1] = static_cast<Word>(sum);
-    t[s] = t[s + 1] + static_cast<Word>(sum >> kWordBits);
+    p = static_cast<MontDword>(t[s]) + static_cast<Word>(p >> kWordBits);
+    r = static_cast<MontDword>(static_cast<Word>(p)) +
+        static_cast<Word>(r >> kWordBits);
+    t[s - 1] = static_cast<Word>(r);
+    t[s] = static_cast<Word>(p >> kWordBits) +
+           static_cast<Word>(r >> kWordBits);
   }
-  // t[0..s] < 2n with t[s] in {0, 1}; one conditional subtract normalizes.
-  bool ge = t[s] != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t j = s; j-- > 0;) {
-      if (t[j] != n_limbs_[j]) {
-        ge = t[j] > n_limbs_[j];
-        break;
-      }
-    }
+  // t < 2n with t[s] in {0, 1}: write t - n, and keep t instead when the
+  // subtract borrowed past t[s] (t < n).
+  Word borrow = 0;
+  for (std::size_t j = 0; j < s; ++j) {
+    const Word d1 = t[j] - n[j];
+    const Word d2 = d1 - borrow;
+    borrow = static_cast<Word>((d1 > t[j]) || (d2 > d1));
+    out[j] = d2;
   }
-  if (ge) {
-    Word borrow = 0;
-    for (std::size_t j = 0; j < s; ++j) {
-      const Word d1 = t[j] - n_limbs_[j];
-      const Word d2 = d1 - borrow;
-      borrow = static_cast<Word>((d1 > t[j]) || (d2 > d1));
-      t[j] = d2;
-    }
-  }
-  t.resize(s);
+  if (borrow > t[s]) std::copy(t, t + s, out);
+}
+
+BigInt Montgomery::product(const Limbs& a, const Limbs& b) const {
+  Limbs out(n_limbs_.size());
+  Limbs t(n_limbs_.size() + 1);
+  mont_mul_into(out.data(), a.data(), b.data(), t.data());
   counters().mont_modmuls.fetch_add(1, std::memory_order_relaxed);
-  return t;
+  return unpack(out.data());
 }
 
 BigInt Montgomery::to_mont(const BigInt& x) const {
-  return unpack(mont_mul(pad(x), rr_));
+  return product(pad(x), rr_);
 }
 
 BigInt Montgomery::from_mont(const BigInt& x) const {
   Limbs one(n_limbs_.size(), 0);
   one[0] = 1;
-  return unpack(mont_mul(pad(x), one));
+  return product(pad(x), one);
 }
 
 BigInt Montgomery::mul(const BigInt& a, const BigInt& b) const {
-  return unpack(mont_mul(pad(a), pad(b)));
+  return product(pad(a), pad(b));
 }
 
 BigInt Montgomery::pow(const BigInt& base, const BigInt& exp) const {
@@ -839,45 +831,71 @@ BigInt Montgomery::pow(const BigInt& base, const BigInt& exp) const {
     throw CryptoError("Montgomery::pow: negative exponent");
   }
   if (exp.is_zero()) return BigInt(1);
-  const BigInt reduced = base.mod(n_);
-  const Limbs base_m = mont_mul(pad(reduced), rr_);
+  const std::size_t s = n_limbs_.size();
   const std::size_t bits = exp.bit_length();
-  Limbs acc;
-  if (bits <= 20) {
-    // Small exponents (every verify: e = 65537) — left-to-right binary; a
-    // window table would cost more than the ladder saves.
-    acc = base_m;
+  // Small exponents (every verify: e = 65537) take the binary ladder; a
+  // window table would cost more than it saves.
+  const bool windowed = bits > 20;
+  const std::size_t entries = windowed ? 16 : 1;
+  // One scratch buffer serves every multiply: the table of odd powers
+  // base^1, base^3, ..., base^31, the accumulator, the constant 1 and the
+  // kernel's temporary.
+  Limbs scratch((entries + 3) * s + 1, 0);
+  Word* const table = scratch.data();
+  Word* const acc = table + entries * s;
+  Word* const one = acc + s;
+  Word* const t = one + s;
+  one[0] = 1;
+  std::uint64_t modmuls = 0;
+  const auto mulmod = [&](Word* out, const Word* a, const Word* b) {
+    mont_mul_into(out, a, b, t);
+    ++modmuls;
+  };
+
+  mulmod(table, pad(base.mod(n_)).data(), rr_.data());
+  if (!windowed) {
+    std::copy(table, table + s, acc);
     for (std::size_t i = bits - 1; i-- > 0;) {
-      acc = mont_mul(acc, acc);
-      if (exp.bit(i)) acc = mont_mul(acc, base_m);
+      mulmod(acc, acc, acc);
+      if (exp.bit(i)) mulmod(acc, acc, table);
     }
   } else {
-    // 4-bit fixed window, the same shape as the classic ladder.
-    Limbs one_m(n_limbs_.size(), 0);
-    one_m[0] = 1;
-    one_m = mont_mul(one_m, rr_);  // R mod n == to_mont(1)
-    std::vector<Limbs> table(16);
-    table[0] = one_m;
-    table[1] = base_m;
-    for (std::size_t i = 2; i < 16; ++i) {
-      table[i] = mont_mul(table[i - 1], base_m);
+    mulmod(acc, table, table);  // base^2 steps the table
+    for (std::size_t k = 1; k < entries; ++k) {
+      mulmod(table + k * s, table + (k - 1) * s, acc);
     }
-    const std::size_t windows = (bits + 3) / 4;
-    acc = one_m;
-    for (std::size_t w = windows; w-- > 0;) {
-      for (int i = 0; i < 4; ++i) acc = mont_mul(acc, acc);
-      std::uint32_t nibble = 0;
-      for (int i = 3; i >= 0; --i) {
-        nibble = (nibble << 1) |
-                 static_cast<std::uint32_t>(
-                     exp.bit(4 * w + static_cast<std::size_t>(i)) ? 1 : 0);
+    // Left-to-right 5-bit sliding window: a zero bit costs one squaring;
+    // otherwise take the longest window of at most 5 bits that starts at
+    // this bit and ends on a set bit, square once per bit it spans, and
+    // multiply by its odd power. The top bit is set, so the first window
+    // seeds the accumulator.
+    bool seeded = false;
+    for (std::size_t i = bits; i > 0;) {
+      if (!exp.bit(i - 1)) {
+        mulmod(acc, acc, acc);
+        --i;
+        continue;
       }
-      if (nibble != 0) acc = mont_mul(acc, table[nibble]);
+      std::size_t low = i > 5 ? i - 5 : 0;
+      while (!exp.bit(low)) ++low;
+      std::size_t window = 0;
+      for (std::size_t b = i; b-- > low;) {
+        window = (window << 1) | (exp.bit(b) ? 1 : 0);
+      }
+      const Word* power = table + (window >> 1) * s;
+      if (seeded) {
+        for (std::size_t b = low; b < i; ++b) mulmod(acc, acc, acc);
+        mulmod(acc, acc, power);
+      } else {
+        std::copy(power, power + s, acc);
+        seeded = true;
+      }
+      i = low;
     }
   }
-  Limbs one(n_limbs_.size(), 0);
-  one[0] = 1;
-  return unpack(mont_mul(acc, one));
+  mulmod(acc, acc, one);  // out of Montgomery form
+  counters().mont_modmuls.fetch_add(modmuls, std::memory_order_relaxed);
+  return unpack(acc);
 }
 
 }  // namespace tpnr::crypto

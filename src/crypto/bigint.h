@@ -139,6 +139,10 @@ class BigInt {
 /// the 32-bit fallback). Building the context costs one division; amortize
 /// it across an exponentiation or a batch of verifies under the same key.
 /// Immutable after construction — safe to share across threads.
+///
+/// Every operation adds its Montgomery multiplies and squarings (including
+/// the conversions into and out of Montgomery form) to
+/// counters().mont_modmuls once, when it finishes.
 class Montgomery {
  public:
   /// Throws CryptoError unless `modulus` is odd and > 1.
@@ -152,9 +156,11 @@ class Montgomery {
   [[nodiscard]] BigInt from_mont(const BigInt& x) const;
   /// Montgomery product: a·b·R^{-1} mod n, both operands in Montgomery form.
   [[nodiscard]] BigInt mul(const BigInt& a, const BigInt& b) const;
-  /// (base ^ exp) mod n for plain (non-Montgomery) base; exp >= 0. 4-bit
-  /// fixed-window ladder over Montgomery products, bit-identical to
-  /// BigInt::mod_pow_classic with this modulus.
+  /// (base ^ exp) mod n for plain (non-Montgomery) base; exp >= 0.
+  /// Exponents up to 20 bits (e = 65537) take a left-to-right binary
+  /// ladder; longer ones a 5-bit sliding window over the odd powers
+  /// base^1..base^31. The whole exponentiation works in one scratch
+  /// buffer. Bit-identical to BigInt::mod_pow_classic with this modulus.
   [[nodiscard]] BigInt pow(const BigInt& base, const BigInt& exp) const;
 
  private:
@@ -165,10 +171,14 @@ class Montgomery {
 #endif
   using Limbs = std::vector<Word>;
 
-  /// CIOS multiply-and-reduce on limb vectors padded to the modulus width.
-  [[nodiscard]] Limbs mont_mul(const Limbs& a, const Limbs& b) const;
+  /// out = a·b·R^{-1} mod n for s-word operands below n (s = modulus
+  /// width). `out` may alias an operand; `t` is s + 1 words of scratch the
+  /// caller owns.
+  void mont_mul_into(Word* out, const Word* a, const Word* b, Word* t) const;
+  /// One counted Montgomery product of padded operands.
+  [[nodiscard]] BigInt product(const Limbs& a, const Limbs& b) const;
   [[nodiscard]] Limbs pad(const BigInt& x) const;
-  [[nodiscard]] static BigInt unpack(const Limbs& limbs);
+  [[nodiscard]] BigInt unpack(const Word* x) const;
 
   BigInt n_;
   Limbs n_limbs_;  ///< modulus limbs, unpadded length s

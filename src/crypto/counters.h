@@ -26,7 +26,8 @@ struct CounterSnapshot {
   std::uint64_t tree_rebuilds_avoided = 0;  ///< proofs served from a cached tree
   std::uint64_t verify_memo_hits = 0;       ///< RSA verifies answered by memo
   std::uint64_t verify_memo_misses = 0;     ///< RSA verifies done in full
-  std::uint64_t mont_modmuls = 0;     ///< Montgomery CIOS modular multiplies
+  /// Montgomery multiplies and squarings, added once per exponentiation.
+  std::uint64_t mont_modmuls = 0;
   std::uint64_t classic_modmuls = 0;  ///< schoolbook multiply-then-divide muls
   std::uint64_t crt_signs = 0;        ///< RSA private ops done via CRT halves
   std::uint64_t classic_signs = 0;    ///< RSA private ops done full-width

@@ -1,15 +1,17 @@
 // The RSA fast path must be a pure speedup: Montgomery/CIOS modexp, CRT
 // signing and batched verification all have to be bit-for-bit identical to
 // the reference exponentiation, BigInt::mod_pow_classic. These tests pin
-// that down with randomized equivalence sweeps (512/1024/2048-bit), sign and
-// verify checked against the reference computed over an independently
-// built RFC 8017 encoding, corrupted-signature rejection, and the
-// rsa_verify_many / verify-memo interplay.
+// that down with randomized equivalence sweeps (512/1024/2048-bit), an edge
+// matrix over modulus widths, exponent shapes and bases, sign and verify
+// checked against the reference computed over an independently built
+// RFC 8017 encoding, corrupted-signature rejection, the rsa_verify_many /
+// verify-memo interplay, and exact multiply counts under concurrent signing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -77,12 +79,55 @@ TEST(MontgomeryEquivalence, PowMatchesClassicModPowOnRandomOperands) {
     for (int i = 0; i < 4; ++i) {
       const BigInt base = BigInt::random_below(m, rng);
       // Mix short and full-width exponents: short ones exercise the binary
-      // ladder, long ones the 4-bit fixed window.
+      // ladder, long ones the sliding window.
       const BigInt exp = (i % 2 == 0) ? BigInt::random_bits(16 + bits / 64, rng)
                                       : BigInt::random_bits(bits, rng);
       const BigInt classic = base.mod_pow_classic(exp, m);
       EXPECT_EQ(mont.pow(base, exp).compare(classic), 0)
           << bits << "-bit modulus, iteration " << i;
+    }
+  }
+}
+
+/// Odd modulus of exactly `words` 64-bit words; with `top_ones` its top word
+/// is all ones, so Montgomery results land near n and the final subtract
+/// fires often.
+BigInt modulus_of_words(std::size_t words, bool top_ones, Drbg& rng) {
+  BigInt m = random_odd_modulus(64 * words, rng);
+  if (top_ones) {
+    const BigInt low = m.mod(BigInt(1).shifted_left(64 * (words - 1)));
+    m = BigInt::from_hex("ffffffffffffffff").shifted_left(64 * (words - 1)) +
+        low;
+  }
+  return m;
+}
+
+BigInt pow2(std::size_t k) { return BigInt(1).shifted_left(k); }
+
+TEST(MontgomeryEquivalence, EdgeMatrixMatchesClassic) {
+  Drbg rng(std::uint64_t{0x5eed});
+  for (const std::size_t words : {1, 2, 3, 5, 8, 16, 33}) {
+    for (const bool top_ones : {false, true}) {
+      const BigInt m = modulus_of_words(words, top_ones, rng);
+      const Montgomery mont(m);
+      const std::size_t bits = m.bit_length();
+      const std::vector<BigInt> exps = {
+          BigInt(1), BigInt(2), BigInt(3), pow2(20), pow2(21), pow2(64),
+          pow2(20) - BigInt(1),  // the longest exponent on the binary ladder
+          pow2(64) - BigInt(1),
+          BigInt::random_bits(21, rng),  // the first above the ladder cutoff
+          pow2(bits) + pow2(bits / 2) + BigInt(1),  // long zero runs
+          pow2(bits) - BigInt(1),                   // all ones
+          BigInt::random_bits(bits, rng)};
+      const std::vector<BigInt> bases = {BigInt(0), BigInt(1), m - BigInt(1),
+                                         m + BigInt::random_below(m, rng)};
+      for (const BigInt& exp : exps) {
+        for (const BigInt& base : bases) {
+          EXPECT_EQ(mont.pow(base, exp), base.mod_pow_classic(exp, m))
+              << words << " words, top_ones " << top_ones << ", exp "
+              << exp.to_hex() << ", base " << base.to_hex();
+        }
+      }
     }
   }
 }
@@ -277,6 +322,61 @@ TEST_F(RsaFastPathTest, CachedMontContextIsSharedAndCorrect) {
   EXPECT_EQ(ctx1->pow(x, k1024_->pub.e)
                 .compare(x.mod_pow_classic(k1024_->pub.e, k1024_->pub.n)),
             0);
+}
+
+// One verify exponentiation is to_mont, 16 squarings, one multiply and
+// from_mont, added to the counter in one step.
+TEST(MontgomeryCounting, VerifyExponentCountsExactly19) {
+  Drbg rng(std::uint64_t{65537});
+  const BigInt m = random_odd_modulus(1024, rng);
+  const Montgomery mont(m);
+  const BigInt x = BigInt::random_below(m, rng);
+  const std::uint64_t before = counters().mont_modmuls.load();
+  const BigInt y = mont.pow(x, BigInt(65537));
+  EXPECT_EQ(counters().mont_modmuls.load() - before, 19u);
+  EXPECT_EQ(y, x.mod_pow_classic(BigInt(65537), m));
+}
+
+// Threads signing under distinct keys at once get the single-thread
+// signatures, and the shared counter loses no multiply.
+TEST(MontgomeryCounting, ConcurrentSignsMatchSerialSignsAndCounts) {
+  constexpr std::size_t kThreads = 4;
+  constexpr int kSignsPerThread = 3;
+  Drbg rng(std::uint64_t{4444});
+  std::vector<RsaKeyPair> keys;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    keys.push_back(rsa_generate(512, rng));
+  }
+  const Bytes msg = to_bytes("concurrent signer");
+
+  std::vector<Bytes> serial(kThreads);
+  std::uint64_t serial_modmuls = 0;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    serial[i] = rsa_sign(keys[i].priv, HashKind::kSha256, msg);  // warm CRT
+    const std::uint64_t before = counters().mont_modmuls.load();
+    EXPECT_EQ(rsa_sign(keys[i].priv, HashKind::kSha256, msg), serial[i]);
+    serial_modmuls += counters().mont_modmuls.load() - before;
+  }
+
+  std::vector<std::vector<Bytes>> concurrent(kThreads);
+  const std::uint64_t before = counters().mont_modmuls.load();
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&, i] {
+        for (int j = 0; j < kSignsPerThread; ++j) {
+          concurrent[i].push_back(
+              rsa_sign(keys[i].priv, HashKind::kSha256, msg));
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  EXPECT_EQ(counters().mont_modmuls.load() - before,
+            serial_modmuls * kSignsPerThread);
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    for (const Bytes& sig : concurrent[i]) EXPECT_EQ(sig, serial[i]);
+  }
 }
 
 }  // namespace

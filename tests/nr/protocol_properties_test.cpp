@@ -148,9 +148,10 @@ TEST(ProtocolDeterminism, IdenticalSeedsProduceIdenticalOutcomes) {
     std::vector<std::string> txns;
     for (int i = 0; i < 8; ++i) {
       crypto::Drbg data_rng(static_cast<std::uint64_t>(i));
-      txns.push_back(world.alice.store("bob", "ttp",
-                                       "o" + std::to_string(i),
-                                       data_rng.bytes(128)));
+      txns.push_back(
+          world.alice.store("bob", "ttp",
+                            std::string("o").append(std::to_string(i)),
+                            data_rng.bytes(128)));
     }
     world.network.run();
     for (const auto& txn : txns) {
@@ -176,7 +177,8 @@ TEST(ProtocolRobustness, CompletesUnderHeavyJitter) {
   std::vector<std::string> txns;
   for (int i = 0; i < 10; ++i) {
     crypto::Drbg data_rng(static_cast<std::uint64_t>(i + 50));
-    txns.push_back(world.alice.store("bob", "ttp", "j" + std::to_string(i),
+    txns.push_back(world.alice.store("bob", "ttp",
+                                     std::string("j").append(std::to_string(i)),
                                      data_rng.bytes(512)));
   }
   world.network.run();

@@ -133,13 +133,19 @@ std::vector<std::vector<std::string>> run_ring(std::uint64_t seed,
                       std::vector<bool> ok) {
                     const std::uint8_t draw = engine.rng(self).bytes(1)[0];
                     traces[at_endpoint].push_back(
-                        "t" + std::to_string(token) + "@" +
-                        std::to_string(engine.now()) + ":" +
-                        std::to_string(draw) + ":" +
-                        std::to_string(engine.next_counter(self)) + ":" +
-                        std::to_string(prefix) + ":" +
-                        std::to_string(static_cast<int>(ok[0])) +
-                        std::to_string(static_cast<int>(ok[1])));
+                        std::string("t")
+                            .append(std::to_string(token))
+                            .append("@")
+                            .append(std::to_string(engine.now()))
+                            .append(":")
+                            .append(std::to_string(draw))
+                            .append(":")
+                            .append(std::to_string(engine.next_counter(self)))
+                            .append(":")
+                            .append(std::to_string(prefix))
+                            .append(":")
+                            .append(std::to_string(static_cast<int>(ok[0])))
+                            .append(std::to_string(static_cast<int>(ok[1]))));
                     if (remaining == 0) return;
                     const std::size_t next = (at_endpoint + 1) % ids.size();
                     engine.post(ids[next], self, engine.now() + kLatency,

@@ -49,9 +49,14 @@ std::vector<std::vector<std::string>> run_ring(std::uint64_t seed,
         const EndpointId self = ids[at_endpoint];
         const std::uint8_t draw = engine.rng(self).bytes(1)[0];
         traces[at_endpoint].push_back(
-            "t" + std::to_string(token) + "@" + std::to_string(engine.now()) +
-            ":" + std::to_string(draw) + ":" +
-            std::to_string(engine.next_counter(self)));
+            std::string("t")
+                .append(std::to_string(token))
+                .append("@")
+                .append(std::to_string(engine.now()))
+                .append(":")
+                .append(std::to_string(draw))
+                .append(":")
+                .append(std::to_string(engine.next_counter(self))));
         if (remaining == 0) return;
         const std::size_t next = (at_endpoint + 1) % ids.size();
         engine.post(ids[next], self, engine.now() + kLatency,
@@ -114,7 +119,8 @@ TEST(Engine, ShardAssignmentIsRoundRobinInRegistrationOrder) {
   Engine engine(1, {3, 1});
   EXPECT_EQ(engine.shard_count(), 3u);
   for (std::uint32_t i = 0; i < 7; ++i) {
-    const EndpointId id = engine.endpoint("n" + std::to_string(i));
+    const EndpointId id =
+        engine.endpoint(std::string("n").append(std::to_string(i)));
     EXPECT_EQ(engine.shard_of(id), i % 3);
   }
 }
