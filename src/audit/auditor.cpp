@@ -95,14 +95,9 @@ bool AuditorActor::challenge_aggregate(const std::string& txn_id,
     return false;
   }
   const PendingKey key{txn_id, kAggregateIndex};
-  if (pending_.contains(key)) return false;  // one aggregate per txn
+  if (pending_.find(key) != nullptr) return false;  // one aggregate per txn
 
-  dyn::AggChallenge challenge;
-  challenge.seed = rng_->next_u64();
-  challenge.count = count;
-  agg_inflight_[txn_id] = challenge;
-
-  pending_[key].challenged_at = network_->now();
+  pending_.open(key, Pending{network_->now(), {rng_->next_u64(), count}});
   ++counters_.challenges;
   transmit(key, 1);
   return true;
@@ -115,9 +110,9 @@ bool AuditorActor::challenge(const std::string& txn_id,
     return false;
   }
   const PendingKey key{txn_id, chunk_index};
-  if (pending_.contains(key)) return false;  // already in flight
+  if (pending_.find(key) != nullptr) return false;  // already in flight
 
-  pending_[key].challenged_at = network_->now();
+  pending_.open(key, Pending{network_->now(), {}});
   ++counters_.challenges;
   transmit(key, 1);
   return true;
@@ -129,13 +124,12 @@ void AuditorActor::transmit(const PendingKey& key, std::size_t attempt) {
     // Every attempt sends the SAME expanded challenge: the provider's answer
     // is a pure function of (seed, count, object), so a retry is idempotent.
     const auto target_it = dyn_targets_.find(key.first);
-    const auto challenge_it = agg_inflight_.find(key.first);
-    if (target_it != dyn_targets_.end() &&
-        challenge_it != agg_inflight_.end()) {
+    if (target_it != dyn_targets_.end()) {
       const DynAuditTarget& target = target_it->second;
+      const dyn::AggChallenge& challenge = pending_.find(key)->challenge;
       payload.str(target.object_key);
-      payload.u64(challenge_it->second.seed);
-      payload.u64(challenge_it->second.count);
+      payload.u64(challenge.seed);
+      payload.u64(challenge.count);
       // data_hash pins the header to the freshness reference at challenge
       // time: the chain head root the response will be judged against.
       send(next_header(nr::MsgType::kAggChallenge, target.provider,
@@ -153,27 +147,23 @@ void AuditorActor::transmit(const PendingKey& key, std::size_t attempt) {
          payload.take());
   }
   await_reply(
-      kChallengeWait, attempt, key,
-      [this](const PendingKey& k) -> std::uint64_t* {
-        const auto it = pending_.find(k);
-        return it == pending_.end() ? nullptr : &it->second.wait;
-      },
+      pending_, kChallengeWait, attempt, key,
       [this](const PendingKey& k, std::size_t next) {
         ++counters_.retries;
         transmit(k, next);
       },
       [this](const PendingKey& k) {
-        conclude(k, pending_.at(k), AuditVerdict::kNoResponse,
+        conclude(k, AuditVerdict::kNoResponse,
                  "provider silent through " +
                      std::to_string(1 + kChallengeWait.retries) +
                      " attempt(s)");
       });
 }
 
-void AuditorActor::conclude(const PendingKey& key, const Pending& pending,
-                            AuditVerdict verdict, std::string detail) {
+void AuditorActor::conclude(const PendingKey& key, AuditVerdict verdict,
+                            std::string detail) {
   AuditEntry entry;
-  entry.challenged_at = pending.challenged_at;
+  entry.challenged_at = pending_.find(key)->challenged_at;
   entry.concluded_at = network_->now();
   entry.auditor = id();
   entry.txn_id = key.first;
@@ -201,8 +191,7 @@ void AuditorActor::conclude(const PendingKey& key, const Pending& pending,
       ++counters_.flagged;
       break;
   }
-  pending_.erase(key);
-  if (key.second == kAggregateIndex) agg_inflight_.erase(key.first);
+  pending_.retire(key);
 }
 
 void AuditorActor::on_message(const nr::NrMessage& message) {
@@ -303,20 +292,14 @@ void AuditorActor::handle_agg_response(const nr::NrMessage& message) {
   if (h.sender != target.provider) return;
 
   const PendingKey key{h.txn_id, kAggregateIndex};
-  const auto pending_it = pending_.find(key);
-  const auto challenge_it = agg_inflight_.find(h.txn_id);
-  if (pending_it == pending_.end() || challenge_it == agg_inflight_.end()) {
-    return;  // late duplicate or unsolicited
-  }
-  const Pending pending = pending_it->second;
-  const dyn::AggChallenge challenge = challenge_it->second;
+  if (pending_.find(key) == nullptr) return;  // late duplicate or unsolicited
 
   Bytes response_bytes;
   dyn::AggResponse response;
   try {
     common::BinaryReader r(message.payload);
     if (r.str() != target.object_key) {
-      conclude(key, pending, AuditVerdict::kMalformed,
+      conclude(key, AuditVerdict::kMalformed,
                "response names a different object");
       return;
     }
@@ -324,7 +307,7 @@ void AuditorActor::handle_agg_response(const nr::NrMessage& message) {
     r.expect_done();
     response = dyn::AggResponse::decode(response_bytes);
   } catch (const common::SerialError&) {
-    conclude(key, pending, AuditVerdict::kMalformed,
+    conclude(key, AuditVerdict::kMalformed,
              "aggregated response undecodable");
     return;
   }
@@ -338,7 +321,7 @@ void AuditorActor::handle_agg_response(const nr::NrMessage& message) {
       nr::open_evidence_unverified(*identity_, h, message.evidence);
   if (provider_key == nullptr || !opened.has_value()) {
     ++stats_.rejected_bad_evidence;
-    conclude(key, pending, AuditVerdict::kBadEvidence,
+    conclude(key, AuditVerdict::kBadEvidence,
              "response evidence failed verification");
     return;
   }
@@ -356,14 +339,14 @@ void AuditorActor::handle_agg_response(const nr::NrMessage& message) {
   jobs[0].message = common::Payload::copy_of(response_bytes);
   crypto_service().submit_digests(
       std::move(jobs),
-      [this, h, key, pending, provider_key, opened = *opened, challenge,
+      [this, h, key, provider_key, opened = *opened,
        response = std::move(response), tag_key = target.tag_key,
        chunk_size = target.chunk_size, head_version, head_root,
        head_chunk_count, older](std::vector<Bytes> digests) {
-        if (!pending_.contains(key)) return;  // concluded meanwhile
+        if (pending_.find(key) == nullptr) return;  // concluded meanwhile
         if (digests[0] != h.data_hash) {
           ++stats_.rejected_bad_evidence;
-          conclude(key, pending, AuditVerdict::kBadEvidence,
+          conclude(key, AuditVerdict::kBadEvidence,
                    "response evidence failed verification");
           return;
         }
@@ -376,13 +359,13 @@ void AuditorActor::handle_agg_response(const nr::NrMessage& message) {
         sigs[1].signature = opened.header_signature;
         crypto_service().submit_verifies(
             std::move(sigs),
-            [this, key, pending, challenge, response, tag_key, chunk_size,
-             head_version, head_root, head_chunk_count,
-             older](std::vector<bool> ok) {
-              if (!pending_.contains(key)) return;
+            [this, key, response, tag_key, chunk_size, head_version,
+             head_root, head_chunk_count, older](std::vector<bool> ok) {
+              const Pending* pending = pending_.find(key);
+              if (pending == nullptr) return;
               if (!ok[0] || !ok[1]) {
                 ++stats_.rejected_bad_evidence;
-                conclude(key, pending, AuditVerdict::kBadEvidence,
+                conclude(key, AuditVerdict::kBadEvidence,
                          "response evidence failed verification");
                 return;
               }
@@ -390,7 +373,7 @@ void AuditorActor::handle_agg_response(const nr::NrMessage& message) {
               // algebra: a stale or rolled-back head is a verdict of its
               // own, not a mere mismatch.
               if (response.version < head_version) {
-                conclude(key, pending, AuditVerdict::kStaleVersion,
+                conclude(key, AuditVerdict::kStaleVersion,
                          "provider served version " +
                              std::to_string(response.version) +
                              " but the countersigned head is version " +
@@ -399,22 +382,22 @@ void AuditorActor::handle_agg_response(const nr::NrMessage& message) {
               }
               if (!common::constant_time_equal(response.root, head_root)) {
                 if (older.has_value() && *older < head_version) {
-                  conclude(key, pending, AuditVerdict::kRollback,
+                  conclude(key, AuditVerdict::kRollback,
                            "root matches committed version " +
                                std::to_string(*older) +
                                " while claiming version " +
                                std::to_string(response.version) + " (head " +
                                std::to_string(head_version) + ")");
                 } else {
-                  conclude(key, pending, AuditVerdict::kMismatch,
+                  conclude(key, AuditVerdict::kMismatch,
                            "root matches no committed version");
                 }
                 return;
               }
               const bool holds = dyn::verify_agg_response(
-                  challenge, response, tag_key, head_chunk_count, chunk_size,
-                  head_root);
-              conclude(key, pending,
+                  pending->challenge, response, tag_key, head_chunk_count,
+                  chunk_size, head_root);
+              conclude(key,
                        holds ? AuditVerdict::kVerified
                              : AuditVerdict::kMismatch,
                        holds ? "aggregated proof verified against the chain "
@@ -442,22 +425,19 @@ void AuditorActor::handle_chunk_response(const nr::NrMessage& message) {
     // the timeout path will record the non-response.
     PendingKey only{};
     std::size_t matches = 0;
-    for (const auto& [key, pending] : pending_) {
+    for (const auto& [key, row] : pending_) {
       if (key.first == h.txn_id) {
         only = key;
         ++matches;
       }
     }
     if (matches == 1) {
-      conclude(only, pending_.at(only), AuditVerdict::kMalformed,
-               "response payload undecodable");
+      conclude(only, AuditVerdict::kMalformed, "response payload undecodable");
     }
     return;
   }
   const PendingKey key{h.txn_id, chunk_index};
-  const auto pending_it = pending_.find(key);
-  if (pending_it == pending_.end()) return;  // late duplicate or unsolicited
-  const Pending pending = pending_it->second;
+  if (pending_.find(key) == nullptr) return;  // late duplicate or unsolicited
 
   // Stage 2: the chunk and its inclusion proof.
   Bytes chunk;
@@ -467,8 +447,7 @@ void AuditorActor::handle_chunk_response(const nr::NrMessage& message) {
     proof = nr::decode_proof(reader.bytes());
     reader.expect_done();
   } catch (const common::SerialError&) {
-    conclude(key, pending, AuditVerdict::kMalformed,
-             "chunk or proof undecodable");
+    conclude(key, AuditVerdict::kMalformed, "chunk or proof undecodable");
     return;
   }
 
@@ -483,7 +462,7 @@ void AuditorActor::handle_chunk_response(const nr::NrMessage& message) {
       nr::open_evidence_unverified(*identity_, h, message.evidence);
   if (provider_key == nullptr || !opened.has_value()) {
     ++stats_.rejected_bad_evidence;
-    conclude(key, pending, AuditVerdict::kBadEvidence,
+    conclude(key, AuditVerdict::kBadEvidence,
              "response evidence failed verification");
     return;
   }
@@ -494,18 +473,17 @@ void AuditorActor::handle_chunk_response(const nr::NrMessage& message) {
   jobs[1].tag = 0x00;
   crypto_service().submit_digests(
       std::move(jobs),
-      [this, h, key, pending, provider_key, opened = *opened,
-       proof = std::move(proof), chunk_index,
-       chunk_count = target.chunk_count,
+      [this, h, key, provider_key, opened = *opened, proof = std::move(proof),
+       chunk_index, chunk_count = target.chunk_count,
        root = target.root](std::vector<Bytes> digests) {
-        if (!pending_.contains(key)) return;  // concluded meanwhile
+        if (pending_.find(key) == nullptr) return;  // concluded meanwhile
 
         // Stage 3: the response evidence — the provider signed the hash of
         // the chunk it served NOW, so it cannot later repudiate this audit
         // answer.
         if (digests[0] != h.data_hash) {
           ++stats_.rejected_bad_evidence;
-          conclude(key, pending, AuditVerdict::kBadEvidence,
+          conclude(key, AuditVerdict::kBadEvidence,
                    "response evidence failed verification");
           return;
         }
@@ -518,12 +496,12 @@ void AuditorActor::handle_chunk_response(const nr::NrMessage& message) {
         sigs[1].signature = opened.header_signature;
         crypto_service().submit_verifies(
             std::move(sigs),
-            [this, key, pending, proof, chunk_index, chunk_count, root,
+            [this, key, proof, chunk_index, chunk_count, root,
              leaf = std::move(digests[1])](std::vector<bool> ok) {
-              if (!pending_.contains(key)) return;
+              if (pending_.find(key) == nullptr) return;
               if (!ok[0] || !ok[1]) {
                 ++stats_.rejected_bad_evidence;
-                conclude(key, pending, AuditVerdict::kBadEvidence,
+                conclude(key, AuditVerdict::kBadEvidence,
                          "response evidence failed verification");
                 return;
               }
@@ -533,7 +511,7 @@ void AuditorActor::handle_chunk_response(const nr::NrMessage& message) {
                   proof.leaf_index == chunk_index &&
                   proof.leaf_count == chunk_count &&
                   crypto::MerkleTree::verify_from_leaf(leaf, proof, root);
-              conclude(key, pending,
+              conclude(key,
                        chains ? AuditVerdict::kVerified
                               : AuditVerdict::kMismatch,
                        chains ? "chunk verified against the signed root"

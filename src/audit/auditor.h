@@ -145,15 +145,22 @@ class AuditorActor final : public nr::NrActor {
  private:
   struct Pending {
     SimTime challenged_at = 0;
-    std::uint64_t wait = 0;  ///< token of the live response wait
+    dyn::AggChallenge challenge;  ///< what every attempt repeats (aggregates)
   };
   using PendingKey = std::pair<std::string, std::uint64_t>;  // txn, chunk
+  struct PendingKeyHash {
+    std::size_t operator()(const PendingKey& key) const noexcept {
+      return std::hash<std::string>{}(key.first) ^
+             (key.second * 0x9e3779b97f4a7c15ull);
+    }
+  };
 
   /// Sends attempt `attempt` of the in-flight challenge `key` (the same
   /// challenge every time) and awaits the response.
   void transmit(const PendingKey& key, std::size_t attempt);
-  void conclude(const PendingKey& key, const Pending& pending,
-                AuditVerdict verdict, std::string detail);
+  /// Records the in-flight challenge `key`'s verdict and retires it.
+  void conclude(const PendingKey& key, AuditVerdict verdict,
+                std::string detail);
   void handle_chunk_response(const nr::NrMessage& message);
   void handle_agg_response(const nr::NrMessage& message);
   void handle_fork_report(const nr::NrMessage& message);
@@ -161,9 +168,7 @@ class AuditorActor final : public nr::NrActor {
   AuditLedger* ledger_;
   std::map<std::string, AuditTarget> targets_;
   std::map<std::string, DynAuditTarget> dyn_targets_;
-  /// The expanded challenge a retry must repeat verbatim, by txn id.
-  std::map<std::string, dyn::AggChallenge> agg_inflight_;
-  std::map<PendingKey, Pending> pending_;
+  nr::RequestTable<PendingKey, Pending, PendingKeyHash> pending_;
   Counters counters_;
 };
 

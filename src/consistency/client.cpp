@@ -73,13 +73,13 @@ std::string ConsClientActor::store_shared(const std::string& provider,
   const std::vector<Bytes> chunks = dyn::split_chunks(data, chunk_size);
   const dyn::DynMerkleTree tree =
       dyn::DynMerkleTree::build(dyn::chunk_views(chunks));
-  SharedObject::PendingOp pending;
+  PendingOp pending;
   pending.op = MutateOp::kStore;
   pending.chunk = Bytes(data.begin(), data.end());
   pending.record = obj.chain.next_record(object_key, MutateOp::kStore, 0,
                                          tree.leaf_count(), tree.root(), 0);
   pending.client_sig = identity_->sign(pending.record.encode());
-  obj.pending = std::move(pending);
+  pending_.open(object_key, std::move(pending));
 
   const std::string txn_id = obj.txn_id;
   objects_.emplace(object_key, std::move(obj));
@@ -142,22 +142,19 @@ bool ConsClientActor::erase(const std::string& object_key,
 
 bool ConsClientActor::begin_op(SharedObject& obj, MutateOp op,
                                std::uint64_t index, BytesView chunk) {
-  if (!obj.opened || obj.pending) return false;
-  SharedObject::PendingOp pending;
+  if (!obj.opened || pending_.find(obj.object_key) != nullptr) return false;
+  PendingOp pending;
   pending.op = op;
   pending.index = index;
   pending.chunk = Bytes(chunk.begin(), chunk.end());
-  obj.pending = std::move(pending);
-  if (!build_pending_record(obj)) {
-    obj.pending.reset();
-    return false;
-  }
+  if (!build_pending_record(obj, pending)) return false;
+  pending_.open(obj.object_key, std::move(pending));
   transmit_pending(obj.object_key, 1);
   return true;
 }
 
-bool ConsClientActor::build_pending_record(SharedObject& obj) {
-  SharedObject::PendingOp& pending = *obj.pending;
+bool ConsClientActor::build_pending_record(SharedObject& obj,
+                                           PendingOp& pending) {
   if (pending.op == MutateOp::kAppend) pending.index = obj.chunks.size();
   if (dyn::check_chunk_op(pending.op, pending.index, pending.chunk,
                           obj.chunks, obj.chunk_size) !=
@@ -181,9 +178,10 @@ bool ConsClientActor::build_pending_record(SharedObject& obj) {
 void ConsClientActor::transmit_pending(const std::string& object_key,
                                        std::size_t attempt) {
   SharedObject* obj = mutable_object(object_key);
-  if (obj == nullptr || !obj->pending) return;
+  const PendingOp* pending_op = pending_.find(object_key);
+  if (obj == nullptr || pending_op == nullptr) return;
   if (peer_key(obj->provider) == nullptr) return;
-  SharedObject::PendingOp& pending = *obj->pending;
+  const PendingOp& pending = *pending_op;
 
   // The declared observed head: the commitment under which the base
   // version was committed. The provider refuses to commit an op whose
@@ -209,25 +207,21 @@ void ConsClientActor::transmit_pending(const std::string& object_key,
   payload.bytes(observed);
   send(std::move(header), payload.take(), std::move(evidence));
   await_reply(
-      kOpWait, attempt, object_key,
-      [this](const std::string& key) -> std::uint64_t* {
-        SharedObject* pending_obj = mutable_object(key);
-        return pending_obj != nullptr && pending_obj->pending
-                   ? &pending_obj->pending->wait
-                   : nullptr;
-      },
+      pending_, kOpWait, attempt, object_key,
       [this](const std::string& key, std::size_t next) {
         transmit_pending(key, next);
       },
       [this](const std::string& key) {
-        SharedObject& stalled = *mutable_object(key);
-        ++stalled.timeouts;
-        if (stalled.pending->op == MutateOp::kStore) {
-          objects_.erase(key);  // version 1 never committed
-        } else {
-          stalled.pending.reset();
-        }
+        ++mutable_object(key)->timeouts;
+        drop_pending(key);
       });
+}
+
+void ConsClientActor::drop_pending(const std::string& object_key) {
+  if (pending_.find(object_key)->op == MutateOp::kStore) {
+    objects_.erase(object_key);  // version 1 never committed
+  }
+  pending_.retire(object_key);
 }
 
 void ConsClientActor::on_message(const nr::NrMessage& message) {
@@ -333,11 +327,12 @@ bool ConsClientActor::absorb_committed_op(SharedObject& obj,
     ++obj.duplicate_commits;
   }
   // Our own submission coming back committed IS the receipt.
-  if (obj.pending && op.commit.view.client == id() &&
-      op.record.record.version == obj.pending->record.version &&
-      op.record.record.encode() == obj.pending->record.encode()) {
+  const PendingOp* pending = pending_.find(obj.object_key);
+  if (pending != nullptr && op.commit.view.client == id() &&
+      op.record.record.version == pending->record.version &&
+      op.record.record.encode() == pending->record.encode()) {
     ++obj.receipts;
-    obj.pending.reset();
+    pending_.retire(obj.object_key);
   }
   return true;
 }
@@ -393,20 +388,15 @@ void ConsClientActor::handle_op_error(const nr::NrMessage& message) {
   // fork-checks) exactly as if the commits had arrived live.
   for (const CommittedOp& op : suffix) absorb_committed_op(*obj, op);
 
-  if (!obj->pending || obj->pending->record.version != version) return;
-  SharedObject::PendingOp& pending = *obj->pending;
-  if (pending.op == MutateOp::kStore) {
-    // A bounced store is permanent (the key exists, or the record was
-    // malformed): there is no head to rebuild against.
+  PendingOp* pending = pending_.find(object_key);
+  if (pending == nullptr || pending->record.version != version) return;
+  // A bounced store is permanent (the key exists, or the record was
+  // malformed): there is no head to rebuild against.
+  if (pending->op == MutateOp::kStore ||
+      ++pending->resubmits > kMaxResubmits ||
+      !build_pending_record(*obj, *pending)) {
     ++obj->rejected;
-    objects_.erase(object_key);
-    return;
-  }
-  ++pending.resubmits;
-  if (pending.resubmits > kMaxResubmits ||
-      !build_pending_record(*obj)) {
-    ++obj->rejected;
-    obj->pending.reset();
+    drop_pending(object_key);
     return;
   }
   ++obj->stale_resubmits;

@@ -72,18 +72,6 @@ class ConsClientActor final : public nr::NrActor {
     std::optional<ForkChecker> checker;
     bool opened = false;  ///< view update (or own store commit) arrived
 
-    /// The in-flight client-signed submission.
-    struct PendingOp {
-      dyn::MutateOp op = dyn::MutateOp::kUpdate;
-      std::uint64_t index = 0;
-      Bytes chunk;
-      dyn::VersionRecord record;
-      Bytes client_sig;
-      std::uint64_t wait = 0;     ///< token of the live commit wait
-      std::size_t resubmits = 0;  ///< stale-view rebuilds of the record
-    };
-    std::optional<PendingOp> pending;
-
     // Outcome counters.
     std::uint64_t commits_applied = 0;   ///< mirror advanced (any submitter)
     std::uint64_t receipts = 0;          ///< own submissions committed
@@ -92,6 +80,16 @@ class ConsClientActor final : public nr::NrActor {
     std::uint64_t stale_resubmits = 0;   ///< caught up and re-signed
     std::uint64_t timeouts = 0;          ///< retries exhausted
     bool fork_reported = false;
+  };
+
+  /// An object's in-flight client-signed submission.
+  struct PendingOp {
+    dyn::MutateOp op = dyn::MutateOp::kUpdate;
+    std::uint64_t index = 0;
+    Bytes chunk;
+    dyn::VersionRecord record;
+    Bytes client_sig;
+    std::size_t resubmits = 0;  ///< stale-view rebuilds of the record
   };
 
   ConsClientActor(std::string id, net::Network& network,
@@ -132,6 +130,10 @@ class ConsClientActor final : public nr::NrActor {
 
   [[nodiscard]] const SharedObject* object(
       const std::string& object_key) const;
+  /// The object's in-flight submission, or nullptr when none is pending.
+  [[nodiscard]] const PendingOp* pending(const std::string& object_key) const {
+    return pending_.find(object_key);
+  }
   /// The first latched equivocation proof across all objects, if any.
   [[nodiscard]] const EquivocationProof* fork_proof(
       const std::string& object_key) const;
@@ -149,9 +151,12 @@ class ConsClientActor final : public nr::NrActor {
   SharedObject* mutable_object(const std::string& object_key);
   bool begin_op(SharedObject& obj, dyn::MutateOp op, std::uint64_t index,
                 BytesView chunk);
-  /// Builds (or rebuilds, after catch-up) pending's record against the
+  /// Builds (or rebuilds, after catch-up) `pending`'s record against the
   /// current head. Returns false if the op no longer applies.
-  bool build_pending_record(SharedObject& obj);
+  bool build_pending_record(SharedObject& obj, PendingOp& pending);
+  /// Drops the object's pending op; a store's object goes with it, as its
+  /// version 1 never committed.
+  void drop_pending(const std::string& object_key);
   /// Sends attempt `attempt` of the pending record under a fresh header and
   /// awaits its commit.
   void transmit_pending(const std::string& object_key, std::size_t attempt);
@@ -173,6 +178,7 @@ class ConsClientActor final : public nr::NrActor {
   std::vector<std::string> gossip_peers_;
   bool gossip_timer_armed_ = false;
   std::map<std::string, SharedObject> objects_;  ///< by object key
+  nr::RequestTable<std::string, PendingOp> pending_;  ///< by object key
   common::IdGenerator txn_ids_;
   std::uint64_t forks_detected_ = 0;
   std::uint64_t gossip_rounds_ = 0;

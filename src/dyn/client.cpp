@@ -28,11 +28,6 @@ const VersionChain* DynClientActor::chain(
   return obj == nullptr ? nullptr : &obj->chain;
 }
 
-const TagKey* DynClientActor::tag_key(const std::string& object_key) const {
-  const DynObject* obj = object(object_key);
-  return obj == nullptr ? nullptr : &obj->tag_key;
-}
-
 DynClientActor::DynObject* DynClientActor::mutable_object(
     const std::string& object_key) {
   const auto it = objects_.find(object_key);
@@ -71,13 +66,13 @@ std::string DynClientActor::store_dyn(const std::string& provider,
   obj.alphas = obj.tag_key.alphas(sectors_per_chunk(chunk_size));
   obj.tags = make_tags(obj.tag_key, chunk_views(obj.chunks), chunk_size);
 
-  DynObject::PendingOp pending;
+  PendingOp pending;
   pending.record = obj.chain.next_record(object_key, MutateOp::kStore, 0,
                                          obj.tree.leaf_count(),
                                          obj.tree.root(), 0);
   pending.client_sig = identity_->sign(pending.record.encode());
   pending.chunk = Bytes(data.begin(), data.end());
-  obj.pending = std::move(pending);
+  pending_.open(object_key, std::move(pending));
 
   const std::string txn_id = obj.txn_id;
   txn_to_object_[txn_id] = object_key;
@@ -117,7 +112,8 @@ bool DynClientActor::erase(const std::string& object_key,
 
 bool DynClientActor::begin_mutation(DynObject& obj, MutateOp op,
                                     std::uint64_t index, BytesView chunk) {
-  if (obj.pending) return false;  // one in-flight mutation per object
+  // One in-flight mutation per object.
+  if (pending_.find(obj.object_key) != nullptr) return false;
   // The store serves aggregate challenges by slicing the object at a fixed
   // chunk_size stride — refuse here what the provider would reject later.
   if (check_chunk_op(op, index, chunk, obj.chunks, obj.chunk_size) !=
@@ -132,7 +128,7 @@ bool DynClientActor::begin_mutation(DynObject& obj, MutateOp op,
     leaf_hash = DynMerkleTree::hash_chunk(chunk);
     tag = make_tag(obj.tag_key, chunk, leaf_hash, obj.alphas);
   }
-  DynObject::PendingOp pending;
+  PendingOp pending;
   pending.undo = apply_chunk_op(
       {.tree = obj.tree, .chunks = obj.chunks, .tags = &obj.tags}, op, index,
       chunk, tag, std::move(leaf_hash));
@@ -141,7 +137,7 @@ bool DynClientActor::begin_mutation(DynObject& obj, MutateOp op,
                                          obj.tree.root(), tag);
   pending.client_sig = identity_->sign(pending.record.encode());
   pending.chunk = Bytes(chunk.begin(), chunk.end());
-  obj.pending = std::move(pending);
+  pending_.open(obj.object_key, std::move(pending));
   transmit_pending(obj.object_key, 1);
   return true;
 }
@@ -149,9 +145,10 @@ bool DynClientActor::begin_mutation(DynObject& obj, MutateOp op,
 void DynClientActor::transmit_pending(const std::string& object_key,
                                       std::size_t attempt) {
   DynObject* obj = mutable_object(object_key);
-  if (obj == nullptr || !obj->pending) return;
+  const PendingOp* pending_op = pending_.find(object_key);
+  if (obj == nullptr || pending_op == nullptr) return;
   if (peer_key(obj->provider) == nullptr) return;
-  DynObject::PendingOp& pending = *obj->pending;
+  const PendingOp& pending = *pending_op;
 
   // Same idempotent-retry contract as the static client: every (re-)send
   // carries a fresh header (live nonce/seq/deadline) around the SAME signed
@@ -180,34 +177,28 @@ void DynClientActor::transmit_pending(const std::string& object_key,
   payload.bytes(pending.client_sig);
   send(std::move(header), payload.take(), std::move(evidence));
   await_reply(
-      mutate_wait(options_.mutate_retries), attempt, object_key,
-      [this](const std::string& key) -> std::uint64_t* {
-        DynObject* pending_obj = mutable_object(key);
-        return pending_obj != nullptr && pending_obj->pending
-                   ? &pending_obj->pending->wait
-                   : nullptr;
-      },
+      pending_, mutate_wait(options_.mutate_retries), attempt, object_key,
       [this](const std::string& key, std::size_t next) {
         transmit_pending(key, next);
       },
       [this](const std::string& key) {
         DynObject& stalled = *mutable_object(key);
         ++stalled.timeouts;
-        revert_pending(stalled);
+        revert_pending(stalled, *pending_.find(key));
       });
 }
 
-void DynClientActor::revert_pending(DynObject& obj) {
-  if (!obj.pending) return;
-  if (obj.pending->record.op == MutateOp::kStore) {
+void DynClientActor::revert_pending(DynObject& obj, PendingOp& pending) {
+  const std::string object_key = obj.object_key;
+  if (pending.record.op == MutateOp::kStore) {
     // Version 1 never committed — the object does not exist.
     txn_to_object_.erase(obj.txn_id);
-    objects_.erase(obj.object_key);  // `obj` is dead past this line
-    return;
+    objects_.erase(object_key);  // `obj` is dead past this line
+  } else {
+    undo_chunk_op({.tree = obj.tree, .chunks = obj.chunks, .tags = &obj.tags},
+                  std::move(pending.undo));
   }
-  undo_chunk_op({.tree = obj.tree, .chunks = obj.chunks, .tags = &obj.tags},
-                std::move(obj.pending->undo));
-  obj.pending.reset();
+  pending_.retire(object_key);
 }
 
 void DynClientActor::on_message(const nr::NrMessage& message) {
@@ -254,8 +245,9 @@ void DynClientActor::handle_receipt(const nr::NrMessage& message) {
     return;
   }
 
-  if (!obj->pending ||
-      obj->pending->record.version != signed_record.record.version) {
+  const PendingOp* pending = pending_.find(obj->object_key);
+  if (pending == nullptr ||
+      pending->record.version != signed_record.record.version) {
     // A retry crossed with its receipt: the version is already committed
     // (or long settled) — account for it, nothing to apply.
     ++obj->duplicate_receipts;
@@ -264,9 +256,9 @@ void DynClientActor::handle_receipt(const nr::NrMessage& message) {
   // The countersigned record must be EXACTLY the one we signed, and the
   // provider's countersignature must cover record‖our-signature.
   if (!common::constant_time_equal(signed_record.record.encode(),
-                                   obj->pending->record.encode()) ||
+                                   pending->record.encode()) ||
       !common::constant_time_equal(signed_record.client_sig,
-                                   obj->pending->client_sig)) {
+                                   pending->client_sig)) {
     ++stats_.rejected_bad_hash;
     return;
   }
@@ -282,7 +274,7 @@ void DynClientActor::handle_receipt(const nr::NrMessage& message) {
                                 why);
   }
   ++obj->receipts;
-  obj->pending.reset();
+  pending_.retire(obj->object_key);
   // The dynamic NRR: journal it the moment it verifies, like the static
   // client journals its store receipts.
   journal_evidence("dyn-nrr", h.txn_id, obj->provider, obj->object_key,
@@ -298,9 +290,10 @@ void DynClientActor::handle_mutate_error(const nr::NrMessage& message) {
   const std::uint64_t version = r.u64();
   (void)r.str();  // human-readable reason; narration only
   r.expect_done();
-  if (!obj->pending || obj->pending->record.version != version) return;
+  PendingOp* pending = pending_.find(obj->object_key);
+  if (pending == nullptr || pending->record.version != version) return;
   ++obj->rejected;
-  revert_pending(*obj);
+  revert_pending(*obj, *pending);
 }
 
 }  // namespace tpnr::dyn

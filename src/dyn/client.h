@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,16 +57,6 @@ class DynClientActor final : public nr::NrActor {
     std::vector<std::uint64_t> alphas;  ///< cached α_j for this chunk size
     VersionChain chain;                 ///< countersigned records only
 
-    /// The in-flight client-signed record (idempotency key: its version).
-    struct PendingOp {
-      VersionRecord record;
-      Bytes client_sig;
-      Bytes chunk;  ///< op payload bytes (empty for erase; data for store)
-      ChunkOpUndo undo;  ///< restores the mirror if the op is rejected
-      std::uint64_t wait = 0;  ///< token of the live receipt wait
-    };
-    std::optional<PendingOp> pending;
-
     // Outcome counters.
     std::uint64_t receipts = 0;
     std::uint64_t duplicate_receipts = 0;
@@ -75,8 +64,17 @@ class DynClientActor final : public nr::NrActor {
     std::uint64_t timeouts = 0;  ///< retries exhausted, op reverted
   };
 
+  /// An object's in-flight client-signed record (idempotency key: its
+  /// version).
+  struct PendingOp {
+    VersionRecord record;
+    Bytes client_sig;
+    Bytes chunk;  ///< op payload bytes (empty for erase; data for store)
+    ChunkOpUndo undo;  ///< restores the mirror if the op is rejected
+  };
+
   /// `master_secret` seeds per-object TagKeys (shared with the auditor via
-  /// tag_key()).
+  /// DynObject::tag_key).
   DynClientActor(std::string id, net::Network& network,
                  pki::Identity& identity, crypto::Drbg& rng,
                  Bytes master_secret,
@@ -101,7 +99,10 @@ class DynClientActor final : public nr::NrActor {
   /// Stable pointer into this actor's state — what the auditor pins its
   /// freshness checks against (must not outlive the actor).
   [[nodiscard]] const VersionChain* chain(const std::string& object_key) const;
-  [[nodiscard]] const TagKey* tag_key(const std::string& object_key) const;
+  /// The object's in-flight op, or nullptr when none is pending.
+  [[nodiscard]] const PendingOp* pending(const std::string& object_key) const {
+    return pending_.find(object_key);
+  }
 
  protected:
   void on_message(const nr::NrMessage& message) override;
@@ -115,14 +116,15 @@ class DynClientActor final : public nr::NrActor {
   /// Sends attempt `attempt` of the pending record under a fresh header and
   /// awaits its receipt.
   void transmit_pending(const std::string& object_key, std::size_t attempt);
-  /// Restores the pre-op mirror and drops the pending record.
-  void revert_pending(DynObject& obj);
+  /// Restores the pre-op mirror and retires the pending op.
+  void revert_pending(DynObject& obj, PendingOp& pending);
   void handle_receipt(const nr::NrMessage& message);
   void handle_mutate_error(const nr::NrMessage& message);
 
   Bytes master_secret_;
   DynClientOptions options_;
   std::map<std::string, DynObject> objects_;  ///< by object key
+  nr::RequestTable<std::string, PendingOp> pending_;  ///< by object key
   std::map<std::string, std::string> txn_to_object_;
   common::IdGenerator txn_ids_;
 };

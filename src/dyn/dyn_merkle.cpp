@@ -75,10 +75,6 @@ const Bytes& DynMerkleTree::root() const {
   return root_ ? root_->hash : empty_root();
 }
 
-int DynMerkleTree::height() const noexcept {
-  return root_ ? root_->height : 0;
-}
-
 // ---------------------------------------------------------------------------
 // Construction
 
@@ -88,25 +84,6 @@ DynMerkleTree DynMerkleTree::build(std::span<const BytesView> chunks) {
   tree.hash_computations_ += leaves.size();
   tree.root_ = tree.build_range(leaves);
   return tree;
-}
-
-DynMerkleTree DynMerkleTree::build_from_leaves(
-    std::span<const Bytes> leaf_hashes) {
-  DynMerkleTree tree;
-  tree.root_ =
-      tree.build_range({leaf_hashes.data(), leaf_hashes.size()});
-  return tree;
-}
-
-DynMerkleTree DynMerkleTree::build_over(BytesView data,
-                                        std::size_t chunk_size) {
-  if (chunk_size == 0) throw common::Error("DynMerkleTree: chunk_size 0");
-  std::vector<BytesView> chunks;
-  for (std::size_t offset = 0; offset < data.size(); offset += chunk_size) {
-    chunks.push_back(
-        data.subspan(offset, std::min(chunk_size, data.size() - offset)));
-  }
-  return build(chunks);
 }
 
 DynMerkleTree::NodePtr DynMerkleTree::build_range(

@@ -88,13 +88,6 @@ class DynMerkleTree {
   /// build shape, so update-only histories stay byte-identical to a fresh
   /// build over the final chunk vector.
   static DynMerkleTree build(std::span<const BytesView> chunks);
-  /// Build from precomputed leaf hashes (the TTP replays chains this way —
-  /// it never sees chunk bytes).
-  static DynMerkleTree build_from_leaves(std::span<const Bytes> leaf_hashes);
-
-  /// Splits `data` into `chunk_size` chunks (last one short) and builds.
-  /// chunk_size == 0 throws common::Error.
-  static DynMerkleTree build_over(BytesView data, std::size_t chunk_size);
 
   [[nodiscard]] std::uint64_t leaf_count() const noexcept {
     return root_ ? rank_of(root_.get()) : 0;
@@ -102,8 +95,6 @@ class DynMerkleTree {
   /// Root hash; empty_root() for an empty tree.
   [[nodiscard]] const Bytes& root() const;
   [[nodiscard]] static const Bytes& empty_root();
-  /// Height of the tree (0 for empty or a single leaf).
-  [[nodiscard]] int height() const noexcept;
 
   /// Leaf hash of chunk `index`. Throws std::out_of_range.
   [[nodiscard]] const Bytes& leaf_hash(std::uint64_t index) const;

@@ -86,11 +86,6 @@ bool Network::endpoint_down_id(EndpointId endpoint, SimTime at) const {
   return false;
 }
 
-bool Network::endpoint_down(const std::string& endpoint, SimTime at) const {
-  Network* self = const_cast<Network*>(this);
-  return endpoint_down_id(self->engine_.endpoint(endpoint), at);
-}
-
 const LinkConfig& Network::link_for(EndpointId from, EndpointId to) const {
   const auto it = links_.find(link_key(from, to));
   return it == links_.end() ? default_link_ : it->second;

@@ -201,8 +201,6 @@ class Network {
   /// an outage loses traffic, not the simulation's clockwork.
   void set_endpoint_down(const std::string& endpoint, SimTime from,
                          SimTime until);
-  [[nodiscard]] bool endpoint_down(const std::string& endpoint,
-                                   SimTime at) const;
 
   /// Queues a message; throws NetError if `to` was never attached.
   /// Returns the envelope id (also when the message will later be dropped).

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -70,6 +71,53 @@ struct ScreeningPolicy {
   bool check_nonce = true;      ///< §5.4 replay
   bool check_sequence = true;   ///< §5.3 interleaving
   bool check_time_limit = true; ///< §5.5 timeliness
+};
+
+/// An actor's open requests by key. Each row holds the request's entry and
+/// the token of its live reply wait, which NrActor::await_reply stamps:
+/// retire() erases the row and settle() keeps the entry, and either ends
+/// the wait.
+template <typename Key, typename Entry, typename Hash = std::hash<Key>>
+class RequestTable {
+ public:
+  [[nodiscard]] Entry* find(const Key& key) {
+    const auto it = rows_.find(key);
+    return it == rows_.end() ? nullptr : &it->second.entry;
+  }
+  [[nodiscard]] const Entry* find(const Key& key) const {
+    const auto it = rows_.find(key);
+    return it == rows_.end() ? nullptr : &it->second.entry;
+  }
+  /// Opens the request at `key`, replacing (and ending the wait of) any
+  /// request already there.
+  Entry& open(const Key& key, Entry entry) {
+    Row& row = rows_[key];
+    row = Row{std::move(entry), 0};
+    return row.entry;
+  }
+  void retire(const Key& key) { rows_.erase(key); }
+  void settle(const Key& key) {
+    if (std::uint64_t* wait = wait_of(key)) *wait = 0;
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return rows_.size(); }
+  void reserve(std::size_t count) { rows_.reserve(count); }
+  /// The open requests as (key, row) pairs, in no particular order.
+  [[nodiscard]] auto begin() const { return rows_.begin(); }
+  [[nodiscard]] auto end() const { return rows_.end(); }
+
+ private:
+  friend class NrActor;
+  struct Row {
+    Entry entry;
+    std::uint64_t wait = 0;  ///< token of the live reply wait, 0 = none
+  };
+
+  std::uint64_t* wait_of(const Key& key) {
+    const auto it = rows_.find(key);
+    return it == rows_.end() ? nullptr : &it->second.wait;
+  }
+
+  std::unordered_map<Key, Row, Hash> rows_;
 };
 
 class NrActor {
@@ -170,22 +218,23 @@ class NrActor {
       common::SimTime time_limit);
 
   /// The one reply wait (§4.3, §5.5): every request that re-sends or gives
-  /// up on a silent peer goes through here. It stamps the request's wait
-  /// slot — `slot(key)` returns the request's token field, or nullptr once
-  /// the request is gone or no longer waiting — with a fresh per-actor
-  /// token, and waits policy.wait(attempt). Only a timer whose token is
-  /// still in the slot acts: it calls retry(key, attempt + 1) while
-  /// attempt <= policy.retries, and give_up(key) after. A re-send or a new
-  /// request re-stamps the slot, so a superseded timer never fires on it.
-  template <typename Key, typename Slot, typename Retry, typename GiveUp>
-  void await_reply(const RetryPolicy& policy, std::size_t attempt, Key key,
-                   Slot slot, Retry retry, GiveUp give_up) {
+  /// up on a silent peer goes through here. It stamps `key`'s row in
+  /// `table` with a fresh per-actor token and waits policy.wait(attempt).
+  /// Only a timer whose token is still in the row acts: it calls
+  /// retry(key, attempt + 1) while attempt <= policy.retries, and
+  /// give_up(key) after. A re-send re-stamps the row, and retiring or
+  /// settling the request ends the wait, so a superseded timer never fires.
+  template <typename Key, typename Entry, typename Hash, typename Retry,
+            typename GiveUp>
+  void await_reply(RequestTable<Key, Entry, Hash>& table,
+                   const RetryPolicy& policy, std::size_t attempt, Key key,
+                   Retry retry, GiveUp give_up) {
     const std::uint64_t token = ++last_wait_token_;
-    if (std::uint64_t* live = slot(key)) *live = token;
+    if (std::uint64_t* live = table.wait_of(key)) *live = token;
     network_->schedule(policy.wait(attempt),
-                       [policy, attempt, token, key = std::move(key), slot,
+                       [&table, policy, attempt, token, key = std::move(key),
                         retry, give_up] {
-                         const std::uint64_t* live = slot(key);
+                         const std::uint64_t* live = table.wait_of(key);
                          if (live == nullptr || *live != token) return;
                          if (attempt <= policy.retries) {
                            retry(key, attempt + 1);

@@ -57,17 +57,14 @@ ClientActor::ClientActor(std::string id, net::Network& network,
 
 const ClientActor::Txn* ClientActor::transaction(
     const std::string& txn_id) const {
-  const auto it = txns_.find(txn_id);
-  return it == txns_.end() ? nullptr : &it->second;
+  return txns_.find(txn_id);
 }
 
 std::optional<std::pair<MessageHeader, OpenedEvidence>>
 ClientActor::present_nrr(const std::string& txn_id) const {
-  const auto it = txns_.find(txn_id);
-  if (it == txns_.end() || !it->second.nrr || !it->second.nrr_header) {
-    return std::nullopt;
-  }
-  return std::make_pair(*it->second.nrr_header, *it->second.nrr);
+  const Txn* txn = txns_.find(txn_id);
+  if (txn == nullptr || !txn->nrr || !txn->nrr_header) return std::nullopt;
+  return std::make_pair(*txn->nrr_header, *txn->nrr);
 }
 
 std::string ClientActor::store(const std::string& provider,
@@ -88,7 +85,9 @@ std::string ClientActor::store_chunked(const std::string& provider,
   return store_impl(provider, ttp, object_key, data, chunk_size);
 }
 
-void ClientActor::set_state(Txn& txn, TxnState state) {
+void ClientActor::set_state(const std::string& txn_id, Txn& txn,
+                            TxnState state) {
+  txns_.settle(txn_id);
   txn.state = state;
   txn.history.push_back(pack_history(network_->now(), state));
   if (txn_state_terminal(state)) txn.finished_at = network_->now();
@@ -138,23 +137,23 @@ std::string ClientActor::store_impl(const std::string& provider,
   if (options_.store_retries > 0) {
     txn.retry_data = common::Payload::copy_of(data);
   }
-  txns_[txn_id] = std::move(txn);
+  const Txn& opened = txns_.open(txn_id, std::move(txn));
 
   if (chunk_size == 0) {
     // Defer the agreed hash: stores submitted across the shard in the same
     // window coalesce into full SHA-256 lane dispatches. The completion
     // fills the hash and transmits; from driver code the service completes
     // before submit returns, so store() keeps its synchronous semantics.
-    common::Payload object = !txns_[txn_id].retry_data.empty()
-                                 ? txns_[txn_id].retry_data
+    common::Payload object = !opened.retry_data.empty()
+                                 ? opened.retry_data
                                  : common::Payload::copy_of(data);
     std::vector<runtime::DigestJob> jobs(1);
     jobs[0].message = object;
     crypto_service().submit_digests(
         std::move(jobs), [this, txn_id, object](std::vector<Bytes> digests) {
-          const auto it = txns_.find(txn_id);
-          if (it == txns_.end()) return;
-          it->second.data_hash = std::move(digests[0]);
+          Txn* txn = txns_.find(txn_id);
+          if (txn == nullptr) return;
+          txn->data_hash = std::move(digests[0]);
           transmit_store(txn_id, object);
         });
   } else {
@@ -164,10 +163,9 @@ std::string ClientActor::store_impl(const std::string& provider,
 }
 
 void ClientActor::transmit_store(const std::string& txn_id, BytesView data) {
-  const auto it = txns_.find(txn_id);
-  if (it == txns_.end()) return;
-  Txn& txn = it->second;
-  if (peer_key(txn.provider) == nullptr) return;
+  Txn* found = txns_.find(txn_id);
+  if (found == nullptr || peer_key(found->provider) == nullptr) return;
+  Txn& txn = *found;
 
   // Every (re-)send carries a fresh header: new nonce/seq so the replay
   // defence stays intact, new time_limit so the deadline is live. The
@@ -193,42 +191,32 @@ void ClientActor::transmit_store(const std::string& txn_id, BytesView data) {
   // configured she first re-sends the NRO (linear backoff) and escalates
   // only once the budget is spent.
   await_reply(
-      store_wait(options_.store_retries), txn.store_attempts, txn_id,
-      [this](const std::string& id) {
-        return wait_slot(id, TxnState::kStorePending);
-      },
+      txns_, store_wait(options_.store_retries), txn.store_attempts, txn_id,
       [this](const std::string& id, std::size_t) { send_store(id); },
       [this](const std::string& id) {
-        Txn& stalled = txns_.at(id);
+        Txn& stalled = *txns_.find(id);
         if (options_.auto_resolve && !stalled.ttp.empty()) {
           resolve(id, "no NRR before timeout");
         } else {
-          set_state(stalled, TxnState::kTimedOut);
+          set_state(id, stalled, TxnState::kTimedOut);
         }
       });
 }
 
 void ClientActor::send_store(const std::string& txn_id) {
-  const auto it = txns_.find(txn_id);
-  if (it == txns_.end() || it->second.retry_data.empty()) return;
-  if (it->second.state != TxnState::kStorePending) {
-    set_state(it->second, TxnState::kStorePending);
+  Txn* txn = txns_.find(txn_id);
+  if (txn == nullptr || txn->retry_data.empty()) return;
+  if (txn->state != TxnState::kStorePending) {
+    set_state(txn_id, *txn, TxnState::kStorePending);
   }
-  transmit_store(txn_id, it->second.retry_data);
-}
-
-std::uint64_t* ClientActor::wait_slot(const std::string& txn_id,
-                                      TxnState waiting) {
-  const auto it = txns_.find(txn_id);
-  return it != txns_.end() && it->second.state == waiting ? &it->second.wait
-                                                          : nullptr;
+  transmit_store(txn_id, txn->retry_data);
 }
 
 void ClientActor::abort(const std::string& txn_id) {
-  const auto it = txns_.find(txn_id);
-  if (it == txns_.end()) return;
-  Txn& txn = it->second;
-  set_state(txn, TxnState::kAbortPending);
+  Txn* found = txns_.find(txn_id);
+  if (found == nullptr) return;
+  Txn& txn = *found;
+  set_state(txn_id, txn, TxnState::kAbortPending);
 
   // "Alice is only required to send Bob the transaction ID with the NRO."
   common::BinaryWriter payload;
@@ -241,9 +229,9 @@ void ClientActor::abort(const std::string& txn_id) {
 }
 
 void ClientActor::fetch(const std::string& txn_id) {
-  const auto it = txns_.find(txn_id);
-  if (it == txns_.end()) return;
-  Txn& txn = it->second;
+  const Txn* found = txns_.find(txn_id);
+  if (found == nullptr) return;
+  const Txn& txn = *found;
 
   common::BinaryWriter payload;
   payload.str(txn.object_key);
@@ -254,33 +242,30 @@ void ClientActor::fetch(const std::string& txn_id) {
 }
 
 void ClientActor::audit(const std::string& txn_id, std::size_t chunk_index) {
-  const auto it = txns_.find(txn_id);
-  if (it == txns_.end() || it->second.chunk_size == 0) return;
-  Txn& txn = it->second;
+  const Txn* txn = txns_.find(txn_id);
+  if (txn == nullptr || txn->chunk_size == 0) return;
 
   common::BinaryWriter payload;
   payload.u64(chunk_index);
 
-  send(next_header(MsgType::kChunkRequest, txn.provider, txn.ttp, txn_id,
-                   txn.data_hash, network_->now() + options_.reply_window),
+  send(next_header(MsgType::kChunkRequest, txn->provider, txn->ttp, txn_id,
+                   txn->data_hash, network_->now() + options_.reply_window),
        payload.take());
 }
 
 void ClientActor::audit_sample(const std::string& txn_id, std::size_t count) {
-  const auto it = txns_.find(txn_id);
-  if (it == txns_.end() || it->second.chunk_count == 0) return;
+  const Txn* txn = txns_.find(txn_id);
+  if (txn == nullptr || txn->chunk_count == 0) return;
   for (std::size_t i = 0; i < count; ++i) {
-    audit(txn_id, static_cast<std::size_t>(
-                      rng_->uniform(it->second.chunk_count)));
+    audit(txn_id, static_cast<std::size_t>(rng_->uniform(txn->chunk_count)));
   }
 }
 
 void ClientActor::resolve(const std::string& txn_id,
                           const std::string& report) {
-  const auto it = txns_.find(txn_id);
-  if (it == txns_.end()) return;
-  Txn& txn = it->second;
-  if (txn.ttp.empty()) return;
+  Txn* found = txns_.find(txn_id);
+  if (found == nullptr || found->ttp.empty()) return;
+  Txn& txn = *found;
 
   // "Alice sends the transaction ID, the NRO, and a report of anomalies to
   // TTP." The original header travels too, plus Alice's signature over it
@@ -311,26 +296,24 @@ void ClientActor::resolve(const std::string& txn_id,
     case TxnState::kResolveRetrying:
     case TxnState::kTimedOut:
       if (txn.state != TxnState::kResolvePending) {
-        set_state(txn, TxnState::kResolvePending);
+        set_state(txn_id, txn, TxnState::kResolvePending);
       }
       ++txn.resolve_attempts;
       send(txn.ttp, std::move(message));
       // No resolve retries is the paper's mode: wait for the verdict forever.
       if (options_.resolve_retries == 0) break;
       await_reply(
-          resolve_wait(options_.resolve_retries), txn.resolve_attempts, txn_id,
-          [this](const std::string& id) {
-            return wait_slot(id, TxnState::kResolvePending);
-          },
+          txns_, resolve_wait(options_.resolve_retries), txn.resolve_attempts,
+          txn_id,
           [this](const std::string& id, std::size_t) {
             // Back off and re-resolve: this rides out a TTP down-window.
-            set_state(txns_.at(id), TxnState::kResolveRetrying);
+            set_state(id, *txns_.find(id), TxnState::kResolveRetrying);
             resolve(id, "re-resolve: no verdict before timeout");
           },
           [this](const std::string& id) {
             // Every attempt went unanswered: the TTP is unreachable, and the
             // txn parks in a degraded terminal state the caller can count.
-            set_state(txns_.at(id), TxnState::kTtpUnreachable);
+            set_state(id, *txns_.find(id), TxnState::kTtpUnreachable);
           });
       break;
     default:
@@ -451,10 +434,10 @@ void ClientActor::handle_resolve_query(const NrMessage& message) {
   const MessageHeader queried_header = MessageHeader::decode(r.bytes());
   r.expect_done();
 
-  const auto it = txns_.find(h.txn_id);
+  const Txn* txn = txns_.find(h.txn_id);
   const bool acknowledged =
-      it != txns_.end() && it->second.nrr_header.has_value() &&
-      it->second.nrr_header->encode() == queried_header.encode();
+      txn != nullptr && txn->nrr_header.has_value() &&
+      txn->nrr_header->encode() == queried_header.encode();
 
   common::BinaryWriter payload;
   payload.str(acknowledged ? "continue" : "restart");
@@ -470,9 +453,9 @@ void ClientActor::handle_resolve_query(const NrMessage& message) {
 
 void ClientActor::handle_store_receipt(const NrMessage& message) {
   const MessageHeader& h = message.header;
-  const auto it = txns_.find(h.txn_id);
-  if (it == txns_.end()) return;
-  Txn& txn = it->second;
+  Txn* found = txns_.find(h.txn_id);
+  if (found == nullptr) return;
+  Txn& txn = *found;
   // A receipt settles the txn from any still-waiting state — including
   // mid-escalation, when a delayed NRR overtakes the TTP verdict. Any
   // other state (already completed, aborted, settled by verdict) makes
@@ -510,29 +493,28 @@ void ClientActor::handle_store_receipt(const NrMessage& message) {
   crypto_service().submit_verifies(
       std::move(jobs),
       [this, h, opened = *nrr](std::vector<bool> verdicts) {
-        const auto txn_it = txns_.find(h.txn_id);
-        if (txn_it == txns_.end()) return;
-        Txn& pending_txn = txn_it->second;
+        Txn* pending_txn = txns_.find(h.txn_id);
+        if (pending_txn == nullptr) return;
         if (!verdicts[0] || !verdicts[1]) {
           ++stats_.rejected_bad_evidence;
           return;
         }
-        pending_txn.nrr_header = h;
-        pending_txn.nrr = opened;
-        set_state(pending_txn, TxnState::kCompleted);
+        pending_txn->nrr_header = h;
+        pending_txn->nrr = opened;
+        set_state(h.txn_id, *pending_txn, TxnState::kCompleted);
         // The NRR is the artifact §4.4 arbitration depends on: journal it
         // the moment it is verified so it survives a crash.
-        journal_evidence("nrr", h.txn_id, pending_txn.provider,
-                         pending_txn.object_key, pending_txn.chunk_size, h,
+        journal_evidence("nrr", h.txn_id, pending_txn->provider,
+                         pending_txn->object_key, pending_txn->chunk_size, h,
                          opened);
       });
 }
 
 void ClientActor::handle_fetch_response(const NrMessage& message) {
   const MessageHeader& h = message.header;
-  const auto it = txns_.find(h.txn_id);
-  if (it == txns_.end()) return;
-  Txn& txn = it->second;
+  Txn* found = txns_.find(h.txn_id);
+  if (found == nullptr) return;
+  Txn& txn = *found;
   const crypto::RsaPublicKey* provider_key = peer_key(txn.provider);
 
   // The response header's data_hash covers what Bob serves NOW; his
@@ -560,9 +542,9 @@ void ClientActor::handle_fetch_response(const NrMessage& message) {
 
 void ClientActor::handle_chunk_response(const NrMessage& message) {
   const MessageHeader& h = message.header;
-  const auto it = txns_.find(h.txn_id);
-  if (it == txns_.end() || it->second.chunk_size == 0) return;
-  Txn& txn = it->second;
+  Txn* found = txns_.find(h.txn_id);
+  if (found == nullptr || found->chunk_size == 0) return;
+  Txn& txn = *found;
 
   ChunkAuditResult result;
   Bytes chunk;
@@ -604,13 +586,13 @@ void ClientActor::handle_chunk_response(const NrMessage& message) {
 
 void ClientActor::handle_abort_reply(const NrMessage& message) {
   const MessageHeader& h = message.header;
-  const auto it = txns_.find(h.txn_id);
-  if (it == txns_.end()) return;
-  Txn& txn = it->second;
+  Txn* found = txns_.find(h.txn_id);
+  if (found == nullptr) return;
+  Txn& txn = *found;
   if (txn.state != TxnState::kAbortPending) return;
 
   if (h.flag == MsgType::kAbortError) {
-    set_state(txn, TxnState::kAbortErrored);
+    set_state(h.txn_id, txn, TxnState::kAbortErrored);
     return;
   }
   const crypto::RsaPublicKey* provider_key = peer_key(txn.provider);
@@ -622,17 +604,18 @@ void ClientActor::handle_abort_reply(const NrMessage& message) {
   }
   txn.abort_receipt_header = h;
   txn.abort_receipt = *receipt;
-  set_state(txn, h.flag == MsgType::kAbortAccept ? TxnState::kAborted
-                                                 : TxnState::kAbortRejected);
+  set_state(h.txn_id, txn,
+            h.flag == MsgType::kAbortAccept ? TxnState::kAborted
+                                            : TxnState::kAbortRejected);
   journal_evidence("abort-receipt", h.txn_id, txn.provider, txn.object_key,
                    txn.chunk_size, h, *receipt);
 }
 
 void ClientActor::handle_resolve_verdict(const NrMessage& message) {
   const MessageHeader& h = message.header;
-  const auto it = txns_.find(h.txn_id);
-  if (it == txns_.end()) return;
-  Txn& txn = it->second;
+  Txn* found = txns_.find(h.txn_id);
+  if (found == nullptr) return;
+  Txn& txn = *found;
   // Only a txn still waiting on the TTP may be settled by a verdict. A
   // duplicate (or a verdict overtaken by the real NRR, or one provoked by
   // a post-settlement resolve call) must not move the state or append
@@ -659,7 +642,7 @@ void ClientActor::handle_resolve_verdict(const NrMessage& message) {
     if (nrr) {
       txn.nrr_header = receipt_header;
       txn.nrr = *nrr;
-      set_state(txn, TxnState::kResolvedCompleted);
+      set_state(h.txn_id, txn, TxnState::kResolvedCompleted);
       journal_evidence("nrr", h.txn_id, txn.provider, txn.object_key,
                        txn.chunk_size, receipt_header, *nrr);
       return;
@@ -682,7 +665,7 @@ void ClientActor::handle_resolve_verdict(const NrMessage& message) {
     send_store(h.txn_id);
     return;
   }
-  set_state(txn, TxnState::kResolvedFailed);
+  set_state(h.txn_id, txn, TxnState::kResolvedFailed);
 }
 
 }  // namespace tpnr::nr

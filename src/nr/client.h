@@ -101,7 +101,6 @@ class ClientActor final : public NrActor {
     common::SimTime finished_at = 0;  ///< set on entering a terminal state
     std::size_t store_attempts = 0;   ///< store transmissions incl. first
     std::size_t resolve_attempts = 0;
-    std::uint64_t wait = 0;  ///< token of the live store or verdict wait
     common::Payload retry_data;  ///< object bytes, iff store_retries > 0
     /// Every state transition with its sim time, packed (at << 8) | state —
     /// 8 bytes per entry instead of 16 keeps a fleet's millions of
@@ -204,16 +203,15 @@ class ClientActor final : public NrActor {
   std::string store_impl(const std::string& provider, const std::string& ttp,
                          const std::string& object_key, BytesView data,
                          std::size_t chunk_size);
-  /// Single point every state change goes through: appends to the history
-  /// timeline and stamps finished_at on terminal states.
-  void set_state(Txn& txn, TxnState state);
+  /// Single point every state change goes through: ends the txn's reply
+  /// wait (the store wait lives only in kStorePending, the verdict wait only
+  /// in kResolvePending), appends to the history timeline and stamps
+  /// finished_at on terminal states.
+  void set_state(const std::string& txn_id, Txn& txn, TxnState state);
   /// (Re-)sends the store request with a fresh header over the same
   /// txn/data and awaits the receipt.
   void send_store(const std::string& txn_id);
   void transmit_store(const std::string& txn_id, BytesView data);
-  /// The txn's wait token while it is in `waiting`, else nullptr: the store
-  /// wait lives only in kStorePending, the verdict wait in kResolvePending.
-  std::uint64_t* wait_slot(const std::string& txn_id, TxnState waiting);
   void handle_store_receipt(const NrMessage& message);
   void handle_fetch_response(const NrMessage& message);
   void handle_chunk_response(const NrMessage& message);
@@ -234,7 +232,7 @@ class ClientActor final : public NrActor {
   };
 
   ClientOptions options_;
-  std::unordered_map<std::string, Txn> txns_;
+  RequestTable<std::string, Txn> txns_;
   common::IdGenerator txn_ids_;
   const runtime::Placement* placement_ = nullptr;
   std::string directory_;

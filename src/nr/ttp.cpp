@@ -114,28 +114,22 @@ void TtpActor::finish_resolve_request(const MessageHeader& h,
   // verdict (the client's retry means the first copy was lost); still
   // in-flight → the respondent query and its timer are already armed, so
   // the duplicate is simply dropped.
-  const auto existing = pending_.find(h.txn_id);
-  if (genuine && existing != pending_.end() &&
-      existing->second.initiator == h.sender) {
-    if (existing->second.settled) resend_verdict(h.txn_id);
+  const PendingResolve* existing = pending_.find(h.txn_id);
+  if (genuine && existing != nullptr && existing->initiator == h.sender) {
+    if (existing->settled) resend_verdict(h.txn_id);
     return;
   }
-  if (!genuine) {
-    PendingResolve bad;
-    bad.initiator = h.sender;
-    bad.respondent = respondent;
-    bad.settled = false;
-    pending_[h.txn_id] = bad;
-    deliver_verdict(h.txn_id, "invalid-request", {}, {});
-    return;
-  }
-
   PendingResolve pending;
   pending.initiator = h.sender;
   pending.respondent = respondent;
+  if (!genuine) {
+    pending_.open(h.txn_id, std::move(pending));
+    deliver_verdict(h.txn_id, "invalid-request", {}, {});
+    return;
+  }
   pending.original_header = original_header;
   pending.report = report;
-  pending_[h.txn_id] = std::move(pending);
+  pending_.open(h.txn_id, std::move(pending));
 
   // "the TTP will generate the Resolve request to the recipient along with
   // a time stamp" — the header's time_limit carries the deadline.
@@ -148,12 +142,7 @@ void TtpActor::finish_resolve_request(const MessageHeader& h,
        payload.take());
 
   await_reply(
-      kRespondentWait, 1, h.txn_id,
-      [this](const std::string& txn_id) -> std::uint64_t* {
-        const auto it = pending_.find(txn_id);
-        return it == pending_.end() || it->second.settled ? nullptr
-                                                          : &it->second.wait;
-      },
+      pending_, kRespondentWait, 1, h.txn_id,
       [](const std::string&, std::size_t) {},  // no retries: never re-queries
       [this](const std::string& txn_id) {
         deliver_verdict(txn_id, "no-response", {}, {});
@@ -162,9 +151,9 @@ void TtpActor::finish_resolve_request(const MessageHeader& h,
 
 void TtpActor::handle_resolve_response(const NrMessage& message) {
   const MessageHeader& h = message.header;
-  const auto it = pending_.find(h.txn_id);
-  if (it == pending_.end() || it->second.settled) return;
-  if (h.sender != it->second.respondent) return;
+  const PendingResolve* pending = pending_.find(h.txn_id);
+  if (pending == nullptr || pending->settled) return;
+  if (h.sender != pending->respondent) return;
 
   common::BinaryReader r(message.payload);
   const std::string action = r.str();
@@ -181,24 +170,25 @@ void TtpActor::deliver_verdict(const std::string& txn_id,
                                const std::string& outcome,
                                BytesView receipt_header,
                                BytesView receipt_evidence) {
-  auto it = pending_.find(txn_id);
-  if (it == pending_.end() || it->second.settled) return;
-  it->second.settled = true;
+  PendingResolve* pending = pending_.find(txn_id);
+  if (pending == nullptr || pending->settled) return;
+  pending->settled = true;
+  pending_.settle(txn_id);  // settling the case ends its respondent wait
 
   // The signed statement: outcome bound to txn, parties and time.
   common::BinaryWriter statement;
   statement.str(outcome);
   statement.str(txn_id);
-  statement.str(it->second.initiator);
-  statement.str(it->second.respondent);
+  statement.str(pending->initiator);
+  statement.str(pending->respondent);
   statement.i64(network_->now());
   const Bytes statement_bytes = statement.take();
   const Bytes signature = identity_->sign(statement_bytes);
 
   TtpVerdictRecord record;
   record.txn_id = txn_id;
-  record.initiator = it->second.initiator;
-  record.respondent = it->second.respondent;
+  record.initiator = pending->initiator;
+  record.respondent = pending->respondent;
   record.outcome = outcome;
   record.decided_at = network_->now();
   record.statement = statement_bytes;
@@ -209,21 +199,21 @@ void TtpActor::deliver_verdict(const std::string& txn_id,
   // statement embeds the decision time, so re-signing on resend would
   // produce a DIFFERENT statement for the same verdict — the cache keeps
   // the evidence canonical.
-  it->second.outcome = outcome;
-  it->second.receipt_header = Bytes(receipt_header.begin(),
-                                    receipt_header.end());
-  it->second.receipt_evidence = Bytes(receipt_evidence.begin(),
-                                      receipt_evidence.end());
-  it->second.statement = statement_bytes;
-  it->second.statement_signature = signature;
-  send_verdict(txn_id, it->second);
+  pending->outcome = outcome;
+  pending->receipt_header =
+      Bytes(receipt_header.begin(), receipt_header.end());
+  pending->receipt_evidence =
+      Bytes(receipt_evidence.begin(), receipt_evidence.end());
+  pending->statement = statement_bytes;
+  pending->statement_signature = signature;
+  send_verdict(txn_id, *pending);
 }
 
 void TtpActor::resend_verdict(const std::string& txn_id) {
-  const auto it = pending_.find(txn_id);
-  if (it == pending_.end() || !it->second.settled) return;
+  const PendingResolve* pending = pending_.find(txn_id);
+  if (pending == nullptr || !pending->settled) return;
   ++verdicts_resent_;
-  send_verdict(txn_id, it->second);
+  send_verdict(txn_id, *pending);
 }
 
 void TtpActor::send_verdict(const std::string& txn_id,

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -72,7 +71,6 @@ class TtpActor final : public NrActor {
     MessageHeader original_header;
     std::string report;
     bool settled = false;
-    std::uint64_t wait = 0;  ///< token of the live respondent wait
     // Cached verdict material, kept so a duplicate resolve request (client
     // retry after a lost verdict) gets the SAME decision re-sent — same
     // statement bytes, same signature — instead of being re-adjudicated.
@@ -98,7 +96,7 @@ class TtpActor final : public NrActor {
   /// Sends `resolve`'s cached verdict to its initiator under a fresh header.
   void send_verdict(const std::string& txn_id, const PendingResolve& resolve);
 
-  std::map<std::string, PendingResolve> pending_;
+  RequestTable<std::string, PendingResolve> pending_;
   std::vector<TtpVerdictRecord> log_;
   std::uint64_t verdicts_resent_ = 0;
 };

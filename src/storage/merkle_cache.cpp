@@ -27,6 +27,4 @@ std::shared_ptr<const crypto::MerkleTree> MerkleCache::get_or_build(
 
 void MerkleCache::invalidate(const std::string& key) { entries_.erase(key); }
 
-void MerkleCache::clear() { entries_.clear(); }
-
 }  // namespace tpnr::storage

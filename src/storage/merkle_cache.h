@@ -43,8 +43,6 @@ class MerkleCache {
   /// validation already protects correctness, this frees the pinned buffer).
   void invalidate(const std::string& key);
 
-  void clear();
-
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }

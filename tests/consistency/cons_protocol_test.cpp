@@ -109,7 +109,7 @@ TEST_F(ConsProtocolTest, StoreSharedCommitsGlobalPositionOne) {
   ASSERT_NE(obj, nullptr);
   EXPECT_TRUE(obj->opened);
   EXPECT_EQ(obj->receipts, 1u);
-  EXPECT_FALSE(obj->pending.has_value());
+  EXPECT_EQ(alice_.pending("doc"), nullptr);
   EXPECT_EQ(obj->chain.head_version(), 1u);
   ASSERT_TRUE(obj->checker.has_value());
   EXPECT_EQ(obj->checker->view().head_seq(), 1u);
@@ -198,7 +198,7 @@ TEST_F(ConsProtocolTest, DroppedCommitIsRetriedAndReceiptResent) {
 
   const auto* obj = alice_.object("doc");
   EXPECT_EQ(obj->receipts, 2u);  // store + the retried update
-  EXPECT_FALSE(obj->pending.has_value());
+  EXPECT_EQ(alice_.pending("doc"), nullptr);
   EXPECT_EQ(obj->chain.head_version(), 2u);
   EXPECT_EQ(bob_.receipts_resent(), 1u);
   EXPECT_EQ(obj->timeouts, 0u);
@@ -247,7 +247,7 @@ TEST_F(ConsProtocolTest, WithheldCommitsTimeOutWithoutAccusation) {
 
   const auto* obj = alice_.object("doc");
   EXPECT_EQ(obj->timeouts, 1u);
-  EXPECT_FALSE(obj->pending.has_value());  // dropped after retries
+  EXPECT_EQ(alice_.pending("doc"), nullptr);  // dropped after retries
   EXPECT_EQ(obj->chain.head_version(), 1u);
   // Silence is suspicious but never evidence: no fork, no report.
   EXPECT_FALSE(obj->checker->forked());

@@ -80,7 +80,7 @@ class DynProtocolTest : public ::testing::Test {
 TEST_F(DynProtocolTest, StoreEstablishesMatchingCountersignedChains) {
   const auto& obj = stored("doc", 8);
   EXPECT_EQ(obj.receipts, 1u);
-  EXPECT_FALSE(obj.pending.has_value());
+  EXPECT_EQ(alice_.pending("doc"), nullptr);
   ASSERT_EQ(obj.chain.head_version(), 1u);
   EXPECT_EQ(obj.chain.head_root(), obj.tree.root());
 
@@ -193,7 +193,7 @@ TEST_F(DynProtocolTest, ExhaustedRetriesRevertToTheChainHead) {
   // All retries timed out: the mirror is back at the countersigned head.
   EXPECT_EQ(obj.timeouts, 1u);
   EXPECT_EQ(obj.receipts, 1u);  // just the store
-  EXPECT_FALSE(obj.pending.has_value());
+  EXPECT_EQ(alice_.pending("doc"), nullptr);
   EXPECT_EQ(obj.chain.head_version(), 1u);
   EXPECT_EQ(obj.tree.root(), root_before);
   EXPECT_EQ(obj.tree.root(), obj.chain.head_root());

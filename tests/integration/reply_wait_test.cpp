@@ -17,10 +17,14 @@
 #include "consistency/client.h"
 #include "consistency/provider.h"
 #include "crypto/drbg.h"
+#include "crypto/sha256.h"
 #include "dyn/client.h"
+#include "dyn/por_tags.h"
 #include "dyn/provider.h"
+#include "dyn/version_chain.h"
 #include "net/network.h"
 #include "nr/client.h"
+#include "nr/evidence.h"
 #include "nr/provider.h"
 #include "nr/ttp.h"
 
@@ -84,16 +88,25 @@ class ReplyWaitTest : public ::testing::Test {
   /// Sends a message as `from` without any actor behind it (no evidence):
   /// a provider reply forged on the wire, which screening accepts because
   /// it names a trusted sender, a fresh nonce and a fresh sequence number.
+  /// With a `signer`, the header claims `data_hash` and carries evidence
+  /// the signer made over it, sealed for `to`.
   void forge(const std::string& from, const std::string& to,
              nr::MsgType flag, const std::string& txn_id,
-             common::BinaryWriter& payload) {
+             common::BinaryWriter& payload,
+             const pki::Identity* signer = nullptr,
+             common::Bytes data_hash = {}) {
     nr::NrMessage message;
     message.header.flag = flag;
     message.header.sender = from;
     message.header.recipient = to;
     message.header.txn_id = txn_id;
-    message.header.seq_no = 1000;
+    message.header.seq_no = next_forged_seq_++;
     message.header.nonce = rng_.bytes(16);
+    message.header.data_hash = std::move(data_hash);
+    if (signer != nullptr) {
+      message.evidence = nr::make_evidence(*signer, pooled(to).public_key(),
+                                           message.header, rng_);
+    }
     message.payload = payload.take();
     network_.send(from, to, "nr", message.encode());
   }
@@ -105,6 +118,7 @@ class ReplyWaitTest : public ::testing::Test {
   pki::Identity ttp_id_;
   pki::Identity auditor_id_;
   std::map<std::string, std::vector<SimTime>> sends_;
+  std::uint64_t next_forged_seq_ = 1000;
 };
 
 TEST_F(ReplyWaitTest, NrStoreRetriesThenEscalates) {
@@ -266,11 +280,11 @@ TEST_F(ReplyWaitTest, DynOpAfterRejectedOpWaitsItsOwnTimeout) {
   std::uint64_t second_version = 0;
   network_.schedule(2 * kSecond, [&] {
     ASSERT_TRUE(alice.update("doc", 1, common::Bytes(64, 8)));
-    second_version = alice.object("doc")->pending->record.version;
+    second_version = alice.pending("doc")->record.version;
   });
   bool pending_just_before = false;
   network_.schedule(17 * kSecond - 1, [&] {
-    pending_just_before = alice.object("doc")->pending.has_value();
+    pending_just_before = alice.pending("doc") != nullptr;
   });
   network_.run();
 
@@ -280,7 +294,7 @@ TEST_F(ReplyWaitTest, DynOpAfterRejectedOpWaitsItsOwnTimeout) {
   EXPECT_EQ(sends, (std::vector<SimTime>{t0, t0 + 2 * kSecond}));
   EXPECT_TRUE(pending_just_before);
   const auto* obj = alice.object("doc");
-  EXPECT_FALSE(obj->pending.has_value());
+  EXPECT_EQ(alice.pending("doc"), nullptr);
   EXPECT_EQ(obj->rejected, 1u);
   EXPECT_EQ(obj->timeouts, 1u);
   EXPECT_EQ(network_.now(), t0 + 17 * kSecond);
@@ -316,7 +330,7 @@ TEST_F(ReplyWaitTest, ConsOpRebuiltAfterBounceWaitsItsOwnTimeouts) {
   EXPECT_EQ(sends, (std::vector<SimTime>{t0, rebuilt, rebuilt + 15 * kSecond,
                                          rebuilt + 35 * kSecond}));
   const auto* obj = alice.object("shared");
-  EXPECT_FALSE(obj->pending.has_value());
+  EXPECT_EQ(alice.pending("shared"), nullptr);
   EXPECT_EQ(obj->stale_resubmits, 1u);
   EXPECT_EQ(obj->timeouts, 1u);
   EXPECT_EQ(network_.now(), rebuilt + 60 * kSecond);
@@ -390,6 +404,220 @@ TEST_F(ReplyWaitTest, TtpSecondInitiatorGetsItsOwnRespondentWait) {
   EXPECT_EQ(ttp.log()[0].outcome, "no-response");
   EXPECT_EQ(ttp.log()[0].decided_at,
             t0 + 12 * kSecond + 5 * kMillisecond);
+}
+
+TEST_F(ReplyWaitTest, NrRestartVerdictResendsTheNroUnderOneNewWait) {
+  nr::ClientOptions options;
+  options.store_retries = 1;
+  nr::ClientActor alice("alice", network_, alice_id_, rng_, options);
+  nr::ProviderActor bob("bob", network_, bob_id_, rng_);
+  nr::TtpActor ttp("ttp", network_, ttp_id_, rng_);
+  alice.trust_peer("bob", bob_id_.public_key());
+  alice.trust_peer("ttp", ttp_id_.public_key());
+  bob.trust_peer("alice", alice_id_.public_key());
+  bob.trust_peer("ttp", ttp_id_.public_key());
+  ttp.trust_peer("alice", alice_id_.public_key());
+  ttp.trust_peer("bob", bob_id_.public_key());
+  const auto& stores = record_and_drop("alice", "bob");  // bob never sees it
+  const auto& resolves = record_sends("alice", "ttp");
+
+  const std::string txn = alice.store("bob", "ttp", "obj",
+                                      common::to_bytes("d"));
+  network_.schedule(1 * kSecond, [&] { alice.resolve(txn, "early"); });
+  network_.run();
+
+  // Bob knows no such txn and answers the TTP's query with "restart"; the
+  // verdict reaches alice 20 ms after her resolve and she re-sends the NRO.
+  // Escalating ended the first store wait (due at 15 s), so only the
+  // re-send's wait of 20 s runs, and its give-up escalates once more.
+  const SimTime resent = 1 * kSecond + 20 * kMillisecond;
+  EXPECT_EQ(stores, (std::vector<SimTime>{0, resent}));
+  EXPECT_EQ(resolves,
+            (std::vector<SimTime>{1 * kSecond, resent + 20 * kSecond}));
+  EXPECT_EQ(ttp.verdicts_resent(), 1u);
+  const auto* state = alice.transaction(txn);
+  ASSERT_NE(state, nullptr);
+  EXPECT_EQ(state->store_attempts, 2u);
+  // The re-sent verdict is "restart" again, with the retry budget spent.
+  EXPECT_EQ(state->state, nr::TxnState::kResolvedFailed);
+}
+
+TEST_F(ReplyWaitTest, DynReceiptsThatDoNotSettleTheOpAreDropped) {
+  dyn::DynClientActor alice("alice", network_, alice_id_, rng_,
+                            common::to_bytes("master"));
+  dyn::DynProviderActor bob("bob", network_, bob_id_, rng_);
+  alice.trust_peer("bob", pooled("bob").public_key());
+  bob.trust_peer("alice", alice_id_.public_key());
+  alice.store_dyn("bob", "ttp", "doc", common::Bytes(256, 7), 64);
+  network_.run();
+  const auto* obj = alice.object("doc");
+  ASSERT_EQ(obj->chain.head_version(), 1u);
+  const std::string txn = obj->txn_id;
+
+  // A second receipt for the store, after its op retired.
+  const dyn::SignedVersionRecord committed = obj->chain.records().back();
+  common::BinaryWriter duplicate;
+  duplicate.str("doc");
+  duplicate.bytes(committed.encode());
+  forge("bob", "alice", nr::MsgType::kDynStoreReceipt, txn, duplicate,
+        &bob_id_, committed.record.new_root);
+  network_.run();
+  EXPECT_EQ(obj->duplicate_receipts, 1u);
+  EXPECT_EQ(obj->receipts, 1u);
+
+  // An update whose real receipt never comes, answered by two forged ones.
+  record_and_drop("alice", "bob");
+  ASSERT_TRUE(alice.update("doc", 0, common::Bytes(64, 9)));
+  ASSERT_NE(alice.pending("doc"), nullptr);
+  // Bob countersigns a record other than the one alice signed.
+  dyn::SignedVersionRecord altered{alice.pending("doc")->record,
+                                   alice.pending("doc")->client_sig, {}};
+  altered.record.chunk_tag ^= 1;
+  altered.countersign(bob_id_);
+  // The exact record, countersigned by someone other than bob.
+  dyn::SignedVersionRecord miscountersigned{
+      alice.pending("doc")->record, alice.pending("doc")->client_sig, {}};
+  miscountersigned.countersign(alice_id_);
+  const nr::ActorStats before = alice.stats();
+  network_.schedule(1 * kSecond, [&] {
+    common::BinaryWriter receipt;
+    receipt.str("doc");
+    receipt.bytes(altered.encode());
+    forge("bob", "alice", nr::MsgType::kMutateReceipt, txn, receipt, &bob_id_,
+          altered.record.new_root);
+  });
+  network_.schedule(2 * kSecond, [&] {
+    common::BinaryWriter receipt;
+    receipt.str("doc");
+    receipt.bytes(miscountersigned.encode());
+    forge("bob", "alice", nr::MsgType::kMutateReceipt, txn, receipt, &bob_id_,
+          miscountersigned.record.new_root);
+  });
+  bool pending_after_forgeries = false;
+  network_.schedule(3 * kSecond, [&] {
+    pending_after_forgeries = alice.pending("doc") != nullptr;
+  });
+  network_.run();
+
+  EXPECT_EQ(alice.stats().rejected_bad_hash, before.rejected_bad_hash + 1);
+  EXPECT_EQ(alice.stats().rejected_bad_evidence,
+            before.rejected_bad_evidence + 1);
+  // Neither forgery settled the op: it waited out its timeout and reverted.
+  EXPECT_TRUE(pending_after_forgeries);
+  EXPECT_EQ(alice.pending("doc"), nullptr);
+  EXPECT_EQ(obj->receipts, 1u);
+  EXPECT_EQ(obj->timeouts, 1u);
+  EXPECT_EQ(obj->chain.head_version(), 1u);
+}
+
+/// An aggregate challenge in flight that the provider never sees, so each
+/// case answers it with a forged response.
+class AggResponseTest : public ReplyWaitTest {
+ protected:
+  AggResponseTest()
+      : alice_("alice", network_, alice_id_, rng_,
+               common::to_bytes("master")),
+        bob_("bob", network_, bob_id_, rng_),
+        auditor_("auditor", network_, auditor_id_, rng_, ledger_) {
+    alice_.trust_peer("bob", bob_id_.public_key());
+    bob_.trust_peer("alice", alice_id_.public_key());
+    auditor_.trust_peer("bob", bob_id_.public_key());
+    alice_.store_dyn("bob", "ttp", "doc", common::Bytes(256, 7), 64);
+    network_.run();
+    txn_ = alice_.object("doc")->txn_id;
+    EXPECT_TRUE(auditor_.watch_dyn(alice_, "doc"));
+    challenges_ = &record_and_drop("auditor", "bob");
+    EXPECT_TRUE(auditor_.challenge_aggregate(txn_, 2));
+    EXPECT_EQ(auditor_.outstanding(), 1u);
+  }
+
+  /// Forges bob's response, `delay` after the challenge.
+  void respond_after(SimTime delay, common::BinaryWriter payload,
+                     const pki::Identity* signer = nullptr,
+                     common::Bytes data_hash = {}) {
+    network_.schedule(delay, [this, payload = std::move(payload), signer,
+                              data_hash = std::move(data_hash)]() mutable {
+      forge("bob", "auditor", nr::MsgType::kAggResponse, txn_, payload,
+            signer, data_hash);
+    });
+  }
+
+  /// A decodable response about "doc".
+  static common::BinaryWriter response_payload() {
+    common::BinaryWriter payload;
+    payload.str("doc");
+    payload.bytes(response_bytes());
+    return payload;
+  }
+  static common::Bytes response_bytes() { return dyn::AggResponse{}.encode(); }
+
+  /// Runs the challenge out and checks it concluded once, with `verdict`,
+  /// and was never re-sent.
+  void expect_concluded(audit::AuditVerdict verdict) {
+    network_.run();
+    ASSERT_EQ(ledger_.size(), 1u);
+    EXPECT_EQ(ledger_.entries()[0].verdict, verdict);
+    EXPECT_EQ(auditor_.outstanding(), 0u);
+    EXPECT_EQ(challenges_->size(), 1u);
+    EXPECT_EQ(auditor_.counters().flagged, 1u);
+    EXPECT_EQ(auditor_.counters().retries, 0u);
+  }
+
+  audit::AuditLedger ledger_;
+  dyn::DynClientActor alice_;
+  dyn::DynProviderActor bob_;
+  audit::AuditorActor auditor_;
+  std::string txn_;
+  const std::vector<SimTime>* challenges_ = nullptr;
+};
+
+TEST_F(AggResponseTest, WrongObjectIsMalformed) {
+  common::BinaryWriter payload;
+  payload.str("other");
+  payload.bytes(response_bytes());
+  respond_after(1 * kSecond, std::move(payload));
+  expect_concluded(audit::AuditVerdict::kMalformed);
+  EXPECT_EQ(ledger_.entries()[0].detail, "response names a different object");
+}
+
+TEST_F(AggResponseTest, UndecodableIsMalformed) {
+  common::BinaryWriter payload;
+  payload.str("doc");
+  respond_after(1 * kSecond, std::move(payload));
+  expect_concluded(audit::AuditVerdict::kMalformed);
+  EXPECT_EQ(ledger_.entries()[0].detail, "aggregated response undecodable");
+}
+
+TEST_F(AggResponseTest, UnsealedResponseIsBadEvidence) {
+  respond_after(1 * kSecond, response_payload());
+  expect_concluded(audit::AuditVerdict::kBadEvidence);
+  EXPECT_EQ(auditor_.stats().rejected_bad_evidence, 1u);
+}
+
+TEST_F(AggResponseTest, DigestMismatchIsBadEvidence) {
+  // Bob's evidence is sound, but it covers other bytes than these.
+  respond_after(1 * kSecond, response_payload(), &bob_id_,
+                crypto::sha256(common::to_bytes("other")));
+  expect_concluded(audit::AuditVerdict::kBadEvidence);
+  EXPECT_EQ(auditor_.stats().rejected_bad_evidence, 1u);
+}
+
+TEST_F(AggResponseTest, BadSignatureIsBadEvidence) {
+  // The right digest, signed by someone other than bob.
+  respond_after(1 * kSecond, response_payload(), &alice_id_,
+                crypto::sha256(response_bytes()));
+  expect_concluded(audit::AuditVerdict::kBadEvidence);
+  EXPECT_EQ(auditor_.stats().rejected_bad_evidence, 1u);
+}
+
+TEST_F(AggResponseTest, LateDuplicateAfterConclusionIsIgnored) {
+  common::BinaryWriter wrong;
+  wrong.str("other");
+  respond_after(1 * kSecond, std::move(wrong));
+  respond_after(2 * kSecond, response_payload(), &bob_id_,
+                crypto::sha256(response_bytes()));
+  expect_concluded(audit::AuditVerdict::kMalformed);
+  EXPECT_EQ(auditor_.stats().rejected_bad_evidence, 0u);
 }
 
 }  // namespace
