@@ -247,56 +247,28 @@ bool ConsClientActor::advance_mirror(SharedObject& obj,
                                      const CommittedOp& op) {
   const VersionRecord& rec = op.record.record;
   const ViewCommitment& view = op.commit.view;
-  // Bind the record to the commitment it rode in on, then check the
-  // provider's countersignature (the commitment's own signature was
-  // already checked by the fork checker).
-  if (crypto::sha256(op.record.encode()) != view.op_record_hash ||
-      rec.version != view.head_version || rec.new_root != view.head_root) {
-    ++obj.rejected;
-    return false;
-  }
   const crypto::RsaPublicKey* provider_key = peer_key(obj.provider);
-  if (provider_key == nullptr ||
-      !op.record.verify_provider(*provider_key)) {
+  const crypto::RsaPublicKey* client_key = peer_key(view.client);
+  // In order: the record must be the one its commitment names, carry the
+  // provider's countersignature (the commitment's own signature was checked
+  // by the fork checker) and, when the submitter's key is known, its
+  // signature too (unknown co-clients are covered by the provider's promise
+  // alone). Then the commit rule: next on our chain, for our object, and
+  // an op the mirror can take. A record that misdescribes its op (a
+  // byzantine provider) leaves the mirror untouched.
+  if (crypto::sha256(op.record.encode()) != view.op_record_hash ||
+      rec.version != view.head_version || rec.new_root != view.head_root ||
+      provider_key == nullptr || !op.record.verify_provider(*provider_key) ||
+      (client_key != nullptr && !op.record.verify_client(*client_key)) ||
+      obj.chain.admit(op.record) != dyn::Admission::kNext ||
+      rec.object_key != obj.object_key ||
+      dyn::apply_record({.tree = obj.tree, .chunks = obj.chunks},
+                        obj.chunk_size, rec,
+                        op.op_bytes) != dyn::ChunkOpFault::kNone) {
     ++obj.rejected;
     return false;
   }
-  // When the submitting client's key is known, its signature must hold
-  // too; unknown co-clients are covered by the provider's promise alone.
-  if (const crypto::RsaPublicKey* client_key = peer_key(view.client);
-      client_key != nullptr && !op.record.verify_client(*client_key)) {
-    ++obj.rejected;
-    return false;
-  }
-  std::string why;
-  dyn::VersionChain chain_probe = obj.chain;  // append validates links
-  if (!chain_probe.append(op.record, &why)) {
-    ++obj.rejected;
-    return false;
-  }
-
-  // A record that misdescribes its op (a byzantine provider) leaves the
-  // mirror untouched: it must keep the stride rule, and the applier
-  // restores the mirror unless the result matches the record.
-  if (rec.op == MutateOp::kStore) {
-    std::vector<Bytes> chunks = dyn::split_chunks(op.op_bytes, obj.chunk_size);
-    dyn::DynMerkleTree tree =
-        dyn::DynMerkleTree::build(dyn::chunk_views(chunks));
-    if (tree.root() != rec.new_root || tree.leaf_count() != rec.chunk_count) {
-      ++obj.rejected;
-      return false;
-    }
-    obj.chunks = std::move(chunks);
-    obj.tree = std::move(tree);
-  } else if (dyn::check_chunk_op(rec.op, rec.chunk_index, op.op_bytes,
-                                 obj.chunks, obj.chunk_size) !=
-                 dyn::ChunkOpFault::kNone ||
-             dyn::apply_chunk_op({.tree = obj.tree, .chunks = obj.chunks}, rec,
-                                 op.op_bytes) != dyn::ChunkOpFault::kNone) {
-    ++obj.rejected;
-    return false;
-  }
-  obj.chain = std::move(chain_probe);
+  obj.chain.append(op.record);
   ++obj.commits_applied;
   obj.opened = true;
   return true;

@@ -134,7 +134,7 @@ void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
       // Idempotent store retry: same creator, same signed v1 record.
       const Branch& main = state.branches.front();
       if (h.sender == state.creator &&
-          main.chain.committed_version(signed_record) == 1u) {
+          main.chain.admit(signed_record) == dyn::Admission::kRetry) {
         ++receipts_resent_;
         if (behavior_.send_commits) {
           send_commit(h.sender, state.txn_id, object_key, state.chunk_size,
@@ -146,19 +146,16 @@ void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
                     "object already exists", {});
       return;
     }
-    if (chunk_size == 0 || chunk.empty() || rec.version != 1 ||
-        rec.old_root != dyn::DynMerkleTree::empty_root() ||
-        rec.prev_record_hash != VersionRecord::genesis_link() ||
+    Branch branch;
+    if (chunk_size == 0 || chunk.empty() ||
+        branch.chain.admit(signed_record) != dyn::Admission::kNext ||
         observed_head != ViewCommitment::genesis_link()) {
       send_op_error(h.sender, h.txn_id, object_key, rec.version,
                     "malformed store record", {});
       return;
     }
-    Branch branch;
-    branch.chunks = dyn::split_chunks(chunk, chunk_size);
-    branch.tree = dyn::DynMerkleTree::build(dyn::chunk_views(branch.chunks));
-    if (branch.tree.leaf_count() != rec.chunk_count ||
-        branch.tree.root() != rec.new_root) {
+    if (dyn::apply_record({.tree = branch.tree, .chunks = branch.chunks},
+                          chunk_size, rec, chunk) != dyn::ChunkOpFault::kNone) {
       send_op_error(h.sender, h.txn_id, object_key, rec.version,
                     "store record root does not match the data", {});
       return;
@@ -186,47 +183,43 @@ void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
   const std::size_t branch_index = state.branch_index(h.sender);
   Branch& branch = state.branches[branch_index];
 
-  // Version-number idempotency: an already-committed version re-issues its
-  // commit verbatim. A DIFFERENT record under a committed version is a
-  // conflict the client resolves by catching up on the suffix.
-  const std::uint64_t head = branch.chain.head_version();
-  if (rec.version >= 1 && rec.version <= head) {
-    if (const auto version = branch.chain.committed_version(signed_record)) {
-      ++receipts_resent_;
-      if (behavior_.send_commits) {
-        send_commit(h.sender, state.txn_id, object_key, state.chunk_size,
-                    branch.log[*version - 1]);
-      }
-    } else {
-      send_op_error(h.sender, h.txn_id, object_key, rec.version,
-                    "version already committed to a different record",
-                    suffix_from(branch, observed_head));
+  // The commit rule. A retry re-issues the committed version's commit
+  // verbatim; a DIFFERENT record under a committed version is a conflict
+  // the client resolves by catching up on the suffix.
+  const dyn::Admission admission = branch.chain.admit(signed_record);
+  if (admission == dyn::Admission::kRetry) {
+    ++receipts_resent_;
+    if (behavior_.send_commits) {
+      send_commit(h.sender, state.txn_id, object_key, state.chunk_size,
+                  branch.log[rec.version - 1]);
     }
+    return;
+  }
+  if (admission == dyn::Admission::kConflict) {
+    send_op_error(h.sender, h.txn_id, object_key, rec.version,
+                  "version already committed to a different record",
+                  suffix_from(branch, observed_head));
     return;
   }
 
   // The fork-join rule: the provider only commits an op whose declared
   // observed head IS the branch head. A stale client gets the missing
   // suffix and re-submits against the new head.
-  if (observed_head != branch.views.head_hash() || rec.version != head + 1) {
+  if (admission == dyn::Admission::kGap ||
+      observed_head != branch.views.head_hash()) {
     send_op_error(h.sender, h.txn_id, object_key, rec.version, "stale view",
                   suffix_from(branch, observed_head));
     return;
   }
-  if (!common::constant_time_equal(rec.old_root, branch.chain.head_root()) ||
-      !common::constant_time_equal(rec.prev_record_hash,
-                                   branch.chain.head_hash())) {
+  if (admission == dyn::Admission::kUnlinked) {
     send_op_error(h.sender, h.txn_id, object_key, rec.version,
                   "record does not link to the committed head", {});
     return;
   }
-  dyn::ChunkOpFault fault = dyn::check_chunk_op(
-      rec.op, rec.chunk_index, chunk, branch.chunks, state.chunk_size);
-  if (fault == dyn::ChunkOpFault::kNone) {
-    fault = dyn::apply_chunk_op(
-        {.tree = branch.tree, .chunks = branch.chunks}, rec, chunk);
-  }
-  if (fault != dyn::ChunkOpFault::kNone) {
+  if (const dyn::ChunkOpFault fault =
+          dyn::apply_record({.tree = branch.tree, .chunks = branch.chunks},
+                            state.chunk_size, rec, chunk);
+      fault != dyn::ChunkOpFault::kNone) {
     send_op_error(h.sender, h.txn_id, object_key, rec.version,
                   dyn::chunk_op_fault_reason(fault), {});
     return;

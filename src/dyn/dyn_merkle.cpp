@@ -687,10 +687,31 @@ void undo_chunk_op(ChunkMirror mirror, ChunkOpUndo undo) {
   mirror.tree = std::move(undo.tree);
 }
 
-ChunkOpFault apply_chunk_op(ChunkMirror mirror, const VersionRecord& rec,
-                            BytesView chunk) {
+ChunkOpFault apply_record(ChunkMirror mirror, std::size_t chunk_size,
+                          const VersionRecord& rec, BytesView bytes) {
+  if ((rec.op == MutateOp::kStore) != (rec.version == 1)) {
+    return ChunkOpFault::kStoreOp;
+  }
+  if (rec.op == MutateOp::kStore) {
+    if (bytes.empty()) return ChunkOpFault::kNoChunkBytes;
+    if (chunk_size == 0) return ChunkOpFault::kOversizeChunk;
+    std::vector<Bytes> chunks = split_chunks(bytes, chunk_size);
+    DynMerkleTree tree = DynMerkleTree::build(chunk_views(chunks));
+    if (tree.leaf_count() != rec.chunk_count) return ChunkOpFault::kChunkCount;
+    if (!common::constant_time_equal(tree.root(), rec.new_root)) {
+      return ChunkOpFault::kNewRoot;
+    }
+    mirror.chunks = std::move(chunks);
+    mirror.tree = std::move(tree);
+    return ChunkOpFault::kNone;
+  }
+  if (const ChunkOpFault fault = check_chunk_op(
+          rec.op, rec.chunk_index, bytes, mirror.chunks, chunk_size);
+      fault != ChunkOpFault::kNone) {
+    return fault;
+  }
   ChunkOpUndo undo =
-      apply_chunk_op(mirror, rec.op, rec.chunk_index, chunk, rec.chunk_tag);
+      apply_chunk_op(mirror, rec.op, rec.chunk_index, bytes, rec.chunk_tag);
   ChunkOpFault fault = ChunkOpFault::kNone;
   if (mirror.tree.leaf_count() != rec.chunk_count) {
     fault = ChunkOpFault::kChunkCount;

@@ -206,12 +206,13 @@ std::vector<BytesView> chunk_views(std::span<const Bytes> chunks);
 // a fixed chunk_size stride, so every chunk op must keep "only the last
 // chunk may be short". check_chunk_op is that data-layout policy and
 // apply_chunk_op the one way an op reaches a mirror; the dyn and
-// consistency clients and providers all go through them.
+// consistency clients and providers all go through them, the committing
+// side by way of apply_record.
 
 /// Why a chunk op was refused (kNone: it was not).
 enum class ChunkOpFault : std::uint8_t {
   kNone = 0,
-  kStoreOp,               ///< kStore only ever creates version 1
+  kStoreOp,               ///< kStore is exactly version 1's op
   kIndexOutOfRange,       ///< past the end, or an append not at the end
   kEraseCarriesBytes,
   kNoChunkBytes,
@@ -259,10 +260,13 @@ ChunkOpUndo apply_chunk_op(ChunkMirror mirror, MutateOp op,
                            std::uint64_t tag = 0, Bytes leaf_hash = {});
 void undo_chunk_op(ChunkMirror mirror, ChunkOpUndo undo);
 
-/// Applies a checked op as `rec` describes it (tag: rec.chunk_tag) and
-/// verifies the record's chunk_count and new_root against the result. On a
-/// mismatch the mirror is restored and kChunkCount or kNewRoot returned.
-ChunkOpFault apply_chunk_op(ChunkMirror mirror, const VersionRecord& rec,
-                            BytesView chunk);
+/// Applies `rec` to `mirror`, an object sliced at `chunk_size`, and checks
+/// the record's chunk_count and new_root against the result. A kStore
+/// record (only ever version 1) builds the mirror from the object `bytes`
+/// (PoR tags are the caller's to set); any other op must keep the stride
+/// rule (check_chunk_op), carries its chunk in `bytes` and its tag in
+/// rec.chunk_tag. On any fault the mirror is left unchanged.
+ChunkOpFault apply_record(ChunkMirror mirror, std::size_t chunk_size,
+                          const VersionRecord& rec, BytesView bytes);
 
 }  // namespace tpnr::dyn

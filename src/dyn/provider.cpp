@@ -140,7 +140,8 @@ void DynProviderActor::handle_dyn_store(const nr::NrMessage& message) {
   const auto existing = objects_.find(object_key);
   if (existing != objects_.end()) {
     const VersionChain& chain = existing->second.chain;
-    if (chain.committed_version(signed_record) == 1u) {
+    if (rec.op == MutateOp::kStore &&
+        chain.admit(signed_record) == Admission::kRetry) {
       ++receipts_resent_;
       send_receipt(h.sender, h.txn_id, nr::MsgType::kDynStoreReceipt,
                    chain.records().front());
@@ -151,23 +152,18 @@ void DynProviderActor::handle_dyn_store(const nr::NrMessage& message) {
     return;
   }
 
-  // Recompute the committed facts from the bytes the client actually sent.
+  // Recompute the committed facts from the bytes the client actually sent:
+  // the record must open a chain and describe exactly this data.
   DynObjectState state;
   state.txn_id = h.txn_id;
   state.client = h.sender;
   state.chunk_size = chunk_size;
-  state.chunks = split_chunks(data, chunk_size);
-  state.tree = DynMerkleTree::build(chunk_views(state.chunks));
   state.tags = std::move(tags);
-  if (rec.version != 1 || rec.op != MutateOp::kStore ||
-      rec.object_key != object_key ||
-      rec.chunk_count != state.tree.leaf_count() ||
-      state.tags.size() != state.chunks.size() ||
-      !common::constant_time_equal(rec.old_root,
-                                   DynMerkleTree::empty_root()) ||
-      !common::constant_time_equal(rec.prev_record_hash,
-                                   VersionRecord::genesis_link()) ||
-      !common::constant_time_equal(rec.new_root, state.tree.root())) {
+  if (rec.op != MutateOp::kStore || rec.object_key != object_key ||
+      state.chain.admit(signed_record) != Admission::kNext ||
+      apply_record({.tree = state.tree, .chunks = state.chunks}, chunk_size,
+                   rec, data) != ChunkOpFault::kNone ||
+      state.tags.size() != state.chunks.size()) {
     ++stats_.rejected_bad_hash;
     return;
   }
@@ -180,12 +176,7 @@ void DynProviderActor::handle_dyn_store(const nr::NrMessage& message) {
   }
 
   signed_record.countersign(*identity_);
-  std::string why;
-  if (!state.chain.append(signed_record, &why)) {
-    ++stats_.rejected_bad_hash;  // cannot happen for a validated v1 record
-    return;
-  }
-
+  state.chain.append(signed_record);
   write_through(store_, rec, state.chunks, network_->now());
   journal_evidence("dyn-nro", h.txn_id, h.sender, object_key, chunk_size, h,
                    *nro);
@@ -223,12 +214,13 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
   }
 
   // Envelope consistency: the loose payload fields must restate the signed
-  // record (an erase carries no tag), the header must bind to its new_root,
-  // and the client signature must verify — all before any state is touched.
+  // record (an erase carries neither bytes nor a tag), the header must bind
+  // to its new_root, and the client signature must verify — all before any
+  // state is touched.
   if (rec.object_key != object_key ||
       static_cast<std::uint8_t>(rec.op) != op_byte ||
       rec.chunk_index != index || rec.chunk_tag != tag ||
-      (rec.op == MutateOp::kErase && tag != 0) ||
+      (rec.op == MutateOp::kErase && (tag != 0 || !chunk.empty())) ||
       !common::constant_time_equal(h.data_hash, rec.new_root)) {
     ++stats_.rejected_bad_hash;
     return;
@@ -238,47 +230,29 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
     return;
   }
 
-  // Version-number idempotency (the retry contract): an already-committed
-  // version re-issues its receipt verbatim; nothing is re-applied. The
-  // SAME record is required — a different record under a committed version
-  // is a conflict, not a retry.
-  const std::uint64_t head = state.chain.head_version();
-  if (rec.version >= 1 && rec.version <= head) {
-    if (const auto version = state.chain.committed_version(signed_record)) {
+  // The commit rule. A retry (the same record under the same signature at
+  // a committed version) re-issues that version's receipt verbatim and
+  // re-applies nothing; a different record there is a conflict.
+  switch (state.chain.admit(signed_record)) {
+    case Admission::kNext:
+      break;
+    case Admission::kRetry:
       ++receipts_resent_;
       send_receipt(h.sender, h.txn_id, nr::MsgType::kMutateReceipt,
-                   state.chain.records()[*version - 1]);
-    } else {
+                   state.chain.records()[rec.version - 1]);
+      return;
+    case Admission::kConflict:
       send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
                         "version already committed to a different record");
-    }
-    return;
-  }
-  if (rec.version != head + 1) {
-    send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
-                      "version gap");
-    return;
-  }
-  if (!common::constant_time_equal(rec.old_root, state.chain.head_root()) ||
-      !common::constant_time_equal(rec.prev_record_hash,
-                                   state.chain.head_hash())) {
-    send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
-                      "old root does not match the committed head");
-    return;
-  }
-
-  // The stride rule against the committed mirror — the same check the
-  // client made before sending.
-  const ChunkOpFault layout = check_chunk_op(rec.op, index, chunk,
-                                             state.chunks, state.chunk_size);
-  if (layout == ChunkOpFault::kEraseCarriesBytes) {
-    ++stats_.rejected_bad_hash;
-    return;
-  }
-  if (layout != ChunkOpFault::kNone) {
-    send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
-                      mutate_error_reason(layout));
-    return;
+      return;
+    case Admission::kGap:
+      send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
+                        "version gap");
+      return;
+    case Admission::kUnlinked:
+      send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
+                        "old root does not match the committed head");
+      return;
   }
 
   const auto nro =
@@ -288,11 +262,12 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
     return;
   }
 
-  // Apply and check the claimed post-op count and root before committing
-  // anything — a mismatch restores the mirror and rejects.
-  if (const ChunkOpFault fault = apply_chunk_op(
+  // The stride rule against the committed mirror (the same check the client
+  // made before sending), then the claimed post-op count and root: a fault
+  // leaves the mirror as it was and rejects.
+  if (const ChunkOpFault fault = apply_record(
           {.tree = state.tree, .chunks = state.chunks, .tags = &state.tags},
-          rec, chunk);
+          state.chunk_size, rec, chunk);
       fault != ChunkOpFault::kNone) {
     send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
                       mutate_error_reason(fault));
@@ -304,12 +279,7 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
   // ACKs but drops the write — arm_stale_mutations() — diverges here, and
   // the next audit answered from the store exposes it.
   signed_record.countersign(*identity_);
-  std::string why;
-  if (!state.chain.append(signed_record, &why)) {
-    throw common::ProtocolError(
-        "DynProviderActor: validated record does not extend the chain: " +
-        why);
-  }
+  state.chain.append(signed_record);
   write_through(store_, rec, state.chunks, network_->now());
   journal_evidence("dyn-nro", h.txn_id, h.sender, object_key,
                    state.chunk_size, h, *nro);

@@ -130,18 +130,18 @@ bool VersionChain::append(SignedVersionRecord signed_rec, std::string* why) {
     return fail(why, "record for a different object");
   }
   const std::uint64_t head_count = head_chunk_count();
-  if (rec.version != head_version() + 1) {
+  const Admission admission = admit(signed_rec);
+  if (admission != Admission::kNext && admission != Admission::kUnlinked) {
     return fail(why, "version " + std::to_string(rec.version) +
                          " does not follow " + std::to_string(head_version()));
   }
   if ((rec.op == MutateOp::kStore) != (rec.version == 1)) {
     return fail(why, "store op must be (exactly) the first record");
   }
-  if (!common::constant_time_equal(rec.old_root, head_root())) {
-    return fail(why, "old_root does not match chain head root");
-  }
-  if (!common::constant_time_equal(rec.prev_record_hash, head_hash())) {
-    return fail(why, "prev_record_hash does not match chain head");
+  if (admission == Admission::kUnlinked) {
+    return fail(why, common::constant_time_equal(rec.old_root, head_root())
+                         ? "prev_record_hash does not match chain head"
+                         : "old_root does not match chain head root");
   }
   std::uint64_t expect_count = head_count;
   switch (rec.op) {
@@ -213,17 +213,23 @@ VersionRecord VersionChain::next_record(std::string object_key, MutateOp op,
   return rec;
 }
 
-std::optional<std::uint64_t> VersionChain::committed_version(
-    const SignedVersionRecord& rec) const {
-  const std::uint64_t version = rec.record.version;
-  if (version == 0 || version > head_version()) return std::nullopt;
-  const SignedVersionRecord& committed = records_[version - 1];
-  if (!common::constant_time_equal(committed.record.encode(),
-                                   rec.record.encode()) ||
-      !common::constant_time_equal(committed.client_sig, rec.client_sig)) {
-    return std::nullopt;
+Admission VersionChain::admit(const SignedVersionRecord& signed_rec) const {
+  const VersionRecord& rec = signed_rec.record;
+  const std::uint64_t head = head_version();
+  if (rec.version >= 1 && rec.version <= head) {
+    const SignedVersionRecord& committed = records_[rec.version - 1];
+    const bool same =
+        common::constant_time_equal(committed.record.encode(), rec.encode()) &&
+        common::constant_time_equal(committed.client_sig,
+                                    signed_rec.client_sig);
+    return same ? Admission::kRetry : Admission::kConflict;
   }
-  return version;
+  if (rec.version != head + 1) return Admission::kGap;
+  if (!common::constant_time_equal(rec.old_root, head_root()) ||
+      !common::constant_time_equal(rec.prev_record_hash, head_hash())) {
+    return Admission::kUnlinked;
+  }
+  return Admission::kNext;
 }
 
 std::optional<std::uint64_t> VersionChain::version_of_root(

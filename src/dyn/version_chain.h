@@ -89,15 +89,34 @@ struct SignedVersionRecord {
                             const crypto::RsaPublicKey& provider) const;
 };
 
+/// How a client-signed record stands against a chain: the commit rule every
+/// party that commits or mirrors a record applies first.
+enum class Admission : std::uint8_t {
+  kNext,      ///< version head + 1, linked to the head: may be committed
+  kRetry,     ///< exactly this record, under this client signature, is
+              ///< committed at its version: re-issue, never re-apply (§5.5)
+  kConflict,  ///< a different record is committed at its version
+  kGap,       ///< version 0, or past head + 1
+  kUnlinked,  ///< version head + 1, but old_root or prev_record_hash is not
+              ///< the head's
+};
+
 /// An append-only, structurally validated record sequence. Signature checks
 /// are the walker's job (walk_chain) — the chain itself enforces version,
 /// root and hash-link continuity so a locally maintained mirror can never
 /// drift silently.
 class VersionChain {
  public:
-  /// Appends if the record extends the head consistently; otherwise returns
-  /// false and (if non-null) explains in `why`.
+  /// Appends if the record extends the head consistently (admit() is kNext,
+  /// and its op and chunk_count follow from the head); otherwise returns
+  /// false and (if non-null) explains in `why`. A record for this object
+  /// that admit() calls kNext and apply_record() accepted on a mirror of
+  /// this chain always appends.
   bool append(SignedVersionRecord rec, std::string* why = nullptr);
+
+  /// The version and link rule plus retry idempotency: where `rec` stands
+  /// against the head. Only a kNext record may be committed.
+  [[nodiscard]] Admission admit(const SignedVersionRecord& rec) const;
 
   [[nodiscard]] const std::vector<SignedVersionRecord>& records()
       const noexcept {
@@ -121,13 +140,6 @@ class VersionChain {
                                           std::uint64_t chunk_count,
                                           Bytes new_root,
                                           std::uint64_t chunk_tag) const;
-
-  /// Retry idempotency (§5.5): the version at which exactly `rec` — the
-  /// same record under the same client signature — is already committed.
-  /// A retry re-issues that version's receipt without re-applying; a
-  /// different record at a committed version is a conflict (nullopt).
-  [[nodiscard]] std::optional<std::uint64_t> committed_version(
-      const SignedVersionRecord& rec) const;
 
   /// The version whose new_root equals `root`, if any — the rollback check:
   /// a served root matching an OLDER committed version is a revert, not

@@ -109,6 +109,9 @@ void ReliableChannel::arm_timer(std::uint64_t seq, common::SimTime delay) {
       Pending dead = std::move(it->second);
       pending_.erase(it);
       unreachable_seqs_.insert(seq);
+      while (unreachable_seqs_.size() > options_.dedup_window) {
+        unreachable_seqs_.erase(unreachable_seqs_.begin());
+      }
       if (unreachable_handler_) {
         unreachable_handler_(dead.to, dead.topic, seq);
       }

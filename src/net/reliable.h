@@ -173,6 +173,8 @@ class ReliableChannel {
   /// dup-ack / spurious-retransmission accounting); bounded by dedup_window.
   std::map<std::uint64_t, bool> settled_;
   std::map<std::string, PeerRecv> recv_;
+  /// Recently given-up seqs (for status()); bounded by dedup_window, the
+  /// oldest evicted first, as in settled_.
   std::set<std::uint64_t> unreachable_seqs_;
   std::uint64_t next_seq_ = 1;
 };

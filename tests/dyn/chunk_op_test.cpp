@@ -160,18 +160,28 @@ void check_verdict_and_apply(const Case& c) {
 void check_record_form(const Case& c) {
   std::vector<Bytes> chunks = object_chunks(c.tail);
   const Bytes chunk(c.chunk_size, 0xee);
-  if (check_chunk_op(c.op, c.index, chunk, chunks, kStride) !=
-      ChunkOpFault::kNone) {
-    return;  // refused by the rule
-  }
   DynMerkleTree tree = DynMerkleTree::build(chunk_views(chunks));
   const Bytes root_before = tree.root();
   const std::vector<Bytes> chunks_before = chunks;
   const ChunkMirror mirror{.tree = tree, .chunks = chunks};
+  const ChunkOpFault verdict =
+      check_chunk_op(c.op, c.index, chunk, chunks, kStride);
+  if (verdict != ChunkOpFault::kNone) {
+    // Refused by the rule: apply_record refuses it the same way, untouched.
+    VersionRecord refused;
+    refused.version = 2;
+    refused.op = c.op;
+    refused.chunk_index = c.index;
+    EXPECT_EQ(apply_record(mirror, kStride, refused, chunk), verdict);
+    EXPECT_EQ(tree.root(), root_before);
+    EXPECT_EQ(chunks, chunks_before);
+    return;
+  }
 
   // The honest record: count and root of the applied op.
   ChunkOpUndo probe = apply_chunk_op(mirror, c.op, c.index, chunk);
   VersionRecord rec;
+  rec.version = 2;
   rec.op = c.op;
   rec.chunk_index = c.index;
   rec.chunk_count = tree.leaf_count();
@@ -180,18 +190,19 @@ void check_record_form(const Case& c) {
 
   VersionRecord wrong_count = rec;
   ++wrong_count.chunk_count;
-  EXPECT_EQ(apply_chunk_op(mirror, wrong_count, chunk),
+  EXPECT_EQ(apply_record(mirror, kStride, wrong_count, chunk),
             ChunkOpFault::kChunkCount);
   EXPECT_EQ(tree.root(), root_before);
   EXPECT_EQ(chunks, chunks_before);
 
   VersionRecord wrong_root = rec;
   wrong_root.new_root = crypto::sha256(Bytes{1});
-  EXPECT_EQ(apply_chunk_op(mirror, wrong_root, chunk), ChunkOpFault::kNewRoot);
+  EXPECT_EQ(apply_record(mirror, kStride, wrong_root, chunk),
+            ChunkOpFault::kNewRoot);
   EXPECT_EQ(tree.root(), root_before);
   EXPECT_EQ(chunks, chunks_before);
 
-  EXPECT_EQ(apply_chunk_op(mirror, rec, chunk), ChunkOpFault::kNone);
+  EXPECT_EQ(apply_record(mirror, kStride, rec, chunk), ChunkOpFault::kNone);
   EXPECT_EQ(tree.root(), rec.new_root);
   EXPECT_EQ(tree.leaf_count(), rec.chunk_count);
 }
@@ -213,6 +224,46 @@ TEST(ChunkOpOracleTest, RecordFormChecksCountAndRoot) {
                 ChunkOpFault::kNone;
   }
   EXPECT_GT(accepted, 0u);
+}
+
+TEST(ApplyRecordTest, StoreBuildsTheMirrorOrLeavesIt) {
+  const std::vector<Bytes> object = object_chunks(Tail::kShort);
+  const Bytes bytes = join_chunks(object);
+  const DynMerkleTree built = DynMerkleTree::build(chunk_views(object));
+  VersionRecord store;
+  store.version = 1;
+  store.op = MutateOp::kStore;
+  store.chunk_count = built.leaf_count();
+  store.new_root = built.root();
+
+  DynMerkleTree tree;
+  std::vector<Bytes> chunks;
+  const ChunkMirror mirror{.tree = tree, .chunks = chunks};
+  const auto refuses = [&](const VersionRecord& rec, std::size_t chunk_size,
+                           BytesView data, ChunkOpFault fault) {
+    EXPECT_EQ(apply_record(mirror, chunk_size, rec, data), fault);
+    EXPECT_TRUE(chunks.empty());
+    EXPECT_EQ(tree.leaf_count(), 0u);
+  };
+  refuses(store, 0, bytes, ChunkOpFault::kOversizeChunk);
+  refuses(store, kStride, Bytes{}, ChunkOpFault::kNoChunkBytes);
+  VersionRecord wrong = store;
+  ++wrong.chunk_count;
+  refuses(wrong, kStride, bytes, ChunkOpFault::kChunkCount);
+  wrong = store;
+  wrong.new_root = crypto::sha256(Bytes{1});
+  refuses(wrong, kStride, bytes, ChunkOpFault::kNewRoot);
+  // A store is exactly version 1, and version 1 exactly a store.
+  wrong = store;
+  wrong.version = 2;
+  refuses(wrong, kStride, bytes, ChunkOpFault::kStoreOp);
+  wrong = store;
+  wrong.op = MutateOp::kAppend;
+  refuses(wrong, kStride, Bytes(kStride, 1), ChunkOpFault::kStoreOp);
+
+  EXPECT_EQ(apply_record(mirror, kStride, store, bytes), ChunkOpFault::kNone);
+  EXPECT_EQ(chunks, object);
+  EXPECT_EQ(tree.root(), built.root());
 }
 
 TEST(ChunkOpRuleTest, EveryFaultHasAReason) {

@@ -164,6 +164,67 @@ TEST(VersionChainTest, AppendRejectsDiscontinuities) {
   EXPECT_FALSE(chain.append(countersign(bad_link), &why));
 }
 
+TEST(VersionChainTest, AdmitSortsEveryRecord) {
+  const History h;
+  const VersionChain& chain = h.chain;
+  // Every committed record, re-sent verbatim, is a retry.
+  for (const SignedVersionRecord& rec : chain.records()) {
+    EXPECT_EQ(chain.admit(rec), Admission::kRetry);
+  }
+
+  VersionRecord next;
+  next.object_key = "doc";
+  next.version = chain.head_version() + 1;
+  next.op = MutateOp::kUpdate;
+  next.chunk_count = chain.head_chunk_count();
+  next.old_root = chain.head_root();
+  next.new_root = Bytes(32, 0x42);
+  next.prev_record_hash = chain.head_hash();
+  EXPECT_EQ(chain.admit(countersign(next)), Admission::kNext);
+
+  // The same committed record under another signature, and another record
+  // at a committed version, are conflicts.
+  SignedVersionRecord resigned = chain.records()[1];
+  resigned.client_sig[4] ^= 0x01;
+  EXPECT_EQ(chain.admit(resigned), Admission::kConflict);
+  VersionRecord other = chain.records()[2].record;
+  other.chunk_tag ^= 1;
+  EXPECT_EQ(chain.admit(countersign(other)), Admission::kConflict);
+
+  VersionRecord gap = next;
+  gap.version = 0;
+  EXPECT_EQ(chain.admit(countersign(gap)), Admission::kGap);
+  gap.version = chain.head_version() + 2;
+  EXPECT_EQ(chain.admit(countersign(gap)), Admission::kGap);
+
+  // An unlinked record keeps append's two explanations apart.
+  VersionChain copy = chain;
+  std::string why;
+  VersionRecord bad_root = next;
+  bad_root.old_root = Bytes(32, 0xAB);
+  EXPECT_EQ(chain.admit(countersign(bad_root)), Admission::kUnlinked);
+  EXPECT_FALSE(copy.append(countersign(bad_root), &why));
+  EXPECT_EQ(why, "old_root does not match chain head root");
+  VersionRecord bad_link = next;
+  bad_link.prev_record_hash = Bytes(32, 0xCD);
+  EXPECT_EQ(chain.admit(countersign(bad_link)), Admission::kUnlinked);
+  EXPECT_FALSE(copy.append(countersign(bad_link), &why));
+  EXPECT_EQ(why, "prev_record_hash does not match chain head");
+  EXPECT_FALSE(copy.append(countersign(gap), &why));
+  EXPECT_EQ(why, "version 6 does not follow 4");
+
+  // An empty chain admits exactly the genesis-linked version 1.
+  const VersionChain empty;
+  const SignedVersionRecord& v1 = chain.records().front();
+  EXPECT_EQ(empty.admit(v1), Admission::kNext);
+  VersionRecord v2 = v1.record;
+  v2.version = 2;
+  EXPECT_EQ(empty.admit(countersign(v2)), Admission::kGap);
+  VersionRecord unlinked = v1.record;
+  unlinked.prev_record_hash = Bytes(32, 0xCD);
+  EXPECT_EQ(empty.admit(countersign(unlinked)), Admission::kUnlinked);
+}
+
 TEST(VersionChainTest, WalkFlagsForgedSignaturesAndBrokenLinks) {
   const History h;
   const auto& client = pooled("client").public_key();

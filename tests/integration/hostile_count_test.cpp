@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "common/serial.h"
 #include "consistency/client.h"
 #include "consistency/op_log.h"
+#include "consistency/provider.h"
 #include "crypto/drbg.h"
 #include "dyn/client.h"
 #include "dyn/por_tags.h"
@@ -84,7 +86,7 @@ const pki::Identity& pooled(const std::string& name) {
   static const auto* pool = [] {
     auto* identities = new std::map<std::string, pki::Identity>();
     crypto::Drbg rng(std::uint64_t{60606});
-    for (const char* id : {"alice", "bob", "ttp"}) {
+    for (const char* id : {"alice", "bob", "ttp", "carol"}) {
       identities->emplace(id, pki::Identity(id, 1024, rng));
     }
     return identities;
@@ -174,6 +176,78 @@ TEST_F(HostileMessageTest, DynStoreWithHostileTagCount) {
   EXPECT_NO_THROW(network_.run());
   EXPECT_EQ(bob.stats().rejected_bad_hash, 1u);
   EXPECT_EQ(bob.object_state("doc"), nullptr);
+}
+
+/// A joined client's object has chunk size 0 until the provider names it.
+/// Here alice stores "shared" via bob and carol joins it, but bob leaves
+/// carol's view query unanswered, so her chunk size is still 0 when bob's
+/// own provider-signed log reaches her naming chunk size 0. The v1 store it
+/// carries cannot be sliced at that size: the commit is refused (counted in
+/// `rejected`), and no exception may escape network.run().
+class ZeroChunkSizeTest : public HostileMessageTest {
+ protected:
+  ZeroChunkSizeTest()
+      : carol_id_(pooled("carol")),
+        alice_("alice", network_, alice_id_, rng_),
+        bob_("bob", network_, bob_id_, rng_),
+        carol_("carol", network_, carol_id_, rng_) {
+    alice_.trust_peer("bob", bob_id_.public_key());
+    carol_.trust_peer("bob", bob_id_.public_key());
+    bob_.trust_peer("alice", alice_id_.public_key());
+    bob_.trust_peer("carol", carol_id_.public_key());
+    alice_.store_shared("bob", "ttp", "shared", Bytes(256, 7), 64);
+    network_.run();
+    consistency::ConsProviderBehavior silent;
+    silent.respond_to_view_query = false;
+    bob_.set_behavior(silent);
+    carol_.open_shared("bob", "ttp", "shared");
+    network_.run();
+  }
+
+  [[nodiscard]] const std::vector<consistency::CommittedOp>& bob_log() const {
+    return bob_.object_state("shared")->branches.front().log;
+  }
+
+  void expect_refused() const {
+    const consistency::ConsClientActor::SharedObject* obj =
+        carol_.object("shared");
+    ASSERT_NE(obj, nullptr);
+    EXPECT_EQ(obj->rejected, 1u);
+    EXPECT_EQ(obj->commits_applied, 0u);
+    EXPECT_EQ(obj->chain.head_version(), 0u);
+    EXPECT_TRUE(obj->chunks.empty());
+    EXPECT_FALSE(obj->opened);
+  }
+
+  pki::Identity carol_id_;
+  consistency::ConsClientActor alice_;
+  consistency::ConsProviderActor bob_;
+  consistency::ConsClientActor carol_;
+};
+
+TEST_F(ZeroChunkSizeTest, ViewUpdateStoreIsRefused) {
+  ASSERT_EQ(carol_.object("shared")->chunk_size, 0u);
+  ASSERT_EQ(bob_log().size(), 1u);
+  common::BinaryWriter payload;
+  payload.str("shared");
+  payload.u32(0);
+  consistency::write_op_log(payload, bob_log());
+  send_raw(network_, rng_, "bob", "carol", nr::MsgType::kViewUpdate,
+           payload.take());
+  EXPECT_NO_THROW(network_.run());
+  expect_refused();
+}
+
+TEST_F(ZeroChunkSizeTest, ConsCommitStoreIsRefused) {
+  ASSERT_EQ(carol_.object("shared")->chunk_size, 0u);
+  common::BinaryWriter payload;
+  payload.str("shared");
+  payload.u32(0);
+  payload.bytes(bob_log().front().encode());
+  send_raw(network_, rng_, "bob", "carol", nr::MsgType::kConsCommit,
+           payload.take());
+  EXPECT_NO_THROW(network_.run());
+  expect_refused();
 }
 
 /// `w`'s bytes less the last one: every field but the final one decodes.

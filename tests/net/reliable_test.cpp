@@ -140,6 +140,33 @@ TEST(ReliableChannelTest, GivesUpAfterMaxAttemptsAndReportsUnreachable) {
   EXPECT_TRUE(p.bob_got.empty());
 }
 
+TEST(ReliableChannelTest, GivenUpSeqsAreRememberedOnlyWithinTheWindow) {
+  ReliableOptions options;
+  options.dedup_window = 4;
+  options.max_attempts = 1;
+  options.initial_rto = 10 * kMillisecond;
+  Pair p(1, options);
+  LinkConfig dead;
+  dead.loss_probability = 1.0;
+  p.network.set_default_link(dead);
+
+  std::vector<std::uint64_t> seqs;
+  for (int i = 0; i < 6; ++i) {
+    seqs.push_back(p.alice.send("bob", "app", to_bytes("void")));
+    p.network.run();
+  }
+
+  // Every give-up is counted; status() remembers only the last four, and
+  // the first seq reads kPending again, as an acked seq past the window
+  // does.
+  EXPECT_EQ(p.alice.stats().unreachable, 6u);
+  EXPECT_EQ(p.alice.status(seqs[0]), DeliveryStatus::kPending);
+  EXPECT_EQ(p.alice.status(seqs[1]), DeliveryStatus::kPending);
+  for (std::size_t i = 2; i < seqs.size(); ++i) {
+    EXPECT_EQ(p.alice.status(seqs[i]), DeliveryStatus::kUnreachable);
+  }
+}
+
 TEST(ReliableChannelTest, RtoBacksOffExponentially) {
   ReliableOptions options;
   options.max_attempts = 4;
