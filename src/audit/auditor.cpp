@@ -72,6 +72,7 @@ bool AuditorActor::watch_dyn(const dyn::DynClientActor& client,
   target.object_key = obj->object_key;
   target.chunk_size = obj->chunk_size;
   target.tag_key = obj->tag_key;
+  target.alphas = obj->alphas;
   target.chain = &obj->chain;
   return register_dyn_target(std::move(target));
 }
@@ -80,6 +81,13 @@ bool AuditorActor::register_dyn_target(DynAuditTarget target) {
   if (target.txn_id.empty() || target.provider.empty() ||
       target.chunk_size == 0 || target.chain == nullptr ||
       target.chain->empty() || peer_key(target.provider) == nullptr) {
+    return false;
+  }
+  const std::size_t sector_count = dyn::sectors_per_chunk(target.chunk_size);
+  if (target.alphas == nullptr) {
+    target.alphas = std::make_shared<const std::vector<std::uint64_t>>(
+        target.tag_key.alphas(sector_count));
+  } else if (target.alphas->size() != sector_count) {
     return false;
   }
   target.registered_at = network_->now();
@@ -335,14 +343,16 @@ void AuditorActor::handle_agg_response(const nr::NrMessage& message) {
   const std::size_t head_chunk_count = chain.head_chunk_count();
   const auto older = chain.version_of_root(response.root);
 
+  // The completions share the target's α vector and point at its TagKey:
+  // dyn_targets_ never erases an entry, so the pointer outlives them.
   std::vector<runtime::DigestJob> jobs(1);
   jobs[0].message = common::Payload::copy_of(response_bytes);
   crypto_service().submit_digests(
       std::move(jobs),
       [this, h, key, provider_key, opened = *opened,
-       response = std::move(response), tag_key = target.tag_key,
-       chunk_size = target.chunk_size, head_version, head_root,
-       head_chunk_count, older](std::vector<Bytes> digests) {
+       response = std::move(response), tag_key = &target.tag_key,
+       alphas = target.alphas, chunk_size = target.chunk_size, head_version,
+       head_root, head_chunk_count, older](std::vector<Bytes> digests) {
         if (pending_.find(key) == nullptr) return;  // concluded meanwhile
         if (digests[0] != h.data_hash) {
           ++stats_.rejected_bad_evidence;
@@ -359,7 +369,7 @@ void AuditorActor::handle_agg_response(const nr::NrMessage& message) {
         sigs[1].signature = opened.header_signature;
         crypto_service().submit_verifies(
             std::move(sigs),
-            [this, key, response, tag_key, chunk_size, head_version,
+            [this, key, response, tag_key, alphas, chunk_size, head_version,
              head_root, head_chunk_count, older](std::vector<bool> ok) {
               const Pending* pending = pending_.find(key);
               if (pending == nullptr) return;
@@ -395,8 +405,8 @@ void AuditorActor::handle_agg_response(const nr::NrMessage& message) {
                 return;
               }
               const bool holds = dyn::verify_agg_response(
-                  pending->challenge, response, tag_key, head_chunk_count,
-                  chunk_size, head_root);
+                  pending->challenge, response, *tag_key, *alphas,
+                  head_chunk_count, chunk_size, head_root);
               conclude(key,
                        holds ? AuditVerdict::kVerified
                              : AuditVerdict::kMismatch,

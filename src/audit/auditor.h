@@ -50,6 +50,9 @@ struct DynAuditTarget {
   std::string object_key;
   std::size_t chunk_size = 0;
   dyn::TagKey tag_key;  ///< the client/auditor PoR secret for this object
+  /// α for `chunk_size`, shared with the client (watch_dyn); derived from
+  /// `tag_key` at registration when null.
+  dyn::SharedAlphas alphas;
   /// The client's chain of countersigned version records — the freshness
   /// reference. Non-owning; must outlive the auditor's interest.
   const dyn::VersionChain* chain = nullptr;
@@ -99,12 +102,15 @@ class AuditorActor final : public nr::NrActor {
   /// index is out of range, or the same (txn, chunk) is already in flight.
   bool challenge(const std::string& txn_id, std::size_t chunk_index);
 
-  /// Registers a dynamic object from the client's live state (chain and tag
-  /// key pointers stay with the client). Returns false if the client does
-  /// not know the object or its chain is still empty.
+  /// Registers a dynamic object from the client's live state (the chain
+  /// stays with the client; the α vector is shared with it). Returns false
+  /// if the client does not know the object or its chain is still empty.
   bool watch_dyn(const dyn::DynClientActor& client,
                  const std::string& object_key);
   /// Lower-level registration for callers holding the pieces themselves.
+  /// Derives `alphas` when it is null; returns false on a malformed target
+  /// (empty ids, zero chunk size, no chain, an α vector of the wrong
+  /// length) or an untrusted provider.
   bool register_dyn_target(DynAuditTarget target);
   [[nodiscard]] const std::map<std::string, DynAuditTarget>& dyn_targets()
       const {

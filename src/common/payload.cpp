@@ -53,11 +53,6 @@ Payload& Payload::operator=(const Payload& other) {
   return *this;
 }
 
-const Bytes& Payload::bytes() const noexcept {
-  static const Bytes empty;
-  return buf_ ? *buf_ : empty;
-}
-
 Bytes Payload::to_bytes() const {
   if (!buf_) return Bytes();
   count_copy(buf_->size());

@@ -67,9 +67,6 @@ class Payload {
     return data() + size();
   }
 
-  /// The underlying buffer (an empty static for a null payload).
-  [[nodiscard]] const Bytes& bytes() const noexcept;
-
   /// Materializes an owned copy (counted as a copy).
   [[nodiscard]] Bytes to_bytes() const;
 

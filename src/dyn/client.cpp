@@ -1,5 +1,6 @@
 #include "dyn/client.h"
 
+#include <memory>
 #include <utility>
 
 #include "common/error.h"
@@ -63,8 +64,9 @@ std::string DynClientActor::store_dyn(const std::string& provider,
   obj.chunks = split_chunks(data, chunk_size);
   obj.tree = DynMerkleTree::build(chunk_views(obj.chunks));
   obj.tag_key = TagKey::derive(master_secret_, object_key);
-  obj.alphas = obj.tag_key.alphas(sectors_per_chunk(chunk_size));
-  obj.tags = make_tags(obj.tag_key, chunk_views(obj.chunks), chunk_size);
+  obj.alphas = std::make_shared<const std::vector<std::uint64_t>>(
+      obj.tag_key.alphas(sectors_per_chunk(chunk_size)));
+  obj.tags = make_tags(obj.tag_key, chunk_views(obj.chunks), *obj.alphas);
 
   PendingOp pending;
   pending.record = obj.chain.next_record(object_key, MutateOp::kStore, 0,
@@ -126,7 +128,7 @@ bool DynClientActor::begin_mutation(DynObject& obj, MutateOp op,
   std::uint64_t tag = 0;
   if (op != MutateOp::kErase) {
     leaf_hash = DynMerkleTree::hash_chunk(chunk);
-    tag = make_tag(obj.tag_key, chunk, leaf_hash, obj.alphas);
+    tag = make_tag(obj.tag_key, chunk, leaf_hash, *obj.alphas);
   }
   PendingOp pending;
   pending.undo = apply_chunk_op(

@@ -54,7 +54,7 @@ class DynClientActor final : public nr::NrActor {
     DynMerkleTree tree;         ///< rank-annotated mirror, O(log n) per op
     std::vector<std::uint64_t> tags;
     TagKey tag_key;
-    std::vector<std::uint64_t> alphas;  ///< cached α_j for this chunk size
+    SharedAlphas alphas;  ///< α_j for this chunk size, shared with auditors
     VersionChain chain;                 ///< countersigned records only
 
     // Outcome counters.
@@ -74,7 +74,7 @@ class DynClientActor final : public nr::NrActor {
   };
 
   /// `master_secret` seeds per-object TagKeys (shared with the auditor via
-  /// DynObject::tag_key).
+  /// DynObject::tag_key and DynObject::alphas).
   DynClientActor(std::string id, net::Network& network,
                  pki::Identity& identity, crypto::Drbg& rng,
                  Bytes master_secret,

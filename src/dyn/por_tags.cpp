@@ -109,9 +109,8 @@ std::uint64_t make_tag(const TagKey& key, BytesView chunk, BytesView leaf_hash,
 
 std::vector<std::uint64_t> make_tags(const TagKey& key,
                                      std::span<const BytesView> chunks,
-                                     std::size_t chunk_size) {
+                                     std::span<const std::uint64_t> alphas) {
   const auto leaves = DynMerkleTree::hash_chunks(chunks);
-  const auto alphas = key.alphas(sectors_per_chunk(chunk_size));
   std::vector<std::uint64_t> tags(chunks.size());
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     tags[i] = make_tag(key, chunks[i], leaves[i], alphas);
@@ -203,9 +202,11 @@ AggResponse make_agg_response(const AggChallenge& challenge,
 
 bool verify_agg_response(const AggChallenge& challenge,
                          const AggResponse& response, const TagKey& key,
+                         std::span<const std::uint64_t> alphas,
                          std::uint64_t leaf_count, std::size_t chunk_size,
                          BytesView root) {
   const std::size_t sector_count = sectors_per_chunk(chunk_size);
+  if (alphas.size() != sector_count) return false;
   if (response.mu.size() != sector_count) return false;
   if (response.sigma >= fp::kP) return false;
   for (const std::uint64_t m : response.mu) {
@@ -226,7 +227,6 @@ bool verify_agg_response(const AggChallenge& challenge,
     expected =
         fp::add(expected, fp::mul(items[i].nu, key.prf(leaves[i].leaf_hash)));
   }
-  const auto alphas = key.alphas(sector_count);
   for (std::size_t j = 0; j < sector_count; ++j) {
     expected = fp::add(expected, fp::mul(alphas[j], response.mu[j]));
   }

@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -88,16 +89,22 @@ struct TagKey {
       std::size_t sector_count) const;
 };
 
+/// One object's α vector for one chunk size. It is derived once
+/// (TagKey::alphas) when the object is stored, and the client and the
+/// auditor share it; nothing on the tag or verify path re-derives it.
+using SharedAlphas = std::shared_ptr<const std::vector<std::uint64_t>>;
+
 /// Tag for one chunk given its precomputed leaf hash and the α vector.
 [[nodiscard]] std::uint64_t make_tag(const TagKey& key, BytesView chunk,
                                      BytesView leaf_hash,
                                      std::span<const std::uint64_t> alphas);
 
 /// Tags every chunk of an object (leaf hashes run through the multi-lane
-/// SHA-256 engine). `chunk_size` fixes the sector count for short chunks.
+/// SHA-256 engine). The α vector's length fixes the sector count, so short
+/// chunks are padded to the object's stride.
 std::vector<std::uint64_t> make_tags(const TagKey& key,
                                      std::span<const BytesView> chunks,
-                                     std::size_t chunk_size);
+                                     std::span<const std::uint64_t> alphas);
 
 /// A compact-audit challenge: (seed, count) is all that travels on the wire;
 /// both sides expand it identically.
@@ -141,12 +148,15 @@ AggResponse make_agg_response(const AggChallenge& challenge,
                               std::size_t chunk_size, std::uint64_t version);
 
 /// Verifier side: checks the batched proof against `root`, that the proven
-/// leaf set equals the challenged set, and the σ/μ algebra under `key`.
-/// Does NOT compare `root`/`version` to the chain head — the caller decides
-/// what stale or rolled-back heads mean (see audit::AuditorActor).
+/// leaf set equals the challenged set, and the σ/μ algebra under `key` and
+/// the object's `alphas` (rejected unless it holds one α per sector of
+/// `chunk_size`). Does NOT compare `root`/`version` to the chain head — the
+/// caller decides what stale or rolled-back heads mean (see
+/// audit::AuditorActor).
 [[nodiscard]] bool verify_agg_response(const AggChallenge& challenge,
                                        const AggResponse& response,
                                        const TagKey& key,
+                                       std::span<const std::uint64_t> alphas,
                                        std::uint64_t leaf_count,
                                        std::size_t chunk_size, BytesView root);
 

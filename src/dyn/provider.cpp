@@ -30,9 +30,8 @@ const char* mutate_error_reason(ChunkOpFault fault) {
 void write_through(storage::ObjectStore& store, const VersionRecord& rec,
                    std::span<const Bytes> chunks, common::SimTime now) {
   common::Payload stored(join_chunks(chunks));
-  const Bytes data_md5 = crypto::md5(stored);
   if (rec.op == MutateOp::kStore) {
-    store.put(rec.object_key, std::move(stored), data_md5, now);
+    store.put(rec.object_key, std::move(stored), {}, now);
     return;
   }
   storage::MutationInfo info;
@@ -41,7 +40,7 @@ void write_through(storage::ObjectStore& store, const VersionRecord& rec,
   info.chunk_count = rec.chunk_count;
   info.old_root = rec.old_root;
   info.new_root = rec.new_root;
-  store.mutate(rec.object_key, std::move(stored), data_md5, now, info);
+  store.mutate(rec.object_key, std::move(stored), {}, now, info);
 }
 
 DynProviderActor::DynProviderActor(std::string id, net::Network& network,

@@ -24,6 +24,23 @@ struct ExecContext {
 
 thread_local ExecContext t_ctx;
 
+/// Installs an execution context for one scope and restores the previous
+/// one on exit, also when the task throws: otherwise `t_ctx` would keep
+/// naming this engine, and a later engine at the same address would
+/// inherit its endpoint and timestamp.
+class ContextScope {
+ public:
+  explicit ContextScope(const ExecContext& ctx) : saved_(t_ctx) {
+    t_ctx = ctx;
+  }
+  ~ContextScope() { t_ctx = saved_; }
+  ContextScope(const ContextScope&) = delete;
+  ContextScope& operator=(const ContextScope&) = delete;
+
+ private:
+  ExecContext saved_;
+};
+
 }  // namespace
 
 NameId NameInterner::intern(std::string_view name) {
@@ -198,24 +215,14 @@ const Event* Engine::peek_min() {
 }
 
 void Engine::execute(Event event, std::uint32_t shard_index) {
-  ExecContext saved = t_ctx;
-  t_ctx.engine = this;
-  t_ctx.shard = shard_index;
-  t_ctx.endpoint = event.target;
-  t_ctx.now = event.at;
+  const ContextScope scope({this, shard_index, event.target, event.at});
   event.task();
-  t_ctx = saved;
 }
 
 void Engine::run_in_context(std::uint32_t shard, EndpointId endpoint,
                             SimTime now, const std::function<void()>& fn) {
-  ExecContext saved = t_ctx;
-  t_ctx.engine = this;
-  t_ctx.shard = shard;
-  t_ctx.endpoint = endpoint;
-  t_ctx.now = now;
+  const ContextScope scope({this, shard, endpoint, now});
   fn();
-  t_ctx = saved;
 }
 
 bool Engine::serial_step() {

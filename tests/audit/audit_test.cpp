@@ -1,7 +1,9 @@
 // Continuous audit subsystem: AuditorActor + AuditScheduler + AuditReport
 // end-to-end against honest, tampering, equivocating and unresponsive
 // providers inside the simulated network.
+#include <memory>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,8 @@
 #include "audit/scheduler.h"
 #include "common/serial.h"
 #include "crypto/counters.h"
+#include "dyn/client.h"
+#include "dyn/provider.h"
 #include "net/network.h"
 #include "nr/chunked.h"
 #include "nr/client.h"
@@ -388,6 +392,131 @@ TEST_F(AuditTest, ReportAggregatesDetectionAndTraffic) {
   // Detection latency measured from the logged injection time.
   const AuditEntry& first_flag = ledger_.entries()[0];
   EXPECT_GE(first_flag.concluded_at, tampered_at);
+}
+
+/// A dynamic object under aggregate audit: the client's α vector and the
+/// auditor's must be one and the same.
+class DynAuditTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kDynChunk = 64;
+  static constexpr std::size_t kDynChunks = 40;
+
+  DynAuditTest()
+      : network_(std::uint64_t{707}),
+        rng_(std::uint64_t{708}),
+        alice_id_(pooled("alice")),
+        bob_id_(pooled("bob")),
+        auditor_id_(pooled("auditor")),
+        alice_("alice", network_, alice_id_, rng_,
+               crypto::Drbg(std::uint64_t{709}).bytes(32)),
+        bob_("bob", network_, bob_id_, rng_),
+        auditor_("auditor", network_, auditor_id_, rng_, ledger_) {
+    alice_.trust_peer("bob", bob_id_.public_key());
+    bob_.trust_peer("alice", alice_id_.public_key());
+    bob_.trust_peer("auditor", auditor_id_.public_key());
+    auditor_.trust_peer("bob", bob_id_.public_key());
+    crypto::Drbg data_rng(std::uint64_t{710});
+    alice_.store_dyn("bob", "", "dyn-doc",
+                     data_rng.bytes(kDynChunks * kDynChunk), kDynChunk);
+    network_.run();
+  }
+
+  const dyn::DynClientActor::DynObject& object() const {
+    return *alice_.object("dyn-doc");
+  }
+
+  /// A target built from the client's pieces, α left to the caller.
+  DynAuditTarget target_without_alphas() const {
+    DynAuditTarget target;
+    target.txn_id = object().txn_id;
+    target.provider = "bob";
+    target.object_key = "dyn-doc";
+    target.chunk_size = kDynChunk;
+    target.tag_key = object().tag_key;
+    target.chain = &object().chain;
+    return target;
+  }
+
+  /// Challenges the object once and returns the verdict recorded for it.
+  AuditVerdict audit_once() {
+    EXPECT_TRUE(auditor_.challenge_aggregate(object().txn_id, 16));
+    network_.run();
+    EXPECT_FALSE(ledger_.entries().empty());
+    return ledger_.entries().back().verdict;
+  }
+
+  net::Network network_;
+  crypto::Drbg rng_;
+  pki::Identity alice_id_;
+  pki::Identity bob_id_;
+  pki::Identity auditor_id_;
+  AuditLedger ledger_;
+  dyn::DynClientActor alice_;
+  dyn::DynProviderActor bob_;
+  AuditorActor auditor_;
+};
+
+TEST_F(DynAuditTest, AggregateAuditsStayVerifiedAcrossMutations) {
+  ASSERT_TRUE(auditor_.watch_dyn(alice_, "dyn-doc"));
+  // The auditor holds the client's α vector, not a second derivation.
+  const DynAuditTarget& target = auditor_.dyn_targets().at(object().txn_id);
+  ASSERT_NE(object().alphas, nullptr);
+  EXPECT_EQ(target.alphas, object().alphas);
+  EXPECT_EQ(object().alphas->size(), dyn::sectors_per_chunk(kDynChunk));
+
+  EXPECT_EQ(audit_once(), AuditVerdict::kVerified);
+  crypto::Drbg data_rng(std::uint64_t{711});
+  ASSERT_TRUE(alice_.update("dyn-doc", 7, data_rng.bytes(kDynChunk)));
+  network_.run();
+  EXPECT_EQ(audit_once(), AuditVerdict::kVerified);
+  ASSERT_TRUE(alice_.insert("dyn-doc", 20, data_rng.bytes(kDynChunk)));
+  network_.run();
+  EXPECT_EQ(audit_once(), AuditVerdict::kVerified);
+  ASSERT_TRUE(alice_.erase("dyn-doc", 3));
+  network_.run();
+  EXPECT_EQ(audit_once(), AuditVerdict::kVerified);
+  ASSERT_TRUE(alice_.append_chunk("dyn-doc", data_rng.bytes(kDynChunk / 2)));
+  network_.run();
+  EXPECT_EQ(audit_once(), AuditVerdict::kVerified);
+  EXPECT_EQ(object().chain.head_version(), 5u);
+  EXPECT_EQ(auditor_.counters().verified, 5u);
+  EXPECT_EQ(auditor_.counters().flagged, 0u);
+
+  // A tampered store is still caught, every chunk challenged.
+  auto record = bob_.store().get("dyn-doc");
+  ASSERT_TRUE(record.has_value());
+  Bytes tampered = record->data.to_bytes();
+  tampered[11 * kDynChunk + 2] ^= 0x01;
+  ASSERT_TRUE(bob_.store().tamper("dyn-doc", tampered));
+  ASSERT_TRUE(auditor_.challenge_aggregate(object().txn_id, kDynChunks));
+  network_.run();
+  EXPECT_EQ(ledger_.entries().back().verdict, AuditVerdict::kMismatch);
+  EXPECT_EQ(auditor_.counters().flagged, 1u);
+}
+
+TEST_F(DynAuditTest, RegistrationDerivesAlphasOnlyWhenNoneSupplied) {
+  // None supplied: the auditor derives the same vector itself.
+  ASSERT_TRUE(auditor_.register_dyn_target(target_without_alphas()));
+  const DynAuditTarget& derived = auditor_.dyn_targets().at(object().txn_id);
+  ASSERT_NE(derived.alphas, nullptr);
+  EXPECT_NE(derived.alphas, object().alphas);
+  EXPECT_EQ(*derived.alphas, *object().alphas);
+  EXPECT_EQ(audit_once(), AuditVerdict::kVerified);
+
+  // Supplied: kept as given.
+  DynAuditTarget shared = target_without_alphas();
+  shared.alphas = object().alphas;
+  ASSERT_TRUE(auditor_.register_dyn_target(shared));
+  EXPECT_EQ(auditor_.dyn_targets().at(object().txn_id).alphas,
+            object().alphas);
+
+  // A vector for another chunk size is refused.
+  DynAuditTarget wrong = target_without_alphas();
+  wrong.alphas = std::make_shared<const std::vector<std::uint64_t>>(
+      object().tag_key.alphas(dyn::sectors_per_chunk(2 * kDynChunk)));
+  EXPECT_FALSE(auditor_.register_dyn_target(wrong));
+  EXPECT_EQ(auditor_.dyn_targets().at(object().txn_id).alphas,
+            object().alphas);
 }
 
 TEST(AuditReportTest, VerdictTalliesSumToEntries) {

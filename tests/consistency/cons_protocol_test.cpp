@@ -126,6 +126,38 @@ TEST_F(ConsProtocolTest, StoreSharedCommitsGlobalPositionOne) {
   EXPECT_FALSE(bob_.store().equivocation_armed("doc"));
 }
 
+TEST_F(ConsProtocolTest, StoreHoldsTheMirrorWithNoContentMd5) {
+  // After the store and after each mutate kind (from either client), the
+  // provider's store holds exactly the mirror at the bumped version, and no
+  // MD5: the version chain and Merkle root are the integrity record.
+  const auto expect_store_holds_mirror = [this](std::uint64_t version) {
+    const auto* obj = alice_.object("doc");
+    ASSERT_NE(obj, nullptr);
+    ASSERT_EQ(obj->chain.head_version(), version);
+    const auto record = bob_.store().get("doc");
+    ASSERT_TRUE(record.has_value());
+    EXPECT_EQ(record->version, version);
+    EXPECT_EQ(record->data.to_bytes(), dyn::join_chunks(obj->chunks));
+    EXPECT_TRUE(record->stored_md5.empty());
+  };
+  shared_object("doc", 5);
+  expect_store_holds_mirror(1);
+
+  crypto::Drbg data_rng(std::uint64_t{44});
+  ASSERT_TRUE(alice_.update("doc", 3, data_rng.bytes(kChunkSize)));
+  network_.run();
+  expect_store_holds_mirror(2);
+  ASSERT_TRUE(carol_.insert("doc", 0, data_rng.bytes(kChunkSize)));
+  network_.run();
+  expect_store_holds_mirror(3);
+  ASSERT_TRUE(alice_.append_chunk("doc", data_rng.bytes(kChunkSize)));
+  network_.run();
+  expect_store_holds_mirror(4);
+  ASSERT_TRUE(alice_.erase("doc", 2));
+  network_.run();
+  expect_store_holds_mirror(5);
+}
+
 TEST_F(ConsProtocolTest, OpenSharedReplaysTheLogFromGenesis) {
   shared_object("doc", 4);
   const auto* alice_obj = alice_.object("doc");

@@ -133,6 +133,38 @@ TEST_F(DynProtocolTest, AllMutationOpsAdvanceBothMirrorsInLockstep) {
   EXPECT_EQ(split_chunks(record->data, kChunkSize), obj->chunks);
 }
 
+TEST_F(DynProtocolTest, StoreHoldsTheMirrorWithNoContentMd5) {
+  // After the store and after each mutate kind, the provider's store holds
+  // exactly the client's mirror at the bumped version, and no MD5: the
+  // version chain and Merkle root are these objects' integrity record.
+  const auto expect_store_holds_mirror = [this](std::uint64_t version) {
+    const auto* obj = alice_.object("doc");
+    ASSERT_NE(obj, nullptr);
+    ASSERT_EQ(obj->chain.head_version(), version);
+    const auto record = bob_.store().get("doc");
+    ASSERT_TRUE(record.has_value());
+    EXPECT_EQ(record->version, version);
+    EXPECT_EQ(record->data.to_bytes(), join_chunks(obj->chunks));
+    EXPECT_TRUE(record->stored_md5.empty());
+  };
+  stored("doc", 6);
+  expect_store_holds_mirror(1);
+
+  crypto::Drbg data_rng(std::uint64_t{43});
+  ASSERT_TRUE(alice_.update("doc", 2, data_rng.bytes(kChunkSize)));
+  network_.run();
+  expect_store_holds_mirror(2);
+  ASSERT_TRUE(alice_.insert("doc", 1, data_rng.bytes(kChunkSize)));
+  network_.run();
+  expect_store_holds_mirror(3);
+  ASSERT_TRUE(alice_.append_chunk("doc", data_rng.bytes(kChunkSize / 2)));
+  network_.run();
+  expect_store_holds_mirror(4);
+  ASSERT_TRUE(alice_.erase("doc", 0));
+  network_.run();
+  expect_store_holds_mirror(5);
+}
+
 TEST_F(DynProtocolTest, RejectedMutationsRevertTheOptimisticMirror) {
   const Bytes root_before = stored("doc", 8).tree.root();
   crypto::Drbg data_rng(std::uint64_t{43});

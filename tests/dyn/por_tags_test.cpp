@@ -1,5 +1,6 @@
 // PoR tags and aggregated audit proofs: field arithmetic, the σ/μ algebra,
 // dynamic-friendliness of leaf-hash-keyed tags, and the compactness claim.
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@ struct Fixture {
   std::vector<Bytes> chunks;
   DynMerkleTree tree;
   TagKey key;
+  std::vector<std::uint64_t> alphas;  ///< derived once, as the client does
   std::vector<std::uint64_t> tags;
 
   explicit Fixture(std::uint64_t seed) {
@@ -29,7 +31,8 @@ struct Fixture {
     }
     tree = DynMerkleTree::build(chunk_views(chunks));
     key = TagKey::derive(rng.bytes(32), "por-object");
-    tags = make_tags(key, chunk_views(chunks), kChunkSize);
+    alphas = key.alphas(sectors_per_chunk(kChunkSize));
+    tags = make_tags(key, chunk_views(chunks), alphas);
   }
 };
 
@@ -59,11 +62,11 @@ TEST(PorTagsTest, HonestAggregatedResponseVerifies) {
       make_agg_response(challenge, f.tree, chunk_views(f.chunks), f.tags,
                         kChunkSize, /*version=*/1);
   EXPECT_EQ(response.mu.size(), sectors_per_chunk(kChunkSize));
-  EXPECT_TRUE(verify_agg_response(challenge, response, f.key, kChunks,
+  EXPECT_TRUE(verify_agg_response(challenge, response, f.key, f.alphas, kChunks,
                                   kChunkSize, f.tree.root()));
   // Wire round-trip verifies identically.
   const AggResponse decoded = AggResponse::decode(response.encode());
-  EXPECT_TRUE(verify_agg_response(challenge, decoded, f.key, kChunks,
+  EXPECT_TRUE(verify_agg_response(challenge, decoded, f.key, f.alphas, kChunks,
                                   kChunkSize, f.tree.root()));
 }
 
@@ -100,8 +103,9 @@ TEST(PorTagsTest, TamperedChunkCannotSatisfyTheChallenge) {
                         f.tags, kChunkSize, 1);
   // Lying consistently (proof over its own tree) still fails: the σ/μ
   // algebra is checked under the auditor's secret against the SIGNED root.
-  EXPECT_FALSE(verify_agg_response(challenge, response, f.key, kChunks,
-                                   kChunkSize, f.tree.root()));
+  EXPECT_FALSE(verify_agg_response(
+      challenge, response, f.key, f.alphas, kChunks, kChunkSize,
+      f.tree.root()));
 }
 
 TEST(PorTagsTest, ForgedAggregatesAreRejected) {
@@ -113,27 +117,55 @@ TEST(PorTagsTest, ForgedAggregatesAreRejected) {
 
   AggResponse bad = honest;
   bad.sigma = fp::add(bad.sigma, 1);
-  EXPECT_FALSE(verify_agg_response(challenge, bad, f.key, kChunks,
+  EXPECT_FALSE(verify_agg_response(challenge, bad, f.key, f.alphas, kChunks,
                                    kChunkSize, f.tree.root()));
   bad = honest;
   bad.mu[0] = fp::add(bad.mu[0], 1);
-  EXPECT_FALSE(verify_agg_response(challenge, bad, f.key, kChunks,
+  EXPECT_FALSE(verify_agg_response(challenge, bad, f.key, f.alphas, kChunks,
                                    kChunkSize, f.tree.root()));
   bad = honest;
   bad.mu.pop_back();
-  EXPECT_FALSE(verify_agg_response(challenge, bad, f.key, kChunks,
+  EXPECT_FALSE(verify_agg_response(challenge, bad, f.key, f.alphas, kChunks,
                                    kChunkSize, f.tree.root()));
   bad = honest;
   bad.sigma = fp::kP;  // out of canonical range
-  EXPECT_FALSE(verify_agg_response(challenge, bad, f.key, kChunks,
+  EXPECT_FALSE(verify_agg_response(challenge, bad, f.key, f.alphas, kChunks,
                                    kChunkSize, f.tree.root()));
   // A response to a DIFFERENT challenge covers the wrong index set.
   const AggChallenge other{/*seed=*/78, /*count=*/16};
-  EXPECT_FALSE(verify_agg_response(other, honest, f.key, kChunks, kChunkSize,
-                                   f.tree.root()));
+  EXPECT_FALSE(verify_agg_response(
+      other, honest, f.key, f.alphas, kChunks, kChunkSize, f.tree.root()));
   // Wrong secret: another object's key cannot cross-satisfy.
   const TagKey other_key = TagKey::derive(Bytes(32, 0x42), "other-object");
-  EXPECT_FALSE(verify_agg_response(challenge, honest, other_key, kChunks,
+  EXPECT_FALSE(verify_agg_response(
+      challenge, honest, other_key,
+      other_key.alphas(sectors_per_chunk(kChunkSize)), kChunks, kChunkSize,
+      f.tree.root()));
+  // The right PRF key with another object's α cannot satisfy it either.
+  EXPECT_FALSE(verify_agg_response(
+      challenge, honest, f.key,
+      other_key.alphas(sectors_per_chunk(kChunkSize)), kChunks, kChunkSize,
+      f.tree.root()));
+}
+
+TEST(PorTagsTest, WrongLengthAlphaSpanIsRejected) {
+  Fixture f(std::uint64_t{313});
+  const AggChallenge challenge{/*seed=*/91, /*count=*/16};
+  const AggResponse honest =
+      make_agg_response(challenge, f.tree, chunk_views(f.chunks), f.tags,
+                        kChunkSize, 1);
+  ASSERT_TRUE(verify_agg_response(challenge, honest, f.key, f.alphas,
+                                  kChunks, kChunkSize, f.tree.root()));
+
+  const std::span<const std::uint64_t> all(f.alphas);
+  EXPECT_FALSE(verify_agg_response(challenge, honest, f.key,
+                                   all.first(all.size() - 1), kChunks,
+                                   kChunkSize, f.tree.root()));
+  EXPECT_FALSE(verify_agg_response(challenge, honest, f.key, {}, kChunks,
+                                   kChunkSize, f.tree.root()));
+  auto longer = f.alphas;
+  longer.push_back(1);
+  EXPECT_FALSE(verify_agg_response(challenge, honest, f.key, longer, kChunks,
                                    kChunkSize, f.tree.root()));
 }
 
@@ -148,10 +180,9 @@ TEST(PorTagsTest, UntouchedTagsSurviveInsertAndErase) {
   auto tags = f.tags;
   const Bytes fresh_leaf = DynMerkleTree::hash_chunk(fresh);
   tags.insert(tags.begin() + 40,
-              make_tag(f.key, fresh, fresh_leaf,
-                       f.key.alphas(sectors_per_chunk(kChunkSize))));
+              make_tag(f.key, fresh, fresh_leaf, f.alphas));
 
-  const auto recomputed = make_tags(f.key, chunk_views(chunks), kChunkSize);
+  const auto recomputed = make_tags(f.key, chunk_views(chunks), f.alphas);
   EXPECT_EQ(tags, recomputed);  // only the new position differs from f.tags
 
   DynMerkleTree tree = DynMerkleTree::build(chunk_views(f.chunks));
@@ -159,8 +190,9 @@ TEST(PorTagsTest, UntouchedTagsSurviveInsertAndErase) {
   const AggChallenge challenge{/*seed=*/606, /*count=*/40};
   const AggResponse response = make_agg_response(
       challenge, tree, chunk_views(chunks), tags, kChunkSize, 2);
-  EXPECT_TRUE(verify_agg_response(challenge, response, f.key, kChunks + 1,
-                                  kChunkSize, tree.root()));
+  EXPECT_TRUE(verify_agg_response(
+      challenge, response, f.key, f.alphas, kChunks + 1, kChunkSize,
+      tree.root()));
 }
 
 TEST(PorTagsTest, AggregatedResponseIsCompact) {
@@ -176,13 +208,14 @@ TEST(PorTagsTest, AggregatedResponseIsCompact) {
   }
   const DynMerkleTree tree = DynMerkleTree::build(chunk_views(chunks));
   const TagKey key = TagKey::derive(rng.bytes(32), "por-object");
-  const auto tags = make_tags(key, chunk_views(chunks), kBigChunk);
+  const auto alphas = key.alphas(sectors_per_chunk(kBigChunk));
+  const auto tags = make_tags(key, chunk_views(chunks), alphas);
 
   const AggChallenge challenge{/*seed=*/1, /*count=*/64};
   const AggResponse response =
       make_agg_response(challenge, tree, chunk_views(chunks), tags,
                         kBigChunk, 1);
-  EXPECT_TRUE(verify_agg_response(challenge, response, key, kChunks,
+  EXPECT_TRUE(verify_agg_response(challenge, response, key, alphas, kChunks,
                                   kBigChunk, tree.root()));
   EXPECT_LT(response.encoded_size(), 64 * kBigChunk / 10);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace tpnr::net {
@@ -491,6 +492,58 @@ TEST(NetworkFaultTest, FaultSamplingIsDeterministicPerSeed) {
   EXPECT_EQ(run_once(99), run_once(99));
   EXPECT_NE(run_once(99), run_once(100));
 }
+
+/// Network::post at 1 and 4 shards (one worker: the merge order is the
+/// observable one).
+class NetworkPostTest : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(NetworkPostTest, RunsInEndpointContextInCallOrder) {
+  Network network(1, NetworkOptions{GetParam(), 1});
+  const std::vector<std::string> names{"e0", "e1", "e2", "e3"};
+  struct Run {
+    std::string tag;
+    runtime::EndpointId endpoint = runtime::kNoEndpoint;
+    std::uint32_t shard = 0;
+    SimTime at = 0;
+  };
+  std::vector<Run> runs;
+  const auto post = [&](const std::string& name, SimTime delay,
+                        std::string tag) {
+    network.post(name, delay, [&network, &runs, tag = std::move(tag)] {
+      runs.push_back({tag, network.engine().current_endpoint(),
+                      network.engine().current_bucket(), network.now()});
+    });
+  };
+  // Same-time posts interleaved across endpoints (and so across shards at
+  // 4 shards), one at an earlier time posted last.
+  post("e2", 5, "a");
+  post("e0", 5, "b");
+  post("e2", 5, "c");
+  post("e3", 5, "d");
+  post("e1", 5, "e");
+  post("e0", 2, "f");
+  network.run();
+
+  ASSERT_EQ(runs.size(), 6u);
+  std::string order;
+  for (const Run& run : runs) order += run.tag;
+  EXPECT_EQ(order, "fabcde");
+  const std::vector<std::string> expected_endpoint{"e0", "e2", "e0",
+                                                   "e2", "e3", "e1"};
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const runtime::EndpointId id = network.endpoint_id(expected_endpoint[i]);
+    EXPECT_EQ(runs[i].endpoint, id) << runs[i].tag;
+    EXPECT_EQ(runs[i].shard, network.engine().shard_of(id)) << runs[i].tag;
+    EXPECT_EQ(runs[i].at, runs[i].tag == "f" ? 2 : 5) << runs[i].tag;
+  }
+  if (GetParam() > 1) {
+    EXPECT_NE(runs[1].shard, runs[2].shard);  // e2 and e0 on two shards
+  }
+  // Back in driver context after the run.
+  EXPECT_EQ(network.engine().current_endpoint(), runtime::kNoEndpoint);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, NetworkPostTest, ::testing::Values(1u, 4u));
 
 }  // namespace
 }  // namespace tpnr::net
