@@ -86,9 +86,6 @@ int main() {
                   alice_obj->checker->view().head_seq()),
               static_cast<unsigned long long>(alice.forks_detected()),
               static_cast<unsigned long long>(carol.forks_detected()));
-  std::printf("the store now serves per-client views: %s (fault log "
-              "records the equivocation)\n",
-              bob.store().equivocation_armed("ledger.db") ? "armed" : "off");
 
   // --- 3. Out-of-band gossip: the fork is provable in one exchange. -------
   std::printf("\nclients compare notes on the cons.gossip topic...\n");

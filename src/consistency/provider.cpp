@@ -5,7 +5,6 @@
 #include "common/serial.h"
 #include "crypto/hash.h"
 #include "dyn/provider.h"
-#include "storage/backend.h"
 
 namespace tpnr::consistency {
 
@@ -29,8 +28,7 @@ ConsProviderActor::Branch clone_branch(const ConsProviderActor::Branch& b) {
 ConsProviderActor::ConsProviderActor(std::string id, net::Network& network,
                                      pki::Identity& identity,
                                      crypto::Drbg& rng)
-    : NrActor(std::move(id), network, identity, rng),
-      store_(std::make_unique<storage::MemoryBackend>()) {
+    : NrActor(std::move(id), network, identity, rng) {
   store_.bind_clock([&network] { return network.now(); });
 }
 
@@ -63,23 +61,7 @@ bool ConsProviderActor::fork_object(
   for (const auto& [client, branch] : assignment) {
     state.branch_of[client] = branch;
   }
-  // Mirror the fork into the storage layer from the first moment: every
-  // client now has a per-client view, logged as a kEquivocation fault.
-  sync_store_views(object_key, state);
   return true;
-}
-
-void ConsProviderActor::sync_store_views(const std::string& object_key,
-                                         const SharedObjectState& state) {
-  std::map<std::string, storage::ClientView> views;
-  for (const std::string& client : state.participants) {
-    const Branch& branch = state.branches[state.branch_index(client)];
-    storage::ClientView view;
-    view.version = branch.chain.head_version();
-    view.data = dyn::join_chunks(branch.chunks);
-    views.emplace(client, std::move(view));
-  }
-  store_.arm_equivocation(object_key, std::move(views));
 }
 
 void ConsProviderActor::on_message(const nr::NrMessage& message) {
@@ -274,12 +256,11 @@ void ConsProviderActor::commit_op(const std::string& object_key,
   branch.log.push_back(op);
 
   // Storage effects: the main branch is what the store "really" holds;
-  // fork branches exist as armed per-client views on top of it.
+  // fork branches live only in their signed histories above.
   if (branch_index == 0) {
     dyn::write_through(store_, op.record.record, branch.chunks,
                        network_->now());
   }
-  if (state.branches.size() > 1) sync_store_views(object_key, state);
 
   // Fan the commit out to every client of THIS branch — the submitter's
   // copy doubles as its receipt.
@@ -333,9 +314,7 @@ void ConsProviderActor::handle_view_query(const nr::NrMessage& message) {
   const auto it = objects_.find(object_key);
   if (it == objects_.end()) return;
   SharedObjectState& state = it->second;
-  if (state.join(h.sender) && state.branches.size() > 1) {
-    sync_store_views(object_key, state);
-  }
+  state.join(h.sender);
   const Branch& branch = state.branches[state.branch_index(h.sender)];
 
   if (peer_key(h.sender) == nullptr) return;

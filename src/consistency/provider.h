@@ -13,9 +13,9 @@
 // independently — each branch keeps countersigning perfectly valid
 // records and commitments, which is exactly what makes the attack
 // invisible to any single client and provable the moment two clients
-// compare notes. The per-client divergence is mirrored into the
-// ObjectStore through arm_equivocation(), so the storage layer's fault
-// log records the attack alongside every other at-rest fault.
+// compare notes. The fork lives only in those signed histories: the
+// ObjectStore holds the main branch, and the evidence of the attack is the
+// pair of provider signatures, not a store fault.
 #pragma once
 
 #include <algorithm>
@@ -66,14 +66,12 @@ class ConsProviderActor final : public nr::NrActor {
       const auto it = branch_of.find(client);
       return it == branch_of.end() ? 0 : it->second;
     }
-    /// Registers `client` as a participant; false if it already was one.
-    bool join(const std::string& client) {
-      if (std::find(participants.begin(), participants.end(), client) !=
+    /// Registers `client` as a participant unless it already is one.
+    void join(const std::string& client) {
+      if (std::find(participants.begin(), participants.end(), client) ==
           participants.end()) {
-        return false;
+        participants.push_back(client);
       }
-      participants.push_back(client);
-      return true;
     }
   };
 
@@ -89,9 +87,9 @@ class ConsProviderActor final : public nr::NrActor {
   /// `branch_count` identical branches and serve each client the branch
   /// `assignment` maps it to (unmapped clients stay on branch 0). From now
   /// on each branch's history evolves independently — same global
-  /// positions, different provider-signed contents. Also arms the object
-  /// store's per-client divergent serving. Returns false on an unknown
-  /// object, branch_count < 2, or an out-of-range assignment.
+  /// positions, different provider-signed contents. Only branch 0 writes
+  /// through to the object store. Returns false on an unknown object,
+  /// branch_count < 2, or an out-of-range assignment.
   bool fork_object(const std::string& object_key,
                    const std::map<std::string, std::size_t>& assignment,
                    std::size_t branch_count = 2);
@@ -121,9 +119,9 @@ class ConsProviderActor final : public nr::NrActor {
   void handle_op_request(const nr::NrMessage& message);
   void handle_view_query(const nr::NrMessage& message);
 
-  /// Countersigns and commits a validated op onto `branch`, updates the
-  /// store (main branch: real write; forked: re-armed equivocation views),
-  /// and fans the commit out to the branch's clients.
+  /// Countersigns and commits a validated op onto `branch`, writes the main
+  /// branch through to the store, and fans the commit out to the branch's
+  /// clients.
   void commit_op(const std::string& object_key, SharedObjectState& state,
                  std::size_t branch_index, const std::string& submitter,
                  dyn::SignedVersionRecord record, Bytes op_bytes);
@@ -140,11 +138,6 @@ class ConsProviderActor final : public nr::NrActor {
                      const std::string& object_key, std::uint64_t version,
                      const std::string& reason,
                      std::span<const CommittedOp> suffix);
-
-  /// Pushes every branch's current (version, bytes) into the store's
-  /// per-client equivocation views.
-  void sync_store_views(const std::string& object_key,
-                        const SharedObjectState& state);
 
   ConsProviderBehavior behavior_;
   storage::ObjectStore store_;

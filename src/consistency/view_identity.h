@@ -1,18 +1,17 @@
 // The single source of truth for "same object, seen through a different
 // view" identity.
 //
-// Several layers need to keep per-view state for ONE logical object without
-// the views colliding or evicting each other: the static provider's
-// MerkleCache keeps the honest current-bytes tree next to the equivocation
-// snapshot it serves stale proofs from, the ObjectStore indexes per-client
-// divergent views armed by arm_equivocation(), and the fork-consistency
-// provider keeps one branch of history per victim group. All of them key
-// that state with view_key() so the identity convention lives in exactly
-// one place — an object's primary view is the bare key; every other view
-// hangs off it as "<key>#<label>".
+// Per-view state for ONE logical object must not collide with, or evict,
+// the object's primary state: the static provider's MerkleCache keeps the
+// honest current-bytes tree next to the equivocation snapshot it serves
+// stale proofs from. That state is keyed with view_key() so the identity
+// convention lives in exactly one place — an object's primary view is the
+// bare key; every other view hangs off it as "<key>#<label>". (The
+// fork-consistency provider keeps its per-victim branches in
+// ConsProviderActor::SharedObjectState, not under view keys.)
 //
-// Header-only on purpose: lower layers (tpnr_storage, tpnr_nr) use it
-// without linking tpnr_consistency.
+// Header-only on purpose: tpnr_nr uses it without linking
+// tpnr_consistency.
 #pragma once
 
 #include <string>

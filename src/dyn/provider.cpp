@@ -5,7 +5,6 @@
 #include "common/serial.h"
 #include "crypto/hash.h"
 #include "nr/evidence.h"
-#include "storage/backend.h"
 
 namespace tpnr::dyn {
 
@@ -46,8 +45,7 @@ void write_through(storage::ObjectStore& store, const VersionRecord& rec,
 DynProviderActor::DynProviderActor(std::string id, net::Network& network,
                                    pki::Identity& identity,
                                    crypto::Drbg& rng)
-    : NrActor(std::move(id), network, identity, rng),
-      store_(std::make_unique<storage::MemoryBackend>()) {
+    : NrActor(std::move(id), network, identity, rng) {
   store_.bind_clock([&network] { return network.now(); });
 }
 

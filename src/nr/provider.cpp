@@ -23,8 +23,7 @@ std::string proof_cache_key(const std::string& object_key,
 
 ProviderActor::ProviderActor(std::string id, net::Network& network,
                              pki::Identity& identity, crypto::Drbg& rng)
-    : NrActor(std::move(id), network, identity, rng),
-      store_(std::make_unique<storage::MemoryBackend>()) {
+    : NrActor(std::move(id), network, identity, rng) {
   // Fault events in the store carry simulated injection times, which is
   // what lets an auditor's detection latency be measured.
   store_.bind_clock([&network] { return network.now(); });

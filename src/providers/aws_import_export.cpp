@@ -30,9 +30,7 @@ Manifest Manifest::decode(BytesView data) {
 
 AwsImportExport::AwsImportExport(common::SimClock& clock,
                                  SimTime shipping_transit)
-    : clock_(&clock),
-      shipping_transit_(shipping_transit),
-      bucket_(std::make_unique<storage::MemoryBackend>()) {}
+    : clock_(&clock), shipping_transit_(shipping_transit) {}
 
 Bytes AwsImportExport::register_user(const std::string& access_key_id,
                                      crypto::Drbg& rng) {

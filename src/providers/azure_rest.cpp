@@ -106,9 +106,7 @@ void sign_request(RestRequest& request, const std::string& account,
 }
 
 AzureRestService::AzureRestService(common::SimClock& clock, Limits limits)
-    : clock_(&clock),
-      limits_(limits),
-      blobs_(std::make_unique<storage::MemoryBackend>()) {}
+    : clock_(&clock), limits_(limits) {}
 
 Bytes AzureRestService::create_account(const std::string& account,
                                        crypto::Drbg& rng) {

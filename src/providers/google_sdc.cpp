@@ -23,7 +23,7 @@ Bytes SignedRequest::canonical_encode() const {
 }
 
 GoogleSdcService::GoogleSdcService(common::SimClock& clock)
-    : clock_(&clock), datastore_(std::make_unique<storage::MemoryBackend>()) {}
+    : clock_(&clock) {}
 
 std::string GoogleSdcService::register_consumer(
     const std::string& consumer_key, const crypto::RsaPublicKey& key,

@@ -1,36 +1,36 @@
 // ObjectStore: the provider-visible storage layer — versioned objects with
-// metadata and per-upload checksums — plus the FaultInjector that models
-// Fig. 5's threat: data silently changing INSIDE the store, between the
-// (individually secure) upload and download sessions.
+// per-upload checksums and one previous version each — plus the
+// FaultInjector that models Fig. 5's threat: data silently changing INSIDE
+// the store, between the (individually secure) upload and download sessions.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/clock.h"
+#include "common/payload.h"
 #include "crypto/drbg.h"
 #include "persist/journal.h"
-#include "storage/backend.h"
 
 namespace tpnr::storage {
 
+using common::Bytes;
+using common::BytesView;
 using common::SimTime;
 
 /// Everything the provider records about one object. `data` is a COW
-/// common::Payload: the index, the backend, and records handed to readers
-/// all alias one buffer until somebody (a fault injector) mutates it.
+/// common::Payload: the index and the records handed to readers alias one
+/// buffer until somebody (a fault injector) mutates it.
 struct ObjectRecord {
   common::Payload data;
   Bytes stored_md5;        ///< MD5 recorded at upload time (Azure keeps this)
   std::uint64_t version = 0;
   SimTime stored_at = 0;
-  std::map<std::string, std::string> metadata;
 };
 
 /// What can silently go wrong at rest.
@@ -49,7 +49,6 @@ enum class FaultKind {
   // log the audit report reads.
   kCrash,          ///< object (or its latest version) lost to a crash
   kTornWrite,      ///< a torn device write damaged the object's durable state
-  kEquivocation,   ///< per-client divergent serving armed (fork attack)
 };
 
 std::string fault_kind_name(FaultKind kind);
@@ -70,13 +69,6 @@ struct FaultPolicy {
   double probability = 0.0;
 };
 
-/// One client's divergent view of an equivocating object: what the store
-/// serves THAT client while other clients see other (version, bytes) pairs.
-struct ClientView {
-  std::uint64_t version = 0;
-  Bytes data;
-};
-
 /// Descriptor of one chunk-level mutation, journalled with the new version
 /// (persist::MutationRecord). `op` carries the dyn::MutateOp value as a raw
 /// byte so storage stays independent of tpnr_dyn.
@@ -90,17 +82,19 @@ struct MutationInfo {
 
 class ObjectStore {
  public:
-  explicit ObjectStore(std::unique_ptr<StorageBackend> backend,
-                       std::uint64_t fault_seed = 7);
+  explicit ObjectStore(std::uint64_t fault_seed = 7)
+      : fault_rng_(fault_seed) {}
 
   /// Stores a new version; records the MD5 the client supplied (the Azure
-  /// behaviour) and returns the assigned version.
+  /// behaviour) and returns the assigned version. The replaced payload, if
+  /// any, is kept as the previous version; older ones are dropped.
   std::uint64_t put(const std::string& key, common::Payload data,
                     BytesView client_md5, SimTime now);
 
-  /// In-place mutation of an EXISTING object: archives the previous payload,
-  /// bumps the version and journals a persist::MutationRecord. Returns the
-  /// acknowledged version, or 0 if the key does not exist.
+  /// In-place mutation of an EXISTING object: keeps the replaced payload as
+  /// the previous version, bumps the version and journals a
+  /// persist::MutationRecord. Returns the acknowledged version, or 0 if the
+  /// key does not exist.
   ///
   /// If arm_stale_mutations() is pending, the mutation is ACKNOWLEDGED (the
   /// returned version is the bump the caller expects) but never applied —
@@ -119,31 +113,14 @@ class ObjectStore {
     stale_mutations_armed_ += count;
   }
 
-  /// The rollback attack: silently restores the newest ARCHIVED payload as
-  /// the current bytes while leaving the version number claiming currency.
-  /// Returns false if the key has no archived history. Logs kRollbackAttack.
+  /// The rollback attack: silently restores the previous version's payload
+  /// as the current bytes while leaving the version number claiming
+  /// currency. Returns false if the key has no previous version. Logs
+  /// kRollbackAttack.
   bool rollback_attack(const std::string& key);
 
   /// Plain read (fault injection applies).
   [[nodiscard]] std::optional<ObjectRecord> get(const std::string& key);
-
-  /// THE EQUIVOCATION FAULT: from now on, reads through get_as() serve each
-  /// client in `views` its own (version, bytes) pair instead of the real
-  /// object. Re-arming replaces the previous views (the fork evolves).
-  /// Logs one kEquivocation event per divergent client view through the
-  /// per-key fault log. Returns false if the key does not exist.
-  bool arm_equivocation(const std::string& key,
-                        const std::map<std::string, ClientView>& views);
-  /// Drops the per-client views; get_as() falls back to get().
-  void disarm_equivocation(const std::string& key);
-  [[nodiscard]] bool equivocation_armed(const std::string& key) const;
-
-  /// The read path a consistency-layer provider serves `client` from: the
-  /// client's armed divergent view when the object is equivocating,
-  /// otherwise a plain get(). Policy faults do not stack on armed views —
-  /// the equivocation IS the fault.
-  [[nodiscard]] std::optional<ObjectRecord> get_as(const std::string& key,
-                                                   const std::string& client);
 
   /// Direct tamper by "the administrator" (the paper's Eve): replaces the
   /// object bytes without touching stored_md5 or version — exactly the
@@ -194,17 +171,23 @@ class ObjectStore {
   }
 
  private:
-  void apply_fault(const std::string& key, ObjectRecord& record);
+  /// One stored object: the current record and the payload it superseded,
+  /// which kStaleVersion reads and rollback_attack() serve.
+  struct Entry {
+    ObjectRecord current;
+    std::optional<common::Payload> previous;
+  };
+
+  /// The commit step put() and mutate() share: the current payload becomes
+  /// the previous version and `data` the next one. Returns the new record.
+  const ObjectRecord& commit(Entry& entry, common::Payload data,
+                             BytesView client_md5, SimTime now);
+  void apply_fault(const std::string& key, const Entry& entry,
+                   ObjectRecord& record);
   void log_fault(const std::string& key, FaultKind kind,
                  std::uint64_t version);
 
-  std::unique_ptr<StorageBackend> backend_;
-  std::map<std::string, ObjectRecord> index_;          // metadata + current
-  std::map<std::string, std::vector<common::Payload>> history_;  // kStaleVersion
-  /// Armed divergent views, keyed consistency::view_key(key, client) — the
-  /// shared "same object, different view" identity convention.
-  std::map<std::string, ClientView> equivocation_views_;
-  std::set<std::string> equivocating_keys_;
+  std::map<std::string, Entry> index_;
   FaultPolicy policy_;
   crypto::Drbg fault_rng_;
   std::uint64_t faults_injected_ = 0;

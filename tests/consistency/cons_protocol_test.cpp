@@ -123,7 +123,7 @@ TEST_F(ConsProtocolTest, StoreSharedCommitsGlobalPositionOne) {
   EXPECT_EQ(state->branches[0].views.head_hash(),
             obj->checker->view().head_hash());
   EXPECT_EQ(bob_.store().version_of("doc"), 1u);
-  EXPECT_FALSE(bob_.store().equivocation_armed("doc"));
+  EXPECT_FALSE(bob_.forked("doc"));
 }
 
 TEST_F(ConsProtocolTest, StoreHoldsTheMirrorWithNoContentMd5) {
@@ -358,23 +358,24 @@ TEST_F(ConsProtocolTest, EquivocationArmsDivergentStoreServing) {
   forked_object("doc");
 
   ASSERT_TRUE(bob_.forked("doc"));
-  ASSERT_TRUE(bob_.store().equivocation_armed("doc"));
+  const auto* state = bob_.object_state("doc");
+  ASSERT_NE(state, nullptr);
+  ASSERT_EQ(state->branches.size(), 2u);
+  const auto& alice_branch = state->branches[0];  // the main branch
+  const auto& carol_branch = state->branches[1];
+  EXPECT_EQ(alice_branch.chain.head_version(), 2u);
+  EXPECT_EQ(carol_branch.chain.head_version(), 2u);
+  EXPECT_NE(alice_branch.chunks, carol_branch.chunks)
+      << "divergent branches must hold different bytes";
+  EXPECT_NE(alice_branch.views.head_hash(), carol_branch.views.head_hash());
 
-  auto alice_view = bob_.store().get_as("doc", "alice");
-  auto carol_view = bob_.store().get_as("doc", "carol");
-  ASSERT_TRUE(alice_view.has_value());
-  ASSERT_TRUE(carol_view.has_value());
-  EXPECT_EQ(alice_view->version, 2u);
-  EXPECT_EQ(carol_view->version, 2u);
-  EXPECT_FALSE(alice_view->data == carol_view->data)
-      << "divergent branches must serve different bytes";
-
-  // The divergence is in the per-key fault log as kEquivocation events.
-  bool logged = false;
-  for (const auto& event : bob_.store().fault_log_for("doc")) {
-    logged = logged || event.kind == storage::FaultKind::kEquivocation;
-  }
-  EXPECT_TRUE(logged);
+  // Only the main branch writes through to the store; the fork lives in the
+  // provider-signed branch histories, not in the store's fault log.
+  const auto record = bob_.store().get("doc");
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->version, 2u);
+  EXPECT_EQ(record->data.to_bytes(), dyn::join_chunks(alice_branch.chunks));
+  EXPECT_TRUE(bob_.store().fault_log_for("doc").empty());
 }
 
 TEST_F(ConsProtocolTest, HonestRunWithGossipNeverAccuses) {

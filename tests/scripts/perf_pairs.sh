@@ -8,9 +8,9 @@
 #   python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 #
 # once on each side, alternating which side runs first. The script prints
-# every run's ops_per_s, cpu_us_per_op and setup_s, then each side's median
-# and quartiles per metric and how many pairs the working tree won (ties
-# count for neither side). A gain is worth claiming only when the working
+# every run's ops_per_s, cpu_us_per_op, setup_s and peak_rss_mb, then each
+# side's median and quartiles per metric and how many pairs the working tree
+# won (ties count for neither side). A gain is worth claiming only when the working
 # tree wins at least nine pairs in ten and the medians differ by more than
 # the base's interquartile distance.
 #
@@ -70,7 +70,8 @@ import sys
 
 workdir, pairs = sys.argv[1], int(sys.argv[2])
 # metric -> True when higher is better
-METRICS = {"ops_per_s": True, "cpu_us_per_op": False, "setup_s": False}
+METRICS = {"ops_per_s": True, "cpu_us_per_op": False, "setup_s": False,
+           "peak_rss_mb": False}
 
 
 def metrics(side, pair):

@@ -1,12 +1,11 @@
 // MerkleCache: buffer-identity validation means a cached tree is served
-// only for the exact bytes it was built over — tamper, fault injection and
-// backend corruption all detach the payload buffer, so they can never be
-// masked by cached service.
+// only for the exact bytes it was built over — tamper and fault injection
+// both detach the payload buffer, so they can never be masked by cached
+// service.
 #include <gtest/gtest.h>
 
 #include "common/payload.h"
 #include "crypto/counters.h"
-#include "storage/backend.h"
 #include "storage/merkle_cache.h"
 #include "storage/object_store.h"
 
@@ -69,7 +68,7 @@ TEST(MerkleCacheTest, MutationDetachesBufferAndForcesRebuild) {
 }
 
 TEST(MerkleCacheTest, AdminTamperInObjectStoreIsNeverMasked) {
-  ObjectStore store(std::make_unique<MemoryBackend>());
+  ObjectStore store;
   MerkleCache cache;
   const Bytes original = test_bytes(12 * kChunk);
   store.put("key", Payload::copy_of(original), Bytes(), 0);
@@ -111,7 +110,7 @@ TEST(MerkleCacheTest, VersionKeyingRejectsRecycledBuffers) {
 }
 
 TEST(MerkleCacheTest, StoreMutationIsNeverMaskedByTheCache) {
-  ObjectStore store(std::make_unique<MemoryBackend>());
+  ObjectStore store;
   MerkleCache cache;
   Bytes content = test_bytes(8 * kChunk);
   store.put("key", Payload::copy_of(content), Bytes(), 0);

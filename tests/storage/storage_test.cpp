@@ -1,12 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
+#include <string>
 
 #include "crypto/hash.h"
-#include "common/error.h"
-#include "storage/backend.h"
 #include "storage/object_store.h"
 
 namespace tpnr::storage {
@@ -14,88 +10,9 @@ namespace {
 
 using common::to_bytes;
 
-TEST(MemoryBackendTest, PutGetRemove) {
-  MemoryBackend backend;
-  backend.put("k", to_bytes("v"));
-  ASSERT_TRUE(backend.get("k").has_value());
-  EXPECT_EQ(*backend.get("k"), to_bytes("v"));
-  EXPECT_TRUE(backend.exists("k"));
-  EXPECT_TRUE(backend.remove("k"));
-  EXPECT_FALSE(backend.exists("k"));
-  EXPECT_FALSE(backend.remove("k"));
-  EXPECT_FALSE(backend.get("k").has_value());
-}
-
-TEST(MemoryBackendTest, PutReplaces) {
-  MemoryBackend backend;
-  backend.put("k", to_bytes("old"));
-  backend.put("k", to_bytes("new"));
-  EXPECT_EQ(*backend.get("k"), to_bytes("new"));
-  EXPECT_EQ(backend.size(), 1u);
-}
-
-TEST(MemoryBackendTest, ListIsSorted) {
-  MemoryBackend backend;
-  backend.put("zebra", {});
-  backend.put("apple", {});
-  backend.put("mango", {});
-  const auto keys = backend.list();
-  ASSERT_EQ(keys.size(), 3u);
-  EXPECT_EQ(keys[0], "apple");
-  EXPECT_EQ(keys[1], "mango");
-  EXPECT_EQ(keys[2], "zebra");
-}
-
-TEST(MemoryBackendTest, CorruptFlipsByte) {
-  MemoryBackend backend;
-  backend.put("k", to_bytes("AAAA"));
-  EXPECT_TRUE(backend.corrupt("k", 2, 0x01));
-  EXPECT_EQ((*backend.get("k"))[2], 'A' ^ 0x01);
-  EXPECT_FALSE(backend.corrupt("missing", 0, 1));
-}
-
-class DiskBackendTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    root_ = std::filesystem::temp_directory_path() /
-            ("tpnr-disk-test-" + std::to_string(::getpid()));
-    std::filesystem::remove_all(root_);
-  }
-  void TearDown() override { std::filesystem::remove_all(root_); }
-  std::filesystem::path root_;
-};
-
-TEST_F(DiskBackendTest, PersistsAcrossInstances) {
-  {
-    DiskBackend backend(root_.string());
-    backend.put("container/blob one", to_bytes("payload"));
-  }
-  DiskBackend reopened(root_.string());
-  ASSERT_TRUE(reopened.get("container/blob one").has_value());
-  EXPECT_EQ(*reopened.get("container/blob one"), to_bytes("payload"));
-  EXPECT_EQ(reopened.list(),
-            std::vector<std::string>{"container/blob one"});
-}
-
-TEST_F(DiskBackendTest, HandlesArbitraryKeyCharacters) {
-  DiskBackend backend(root_.string());
-  const std::string weird = "a/b\\c:d*e?f\"g<h>i|j\nk";
-  backend.put(weird, to_bytes("x"));
-  EXPECT_TRUE(backend.exists(weird));
-  EXPECT_EQ(*backend.get(weird), to_bytes("x"));
-  EXPECT_TRUE(backend.remove(weird));
-}
-
-TEST_F(DiskBackendTest, CorruptPersists) {
-  DiskBackend backend(root_.string());
-  backend.put("k", to_bytes("ZZZZ"));
-  EXPECT_TRUE(backend.corrupt("k", 0, 0xff));
-  EXPECT_EQ((*backend.get("k"))[0], 'Z' ^ 0xff);
-}
-
 class ObjectStoreTest : public ::testing::Test {
  protected:
-  ObjectStore store_{std::make_unique<MemoryBackend>(), 7};
+  ObjectStore store_{7};
 };
 
 TEST_F(ObjectStoreTest, PutAssignsVersionsAndStoresMd5) {
@@ -165,6 +82,38 @@ TEST_F(ObjectStoreTest, StaleVersionFaultServesOldData) {
   EXPECT_EQ(store_.get("k")->data, to_bytes("version-1"));
 }
 
+TEST_F(ObjectStoreTest, KeepsOnlyThePreviousVersion) {
+  const common::Payload v1(to_bytes("version-1"));
+  ASSERT_EQ(store_.put("k", v1, {}, 1), 1u);
+  for (std::uint64_t v = 2; v <= 4; ++v) {
+    const auto bytes = to_bytes("version-" + std::to_string(v));
+    ASSERT_EQ(store_.mutate("k", bytes, {}, static_cast<SimTime>(v), {}), v);
+  }
+  // v1 is two versions back: the store holds no share of it any more.
+  EXPECT_EQ(v1.use_count(), 1);
+
+  // A stale read and a rollback both serve v3, the one version kept, while
+  // the record keeps claiming version 4.
+  store_.set_fault_policy({FaultKind::kStaleVersion, 1.0});
+  auto record = store_.get("k");
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->data, to_bytes("version-3"));
+  EXPECT_EQ(record->version, 4u);
+  store_.set_fault_policy({FaultKind::kNone, 0.0});
+  for (int rollback = 0; rollback < 2; ++rollback) {
+    ASSERT_TRUE(store_.rollback_attack("k"));
+    record = store_.get("k");
+    ASSERT_TRUE(record.has_value());
+    EXPECT_EQ(record->data, to_bytes("version-3"));
+    EXPECT_EQ(record->version, 4u);
+  }
+
+  // A removed key starts over: its first new version has nothing before it.
+  ASSERT_TRUE(store_.remove("k"));
+  ASSERT_EQ(store_.put("k", to_bytes("fresh"), {}, 5), 1u);
+  EXPECT_FALSE(store_.rollback_attack("k"));
+}
+
 TEST_F(ObjectStoreTest, ZeroProbabilityNeverFaults) {
   store_.put("k", to_bytes("x"), {}, 1);
   store_.set_fault_policy({FaultKind::kBitFlip, 0.0});
@@ -196,10 +145,6 @@ TEST_F(ObjectStoreTest, ListReflectsContents) {
   store_.put("b", {}, {}, 1);
   store_.put("a", {}, {}, 1);
   EXPECT_EQ(store_.list(), (std::vector<std::string>{"a", "b"}));
-}
-
-TEST_F(ObjectStoreTest, NullBackendRejected) {
-  EXPECT_THROW(ObjectStore(nullptr, 1), common::StorageError);
 }
 
 TEST(FaultKindTest, Names) {
@@ -259,89 +204,6 @@ TEST_F(ObjectStoreTest, FaultLogForFiltersByKey) {
   EXPECT_EQ(for_a[1].key, "a");
   EXPECT_EQ(store_.fault_log_for("b").size(), 1u);
   EXPECT_TRUE(store_.fault_log_for("missing").empty());
-}
-
-TEST_F(ObjectStoreTest, ArmEquivocationServesPerClientViews) {
-  store_.put("k", to_bytes("the real bytes"), {}, 1);
-  std::map<std::string, ClientView> views;
-  views["alice"] = ClientView{2, to_bytes("alice's fork")};
-  views["carol"] = ClientView{2, to_bytes("carol's fork")};
-  ASSERT_TRUE(store_.arm_equivocation("k", views));
-  EXPECT_TRUE(store_.equivocation_armed("k"));
-
-  const auto alice_view = store_.get_as("k", "alice");
-  const auto carol_view = store_.get_as("k", "carol");
-  ASSERT_TRUE(alice_view.has_value());
-  ASSERT_TRUE(carol_view.has_value());
-  EXPECT_EQ(alice_view->version, 2u);
-  EXPECT_EQ(alice_view->data, to_bytes("alice's fork"));
-  EXPECT_EQ(carol_view->data, to_bytes("carol's fork"));
-  // The synthetic record self-checks: its MD5 matches the served bytes.
-  EXPECT_EQ(alice_view->stored_md5, crypto::md5(alice_view->data.view()));
-
-  // A client with no armed view falls through to the real object.
-  const auto dave_view = store_.get_as("k", "dave");
-  ASSERT_TRUE(dave_view.has_value());
-  EXPECT_EQ(dave_view->version, 1u);
-  EXPECT_EQ(dave_view->data, to_bytes("the real bytes"));
-
-  // Both divergent views were logged as kEquivocation faults.
-  const auto log = store_.fault_log_for("k");
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0].kind, FaultKind::kEquivocation);
-  EXPECT_EQ(log[1].kind, FaultKind::kEquivocation);
-}
-
-TEST_F(ObjectStoreTest, ArmEquivocationOnlyLogsDivergentViews) {
-  store_.put("k", to_bytes("same bytes"), {}, 1);
-  std::map<std::string, ClientView> views;
-  views["alice"] = ClientView{1, to_bytes("same bytes")};  // matches reality
-  views["carol"] = ClientView{2, to_bytes("forked bytes")};
-  ASSERT_TRUE(store_.arm_equivocation("k", views));
-
-  // Only carol's view actually diverges from the committed record; the
-  // event records the version the divergent view CLAIMS.
-  ASSERT_EQ(store_.fault_log_for("k").size(), 1u);
-  EXPECT_EQ(store_.fault_log_for("k")[0].kind, FaultKind::kEquivocation);
-  EXPECT_EQ(store_.fault_log_for("k")[0].version, 2u);
-}
-
-TEST_F(ObjectStoreTest, DisarmEquivocationRestoresPlainReads) {
-  store_.put("k", to_bytes("real"), {}, 1);
-  std::map<std::string, ClientView> views;
-  views["alice"] = ClientView{7, to_bytes("fake")};
-  ASSERT_TRUE(store_.arm_equivocation("k", views));
-  ASSERT_TRUE(store_.equivocation_armed("k"));
-
-  store_.disarm_equivocation("k");
-  EXPECT_FALSE(store_.equivocation_armed("k"));
-  const auto view = store_.get_as("k", "alice");
-  ASSERT_TRUE(view.has_value());
-  EXPECT_EQ(view->version, 1u);
-  EXPECT_EQ(view->data, to_bytes("real"));
-}
-
-TEST_F(ObjectStoreTest, ReArmingReplacesTheForkViews) {
-  store_.put("k", to_bytes("real"), {}, 1);
-  std::map<std::string, ClientView> first;
-  first["alice"] = ClientView{2, to_bytes("fork v2")};
-  ASSERT_TRUE(store_.arm_equivocation("k", first));
-  std::map<std::string, ClientView> second;
-  second["alice"] = ClientView{3, to_bytes("fork v3")};
-  ASSERT_TRUE(store_.arm_equivocation("k", second));
-
-  const auto view = store_.get_as("k", "alice");
-  ASSERT_TRUE(view.has_value());
-  EXPECT_EQ(view->version, 3u);
-  EXPECT_EQ(view->data, to_bytes("fork v3"));
-}
-
-TEST_F(ObjectStoreTest, ArmEquivocationRejectsUnknownKey) {
-  std::map<std::string, ClientView> views;
-  views["alice"] = ClientView{1, to_bytes("x")};
-  EXPECT_FALSE(store_.arm_equivocation("missing", views));
-  EXPECT_FALSE(store_.equivocation_armed("missing"));
-  EXPECT_FALSE(store_.get_as("missing", "alice").has_value());
 }
 
 }  // namespace
