@@ -568,9 +568,6 @@ void print_crypto_counters() {
   json.field("classic_signs", snap.classic_signs);
   json.field("batch_verify_groups", snap.batch_verify_groups);
   json.field("batch_verify_items", snap.batch_verify_items);
-  json.field("service_jobs", snap.service_jobs);
-  json.field("service_flushes", snap.service_flushes);
-  json.field("service_inline_jobs", snap.service_inline_jobs);
   json.print();
 }
 

@@ -769,9 +769,8 @@ void print_fleet_sweep() {
                  static_cast<double>(capacity.clients),
              2)
       .print();
-  // Crypto batching telemetry over the whole sweep. Deltas, not absolutes,
-  // so earlier sections of this process don't pollute the fill-rate; the
-  // acceptance gate is mean lane fill > 4 messages per 8-lane dispatch.
+  // Crypto telemetry over the whole sweep. Deltas, not absolutes, so
+  // earlier sections of this process don't pollute the fill-rate.
   const crypto::CounterSnapshot crypto_after = crypto::counters().snapshot();
   const auto delta = [&](std::uint64_t crypto::CounterSnapshot::* field) {
     return crypto_after.*field - crypto_before.*field;
@@ -789,11 +788,6 @@ void print_fleet_sweep() {
       .field("mb_dispatch_jobs", mb_dispatch_jobs)
       .field("lane_fill_rate", fill_rate, 2)
       .field("lane_fill_gt4", fill_rate > 4.0)
-      .field("service_jobs", delta(&crypto::CounterSnapshot::service_jobs))
-      .field("service_flushes",
-             delta(&crypto::CounterSnapshot::service_flushes))
-      .field("service_inline_jobs",
-             delta(&crypto::CounterSnapshot::service_inline_jobs))
       .field("batch_verify_groups",
              delta(&crypto::CounterSnapshot::batch_verify_groups))
       .field("batch_verify_items",
@@ -806,11 +800,9 @@ void print_fleet_sweep() {
       .field("verify_memo_hits",
              delta(&crypto::CounterSnapshot::verify_memo_hits))
       .print();
-  std::printf("fleet crypto batching: lane fill %.2f msgs/dispatch over %llu "
-              "batches, %llu jobs deferred via CryptoService\n",
-              fill_rate, static_cast<unsigned long long>(mb_batches),
-              static_cast<unsigned long long>(
-                  delta(&crypto::CounterSnapshot::service_jobs)));
+  std::printf("fleet crypto: lane fill %.2f msgs/dispatch over %llu "
+              "batches\n",
+              fill_rate, static_cast<unsigned long long>(mb_batches));
   std::printf("fleet digests invariant across shards/workers: %s\n",
               invariant ? "yes" : "NO — DETERMINISM BUG");
   std::printf(

@@ -4,13 +4,12 @@
 #include <utility>
 #include <vector>
 
-#include "common/payload.h"
 #include "common/serial.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_mb.h"
 #include "dyn/client.h"
 #include "nr/chunked.h"
 #include "nr/evidence.h"
-#include "runtime/crypto_service.h"
 
 namespace tpnr::audit {
 
@@ -224,37 +223,14 @@ void AuditorActor::handle_fork_report(const nr::NrMessage& message) {
     ++stats_.rejected_bad_hash;
     return;
   }
-  consistency::EquivocationProof proof =
+  const consistency::EquivocationProof proof =
       consistency::EquivocationProof::decode(proof_bytes);
-  std::shared_ptr<const crypto::RsaPublicKey> reporter_key =
-      peer_key_shared(h.sender);
-  if (reporter_key == nullptr) return;
-  const auto opened =
-      nr::open_evidence_unverified(*identity_, h, message.evidence);
-  if (!opened.has_value()) {
+  if (!nr::open_evidence(*identity_, *peer_key(h.sender), h,
+                         message.evidence)) {
     ++stats_.rejected_bad_evidence;
     return;
   }
-  // The reporter's evidence signatures go through the crypto service; the
-  // proof itself is judged in the completion (its two provider signatures
-  // ride the per-key verify memo and Montgomery fast path).
-  std::vector<runtime::VerifyJob> sigs(2);
-  sigs[0].key = reporter_key;
-  sigs[0].message = h.data_hash;
-  sigs[0].signature = opened->data_hash_signature;
-  sigs[1].key = reporter_key;
-  sigs[1].message = h.encode();
-  sigs[1].signature = opened->header_signature;
-  crypto_service().submit_verifies(
-      std::move(sigs),
-      [this, provider, txn_id, object_key, proof = std::move(proof),
-       reporter = h.sender](std::vector<bool> ok) {
-        if (!ok[0] || !ok[1]) {
-          ++stats_.rejected_bad_evidence;
-          return;
-        }
-        report_fork(provider, txn_id, object_key, proof, reporter);
-      });
+  report_fork(provider, txn_id, object_key, proof, h.sender);
 }
 
 bool AuditorActor::report_fork(const std::string& provider,
@@ -300,7 +276,8 @@ void AuditorActor::handle_agg_response(const nr::NrMessage& message) {
   if (h.sender != target.provider) return;
 
   const PendingKey key{h.txn_id, kAggregateIndex};
-  if (pending_.find(key) == nullptr) return;  // late duplicate or unsolicited
+  const Pending* pending = pending_.find(key);
+  if (pending == nullptr) return;  // late duplicate or unsolicited
 
   Bytes response_bytes;
   dyn::AggResponse response;
@@ -321,100 +298,47 @@ void AuditorActor::handle_agg_response(const nr::NrMessage& message) {
   }
 
   // Evidence first: the provider signed the hash of this exact response,
-  // so whatever (version, root, σ, μ) it claims is non-repudiable. The
-  // digest and both evidence signatures run through the crypto service.
-  std::shared_ptr<const crypto::RsaPublicKey> provider_key =
-      peer_key_shared(target.provider);
-  const auto opened =
-      nr::open_evidence_unverified(*identity_, h, message.evidence);
-  if (provider_key == nullptr || !opened.has_value()) {
+  // so whatever (version, root, σ, μ) it claims is non-repudiable.
+  if (crypto::sha256(response_bytes) != h.data_hash ||
+      !nr::open_evidence(*identity_, *peer_key(target.provider), h,
+                         message.evidence)) {
     ++stats_.rejected_bad_evidence;
     conclude(key, AuditVerdict::kBadEvidence,
              "response evidence failed verification");
     return;
   }
 
-  // The freshness reference is pinned NOW, at response-execution time: the
-  // completion judges against the chain head as it stood when the response
-  // event ran, exactly as the inline path would.
+  // Freshness against the client's chain head BEFORE any algebra: a stale
+  // or rolled-back head is a verdict of its own, not a mere mismatch.
   const dyn::VersionChain& chain = *target.chain;
   const std::uint64_t head_version = chain.head_version();
-  const Bytes head_root = chain.head_root();
-  const std::size_t head_chunk_count = chain.head_chunk_count();
-  const auto older = chain.version_of_root(response.root);
-
-  // The completions share the target's α vector and point at its TagKey:
-  // dyn_targets_ never erases an entry, so the pointer outlives them.
-  std::vector<runtime::DigestJob> jobs(1);
-  jobs[0].message = common::Payload::copy_of(response_bytes);
-  crypto_service().submit_digests(
-      std::move(jobs),
-      [this, h, key, provider_key, opened = *opened,
-       response = std::move(response), tag_key = &target.tag_key,
-       alphas = target.alphas, chunk_size = target.chunk_size, head_version,
-       head_root, head_chunk_count, older](std::vector<Bytes> digests) {
-        if (pending_.find(key) == nullptr) return;  // concluded meanwhile
-        if (digests[0] != h.data_hash) {
-          ++stats_.rejected_bad_evidence;
-          conclude(key, AuditVerdict::kBadEvidence,
-                   "response evidence failed verification");
-          return;
-        }
-        std::vector<runtime::VerifyJob> sigs(2);
-        sigs[0].key = provider_key;
-        sigs[0].message = h.data_hash;
-        sigs[0].signature = opened.data_hash_signature;
-        sigs[1].key = provider_key;
-        sigs[1].message = h.encode();
-        sigs[1].signature = opened.header_signature;
-        crypto_service().submit_verifies(
-            std::move(sigs),
-            [this, key, response, tag_key, alphas, chunk_size, head_version,
-             head_root, head_chunk_count, older](std::vector<bool> ok) {
-              const Pending* pending = pending_.find(key);
-              if (pending == nullptr) return;
-              if (!ok[0] || !ok[1]) {
-                ++stats_.rejected_bad_evidence;
-                conclude(key, AuditVerdict::kBadEvidence,
-                         "response evidence failed verification");
-                return;
-              }
-              // Freshness against the client's chain head BEFORE any
-              // algebra: a stale or rolled-back head is a verdict of its
-              // own, not a mere mismatch.
-              if (response.version < head_version) {
-                conclude(key, AuditVerdict::kStaleVersion,
-                         "provider served version " +
-                             std::to_string(response.version) +
-                             " but the countersigned head is version " +
-                             std::to_string(head_version));
-                return;
-              }
-              if (!common::constant_time_equal(response.root, head_root)) {
-                if (older.has_value() && *older < head_version) {
-                  conclude(key, AuditVerdict::kRollback,
-                           "root matches committed version " +
-                               std::to_string(*older) +
-                               " while claiming version " +
-                               std::to_string(response.version) + " (head " +
-                               std::to_string(head_version) + ")");
-                } else {
-                  conclude(key, AuditVerdict::kMismatch,
-                           "root matches no committed version");
-                }
-                return;
-              }
-              const bool holds = dyn::verify_agg_response(
-                  pending->challenge, response, *tag_key, *alphas,
-                  head_chunk_count, chunk_size, head_root);
-              conclude(key,
-                       holds ? AuditVerdict::kVerified
-                             : AuditVerdict::kMismatch,
-                       holds ? "aggregated proof verified against the chain "
-                               "head"
-                             : "aggregated proof failed verification");
-            });
-      });
+  if (response.version < head_version) {
+    conclude(key, AuditVerdict::kStaleVersion,
+             "provider served version " + std::to_string(response.version) +
+                 " but the countersigned head is version " +
+                 std::to_string(head_version));
+    return;
+  }
+  if (!common::constant_time_equal(response.root, chain.head_root())) {
+    const auto older = chain.version_of_root(response.root);
+    if (older.has_value() && *older < head_version) {
+      conclude(key, AuditVerdict::kRollback,
+               "root matches committed version " + std::to_string(*older) +
+                   " while claiming version " +
+                   std::to_string(response.version) + " (head " +
+                   std::to_string(head_version) + ")");
+    } else {
+      conclude(key, AuditVerdict::kMismatch,
+               "root matches no committed version");
+    }
+    return;
+  }
+  const bool holds = dyn::verify_agg_response(
+      pending->challenge, response, target.tag_key, *target.alphas,
+      chain.head_chunk_count(), target.chunk_size, chain.head_root());
+  conclude(key, holds ? AuditVerdict::kVerified : AuditVerdict::kMismatch,
+           holds ? "aggregated proof verified against the chain head"
+                 : "aggregated proof failed verification");
 }
 
 void AuditorActor::handle_chunk_response(const nr::NrMessage& message) {
@@ -461,73 +385,31 @@ void AuditorActor::handle_chunk_response(const nr::NrMessage& message) {
     return;
   }
 
-  // Stages 3 and 4 each hash the full chunk — the evidence digest (flat
-  // SHA-256) and the Merkle leaf (0x00-tagged SHA-256). Both go through the
-  // crypto service as one two-job submission, so concurrent audits in the
-  // shard coalesce into full multi-buffer dispatches and the chunk's blocks
-  // stream through the compressor once, two lanes wide.
-  std::shared_ptr<const crypto::RsaPublicKey> provider_key =
-      peer_key_shared(target.provider);
-  const auto opened =
-      nr::open_evidence_unverified(*identity_, h, message.evidence);
-  if (provider_key == nullptr || !opened.has_value()) {
+  // Stage 3: the response evidence — the provider signed the hash of the
+  // chunk it served NOW, so it cannot later repudiate this audit answer.
+  // The evidence digest (flat SHA-256) and the Merkle leaf (0x00-tagged
+  // SHA-256) stream the chunk's blocks through the compressor once, two
+  // lanes wide.
+  const crypto::TaggedMessage hashes[] = {{chunk, -1}, {chunk, 0x00}};
+  const std::vector<Bytes> digests = crypto::sha256_many_mixed(hashes);
+  if (digests[0] != h.data_hash ||
+      !nr::open_evidence(*identity_, *peer_key(target.provider), h,
+                         message.evidence)) {
     ++stats_.rejected_bad_evidence;
     conclude(key, AuditVerdict::kBadEvidence,
              "response evidence failed verification");
     return;
   }
-  const common::Payload chunk_payload = common::Payload::copy_of(chunk);
-  std::vector<runtime::DigestJob> jobs(2);
-  jobs[0].message = chunk_payload;  // evidence digest
-  jobs[1].message = chunk_payload;  // Merkle leaf
-  jobs[1].tag = 0x00;
-  crypto_service().submit_digests(
-      std::move(jobs),
-      [this, h, key, provider_key, opened = *opened, proof = std::move(proof),
-       chunk_index, chunk_count = target.chunk_count,
-       root = target.root](std::vector<Bytes> digests) {
-        if (pending_.find(key) == nullptr) return;  // concluded meanwhile
 
-        // Stage 3: the response evidence — the provider signed the hash of
-        // the chunk it served NOW, so it cannot later repudiate this audit
-        // answer.
-        if (digests[0] != h.data_hash) {
-          ++stats_.rejected_bad_evidence;
-          conclude(key, AuditVerdict::kBadEvidence,
-                   "response evidence failed verification");
-          return;
-        }
-        std::vector<runtime::VerifyJob> sigs(2);
-        sigs[0].key = provider_key;
-        sigs[0].message = h.data_hash;
-        sigs[0].signature = opened.data_hash_signature;
-        sigs[1].key = provider_key;
-        sigs[1].message = h.encode();
-        sigs[1].signature = opened.header_signature;
-        crypto_service().submit_verifies(
-            std::move(sigs),
-            [this, key, proof, chunk_index, chunk_count, root,
-             leaf = std::move(digests[1])](std::vector<bool> ok) {
-              if (pending_.find(key) == nullptr) return;
-              if (!ok[0] || !ok[1]) {
-                ++stats_.rejected_bad_evidence;
-                conclude(key, AuditVerdict::kBadEvidence,
-                         "response evidence failed verification");
-                return;
-              }
-              // Stage 4: the audit proper — does the served chunk chain to
-              // the Merkle root both parties signed at store time?
-              const bool chains =
-                  proof.leaf_index == chunk_index &&
-                  proof.leaf_count == chunk_count &&
-                  crypto::MerkleTree::verify_from_leaf(leaf, proof, root);
-              conclude(key,
-                       chains ? AuditVerdict::kVerified
-                              : AuditVerdict::kMismatch,
-                       chains ? "chunk verified against the signed root"
-                              : "proof does not chain to the signed root");
-            });
-      });
+  // Stage 4: the audit proper — does the served chunk chain to the Merkle
+  // root both parties signed at store time?
+  const bool chains =
+      proof.leaf_index == chunk_index &&
+      proof.leaf_count == target.chunk_count &&
+      crypto::MerkleTree::verify_from_leaf(digests[1], proof, target.root);
+  conclude(key, chains ? AuditVerdict::kVerified : AuditVerdict::kMismatch,
+           chains ? "chunk verified against the signed root"
+                  : "proof does not chain to the signed root");
 }
 
 }  // namespace tpnr::audit

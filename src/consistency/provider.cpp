@@ -28,9 +28,7 @@ ConsProviderActor::Branch clone_branch(const ConsProviderActor::Branch& b) {
 ConsProviderActor::ConsProviderActor(std::string id, net::Network& network,
                                      pki::Identity& identity,
                                      crypto::Drbg& rng)
-    : NrActor(std::move(id), network, identity, rng) {
-  store_.bind_clock([&network] { return network.now(); });
-}
+    : NrActor(std::move(id), network, identity, rng) {}
 
 const ConsProviderActor::SharedObjectState* ConsProviderActor::object_state(
     const std::string& object_key) const {
@@ -254,13 +252,6 @@ void ConsProviderActor::commit_op(const std::string& object_key,
   op.commit = std::move(commit);
   op.op_bytes = std::move(op_bytes);
   branch.log.push_back(op);
-
-  // Storage effects: the main branch is what the store "really" holds;
-  // fork branches live only in their signed histories above.
-  if (branch_index == 0) {
-    dyn::write_through(store_, op.record.record, branch.chunks,
-                       network_->now());
-  }
 
   // Fan the commit out to every client of THIS branch — the submitter's
   // copy doubles as its receipt.

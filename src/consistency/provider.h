@@ -13,9 +13,8 @@
 // independently — each branch keeps countersigning perfectly valid
 // records and commitments, which is exactly what makes the attack
 // invisible to any single client and provable the moment two clients
-// compare notes. The fork lives only in those signed histories: the
-// ObjectStore holds the main branch, and the evidence of the attack is the
-// pair of provider signatures, not a store fault.
+// compare notes. The fork lives only in those signed histories, and the
+// evidence of the attack is the pair of provider signatures.
 #pragma once
 
 #include <algorithm>
@@ -30,7 +29,6 @@
 #include "dyn/dyn_merkle.h"
 #include "dyn/version_chain.h"
 #include "nr/actor.h"
-#include "storage/object_store.h"
 
 namespace tpnr::consistency {
 
@@ -87,15 +85,13 @@ class ConsProviderActor final : public nr::NrActor {
   /// `branch_count` identical branches and serve each client the branch
   /// `assignment` maps it to (unmapped clients stay on branch 0). From now
   /// on each branch's history evolves independently — same global
-  /// positions, different provider-signed contents. Only branch 0 writes
-  /// through to the object store. Returns false on an unknown object,
-  /// branch_count < 2, or an out-of-range assignment.
+  /// positions, different provider-signed contents. Returns false on an
+  /// unknown object, branch_count < 2, or an out-of-range assignment.
   bool fork_object(const std::string& object_key,
                    const std::map<std::string, std::size_t>& assignment,
                    std::size_t branch_count = 2);
   [[nodiscard]] bool forked(const std::string& object_key) const;
 
-  [[nodiscard]] storage::ObjectStore& store() noexcept { return store_; }
   [[nodiscard]] const SharedObjectState* object_state(
       const std::string& object_key) const;
 
@@ -119,9 +115,8 @@ class ConsProviderActor final : public nr::NrActor {
   void handle_op_request(const nr::NrMessage& message);
   void handle_view_query(const nr::NrMessage& message);
 
-  /// Countersigns and commits a validated op onto `branch`, writes the main
-  /// branch through to the store, and fans the commit out to the branch's
-  /// clients.
+  /// Countersigns and commits a validated op onto `branch` and fans the
+  /// commit out to the branch's clients.
   void commit_op(const std::string& object_key, SharedObjectState& state,
                  std::size_t branch_index, const std::string& submitter,
                  dyn::SignedVersionRecord record, Bytes op_bytes);
@@ -140,7 +135,6 @@ class ConsProviderActor final : public nr::NrActor {
                      std::span<const CommittedOp> suffix);
 
   ConsProviderBehavior behavior_;
-  storage::ObjectStore store_;
   std::map<std::string, SharedObjectState> objects_;  ///< by object key
   std::uint64_t receipts_resent_ = 0;
   std::uint64_t ops_rejected_ = 0;

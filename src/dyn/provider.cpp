@@ -24,8 +24,10 @@ const char* mutate_error_reason(ChunkOpFault fault) {
   }
 }
 
-}  // namespace
-
+/// Writes the object `chunks` slice through to `store` as `rec` commits it:
+/// a put for the version-1 store, a journaled mutation after that. The
+/// version carries no Content-MD5 (an empty `stored_md5`): no client sends
+/// one, and the version chain and Merkle root are the integrity record.
 void write_through(storage::ObjectStore& store, const VersionRecord& rec,
                    std::span<const Bytes> chunks, common::SimTime now) {
   common::Payload stored(join_chunks(chunks));
@@ -41,6 +43,8 @@ void write_through(storage::ObjectStore& store, const VersionRecord& rec,
   info.new_root = rec.new_root;
   store.mutate(rec.object_key, std::move(stored), {}, now, info);
 }
+
+}  // namespace
 
 DynProviderActor::DynProviderActor(std::string id, net::Network& network,
                                    pki::Identity& identity,

@@ -34,13 +34,6 @@ struct DynProviderBehavior {
   bool respond_to_audit = true;   ///< false: ignores aggregate challenges
 };
 
-/// Writes the object `chunks` slice through to `store` as `rec` commits it:
-/// a put for the version-1 store, a journaled mutation after that. The
-/// version carries no Content-MD5 (an empty `stored_md5`): no client sends
-/// one, and the version chain and Merkle root are the integrity record.
-void write_through(storage::ObjectStore& store, const VersionRecord& rec,
-                   std::span<const Bytes> chunks, common::SimTime now);
-
 class DynProviderActor final : public nr::NrActor {
  public:
   /// Provider-side state of one dynamic object.

@@ -2,7 +2,6 @@
 
 #include "persist/records.h"
 #include "pki/key_intern.h"
-#include "runtime/crypto_service.h"
 #include "runtime/engine.h"
 
 namespace tpnr::nr {
@@ -54,16 +53,6 @@ const crypto::RsaPublicKey* NrActor::peer_key(
     const std::string& peer_id) const {
   const auto it = peers_.find(peer_id);
   return it == peers_.end() ? nullptr : it->second.get();
-}
-
-std::shared_ptr<const crypto::RsaPublicKey> NrActor::peer_key_shared(
-    const std::string& peer_id) const {
-  const auto it = peers_.find(peer_id);
-  return it == peers_.end() ? nullptr : it->second;
-}
-
-runtime::CryptoService& NrActor::crypto_service() {
-  return network_->engine().crypto_service();
 }
 
 bool NrActor::screen(const NrMessage& message) {

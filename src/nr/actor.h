@@ -22,10 +22,6 @@
 #include "persist/journal.h"
 #include "pki/identity.h"
 
-namespace tpnr::runtime {
-class CryptoService;
-}  // namespace tpnr::runtime
-
 namespace tpnr::nr {
 
 /// How long a provider's reply stays actionable: the time limit (§5.5) on
@@ -194,15 +190,6 @@ class NrActor {
 
   [[nodiscard]] const crypto::RsaPublicKey* peer_key(
       const std::string& peer_id) const;
-
-  /// The interned shared key for `peer_id` (nullptr when untrusted). A
-  /// deferred CryptoService verify job holds this, keeping the key — and
-  /// its cached Montgomery context — alive past the submitting handler.
-  [[nodiscard]] std::shared_ptr<const crypto::RsaPublicKey> peer_key_shared(
-      const std::string& peer_id) const;
-
-  /// The engine's crypto batching service (digest/verify submission).
-  [[nodiscard]] runtime::CryptoService& crypto_service();
 
   /// Builds a header with fresh nonce and next sequence number for `txn`.
   MessageHeader next_header(MsgType flag, const std::string& recipient,

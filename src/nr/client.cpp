@@ -4,7 +4,6 @@
 
 #include "common/serial.h"
 #include "nr/ttp.h"
-#include "runtime/crypto_service.h"
 
 namespace tpnr::nr {
 
@@ -112,11 +111,11 @@ std::string ClientActor::store_impl(const std::string& provider,
                 txn_id,
                 static_cast<std::uint32_t>(ttp_partitions_.size()))];
   // The agreed hash: flat digest, or the Merkle root for chunked objects.
-  // The flat digest goes through the crypto batching service below; the
-  // Merkle build stays inline (the tree also yields the chunk count).
   std::size_t chunk_count = 0;
   Bytes data_hash;
-  if (chunk_size != 0) {
+  if (chunk_size == 0) {
+    data_hash = crypto::sha256(data);
+  } else {
     const crypto::MerkleTree tree(data, chunk_size);
     data_hash = tree.root();
     chunk_count = tree.leaf_count();
@@ -137,28 +136,8 @@ std::string ClientActor::store_impl(const std::string& provider,
   if (options_.store_retries > 0) {
     txn.retry_data = common::Payload::copy_of(data);
   }
-  const Txn& opened = txns_.open(txn_id, std::move(txn));
-
-  if (chunk_size == 0) {
-    // Defer the agreed hash: stores submitted across the shard in the same
-    // window coalesce into full SHA-256 lane dispatches. The completion
-    // fills the hash and transmits; from driver code the service completes
-    // before submit returns, so store() keeps its synchronous semantics.
-    common::Payload object = !opened.retry_data.empty()
-                                 ? opened.retry_data
-                                 : common::Payload::copy_of(data);
-    std::vector<runtime::DigestJob> jobs(1);
-    jobs[0].message = object;
-    crypto_service().submit_digests(
-        std::move(jobs), [this, txn_id, object](std::vector<Bytes> digests) {
-          Txn* txn = txns_.find(txn_id);
-          if (txn == nullptr) return;
-          txn->data_hash = std::move(digests[0]);
-          transmit_store(txn_id, object);
-        });
-  } else {
-    transmit_store(txn_id, data);
-  }
+  txns_.open(txn_id, std::move(txn));
+  transmit_store(txn_id, data);
   return txn_id;
 }
 
@@ -470,44 +449,19 @@ void ClientActor::handle_store_receipt(const NrMessage& message) {
     ++stats_.rejected_bad_hash;
     return;
   }
-  std::shared_ptr<const crypto::RsaPublicKey> provider_key =
-      peer_key_shared(txn.provider);
-  const auto nrr =
-      open_evidence_unverified(*identity_, h, message.evidence);
+  const auto nrr = open_evidence(*identity_, *peer_key(txn.provider), h,
+                                 message.evidence);
   if (!nrr) {
     ++stats_.rejected_bad_evidence;
     return;
   }
-  // Defer the two NRR signature checks to the crypto service: receipts
-  // land across the shard in the same latency window, so their verifies
-  // batch under each provider's key (one Montgomery context per provider).
-  // The flush rules guarantee no event at this endpoint can observe the
-  // txn before the completion settles it.
-  std::vector<runtime::VerifyJob> jobs(2);
-  jobs[0].key = provider_key;
-  jobs[0].message = h.data_hash;
-  jobs[0].signature = nrr->data_hash_signature;
-  jobs[1].key = provider_key;
-  jobs[1].message = h.encode();
-  jobs[1].signature = nrr->header_signature;
-  crypto_service().submit_verifies(
-      std::move(jobs),
-      [this, h, opened = *nrr](std::vector<bool> verdicts) {
-        Txn* pending_txn = txns_.find(h.txn_id);
-        if (pending_txn == nullptr) return;
-        if (!verdicts[0] || !verdicts[1]) {
-          ++stats_.rejected_bad_evidence;
-          return;
-        }
-        pending_txn->nrr_header = h;
-        pending_txn->nrr = opened;
-        set_state(h.txn_id, *pending_txn, TxnState::kCompleted);
-        // The NRR is the artifact §4.4 arbitration depends on: journal it
-        // the moment it is verified so it survives a crash.
-        journal_evidence("nrr", h.txn_id, pending_txn->provider,
-                         pending_txn->object_key, pending_txn->chunk_size, h,
-                         opened);
-      });
+  txn.nrr_header = h;
+  txn.nrr = *nrr;
+  set_state(h.txn_id, txn, TxnState::kCompleted);
+  // The NRR is the artifact §4.4 arbitration depends on: journal it the
+  // moment it is verified so it survives a crash.
+  journal_evidence("nrr", h.txn_id, txn.provider, txn.object_key,
+                   txn.chunk_size, h, *nrr);
 }
 
 void ClientActor::handle_fetch_response(const NrMessage& message) {

@@ -20,35 +20,22 @@ Bytes make_evidence(const pki::Identity& sender,
 std::optional<OpenedEvidence> open_evidence(
     const pki::Identity& recipient, const crypto::RsaPublicKey& sender_key,
     const MessageHeader& claimed_header, BytesView evidence) {
-  std::optional<OpenedEvidence> opened =
-      open_evidence_unverified(recipient, claimed_header, evidence);
-  if (!opened) return std::nullopt;
-  if (!verify_evidence_signatures(sender_key, claimed_header, *opened)) {
-    return std::nullopt;
-  }
-  return opened;
-}
-
-std::optional<OpenedEvidence> open_evidence_unverified(
-    const pki::Identity& recipient, const MessageHeader& claimed_header,
-    BytesView evidence) {
-  Bytes inner;
-  try {
-    inner = recipient.unseal(evidence);
-  } catch (const common::CryptoError&) {
-    return std::nullopt;
-  }
-
   OpenedEvidence opened;
   try {
+    const Bytes inner = recipient.unseal(evidence);
     common::BinaryReader r(inner);
     opened.data_hash_signature = r.bytes();
     opened.header_signature = r.bytes();
     r.expect_done();
+  } catch (const common::CryptoError&) {
+    return std::nullopt;
   } catch (const common::SerialError&) {
     return std::nullopt;
   }
   opened.header = claimed_header;
+  if (!verify_evidence_signatures(sender_key, claimed_header, opened)) {
+    return std::nullopt;
+  }
   return opened;
 }
 

@@ -39,15 +39,6 @@ std::optional<OpenedEvidence> open_evidence(
     const pki::Identity& recipient, const crypto::RsaPublicKey& sender_key,
     const MessageHeader& claimed_header, BytesView evidence);
 
-/// Decrypts and parses WITHOUT checking the signatures. Callers that defer
-/// verification to the runtime's crypto batching service split the open
-/// from the check; the evidence proves nothing until BOTH signatures pass
-/// verify_evidence_signatures (or the batched equivalent over the same
-/// header.data_hash / header.encode() messages).
-std::optional<OpenedEvidence> open_evidence_unverified(
-    const pki::Identity& recipient, const MessageHeader& claimed_header,
-    BytesView evidence);
-
 /// Verifies an already-opened evidence record against a (possibly different)
 /// header/hash — used by the arbitrator, who receives evidence from the
 /// parties rather than off the wire.

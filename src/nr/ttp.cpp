@@ -1,7 +1,6 @@
 #include "nr/ttp.h"
 
 #include "common/serial.h"
-#include "runtime/crypto_service.h"
 
 namespace tpnr::nr {
 
@@ -56,44 +55,14 @@ void TtpActor::handle_resolve_request(const NrMessage& message) {
   const std::string respondent = r.str();
   const std::string report = r.str();
   const Bytes original_header_bytes = r.bytes();
-  Bytes header_signature = r.bytes();
+  const Bytes header_signature = r.bytes();
   r.bytes();  // NRO evidence, sealed for the respondent
   r.expect_done();
 
   // Genuineness: the initiator must prove the original header is theirs.
-  // The signature check runs through the crypto batching service — resolve
-  // bursts (every client escalating after a provider failure) batch under
-  // one initiator-key group per flush — and the rest of the handler is the
-  // completion.
-  std::shared_ptr<const crypto::RsaPublicKey> initiator_key =
-      peer_key_shared(h.sender);
-  auto continue_resolve = [this, h, respondent, report,
-                           original_header_bytes](bool sig_ok) {
-    finish_resolve_request(h, respondent, report, original_header_bytes,
-                           sig_ok);
-  };
-  if (initiator_key == nullptr) {
-    continue_resolve(false);
-    return;
-  }
-  std::vector<runtime::VerifyJob> jobs(1);
-  jobs[0].key = std::move(initiator_key);
-  jobs[0].message = original_header_bytes;
-  jobs[0].signature = std::move(header_signature);
-  crypto_service().submit_verifies(
-      std::move(jobs),
-      [cont = std::move(continue_resolve)](std::vector<bool> verdicts) {
-        cont(verdicts[0]);
-      });
-}
-
-void TtpActor::finish_resolve_request(const MessageHeader& h,
-                                      const std::string& respondent,
-                                      const std::string& report,
-                                      const Bytes& original_header_bytes,
-                                      bool sig_ok) {
   MessageHeader original_header;
-  bool genuine = sig_ok;
+  bool genuine = pki::Identity::verify(
+      *peer_key(h.sender), original_header_bytes, header_signature);
   if (genuine) {
     try {
       original_header = MessageHeader::decode(original_header_bytes);

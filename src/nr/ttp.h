@@ -82,12 +82,6 @@ class TtpActor final : public NrActor {
   };
 
   void handle_resolve_request(const NrMessage& message);
-  /// Continuation of handle_resolve_request after the initiator-signature
-  /// check (which runs through the crypto batching service).
-  void finish_resolve_request(const MessageHeader& h,
-                              const std::string& respondent,
-                              const std::string& report,
-                              const Bytes& original_header_bytes, bool sig_ok);
   void handle_resolve_response(const NrMessage& message);
   void deliver_verdict(const std::string& txn_id, const std::string& outcome,
                        BytesView receipt_header, BytesView receipt_evidence);

@@ -5,7 +5,6 @@
 
 #include "common/serial.h"
 #include "crypto/hash.h"
-#include "runtime/crypto_service.h"
 
 namespace tpnr::runtime {
 
@@ -85,7 +84,6 @@ Engine::Engine(std::uint64_t seed, EngineOptions options)
   for (Shard& shard : shards_) {
     shard.outbox.resize(options_.shards);
   }
-  crypto_service_ = std::make_unique<CryptoService>(*this);
 }
 
 Engine::~Engine() { stop_workers(); }
@@ -219,46 +217,26 @@ void Engine::execute(Event event, std::uint32_t shard_index) {
   event.task();
 }
 
-void Engine::run_in_context(std::uint32_t shard, EndpointId endpoint,
-                            SimTime now, const std::function<void()>& fn) {
-  const ContextScope scope({this, shard, endpoint, now});
-  fn();
-}
-
 bool Engine::serial_step() {
-  for (;;) {
-    const Event* min = peek_min();
-    if (min == nullptr) {
-      if (!crypto_service_->pending()) return false;
-      crypto_service_->flush_all();
-      continue;  // completions post new events
-    }
-    // Batched crypto must complete before any event that could observe its
-    // effects: one targeting an endpoint with pending work, or any event
-    // later than the oldest pending submission (a completion may post
-    // events that sort before `min`). Re-peek after flushing.
-    if (crypto_service_->must_flush_before_any(min->target, min->at)) {
-      crypto_service_->flush_all();
-      continue;
-    }
-    if (external_.peek() == min) {
-      Event event = external_.pop();
-      clock_.advance_to(event.at);
-      execute(std::move(event), shard_count());
-    } else {
-      for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-        if (shards_[s].queue.peek() == min) {
-          Event event = shards_[s].queue.pop();
-          clock_.advance_to(event.at);
-          shards_[s].local_now = event.at;
-          execute(std::move(event), s);
-          break;
-        }
+  const Event* min = peek_min();
+  if (min == nullptr) return false;
+  if (external_.peek() == min) {
+    Event event = external_.pop();
+    clock_.advance_to(event.at);
+    execute(std::move(event), shard_count());
+  } else {
+    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+      if (shards_[s].queue.peek() == min) {
+        Event event = shards_[s].queue.pop();
+        clock_.advance_to(event.at);
+        shards_[s].local_now = event.at;
+        execute(std::move(event), s);
+        break;
       }
     }
-    ++stats_.events_executed;
-    return true;
   }
+  ++stats_.events_executed;
+  return true;
 }
 
 std::size_t Engine::run(std::size_t max_events) {
@@ -273,21 +251,9 @@ std::size_t Engine::run(std::size_t max_events) {
 void Engine::process_shard_window(std::uint32_t shard_index,
                                   SimTime window_end) {
   Shard& shard = shards_[shard_index];
-  CryptoService& service = *crypto_service_;
   for (;;) {
     const Event* head = shard.queue.peek();
-    if (head == nullptr || head->at >= window_end) {
-      // End of window: batched work must complete before the round barrier.
-      // Completions post at >= submission + lookahead — never back into
-      // this window — and may resubmit, so loop until the queue is dry.
-      if (!service.pending_in(shard_index)) break;
-      service.flush(shard_index);
-      continue;
-    }
-    if (service.must_flush_before(shard_index, head->target, head->at)) {
-      service.flush(shard_index);
-      continue;  // re-peek: completions may post earlier in-window events
-    }
+    if (head == nullptr || head->at >= window_end) break;
     Event event = shard.queue.pop();
     shard.local_now = event.at;
     execute(std::move(event), shard_index);
@@ -300,19 +266,7 @@ std::size_t Engine::run_parallel(std::size_t max_events) {
   std::size_t processed = 0;
   while (processed < max_events) {
     const Event* min = peek_min();
-    if (min == nullptr) {
-      if (!crypto_service_->pending()) break;
-      crypto_service_->flush_all();
-      continue;  // completions post new events
-    }
-    // Work left pending by a serially-executed window (the external-event
-    // path below can exit mid-window) must flush before a later round, for
-    // the same reason serial_step flushes: completions may post events that
-    // sort before `min`. Workers are idle here, so flush_all is safe.
-    if (crypto_service_->must_flush_before_any(min->target, min->at)) {
-      crypto_service_->flush_all();
-      continue;
-    }
+    if (min == nullptr) break;
     const SimTime window_end = min->at + lookahead_;
     ++stats_.rounds;
 
@@ -438,7 +392,6 @@ void Engine::worker_loop() {
 }
 
 bool Engine::idle() const {
-  if (crypto_service_->pending()) return false;
   if (!external_.empty()) return false;
   for (const Shard& shard : shards_) {
     if (!shard.queue.empty()) return false;

@@ -50,8 +50,6 @@ namespace tpnr::runtime {
 
 using common::SimTime;
 
-class CryptoService;
-
 /// String -> dense id interner. Lookup is one hash probe; the reverse
 /// mapping is an index into a vector, so the hot path never compares or
 /// copies strings. Internally synchronized (reader/writer lock) because new
@@ -154,21 +152,7 @@ class Engine {
   [[nodiscard]] bool idle() const;
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
 
-  /// The per-shard crypto batching service (see crypto_service.h). The
-  /// engine flushes it at the observability points its determinism contract
-  /// requires; actors reach it through this accessor to submit work.
-  [[nodiscard]] CryptoService& crypto_service() noexcept {
-    return *crypto_service_;
-  }
-
  private:
-  friend class CryptoService;
-
-  /// Runs `fn` as if inside an event executing at (`shard`, `endpoint`,
-  /// `now`): CryptoService completions use this so everything they post
-  /// carries the same merge keys as inline execution would have produced.
-  void run_in_context(std::uint32_t shard, EndpointId endpoint, SimTime now,
-                      const std::function<void()>& fn);
   struct EndpointState {
     std::uint32_t shard = 0;
     std::unique_ptr<crypto::Drbg> rng;  ///< lazily derived from (seed, name)
@@ -199,7 +183,6 @@ class Engine {
 
   std::uint64_t seed_;
   EngineOptions options_;
-  std::unique_ptr<CryptoService> crypto_service_;
   common::SimClock clock_;
   NameInterner endpoints_;
   std::vector<EndpointState> endpoint_state_;

@@ -122,40 +122,7 @@ TEST_F(ConsProtocolTest, StoreSharedCommitsGlobalPositionOne) {
   ASSERT_EQ(state->branches.size(), 1u);
   EXPECT_EQ(state->branches[0].views.head_hash(),
             obj->checker->view().head_hash());
-  EXPECT_EQ(bob_.store().version_of("doc"), 1u);
   EXPECT_FALSE(bob_.forked("doc"));
-}
-
-TEST_F(ConsProtocolTest, StoreHoldsTheMirrorWithNoContentMd5) {
-  // After the store and after each mutate kind (from either client), the
-  // provider's store holds exactly the mirror at the bumped version, and no
-  // MD5: the version chain and Merkle root are the integrity record.
-  const auto expect_store_holds_mirror = [this](std::uint64_t version) {
-    const auto* obj = alice_.object("doc");
-    ASSERT_NE(obj, nullptr);
-    ASSERT_EQ(obj->chain.head_version(), version);
-    const auto record = bob_.store().get("doc");
-    ASSERT_TRUE(record.has_value());
-    EXPECT_EQ(record->version, version);
-    EXPECT_EQ(record->data.to_bytes(), dyn::join_chunks(obj->chunks));
-    EXPECT_TRUE(record->stored_md5.empty());
-  };
-  shared_object("doc", 5);
-  expect_store_holds_mirror(1);
-
-  crypto::Drbg data_rng(std::uint64_t{44});
-  ASSERT_TRUE(alice_.update("doc", 3, data_rng.bytes(kChunkSize)));
-  network_.run();
-  expect_store_holds_mirror(2);
-  ASSERT_TRUE(carol_.insert("doc", 0, data_rng.bytes(kChunkSize)));
-  network_.run();
-  expect_store_holds_mirror(3);
-  ASSERT_TRUE(alice_.append_chunk("doc", data_rng.bytes(kChunkSize)));
-  network_.run();
-  expect_store_holds_mirror(4);
-  ASSERT_TRUE(alice_.erase("doc", 2));
-  network_.run();
-  expect_store_holds_mirror(5);
 }
 
 TEST_F(ConsProtocolTest, OpenSharedReplaysTheLogFromGenesis) {
@@ -368,14 +335,6 @@ TEST_F(ConsProtocolTest, EquivocationArmsDivergentStoreServing) {
   EXPECT_NE(alice_branch.chunks, carol_branch.chunks)
       << "divergent branches must hold different bytes";
   EXPECT_NE(alice_branch.views.head_hash(), carol_branch.views.head_hash());
-
-  // Only the main branch writes through to the store; the fork lives in the
-  // provider-signed branch histories, not in the store's fault log.
-  const auto record = bob_.store().get("doc");
-  ASSERT_TRUE(record.has_value());
-  EXPECT_EQ(record->version, 2u);
-  EXPECT_EQ(record->data.to_bytes(), dyn::join_chunks(alice_branch.chunks));
-  EXPECT_TRUE(bob_.store().fault_log_for("doc").empty());
 }
 
 TEST_F(ConsProtocolTest, HonestRunWithGossipNeverAccuses) {

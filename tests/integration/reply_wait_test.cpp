@@ -16,13 +16,16 @@
 #include "common/serial.h"
 #include "consistency/client.h"
 #include "consistency/provider.h"
+#include "consistency/view_history.h"
 #include "crypto/drbg.h"
+#include "crypto/merkle.h"
 #include "crypto/sha256.h"
 #include "dyn/client.h"
 #include "dyn/por_tags.h"
 #include "dyn/provider.h"
 #include "dyn/version_chain.h"
 #include "net/network.h"
+#include "nr/chunked.h"
 #include "nr/client.h"
 #include "nr/evidence.h"
 #include "nr/provider.h"
@@ -45,6 +48,33 @@ const pki::Identity& pooled(const std::string& name) {
     return identities;
   }();
   return pool->at(name);
+}
+
+/// An actor's stats as a list, in declaration order.
+std::vector<std::uint64_t> fields(const nr::ActorStats& s) {
+  return {s.sent,
+          s.received,
+          s.accepted,
+          s.rejected_unknown_sender,
+          s.rejected_expired,
+          s.rejected_replay,
+          s.rejected_bad_sequence,
+          s.rejected_bad_hash,
+          s.rejected_bad_evidence,
+          s.rejected_wrong_addressee};
+}
+
+/// Checks that `after` is `before` plus one message that passed screening
+/// and was then rejected on `reason` (or, with no reason, dropped without a
+/// rejection count): nothing else moved.
+void expect_one_rejection(const nr::ActorStats& before,
+                          const nr::ActorStats& after,
+                          std::uint64_t nr::ActorStats::*reason) {
+  nr::ActorStats expected = before;
+  ++expected.received;
+  ++expected.accepted;
+  if (reason != nullptr) ++(expected.*reason);
+  EXPECT_EQ(fields(after), fields(expected));
 }
 
 class ReplyWaitTest : public ::testing::Test {
@@ -109,6 +139,28 @@ class ReplyWaitTest : public ::testing::Test {
     }
     message.payload = payload.take();
     network_.send(from, to, "nr", message.encode());
+  }
+
+  /// Runs alice's store out and checks that, one second after a forged
+  /// receipt, the receipt was counted as bad evidence and nothing else had
+  /// moved: the txn still waits for its NRR.
+  void expect_receipt_rejected(const nr::ClientActor& alice,
+                               const std::string& txn,
+                               const nr::ActorStats& before) {
+    nr::ActorStats after;
+    nr::ClientActor::Txn snapshot;
+    network_.schedule(2 * kSecond, [&] {
+      after = alice.stats();
+      snapshot = *alice.transaction(txn);
+    });
+    network_.run();
+    expect_one_rejection(before, after,
+                         &nr::ActorStats::rejected_bad_evidence);
+    EXPECT_EQ(snapshot.state, nr::TxnState::kStorePending);
+    EXPECT_EQ(snapshot.history_size(), 1u);
+    EXPECT_EQ(snapshot.store_attempts, 1u);
+    EXPECT_FALSE(snapshot.nrr.has_value());
+    EXPECT_FALSE(snapshot.nrr_header.has_value());
   }
 
   net::Network network_;
@@ -618,6 +670,230 @@ TEST_F(AggResponseTest, LateDuplicateAfterConclusionIsIgnored) {
                 crypto::sha256(response_bytes()));
   expect_concluded(audit::AuditVerdict::kMalformed);
   EXPECT_EQ(auditor_.stats().rejected_bad_evidence, 0u);
+}
+
+
+TEST_F(ReplyWaitTest, NrReceiptWithUnopenableNrrIsRejected) {
+  nr::ClientActor alice("alice", network_, alice_id_, rng_);
+  alice.trust_peer("bob", bob_id_.public_key());
+  silent_peer("bob");
+  silent_peer("ttp");
+  const common::Bytes data = common::to_bytes("d");
+  const std::string txn = alice.store("bob", "ttp", "obj", data);
+  const nr::ActorStats before = alice.stats();
+  network_.schedule(1 * kSecond, [&] {
+    // The right hash, but no evidence envelope at all.
+    common::BinaryWriter receipt;
+    forge("bob", "alice", nr::MsgType::kStoreReceipt, txn, receipt, nullptr,
+          crypto::sha256(data));
+  });
+  expect_receipt_rejected(alice, txn, before);
+}
+
+TEST_F(ReplyWaitTest, NrReceiptSignedByAnotherKeyIsRejected) {
+  nr::ClientActor alice("alice", network_, alice_id_, rng_);
+  alice.trust_peer("bob", bob_id_.public_key());
+  silent_peer("bob");
+  silent_peer("ttp");
+  const common::Bytes data = common::to_bytes("d");
+  const std::string txn = alice.store("bob", "ttp", "obj", data);
+  const nr::ActorStats before = alice.stats();
+  network_.schedule(1 * kSecond, [&] {
+    // An NRR sealed for alice over the right hash, signed by the TTP's key
+    // instead of bob's.
+    common::BinaryWriter receipt;
+    forge("bob", "alice", nr::MsgType::kStoreReceipt, txn, receipt, &ttp_id_,
+          crypto::sha256(data));
+  });
+  expect_receipt_rejected(alice, txn, before);
+}
+
+TEST_F(ReplyWaitTest, TtpAnswersInvalidRequestWhenTheSignedBytesAreNoHeader) {
+  nr::TtpActor ttp("ttp", network_, ttp_id_, rng_);
+  ttp.trust_peer("alice", alice_id_.public_key());
+  ttp.trust_peer("bob", bob_id_.public_key());
+  silent_peer("alice");
+  silent_peer("bob");
+  const auto& queries = record_sends("ttp", "bob");
+  const auto& verdicts = record_sends("ttp", "alice");
+  const nr::ActorStats before = ttp.stats();
+
+  // Alice's signature is genuine, but what she signed is not a header.
+  const common::Bytes not_header = common::to_bytes("not a header");
+  common::BinaryWriter request;
+  request.str("bob");
+  request.str("no NRR");
+  request.bytes(not_header);
+  request.bytes(alice_id_.sign(not_header));
+  request.bytes(common::Bytes{});
+  forge("alice", "ttp", nr::MsgType::kResolveRequest, "txn-1", request);
+  network_.run();
+
+  ASSERT_EQ(ttp.log().size(), 1u);
+  EXPECT_EQ(ttp.log()[0].outcome, "invalid-request");
+  EXPECT_EQ(ttp.log()[0].initiator, "alice");
+  EXPECT_EQ(ttp.log()[0].respondent, "bob");
+  EXPECT_TRUE(queries.empty());
+  EXPECT_EQ(verdicts.size(), 1u);
+  EXPECT_EQ(ttp.verdicts_resent(), 0u);
+  nr::ActorStats expected = before;
+  ++expected.sent;  // the verdict
+  expect_one_rejection(expected, ttp.stats(), nullptr);
+}
+
+/// An auditor that arbitrates alice's fork reports against bob.
+class ForkReportTest : public ReplyWaitTest {
+ protected:
+  ForkReportTest()
+      : auditor_("auditor", network_, auditor_id_, rng_, ledger_) {
+    auditor_.trust_peer("alice", alice_id_.public_key());
+    auditor_.trust_peer("bob", bob_id_.public_key());
+    before_ = auditor_.stats();
+  }
+
+  /// A decodable proof; no case gets as far as judging it.
+  static common::Bytes proof_bytes() {
+    consistency::EquivocationProof proof;
+    proof.object_key = "obj";
+    return proof.encode();
+  }
+
+  /// Forges alice's report of `proof` against bob and runs it out.
+  void report(const common::Bytes& proof, const pki::Identity* signer,
+              common::Bytes data_hash) {
+    common::BinaryWriter payload;
+    payload.str("bob");
+    payload.str("obj");
+    payload.str("txn-1");
+    payload.bytes(proof);
+    forge("alice", "auditor", nr::MsgType::kForkReport, "txn-1", payload,
+          signer, std::move(data_hash));
+    network_.run();
+  }
+
+  /// The report counted as rejected on `reason` and left no other trace.
+  void expect_rejected(std::uint64_t nr::ActorStats::*reason) {
+    expect_one_rejection(before_, auditor_.stats(), reason);
+    EXPECT_EQ(ledger_.size(), 0u);
+    EXPECT_EQ(auditor_.counters().forks_detected, 0u);
+    EXPECT_EQ(auditor_.counters().fork_reports_rejected, 0u);
+    EXPECT_EQ(auditor_.counters().flagged, 0u);
+    EXPECT_EQ(auditor_.outstanding(), 0u);
+  }
+
+  audit::AuditLedger ledger_;
+  audit::AuditorActor auditor_;
+  nr::ActorStats before_;
+};
+
+TEST_F(ForkReportTest, ProofHashMismatchIsRejected) {
+  report(proof_bytes(), &alice_id_,
+         crypto::sha256(common::to_bytes("another proof")));
+  expect_rejected(&nr::ActorStats::rejected_bad_hash);
+}
+
+TEST_F(ForkReportTest, UnopenableEvidenceIsRejected) {
+  report(proof_bytes(), nullptr, crypto::sha256(proof_bytes()));
+  expect_rejected(&nr::ActorStats::rejected_bad_evidence);
+}
+
+TEST_F(ForkReportTest, ForgedReporterSignatureIsRejected) {
+  // Sealed for the auditor over the right hash, but signed with bob's key
+  // in alice's name.
+  report(proof_bytes(), &bob_id_, crypto::sha256(proof_bytes()));
+  expect_rejected(&nr::ActorStats::rejected_bad_evidence);
+}
+
+/// A chunk challenge in flight that the provider never sees, so each case
+/// answers it with a forged response.
+class ChunkResponseTest : public ReplyWaitTest {
+ protected:
+  ChunkResponseTest()
+      : tree_(common::Bytes(256, 7), 64),
+        auditor_("auditor", network_, auditor_id_, rng_, ledger_) {
+    auditor_.trust_peer("bob", bob_id_.public_key());
+    audit::AuditTarget target;
+    target.txn_id = "txn-1";
+    target.provider = "bob";
+    target.object_key = "obj";
+    target.root = tree_.root();
+    target.chunk_size = 64;
+    target.chunk_count = 4;
+    EXPECT_TRUE(auditor_.register_target(target));
+    silent_peer("bob");
+    challenges_ = &record_sends("auditor", "bob");
+    EXPECT_TRUE(auditor_.challenge("txn-1", 0));
+    EXPECT_EQ(auditor_.outstanding(), 1u);
+    before_ = auditor_.stats();
+  }
+
+  static common::Bytes chunk() { return common::Bytes(64, 7); }
+
+  /// The payload of a decodable response for chunk 0 with its true proof.
+  common::BinaryWriter response_payload() const {
+    common::BinaryWriter payload;
+    payload.u64(0);
+    payload.bytes(chunk());
+    payload.bytes(nr::encode_proof(tree_.prove(0)));
+    return payload;
+  }
+
+  /// Forges bob's response one second after the challenge.
+  void respond(common::BinaryWriter payload,
+               const pki::Identity* signer = nullptr,
+               common::Bytes data_hash = {}) {
+    network_.schedule(1 * kSecond, [this, payload = std::move(payload), signer,
+                                    data_hash = std::move(data_hash)]() mutable {
+      forge("bob", "auditor", nr::MsgType::kChunkResponse, "txn-1", payload,
+            signer, data_hash);
+    });
+  }
+
+  /// Runs the challenge out and checks it concluded once with `verdict`,
+  /// was never re-sent, and moved no stat but `reason`.
+  void expect_concluded(audit::AuditVerdict verdict,
+                        std::uint64_t nr::ActorStats::*reason) {
+    network_.run();
+    ASSERT_EQ(ledger_.size(), 1u);
+    EXPECT_EQ(ledger_.entries()[0].verdict, verdict);
+    EXPECT_EQ(ledger_.entries()[0].chunk_index, 0u);
+    EXPECT_EQ(auditor_.outstanding(), 0u);
+    EXPECT_EQ(challenges_->size(), 1u);
+    EXPECT_EQ(auditor_.counters().flagged, 1u);
+    EXPECT_EQ(auditor_.counters().verified, 0u);
+    EXPECT_EQ(auditor_.counters().retries, 0u);
+    expect_one_rejection(before_, auditor_.stats(), reason);
+  }
+
+  crypto::MerkleTree tree_;
+  audit::AuditLedger ledger_;
+  audit::AuditorActor auditor_;
+  const std::vector<SimTime>* challenges_ = nullptr;
+  nr::ActorStats before_;
+};
+
+TEST_F(ChunkResponseTest, UndecodableProofIsMalformed) {
+  common::BinaryWriter payload;
+  payload.u64(0);
+  payload.bytes(chunk());
+  payload.bytes(common::to_bytes("not a proof"));
+  respond(std::move(payload), &bob_id_, crypto::sha256(chunk()));
+  expect_concluded(audit::AuditVerdict::kMalformed, nullptr);
+  EXPECT_EQ(ledger_.entries()[0].detail, "chunk or proof undecodable");
+}
+
+TEST_F(ChunkResponseTest, UnopenableEvidenceIsBadEvidence) {
+  respond(response_payload(), nullptr, crypto::sha256(chunk()));
+  expect_concluded(audit::AuditVerdict::kBadEvidence,
+                   &nr::ActorStats::rejected_bad_evidence);
+}
+
+TEST_F(ChunkResponseTest, SignaturesByAnotherKeyAreBadEvidence) {
+  // The true chunk and proof over the right hash, signed by alice in bob's
+  // name.
+  respond(response_payload(), &alice_id_, crypto::sha256(chunk()));
+  expect_concluded(audit::AuditVerdict::kBadEvidence,
+                   &nr::ActorStats::rejected_bad_evidence);
 }
 
 }  // namespace

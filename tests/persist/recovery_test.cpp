@@ -7,6 +7,8 @@
 
 #include "audit/ledger.h"
 #include "crypto/hash.h"
+#include "dyn/client.h"
+#include "dyn/provider.h"
 #include "net/network.h"
 #include "nr/client.h"
 #include "nr/provider.h"
@@ -347,6 +349,44 @@ TEST_F(RecoveryTest, EmptyMediaRecoversEmptySoundState) {
   EXPECT_EQ(state.report.wal_records_replayed, 0u);
   EXPECT_EQ(state.report.objects_recovered, 0u);
   EXPECT_EQ(state.ledger.size(), 0u);
+}
+
+TEST_F(RecoveryTest, JournaledChunkMutationsReplayToTheCurrentVersion) {
+  faults_ = std::make_shared<FaultInjector>(99);
+  wal_ = std::make_unique<Wal>(WalOptions{}, faults_);
+  dyn::DynClientActor alice("alice", network_, alice_id_, rng_,
+                            to_bytes("master"));
+  dyn::DynProviderActor bob("bob", network_, bob_id_, rng_);
+  alice.trust_peer("bob", bob_id_.public_key());
+  bob.trust_peer("alice", alice_id_.public_key());
+  bob.store().bind_journal(wal_.get());
+
+  // Version 1 is a put; versions 2 to 5 are one mutation of each kind.
+  alice.store_dyn("bob", "ttp", "doc", common::Bytes(256, 7), 64);
+  network_.run();
+  ASSERT_TRUE(alice.update("doc", 1, common::Bytes(64, 1)));
+  network_.run();
+  ASSERT_TRUE(alice.insert("doc", 0, common::Bytes(64, 2)));
+  network_.run();
+  ASSERT_TRUE(alice.append_chunk("doc", common::Bytes(10, 3)));
+  network_.run();
+  ASSERT_TRUE(alice.erase("doc", 2));
+  network_.run();
+  ASSERT_EQ(bob.store().version_of("doc"), 5u);
+  const auto current = bob.store().get("doc");
+  ASSERT_TRUE(current.has_value());
+
+  const RecoveredState state =
+      Recovery::replay(capture_durable(nullptr, *wal_));
+  EXPECT_TRUE(state.report.wal_clean);
+  EXPECT_EQ(state.report.wal_records_replayed, 5u);
+  ASSERT_EQ(state.objects.count("doc"), 1u);
+  const ObjectMeta& meta = state.objects.at("doc");
+  EXPECT_EQ(meta.key, "doc");
+  EXPECT_EQ(meta.version, 5u);
+  EXPECT_EQ(meta.size, current->data.size());
+  EXPECT_EQ(meta.size, 4u * 64 + 10);
+  EXPECT_EQ(meta.sha256, crypto::sha256(current->data));
 }
 
 }  // namespace

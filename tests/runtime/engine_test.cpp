@@ -14,10 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/bytes.h"
 #include "common/clock.h"
-#include "common/payload.h"
-#include "runtime/crypto_service.h"
 
 namespace tpnr::runtime {
 namespace {
@@ -242,23 +239,6 @@ TEST(Engine, ThrowingTaskLeavesDriverContext) {
   engine.run(10);
   EXPECT_EQ(fired.first, kNoEndpoint);
   EXPECT_EQ(fired.second, 10);
-}
-
-TEST(Engine, ThrowingCompletionLeavesDriverContext) {
-  Engine engine(1);
-  const EndpointId a = engine.endpoint("a");
-  // Submitted inside an event, the completion is deferred and later runs
-  // in the submitting endpoint's context from the engine's flush.
-  engine.post(a, kNoEndpoint, 4, [&engine] {
-    std::vector<DigestJob> jobs(1);
-    jobs[0].message = common::Payload::copy_of(common::to_bytes("x"));
-    engine.crypto_service().submit_digests(
-        std::move(jobs),
-        [](std::vector<common::Bytes>) { throw std::runtime_error("done"); });
-  });
-  EXPECT_THROW(engine.run(10), std::runtime_error);
-  EXPECT_EQ(engine.current_endpoint(), kNoEndpoint);
-  EXPECT_EQ(engine.now(), engine.clock().now());
 }
 
 TEST(NameInterner, InternAndLookupRoundTrip) {
