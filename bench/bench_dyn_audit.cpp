@@ -98,7 +98,6 @@ ModeResult run_aggregate(std::size_t chunks) {
                                    .max_outstanding = 16,
                                    .seed = 1204,
                                    .max_rounds = kRounds,
-                                   .mode = audit::ChallengeMode::kAggregate,
                                    .aggregate_count = kChallenged});
   scheduler.start();
   network.run();

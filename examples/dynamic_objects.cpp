@@ -75,7 +75,6 @@ int main() {
                                    .max_outstanding = 8,
                                    .seed = 99,
                                    .max_rounds = 3,
-                                   .mode = audit::ChallengeMode::kAggregate,
                                    .aggregate_count = 64});
   scheduler.start();
   network.run();

@@ -57,7 +57,6 @@ void AuditScheduler::tick() {
       }
     }
   }
-  if (config_.mode != ChallengeMode::kAggregate) return;
   // One aggregated challenge per dynamic target per round — constant-size
   // responses make a per-round cadence cheap regardless of object size.
   for (const auto& [txn_id, target] : auditor_->dyn_targets()) {

@@ -3,7 +3,10 @@
 // Runs entirely inside the simulated network: each round is a
 // Network::schedule timer that samples (target, chunk) pairs from a seeded
 // Drbg — so a whole continuous-audit run is bit-reproducible — and issues
-// them through AuditorActor::challenge, bounded by a concurrency cap. The
+// them through AuditorActor::challenge, bounded by a concurrency cap. Each
+// round also issues one aggregated challenge per registered dyn target
+// (AuditorActor::challenge_aggregate): a dyn object's freshness lives in its
+// version chain, so it is never challenged chunk by chunk. The
 // knobs (period, sampling rate, cap) are exactly the detection-latency /
 // bandwidth trade-off bench_audit_detection sweeps.
 #pragma once
@@ -15,14 +18,6 @@
 #include "net/network.h"
 
 namespace tpnr::audit {
-
-/// How the scheduler challenges DYNAMIC targets. Static (store-once)
-/// targets always get per-chunk challenges; dynamic targets are audited
-/// only in aggregate mode (their freshness lives in the version chain).
-enum class ChallengeMode : std::uint8_t {
-  kLegacyChunks = 1,  ///< per-chunk challenges for static targets only
-  kAggregate = 2,     ///< plus one aggregated challenge per dyn target/round
-};
 
 struct SchedulerConfig {
   /// Time between audit rounds.
@@ -39,9 +34,8 @@ struct SchedulerConfig {
   /// Stop after this many rounds (0 = run until stop()). Bounded runs let
   /// Network::run() drain to idle — tests and benches set this.
   std::uint64_t max_rounds = 0;
-  /// Dynamic-target handling (see ChallengeMode).
-  ChallengeMode mode = ChallengeMode::kLegacyChunks;
-  /// Chunks sampled per aggregated challenge (kAggregate mode).
+  /// Chunks sampled per aggregated challenge. Each round issues one per
+  /// registered dyn target; static targets get per-chunk challenges.
   std::uint64_t aggregate_count = 64;
 };
 

@@ -39,8 +39,6 @@ void BinaryWriter::str(std::string_view v) {
   buf_.insert(buf_.end(), v.begin(), v.end());
 }
 
-void BinaryWriter::boolean(bool v) { u8(v ? 1 : 0); }
-
 void BinaryReader::need(std::size_t n) const {
   if (remaining() < n) throw SerialError("BinaryReader: truncated input");
 }
@@ -106,12 +104,6 @@ std::string BinaryReader::str() {
                   data_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
   pos_ += len;
   return out;
-}
-
-bool BinaryReader::boolean() {
-  const std::uint8_t v = u8();
-  if (v > 1) throw SerialError("BinaryReader: non-canonical bool");
-  return v == 1;
 }
 
 void BinaryReader::expect_done() const {

@@ -26,7 +26,6 @@ class BinaryWriter {
   void bytes(BytesView v);
   /// Length-prefixed (u32) UTF-8/ASCII string.
   void str(std::string_view v);
-  void boolean(bool v);
 
   [[nodiscard]] const Bytes& data() const noexcept { return buf_; }
   [[nodiscard]] Bytes take() noexcept { return std::move(buf_); }
@@ -48,7 +47,6 @@ class BinaryReader {
   std::int64_t i64();
   Bytes bytes();
   std::string str();
-  bool boolean();
   /// A u32 element count, checked against the unread bytes: each element
   /// takes at least `min_element_size` bytes (4 for bytes()/str(), 8 for
   /// u64()). Throws SerialError if they cannot all be there, so a hostile

@@ -8,11 +8,10 @@ namespace tpnr::crypto {
 
 namespace {
 
-// S-box and inverse computed from the AES definition (multiplicative inverse
-// in GF(2^8) followed by the affine map) at static initialization.
+// S-box computed from the AES definition (multiplicative inverse in GF(2^8)
+// followed by the affine map) at static initialization.
 struct SboxTables {
   std::array<std::uint8_t, 256> fwd{};
-  std::array<std::uint8_t, 256> inv{};
 
   SboxTables() {
     // Build GF(2^8) log/antilog tables with generator 3.
@@ -43,7 +42,6 @@ struct SboxTables {
         result = static_cast<std::uint8_t>(result ^ (bit << b));
       }
       fwd[static_cast<std::size_t>(i)] = result;
-      inv[result] = static_cast<std::uint8_t>(i);
     }
   }
 };
@@ -55,16 +53,6 @@ const SboxTables& tables() {
 
 inline std::uint8_t xtime(std::uint8_t a) noexcept {
   return static_cast<std::uint8_t>((a << 1) ^ ((a & 0x80) ? 0x1b : 0));
-}
-
-inline std::uint8_t gmul(std::uint8_t a, std::uint8_t b) noexcept {
-  std::uint8_t p = 0;
-  for (int i = 0; i < 8; ++i) {
-    if (b & 1) p ^= a;
-    a = xtime(a);
-    b >>= 1;
-  }
-  return p;
 }
 
 inline std::uint32_t sub_word(std::uint32_t w) noexcept {
@@ -112,11 +100,6 @@ void Aes::expand_key(BytesView key) {
     round_keys_[static_cast<std::size_t>(i)] =
         round_keys_[static_cast<std::size_t>(i - nk)] ^ temp;
   }
-
-  // Decryption schedule: same keys; InvMixColumns is applied to the state in
-  // decrypt_block, so we keep a plain copy (equivalent straightforward
-  // implementation rather than the transformed-key optimization).
-  dec_keys_ = round_keys_;
 }
 
 namespace {
@@ -136,27 +119,12 @@ void sub_bytes(std::uint8_t state[16]) noexcept {
   for (int i = 0; i < 16; ++i) state[i] = sbox[state[i]];
 }
 
-void inv_sub_bytes(std::uint8_t state[16]) noexcept {
-  const auto& sbox = tables().inv;
-  for (int i = 0; i < 16; ++i) state[i] = sbox[state[i]];
-}
-
 void shift_rows(std::uint8_t state[16]) noexcept {
   // state is column-major: state[4*c + r].
   std::uint8_t tmp[16];
   for (int r = 0; r < 4; ++r) {
     for (int c = 0; c < 4; ++c) {
       tmp[4 * c + r] = state[4 * ((c + r) & 3) + r];
-    }
-  }
-  std::memcpy(state, tmp, 16);
-}
-
-void inv_shift_rows(std::uint8_t state[16]) noexcept {
-  std::uint8_t tmp[16];
-  for (int r = 0; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      tmp[4 * ((c + r) & 3) + r] = state[4 * c + r];
     }
   }
   std::memcpy(state, tmp, 16);
@@ -173,21 +141,6 @@ void mix_columns(std::uint8_t state[16]) noexcept {
   }
 }
 
-void inv_mix_columns(std::uint8_t state[16]) noexcept {
-  for (int c = 0; c < 4; ++c) {
-    std::uint8_t* col = state + 4 * c;
-    const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = static_cast<std::uint8_t>(gmul(a0, 14) ^ gmul(a1, 11) ^
-                                       gmul(a2, 13) ^ gmul(a3, 9));
-    col[1] = static_cast<std::uint8_t>(gmul(a0, 9) ^ gmul(a1, 14) ^
-                                       gmul(a2, 11) ^ gmul(a3, 13));
-    col[2] = static_cast<std::uint8_t>(gmul(a0, 13) ^ gmul(a1, 9) ^
-                                       gmul(a2, 14) ^ gmul(a3, 11));
-    col[3] = static_cast<std::uint8_t>(gmul(a0, 11) ^ gmul(a1, 13) ^
-                                       gmul(a2, 9) ^ gmul(a3, 14));
-  }
-}
-
 }  // namespace
 
 void Aes::encrypt_block(std::uint8_t* block) const noexcept {
@@ -201,19 +154,6 @@ void Aes::encrypt_block(std::uint8_t* block) const noexcept {
   sub_bytes(block);
   shift_rows(block);
   add_round_key(block, round_keys_.data() + 4 * rounds_);
-}
-
-void Aes::decrypt_block(std::uint8_t* block) const noexcept {
-  add_round_key(block, dec_keys_.data() + 4 * rounds_);
-  for (int round = rounds_ - 1; round >= 1; --round) {
-    inv_shift_rows(block);
-    inv_sub_bytes(block);
-    add_round_key(block, dec_keys_.data() + 4 * round);
-    inv_mix_columns(block);
-  }
-  inv_shift_rows(block);
-  inv_sub_bytes(block);
-  add_round_key(block, dec_keys_.data());
 }
 
 AesCtr::AesCtr(BytesView key, BytesView nonce12) : aes_(key) {

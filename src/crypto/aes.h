@@ -1,4 +1,5 @@
-// AES-128/192/256 block cipher (FIPS 197) and CTR mode. Table-free S-box at
+// AES-128/192/256 block cipher (FIPS 197), forward direction only, and CTR
+// mode, which never runs the inverse cipher. Table-free S-box at
 // runtime (tables are computed once at static init). Not hardened against
 // cache-timing side channels — see DESIGN.md.
 #pragma once
@@ -22,16 +23,13 @@ class Aes {
 
   /// Encrypts exactly one 16-byte block, in place.
   void encrypt_block(std::uint8_t* block) const noexcept;
-  /// Decrypts exactly one 16-byte block, in place.
-  void decrypt_block(std::uint8_t* block) const noexcept;
 
   [[nodiscard]] int rounds() const noexcept { return rounds_; }
 
  private:
   void expand_key(BytesView key);
 
-  std::array<std::uint32_t, 60> round_keys_{};   // enc schedule
-  std::array<std::uint32_t, 60> dec_keys_{};     // dec schedule
+  std::array<std::uint32_t, 60> round_keys_{};
   int rounds_ = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "crypto/drbg.h"
 
-#include <random>
-
 #include "common/error.h"
 #include "crypto/chacha20.h"
 #include "crypto/hash.h"
@@ -25,18 +23,6 @@ Drbg::Drbg(std::uint64_t seed) {
     raw[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(seed >> (8 * i));
   }
   key_ = normalize_seed(raw);
-}
-
-Drbg Drbg::from_system_entropy() {
-  std::random_device rd;
-  Bytes raw(32);
-  for (std::size_t i = 0; i < raw.size(); i += 4) {
-    const std::uint32_t v = rd();
-    for (std::size_t j = 0; j < 4 && i + j < raw.size(); ++j) {
-      raw[i + j] = static_cast<std::uint8_t>(v >> (8 * j));
-    }
-  }
-  return Drbg(BytesView(raw));
 }
 
 void Drbg::rekey() {

@@ -22,9 +22,6 @@ class Drbg {
   /// Convenience: deterministic instance from a 64-bit seed.
   explicit Drbg(std::uint64_t seed);
 
-  /// Instance seeded from the operating system entropy source.
-  static Drbg from_system_entropy();
-
   /// Fills `out` with random bytes.
   void fill(Bytes& out);
 

@@ -124,10 +124,6 @@ Bytes HmacKeyState::mac(BytesView data) const {
   return keyed_mac<Sha256>(inner_mid_, outer_mid_, data);
 }
 
-bool HmacKeyState::verify(BytesView data, BytesView tag) const {
-  return common::constant_time_equal(mac(data), tag);
-}
-
 Bytes hmac(HashKind kind, BytesView key, BytesView data) {
   Hmac mac(kind, key);
   mac.update(data);
@@ -169,10 +165,6 @@ Bytes hmac_sha256_cached(BytesView key, BytesView data) {
 void hmac_cache_clear() {
   std::lock_guard<std::mutex> lock(g_hmac_cache_mu);
   hmac_cache().clear();
-}
-
-bool hmac_verify(HashKind kind, BytesView key, BytesView data, BytesView tag) {
-  return common::constant_time_equal(hmac(kind, key, data), tag);
 }
 
 }  // namespace tpnr::crypto

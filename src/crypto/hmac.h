@@ -52,8 +52,6 @@ class HmacKeyState {
 
   /// HMAC(key, data), resumed from the cached midstates.
   [[nodiscard]] Bytes mac(BytesView data) const;
-  /// Constant-time tag check.
-  [[nodiscard]] bool verify(BytesView data, BytesView tag) const;
 
   [[nodiscard]] HashKind kind() const noexcept { return kind_; }
   [[nodiscard]] std::size_t tag_size() const noexcept {
@@ -80,8 +78,5 @@ Bytes hmac_sha256_cached(BytesView key, BytesView data);
 
 /// Drops every cached HmacKeyState (tests).
 void hmac_cache_clear();
-
-/// Constant-time tag check.
-bool hmac_verify(HashKind kind, BytesView key, BytesView data, BytesView tag);
 
 }  // namespace tpnr::crypto

@@ -168,66 +168,4 @@ bool MerkleTree::verify_from_leaf(BytesView leaf_digest,
   return common::constant_time_equal(acc, root);
 }
 
-std::vector<std::uint8_t> MerkleTree::verify_many(
-    std::span<const BytesView> chunks, std::span<const MerkleProof> proofs,
-    std::span<const BytesView> roots, HashKind kind) {
-  if (chunks.size() != proofs.size() || chunks.size() != roots.size()) {
-    throw common::CryptoError("MerkleTree::verify_many: span size mismatch");
-  }
-  const std::size_t n = chunks.size();
-  if (!use_lanes(kind)) {
-    std::vector<std::uint8_t> ok(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ok[i] = verify(chunks[i], proofs[i], roots[i], kind) ? 1 : 0;
-    }
-    return ok;
-  }
-
-  // Leaf hashes for the whole batch in one dispatch, then fold all proofs
-  // upward in lock-step: level k of every still-open proof goes through the
-  // engine together.
-  std::vector<Bytes> acc = sha256_many_tagged(kLeafTag, chunks);
-  std::vector<std::size_t> idx(n);
-  std::vector<std::size_t> width(n);
-  std::size_t max_depth = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    idx[i] = proofs[i].leaf_index;
-    width[i] = proofs[i].leaf_count;
-    max_depth = std::max(max_depth, proofs[i].siblings.size());
-  }
-  const std::size_t digest_len = 32;
-  for (std::size_t level = 0; level < max_depth; ++level) {
-    std::vector<std::size_t> active;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (level < proofs[i].siblings.size()) active.push_back(i);
-    }
-    std::vector<std::uint8_t> scratch(active.size() * 2 * digest_len);
-    std::vector<BytesView> rows(active.size());
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      const std::size_t i = active[a];
-      const Bytes& sibling = proofs[i].siblings[level];
-      std::uint8_t* row = scratch.data() + a * 2 * digest_len;
-      const Bytes& left = (idx[i] % 2 == 0) ? acc[i] : sibling;
-      const Bytes& right = (idx[i] % 2 == 0) ? sibling : acc[i];
-      std::copy(left.begin(), left.end(), row);
-      std::copy(right.begin(), right.end(), row + digest_len);
-      rows[a] = BytesView(row, 2 * digest_len);
-    }
-    std::vector<Bytes> parents = sha256_many_tagged(kNodeTag, rows);
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      const std::size_t i = active[a];
-      acc[i] = std::move(parents[a]);
-      idx[i] /= 2;
-      width[i] = (width[i] + 1) / 2;
-    }
-  }
-  std::vector<std::uint8_t> ok(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ok[i] = (width[i] == 1 && common::constant_time_equal(acc[i], roots[i]))
-                ? 1
-                : 0;
-  }
-  return ok;
-}
-
 }  // namespace tpnr::crypto

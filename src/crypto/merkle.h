@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -49,14 +48,6 @@ class MerkleTree {
   static bool verify_from_leaf(BytesView leaf_digest, const MerkleProof& proof,
                                BytesView root,
                                HashKind kind = HashKind::kSha256);
-
-  /// Batch verification: out[i] says whether chunks[i] is leaf
-  /// proofs[i].leaf_index of the object rooted at roots[i]. Leaf hashes and
-  /// each fold level run through the multi-lane engine across the whole
-  /// batch. Throws CryptoError on span size mismatch.
-  static std::vector<std::uint8_t> verify_many(
-      std::span<const BytesView> chunks, std::span<const MerkleProof> proofs,
-      std::span<const BytesView> roots, HashKind kind = HashKind::kSha256);
 
  private:
   static Bytes leaf_hash(HashKind kind, BytesView chunk);

@@ -304,101 +304,6 @@ Bytes DynMerkleTree::reference_hash(const Node* node) {
 }
 
 // ---------------------------------------------------------------------------
-// Proofs
-
-DynProof DynMerkleTree::prove(std::uint64_t index) const {
-  if (index >= leaf_count()) {
-    throw std::out_of_range("DynMerkleTree::prove: index");
-  }
-  DynProof proof;
-  proof.leaf_index = index;
-  proof.leaf_count = leaf_count();
-  const Node* node = root_.get();
-  std::uint64_t offset = index;
-  while (!node->is_leaf()) {
-    DynProofStep step;
-    if (offset < node->left->rank) {
-      step.sibling_on_left = false;
-      step.sibling_rank = node->right->rank;
-      step.sibling_hash = node->right->hash;
-      node = node->left.get();
-    } else {
-      step.sibling_on_left = true;
-      step.sibling_rank = node->left->rank;
-      step.sibling_hash = node->left->hash;
-      offset -= node->left->rank;
-      node = node->right.get();
-    }
-    proof.steps.push_back(std::move(step));
-  }
-  std::reverse(proof.steps.begin(), proof.steps.end());
-  return proof;
-}
-
-bool DynMerkleTree::verify(BytesView chunk, const DynProof& proof,
-                           BytesView root) {
-  return verify_leaf(hash_chunk(chunk), proof, root);
-}
-
-bool DynMerkleTree::verify_leaf(BytesView leaf_hash, const DynProof& proof,
-                                BytesView root) {
-  if (proof.steps.size() > static_cast<std::size_t>(kMaxProofDepth)) {
-    return false;
-  }
-  Bytes hash(leaf_hash.begin(), leaf_hash.end());
-  std::uint64_t rank = 1;
-  std::uint64_t index = 0;
-  for (const DynProofStep& step : proof.steps) {
-    if (step.sibling_rank == 0) return false;
-    if (step.sibling_on_left) {
-      index += step.sibling_rank;  // everything left of us precedes us
-      hash = interior_hash(step.sibling_rank, rank, step.sibling_hash, hash);
-    } else {
-      hash = interior_hash(rank, step.sibling_rank, hash, step.sibling_hash);
-    }
-    rank += step.sibling_rank;
-  }
-  return rank == proof.leaf_count && index == proof.leaf_index &&
-         common::constant_time_equal(hash, root);
-}
-
-Bytes DynProof::encode() const {
-  common::BinaryWriter w;
-  w.u64(leaf_index);
-  w.u64(leaf_count);
-  w.u32(static_cast<std::uint32_t>(steps.size()));
-  for (const DynProofStep& step : steps) {
-    w.boolean(step.sibling_on_left);
-    w.u64(step.sibling_rank);
-    w.bytes(step.sibling_hash);
-  }
-  return w.take();
-}
-
-DynProof DynProof::decode(BytesView data) {
-  common::BinaryReader r(data);
-  DynProof proof;
-  proof.leaf_index = r.u64();
-  proof.leaf_count = r.u64();
-  const std::uint32_t count = r.u32();
-  if (count > static_cast<std::uint32_t>(kMaxProofDepth)) {
-    throw common::SerialError("DynProof: implausible depth");
-  }
-  proof.steps.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    DynProofStep step;
-    step.sibling_on_left = r.boolean();
-    step.sibling_rank = r.u64();
-    step.sibling_hash = r.bytes();
-    proof.steps.push_back(std::move(step));
-  }
-  r.expect_done();
-  return proof;
-}
-
-std::size_t DynProof::encoded_size() const { return encode().size(); }
-
-// ---------------------------------------------------------------------------
 // Batch proofs
 
 namespace {

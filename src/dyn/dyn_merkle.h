@@ -32,27 +32,6 @@ namespace tpnr::dyn {
 using common::Bytes;
 using common::BytesView;
 
-/// One step of an inclusion proof, leaf to root. `sibling_rank` feeds both
-/// the interior-hash recomputation and the position check.
-struct DynProofStep {
-  bool sibling_on_left = false;
-  std::uint64_t sibling_rank = 0;
-  Bytes sibling_hash;
-};
-
-/// Inclusion-plus-position proof for one chunk.
-struct DynProof {
-  std::uint64_t leaf_index = 0;
-  std::uint64_t leaf_count = 0;
-  std::vector<DynProofStep> steps;
-
-  [[nodiscard]] Bytes encode() const;
-  /// Throws common::SerialError on malformed input.
-  static DynProof decode(BytesView data);
-  /// Wire size of the encoded proof (for bandwidth accounting).
-  [[nodiscard]] std::size_t encoded_size() const;
-};
-
 /// Batched inclusion proof for a SET of leaves: the pruned tree containing
 /// the challenged leaves, with every unchallenged maximal subtree collapsed
 /// to its (hash, rank) summary. Shared path prefixes are shipped once, so a
@@ -109,22 +88,15 @@ class DynMerkleTree {
   void append(BytesView chunk) { insert(leaf_count(), chunk); }
   void erase(std::uint64_t index);
 
-  /// Inclusion-plus-position proof for leaf `index`.
-  [[nodiscard]] DynProof prove(std::uint64_t index) const;
   /// Batched proof for sorted, deduplicated `indices`. Throws
   /// std::out_of_range on any bad index, std::invalid_argument if unsorted.
   [[nodiscard]] DynBatchProof prove_batch(
       std::span<const std::uint64_t> indices) const;
 
-  /// Verifies `chunk` sits at `proof.leaf_index` of the tree rooted at
-  /// `root` — the index is RECOMPUTED from the rank annotations and must
-  /// match the claimed one.
-  static bool verify(BytesView chunk, const DynProof& proof, BytesView root);
-  static bool verify_leaf(BytesView leaf_hash, const DynProof& proof,
-                          BytesView root);
-
   /// Verifies a batch proof against `root`; on success fills `out` with the
-  /// challenged leaves in ascending index order. Returns false on any hash,
+  /// challenged leaves in ascending index order. Each index is RECOMPUTED
+  /// from the rank annotations, never taken from the prover, so a proof
+  /// binds every leaf to its position. Returns false on any hash,
   /// rank or structure mismatch (malformed encodings also return false).
   static bool verify_batch(const DynBatchProof& proof, BytesView root,
                            std::vector<VerifiedLeaf>& out);

@@ -289,7 +289,6 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
 }
 
 void DynProviderActor::handle_agg_challenge(const nr::NrMessage& message) {
-  if (!behavior_.respond_to_audit) return;
   const nr::MessageHeader& h = message.header;
   common::BinaryReader r(message.payload);
   const std::string object_key = r.str();

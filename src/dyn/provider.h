@@ -31,7 +31,6 @@ namespace tpnr::dyn {
 /// Misbehaviour dials for the dynamic provider.
 struct DynProviderBehavior {
   bool send_receipts = true;      ///< false: withholds receipts (unfair Bob)
-  bool respond_to_audit = true;   ///< false: ignores aggregate challenges
 };
 
 class DynProviderActor final : public nr::NrActor {

@@ -54,7 +54,6 @@ std::uint64_t ReliableChannel::send(const std::string& to,
 
   Pending pending;
   pending.to = to;
-  pending.topic = topic;
   pending.to_id = network_->endpoint_id(to);
   pending.topic_id = network_->topic_id(topic);
   pending.frame = frame.take();
@@ -63,12 +62,6 @@ std::uint64_t ReliableChannel::send(const std::string& to,
   ++stats_.accepted;
   transmit(seq);
   return seq;
-}
-
-DeliveryStatus ReliableChannel::status(std::uint64_t seq) const {
-  if (settled_.contains(seq)) return DeliveryStatus::kAcked;
-  if (unreachable_seqs_.contains(seq)) return DeliveryStatus::kUnreachable;
-  return DeliveryStatus::kPending;
 }
 
 void ReliableChannel::transmit(std::uint64_t seq) {
@@ -93,7 +86,7 @@ void ReliableChannel::transmit(std::uint64_t seq) {
   }
   p.rto = static_cast<common::SimTime>(static_cast<double>(p.rto) *
                                        options_.backoff);
-  if (p.rto > options_.max_rto) p.rto = options_.max_rto;
+  if (p.rto > kMaxRto) p.rto = kMaxRto;
   arm_timer(seq, delay);
 }
 
@@ -106,15 +99,7 @@ void ReliableChannel::arm_timer(std::uint64_t seq, common::SimTime delay) {
       ++stats_.unreachable;
       record(ChannelEvent::Kind::kUnreachable, it->second.to, seq,
              it->second.attempts);
-      Pending dead = std::move(it->second);
       pending_.erase(it);
-      unreachable_seqs_.insert(seq);
-      while (unreachable_seqs_.size() > options_.dedup_window) {
-        unreachable_seqs_.erase(unreachable_seqs_.begin());
-      }
-      if (unreachable_handler_) {
-        unreachable_handler_(dead.to, dead.topic, seq);
-      }
       return;
     }
     transmit(seq);

@@ -28,11 +28,13 @@
 
 namespace tpnr::net {
 
+/// Ceiling of the exponential RTO backoff.
+inline constexpr common::SimTime kMaxRto = 8 * common::kSecond;
+
 /// Retransmission policy. Defaults suit the simulator's millisecond links.
 struct ReliableOptions {
   common::SimTime initial_rto = 200 * common::kMillisecond;
-  double backoff = 2.0;  ///< RTO multiplier per retransmission
-  common::SimTime max_rto = 8 * common::kSecond;
+  double backoff = 2.0;  ///< RTO multiplier per retransmission (up to kMaxRto)
   /// Uniform extra in [0, rto_jitter] added to every armed timer, so
   /// synchronized senders do not retransmit in lockstep.
   common::SimTime rto_jitter = 25 * common::kMillisecond;
@@ -42,13 +44,6 @@ struct ReliableOptions {
   /// below the compaction floor count as seen).
   std::size_t dedup_window = 1024;
   bool trace = false;  ///< record a ChannelEvent timeline (examples, tests)
-};
-
-/// Fate of one send() as observable through status().
-enum class DeliveryStatus : std::uint8_t {
-  kPending = 0,   ///< in flight (or never submitted)
-  kAcked,         ///< positively acknowledged by the peer
-  kUnreachable,   ///< gave up after max_attempts transmissions
 };
 
 /// Per-channel delivery/retry accounting.
@@ -89,9 +84,6 @@ std::string channel_event_name(ChannelEvent::Kind kind);
 class ReliableChannel {
  public:
   using DeliverHandler = std::function<void(const Envelope&)>;
-  /// Called once when a send exhausts max_attempts (peer, topic, seq).
-  using UnreachableHandler = std::function<void(
-      const std::string&, const std::string&, std::uint64_t)>;
 
   /// Does NOT attach to the network yet — call attach() with the upstream
   /// delivery handler first.
@@ -106,16 +98,12 @@ class ReliableChannel {
   /// envelope's payload replaced by the app payload).
   void attach(DeliverHandler handler);
 
-  void set_unreachable_handler(UnreachableHandler handler) {
-    unreachable_handler_ = std::move(handler);
-  }
-
   /// Queues `payload` for reliable delivery; returns the channel sequence
-  /// number (use with status()).
+  /// number (the `seq` of its trace() events). A send that exhausts
+  /// max_attempts counts in stats().unreachable and records kUnreachable.
   std::uint64_t send(const std::string& to, const std::string& topic,
                      BytesView payload);
 
-  [[nodiscard]] DeliveryStatus status(std::uint64_t seq) const;
   [[nodiscard]] const RetryStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const std::vector<ChannelEvent>& trace() const noexcept {
     return trace_;
@@ -133,8 +121,7 @@ class ReliableChannel {
 
  private:
   struct Pending {
-    std::string to;             ///< peer name (events, unreachable handler)
-    std::string topic;
+    std::string to;             ///< peer name (trace events)
     EndpointId to_id = 0;       ///< interned once; retransmits skip strings
     TopicId topic_id = 0;
     /// Encoded data frame, retransmitted byte-identically. COW: every
@@ -165,7 +152,6 @@ class ReliableChannel {
   crypto::Drbg rng_;
   ReliableOptions options_;
   DeliverHandler handler_;
-  UnreachableHandler unreachable_handler_;
   RetryStats stats_;
   std::vector<ChannelEvent> trace_;
   std::map<std::uint64_t, Pending> pending_;
@@ -173,9 +159,6 @@ class ReliableChannel {
   /// dup-ack / spurious-retransmission accounting); bounded by dedup_window.
   std::map<std::uint64_t, bool> settled_;
   std::map<std::string, PeerRecv> recv_;
-  /// Recently given-up seqs (for status()); bounded by dedup_window, the
-  /// oldest evicted first, as in settled_.
-  std::set<std::uint64_t> unreachable_seqs_;
   std::uint64_t next_seq_ = 1;
 };
 

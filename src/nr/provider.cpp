@@ -152,9 +152,6 @@ void ProviderActor::handle_store(const NrMessage& message) {
     // transaction facts before acknowledging anything.
     journal_evidence("nro", h.txn_id, h.sender, object_key, chunk_size, h,
                      *nro);
-    if (behavior_.tamper_after_store) {
-      store_.tamper(object_key, behavior_.tamper_replacement);
-    }
   }
   if (!behavior_.send_store_receipts) return;  // the unfair Bob of §4.3
 
@@ -294,7 +291,6 @@ void ProviderActor::handle_chunk_request(const NrMessage& message) {
 }
 
 void ProviderActor::handle_abort(const NrMessage& message) {
-  if (!behavior_.respond_to_abort) return;
   const MessageHeader& h = message.header;
   const crypto::RsaPublicKey* sender_key = peer_key(h.sender);
 

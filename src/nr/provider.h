@@ -20,12 +20,7 @@ namespace tpnr::nr {
 struct ProviderBehavior {
   bool send_store_receipts = true;   ///< false: withholds NRR (unfair Bob)
   bool respond_to_resolve = true;    ///< false: ignores the TTP
-  bool respond_to_abort = true;
   bool respond_to_fetch = true;      ///< false: dead/unresponsive replica
-  /// If set, silently rewrites stored bytes after accepting them — the Eve
-  /// of §2.4.
-  bool tamper_after_store = false;
-  Bytes tamper_replacement;
   /// Chunk-audit equivocation: serve Merkle proofs computed over the
   /// ORIGINAL object (cached at store time) so audits of untampered chunks
   /// still pass — the strongest audit adversary. Tampered chunks still fail
@@ -39,9 +34,7 @@ class ProviderActor final : public NrActor {
   ProviderActor(std::string id, net::Network& network, pki::Identity& identity,
                 crypto::Drbg& rng);
 
-  void set_behavior(ProviderBehavior behavior) {
-    behavior_ = std::move(behavior);
-  }
+  void set_behavior(ProviderBehavior behavior) { behavior_ = behavior; }
   [[nodiscard]] const ProviderBehavior& behavior() const noexcept {
     return behavior_;
   }

@@ -17,8 +17,6 @@ TEST(SerialTest, ScalarRoundTrip) {
   w.u32(0xdeadbeef);
   w.u64(0x0123456789abcdefull);
   w.i64(-42);
-  w.boolean(true);
-  w.boolean(false);
 
   BinaryReader r(w.data());
   EXPECT_EQ(r.u8(), 0xab);
@@ -26,8 +24,6 @@ TEST(SerialTest, ScalarRoundTrip) {
   EXPECT_EQ(r.u32(), 0xdeadbeefu);
   EXPECT_EQ(r.u64(), 0x0123456789abcdefull);
   EXPECT_EQ(r.i64(), -42);
-  EXPECT_TRUE(r.boolean());
-  EXPECT_FALSE(r.boolean());
   EXPECT_TRUE(r.done());
 }
 
@@ -63,12 +59,6 @@ TEST(SerialTest, TruncatedBytesThrows) {
   w.u32(100);  // claims 100 bytes follow
   BinaryReader r(w.data());
   EXPECT_THROW(r.bytes(), SerialError);
-}
-
-TEST(SerialTest, NonCanonicalBoolThrows) {
-  const Bytes buf{0x02};
-  BinaryReader r(buf);
-  EXPECT_THROW(r.boolean(), SerialError);
 }
 
 TEST(SerialTest, TrailingBytesDetected) {
@@ -140,8 +130,6 @@ const EncoderCase kEncoderCases[] = {
      [](BinaryReader& r) {
        EXPECT_EQ(r.i64(), std::numeric_limits<std::int64_t>::min());
      }},
-    {"boolean", 1, [](BinaryWriter& w) { w.boolean(true); },
-     [](BinaryReader& r) { EXPECT_TRUE(r.boolean()); }},
     {"bytes", 4 + 5, [](BinaryWriter& w) { w.bytes(Bytes{9, 8, 7, 6, 5}); },
      [](BinaryReader& r) { EXPECT_EQ(r.bytes(), (Bytes{9, 8, 7, 6, 5})); }},
     {"bytes-empty", 4, [](BinaryWriter& w) { w.bytes(Bytes{}); },
@@ -197,7 +185,7 @@ TEST(SerialTest, MixedSequenceRejectsEveryTruncatedPrefix) {
   w.u64(42);
   w.str("obj-key");
   w.bytes(Bytes{1, 2, 3, 4});
-  w.boolean(false);
+  w.u8(0);
   w.i64(-7);
   const Bytes full = w.take();
 
@@ -205,7 +193,7 @@ TEST(SerialTest, MixedSequenceRejectsEveryTruncatedPrefix) {
     r.u64();
     r.str();
     r.bytes();
-    r.boolean();
+    r.u8();
     r.i64();
     r.expect_done();
   };

@@ -98,11 +98,5 @@ TEST(DrbgTest, ByteDistributionIsRoughlyUniform) {
   }
 }
 
-TEST(DrbgTest, SystemEntropyInstancesDiffer) {
-  Drbg a = Drbg::from_system_entropy();
-  Drbg b = Drbg::from_system_entropy();
-  EXPECT_NE(a.bytes(32), b.bytes(32));
-}
-
 }  // namespace
 }  // namespace tpnr::crypto

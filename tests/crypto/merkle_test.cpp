@@ -159,63 +159,5 @@ TEST(MerkleTest, VerifyFromLeafMatchesVerify) {
   }
 }
 
-TEST(MerkleTest, VerifyManyMatchesScalarVerifyIncludingFailures) {
-  const Bytes data = make_data(17 * 128, 16);
-  MerkleTree tree(data, 128);
-  std::vector<Bytes> chunks;
-  std::vector<MerkleProof> proofs;
-  for (std::size_t i = 0; i < tree.leaf_count(); ++i) {
-    chunks.emplace_back(data.begin() + static_cast<std::ptrdiff_t>(i * 128),
-                        data.begin() +
-                            static_cast<std::ptrdiff_t>((i + 1) * 128));
-    proofs.push_back(tree.prove(i));
-  }
-  chunks[4][0] ^= 0xff;                  // tampered chunk
-  std::swap(proofs[9], proofs[10]);      // proofs for the wrong leaves
-  std::vector<BytesView> chunk_views(chunks.begin(), chunks.end());
-  const std::vector<BytesView> roots(chunks.size(), tree.root());
-  const auto batched =
-      MerkleTree::verify_many(chunk_views, proofs, roots);
-  ASSERT_EQ(batched.size(), chunks.size());
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    EXPECT_EQ(batched[i] != 0,
-              MerkleTree::verify(chunk_views[i], proofs[i], tree.root()))
-        << "i=" << i;
-  }
-  EXPECT_FALSE(batched[4]);
-  EXPECT_FALSE(batched[9]);
-  EXPECT_FALSE(batched[10]);
-  EXPECT_TRUE(batched[0]);
-}
-
-TEST(MerkleTest, VerifyManyAcrossDifferentObjects) {
-  const Bytes a = make_data(5 * 64, 17);
-  const Bytes b = make_data(3 * 64, 18);
-  MerkleTree tree_a(a, 64);
-  MerkleTree tree_b(b, 64);
-  const std::vector<BytesView> chunks = {BytesView(a).subspan(0, 64),
-                                         BytesView(b).subspan(64, 64)};
-  const std::vector<MerkleProof> proofs = {tree_a.prove(0), tree_b.prove(1)};
-  const std::vector<BytesView> roots = {tree_a.root(), tree_b.root()};
-  const auto ok = MerkleTree::verify_many(chunks, proofs, roots);
-  EXPECT_TRUE(ok[0]);
-  EXPECT_TRUE(ok[1]);
-  // Crossed roots must fail both.
-  const std::vector<BytesView> crossed = {tree_b.root(), tree_a.root()};
-  const auto crossed_ok = MerkleTree::verify_many(chunks, proofs, crossed);
-  EXPECT_FALSE(crossed_ok[0]);
-  EXPECT_FALSE(crossed_ok[1]);
-}
-
-TEST(MerkleTest, VerifyManySizeMismatchThrows) {
-  const Bytes data = make_data(128, 19);
-  MerkleTree tree(data, 64);
-  const std::vector<BytesView> chunks = {BytesView(data).subspan(0, 64)};
-  const std::vector<MerkleProof> proofs = {tree.prove(0), tree.prove(1)};
-  const std::vector<BytesView> roots = {tree.root()};
-  EXPECT_THROW(MerkleTree::verify_many(chunks, proofs, roots),
-               common::CryptoError);
-}
-
 }  // namespace
 }  // namespace tpnr::crypto

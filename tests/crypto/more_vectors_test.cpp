@@ -1,10 +1,9 @@
 // Additional published test vectors pinning the crypto substrate: FIPS
-// 180-4 long-message digests, RFC 2202 HMAC-MD5 cases, FIPS-197 decrypt
-// direction, and the RFC 8439 all-zero ChaCha20 keystream.
+// 180-4 long-message digests, RFC 2202 HMAC-MD5 cases and the RFC 8439
+// all-zero ChaCha20 keystream.
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
-#include "crypto/aes.h"
 #include "crypto/chacha20.h"
 #include "crypto/hash.h"
 #include "crypto/hmac.h"
@@ -46,28 +45,6 @@ TEST(MoreVectors, Rfc2202HmacMd5) {
                         from_hex("0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c"),
                         to_bytes("Test With Truncation"))),
             "56461ef2342edc00f9bab995690efd4c");
-}
-
-// FIPS-197 appendix C, exercised through the DECRYPT direction.
-TEST(MoreVectors, Fips197DecryptDirection) {
-  struct Case {
-    const char* key;
-    const char* ciphertext;
-  };
-  const Case cases[] = {
-      {"000102030405060708090a0b0c0d0e0f",
-       "69c4e0d86a7b0430d8cdb78070b4c55a"},
-      {"000102030405060708090a0b0c0d0e0f1011121314151617",
-       "dda97ca4864cdfe06eaf70a0ec0d7191"},
-      {"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
-       "8ea2b7ca516745bfeafc49904b496089"},
-  };
-  for (const Case& c : cases) {
-    Aes aes(from_hex(c.key));
-    Bytes block = from_hex(c.ciphertext);
-    aes.decrypt_block(block.data());
-    EXPECT_EQ(to_hex(block), "00112233445566778899aabbccddeeff") << c.key;
-  }
 }
 
 // RFC 8439 appendix A.1, test vector #1: all-zero key/nonce, counter 0.

@@ -2,6 +2,7 @@
 // randomized equivalence against the scalar core across lane occupancies
 // and message lengths. The contract under test: acceleration NEVER changes
 // a digest.
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -158,9 +159,8 @@ TEST(Sha256MbTest, MixedTagBatchHonorsPerMessageTags) {
   const auto digests = sha256_many_mixed(batch);
   ASSERT_EQ(digests.size(), 3u);
   EXPECT_EQ(digests[0], sha256(chunk));
-  Bytes leaf;
-  leaf.push_back(0x00);
-  leaf.insert(leaf.end(), chunk.begin(), chunk.end());
+  Bytes leaf(1 + chunk.size(), 0x00);
+  std::copy(chunk.begin(), chunk.end(), leaf.begin() + 1);
   EXPECT_EQ(digests[1], sha256(leaf));
   leaf[0] = 0x01;
   EXPECT_EQ(digests[2], sha256(leaf));

@@ -2,6 +2,7 @@
 // re-hash bounds, rank-based position binding, and batched proofs.
 #include <algorithm>
 #include <bit>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -171,6 +172,27 @@ TEST(DynMerkleTest, BoundaryInsertEraseAndSingleton) {
   EXPECT_THROW(tree.insert(1, only), std::out_of_range);
 }
 
+// Offsets of the u64 rank fields in a DynBatchProof's pruned-tree
+// encoding: (0 hash rank) a pruned subtree, (1 hash) a challenged leaf,
+// (2 left right) an expanded interior node; hash is u32-length-prefixed.
+void rank_offsets(const Bytes& nodes, std::size_t& pos,
+                  std::vector<std::size_t>& out) {
+  const std::uint8_t kind = nodes.at(pos++);
+  if (kind == 2) {
+    rank_offsets(nodes, pos, out);
+    rank_offsets(nodes, pos, out);
+    return;
+  }
+  const std::size_t hash_len = nodes.at(pos) | (nodes.at(pos + 1) << 8) |
+                               (nodes.at(pos + 2) << 16) |
+                               (std::size_t{nodes.at(pos + 3)} << 24);
+  pos += 4 + hash_len;
+  if (kind == 0) {
+    out.push_back(pos);
+    pos += 8;
+  }
+}
+
 TEST(DynMerkleTest, ProofsBindPosition) {
   crypto::Drbg rng(std::uint64_t{66});
   // Two IDENTICAL chunks at different indices: the rank annotations must
@@ -179,15 +201,37 @@ TEST(DynMerkleTest, ProofsBindPosition) {
   chunks[3] = chunks[11];
   const DynMerkleTree tree = DynMerkleTree::build(chunk_views(chunks));
 
-  DynProof proof = tree.prove(3);
-  EXPECT_TRUE(DynMerkleTree::verify(chunks[3], proof, tree.root()));
-  proof.leaf_index = 11;  // same chunk bytes, different claimed position
-  EXPECT_FALSE(DynMerkleTree::verify(chunks[11], proof, tree.root()));
+  // The verifier recomputes the index from the ranks: the proof for 3
+  // recovers 3, never 11, although both leaves hash the same.
+  const std::vector<std::uint64_t> three{3};
+  const DynBatchProof proof = tree.prove_batch(three);
+  std::vector<VerifiedLeaf> leaves;
+  ASSERT_TRUE(DynMerkleTree::verify_batch(
+      DynBatchProof::decode(proof.encode()), tree.root(), leaves));
+  ASSERT_EQ(leaves.size(), 1u);
+  EXPECT_EQ(leaves[0].index, 3u);
+  EXPECT_EQ(leaves[0].leaf_hash, DynMerkleTree::hash_chunk(chunks[11]));
 
-  // Round-trip through the wire encoding.
-  const DynProof decoded = DynProof::decode(tree.prove(7).encode());
-  EXPECT_TRUE(DynMerkleTree::verify(chunks[7], decoded, tree.root()));
-  EXPECT_FALSE(DynMerkleTree::verify(chunks[8], decoded, tree.root()));
+  const std::vector<std::uint64_t> eleven{11};
+  const DynBatchProof other = tree.prove_batch(eleven);
+  EXPECT_NE(other.nodes, proof.nodes);
+  ASSERT_TRUE(DynMerkleTree::verify_batch(other, tree.root(), leaves));
+  ASSERT_EQ(leaves.size(), 1u);
+  EXPECT_EQ(leaves[0].index, 11u);
+
+  // Every rank annotation is bound: flipping a bit of any sibling's rank
+  // (which would shift the recovered position) fails verification.
+  std::vector<std::size_t> ranks;
+  std::size_t pos = 0;
+  rank_offsets(proof.nodes, pos, ranks);
+  ASSERT_EQ(pos, proof.nodes.size());
+  ASSERT_EQ(ranks.size(), 4u);  // one sibling per level of a 16-leaf tree
+  for (const std::size_t offset : ranks) {
+    DynBatchProof bad = proof;
+    bad.nodes[offset] ^= 0x01;
+    EXPECT_FALSE(DynMerkleTree::verify_batch(bad, tree.root(), leaves))
+        << offset;
+  }
 }
 
 TEST(DynMerkleTest, BatchProofRoundTripsAndDetectsTampering) {
@@ -206,10 +250,12 @@ TEST(DynMerkleTest, BatchProofRoundTripsAndDetectsTampering) {
     EXPECT_EQ(leaves[i].leaf_hash, tree.leaf_hash(indices[i]));
   }
 
-  // Shared-prefix pruning: the batch must undercut independent paths.
+  // Shared-prefix pruning: the batch must undercut one single-index batch
+  // per challenged leaf.
   std::size_t individual = 0;
   for (const std::uint64_t index : indices) {
-    individual += tree.prove(index).encoded_size();
+    individual +=
+        tree.prove_batch(std::span(&index, 1)).encoded_size();
   }
   EXPECT_LT(proof.encoded_size(), individual);
 

@@ -249,7 +249,6 @@ TEST_F(DynProtocolTest, AggregatedAuditVerifiesLargeObjectEndToEnd) {
                                    .max_outstanding = 8,
                                    .seed = 3,
                                    .max_rounds = 4,
-                                   .mode = audit::ChallengeMode::kAggregate,
                                    .aggregate_count = 64});
   scheduler.start();
   network_.run();

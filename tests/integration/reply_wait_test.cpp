@@ -4,9 +4,13 @@
 // wait, a backoff or a retry budget shows up here as a changed timeline.
 // The stale-timer cases end a request early (a rejection or a conclusion)
 // and start the next one on the same object: the next request must wait
-// its own full timeline, untouched by the first request's timer.
+// its own full timeline, untouched by the first request's timer. The
+// forged-reply fixtures after them pin the rejection branches of the reply
+// handlers: each forged reply moves its own counter and nothing else.
+#include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -42,7 +46,7 @@ const pki::Identity& pooled(const std::string& name) {
   static const auto* pool = [] {
     auto* identities = new std::map<std::string, pki::Identity>();
     crypto::Drbg rng(std::uint64_t{51515});
-    for (const char* id : {"alice", "bob", "ttp", "auditor"}) {
+    for (const char* id : {"alice", "bob", "ttp", "auditor", "carol"}) {
       identities->emplace(id, pki::Identity(id, 1024, rng));
     }
     return identities;
@@ -894,6 +898,290 @@ TEST_F(ChunkResponseTest, SignaturesByAnotherKeyAreBadEvidence) {
   respond(response_payload(), &alice_id_, crypto::sha256(chunk()));
   expect_concluded(audit::AuditVerdict::kBadEvidence,
                    &nr::ActorStats::rejected_bad_evidence);
+}
+
+/// A shared object ("shared", four 64-byte chunks) that alice stored on
+/// bob, and an update of it that bob committed as version 2 but whose commit
+/// never reaches alice: her mirror holds version 1 and the update is still
+/// in flight. Each case forges messages at alice one second into the
+/// update's 15 s wait and checks, a second later, that they moved their
+/// own counters and nothing else: not the mirror, not the chain, not the
+/// pending op.
+class ConsClientRejectTest : public ReplyWaitTest {
+ protected:
+  using Counters = std::map<std::string, std::uint64_t>;
+
+  ConsClientRejectTest()
+      : alice_("alice", network_, alice_id_, rng_),
+        bob_("bob", network_, bob_id_, rng_) {
+    alice_.trust_peer("bob", bob_id_.public_key());
+    alice_.trust_peer("carol", pooled("carol").public_key());
+    bob_.trust_peer("alice", alice_id_.public_key());
+    alice_.store_shared("bob", "ttp", "shared", common::Bytes(256, 7), 64);
+    network_.run();
+    EXPECT_TRUE(alice_.object("shared")->opened);
+
+    network_.set_adversary("alice", "bob", [this](const net::Envelope& env) {
+      if (nr::NrMessage::decode(env.payload).header.flag ==
+          nr::MsgType::kViewQuery) {
+        ++view_queries_;
+      }
+      return net::AdversaryAction{};
+    });
+    // Bob's own replies (all under alice's txn) are lost; forgeries pass.
+    network_.set_adversary("bob", "alice", [this](const net::Envelope& env) {
+      const bool from_bob = nr::NrMessage::decode(env.payload).header.txn_id ==
+                            alice_.object("shared")->txn_id;
+      return from_bob ? net::AdversaryAction{
+                            net::AdversaryAction::Kind::kDrop, {}}
+                      : net::AdversaryAction{};
+    });
+    EXPECT_TRUE(alice_.update("shared", 0, common::Bytes(64, 9)));
+    before_ = counters();
+    forged_before_ = next_forged_seq_;
+  }
+
+  Counters counters() const {
+    const auto* obj = alice_.object("shared");
+    const auto* pending = alice_.pending("shared");
+    const nr::ActorStats& s = alice_.stats();
+    return {{"sent", s.sent},
+            {"received", s.received},
+            {"accepted", s.accepted},
+            {"rejected_unknown_sender", s.rejected_unknown_sender},
+            {"rejected_expired", s.rejected_expired},
+            {"rejected_replay", s.rejected_replay},
+            {"rejected_bad_sequence", s.rejected_bad_sequence},
+            {"rejected_bad_hash", s.rejected_bad_hash},
+            {"rejected_bad_evidence", s.rejected_bad_evidence},
+            {"rejected_wrong_addressee", s.rejected_wrong_addressee},
+            {"head_version", obj->chain.head_version()},
+            {"view_head_seq", obj->checker->view().head_seq()},
+            {"commits_applied", obj->commits_applied},
+            {"receipts", obj->receipts},
+            {"duplicate_commits", obj->duplicate_commits},
+            {"rejected", obj->rejected},
+            {"stale_resubmits", obj->stale_resubmits},
+            {"timeouts", obj->timeouts},
+            {"suspicions", obj->checker->suspicions()},
+            {"forks_detected", alice_.forks_detected()},
+            {"fork_reported", obj->fork_reported ? 1u : 0u},
+            {"pending_version", pending ? pending->record.version : 0},
+            {"view_queries", view_queries_}};
+  }
+
+  /// Bob's committed op at `version` (his log runs from version 1).
+  const consistency::CommittedOp& bob_op(std::uint64_t version) const {
+    return bob_.object_state("shared")->branches[0].log.at(version - 1);
+  }
+
+  /// `view` under bob's true signature.
+  consistency::SignedViewCommitment signed_by_bob(
+      consistency::ViewCommitment view) const {
+    common::Bytes sig = bob_id_.sign(view.encode());
+    return {std::move(view), std::move(sig)};
+  }
+
+  void forge_commit(const consistency::CommittedOp& op) {
+    common::BinaryWriter payload;
+    payload.str("shared");
+    payload.u32(64);
+    payload.bytes(op.encode());
+    forge("bob", "alice", nr::MsgType::kConsCommit, "forged", payload);
+  }
+
+  void forge_gossip(const consistency::SignedViewCommitment& commit) {
+    common::BinaryWriter payload;
+    payload.str("shared");
+    payload.u32(1);
+    payload.bytes(commit.encode());
+    forge("carol", "alice", nr::MsgType::kGossipViews, "gossip", payload);
+  }
+
+  /// Runs `forgery` one second into the update's wait.
+  void at_one_second(std::function<void()> forgery) {
+    network_.schedule(1 * kSecond, std::move(forgery));
+  }
+
+  /// Alice's counters and mirror.
+  struct State {
+    Counters counters;
+    common::Bytes root;
+    std::vector<common::Bytes> chunks;
+  };
+  State state() const {
+    const auto* obj = alice_.object("shared");
+    return {counters(), obj->tree.root(), obj->chunks};
+  }
+
+  /// Runs the forgeries out; alice's state two seconds into the wait, and
+  /// the counters it started from plus one received and accepted message
+  /// per forgery.
+  std::pair<State, Counters> run_out() {
+    State after;
+    network_.schedule(2 * kSecond, [&] { after = state(); });
+    network_.run();
+    Counters expected = before_;
+    expected["received"] += next_forged_seq_ - forged_before_;
+    expected["accepted"] += next_forged_seq_ - forged_before_;
+    return {std::move(after), std::move(expected)};
+  }
+
+  /// Runs the forgeries out and checks that they changed alice's counters
+  /// by `move` only, and her mirror not at all.
+  void expect_only(const std::function<void(Counters&)>& move) {
+    const State before = state();
+    auto [after, expected] = run_out();
+    move(expected);
+    EXPECT_EQ(after.counters, expected);
+    EXPECT_EQ(after.root, before.root);
+    EXPECT_EQ(after.chunks, before.chunks);
+  }
+
+  consistency::ConsClientActor alice_;
+  consistency::ConsProviderActor bob_;
+  std::uint64_t view_queries_ = 0;
+  Counters before_;
+  std::uint64_t forged_before_ = 0;
+};
+
+TEST_F(ConsClientRejectTest, FixtureLeavesTheUpdatePendingOnVersionOne) {
+  EXPECT_EQ(before_.at("head_version"), 1u);
+  EXPECT_EQ(before_.at("pending_version"), 2u);
+  // Bob's true commit settles the update: version 2 applied, the op retired
+  // as its own receipt.
+  at_one_second([this] { forge_commit(bob_op(2)); });
+  auto [after, expected] = run_out();
+  expected["head_version"] = 2;
+  expected["view_head_seq"] = 2;
+  ++expected["commits_applied"];
+  ++expected["receipts"];
+  expected["pending_version"] = 0;
+  EXPECT_EQ(after.counters, expected);
+  EXPECT_EQ(after.root, bob_op(2).record.record.new_root);
+  EXPECT_EQ(after.chunks,
+            bob_.object_state("shared")->branches[0].chunks);
+}
+
+TEST_F(ConsClientRejectTest, CommitWithBadProviderSignatureIsBadEvidence) {
+  at_one_second([this] {
+    consistency::CommittedOp op = bob_op(2);
+    op.commit.provider_sig[0] ^= 0x01;
+    forge_commit(op);
+  });
+  expect_only([](Counters& c) { ++c["rejected_bad_evidence"]; });
+}
+
+TEST_F(ConsClientRejectTest, CommitConflictingAtAnOccupiedPositionIsAFork) {
+  at_one_second([this] {
+    // Position 1, which alice holds, signed again with other contents.
+    consistency::CommittedOp op = bob_op(1);
+    consistency::ViewCommitment view = op.commit.view;
+    view.client = "carol";
+    op.commit = signed_by_bob(std::move(view));
+    forge_commit(op);
+  });
+  expect_only([](Counters& c) {
+    ++c["forks_detected"];
+    c["fork_reported"] = 1;
+  });
+  ASSERT_NE(alice_.fork_proof("shared"), nullptr);
+  EXPECT_TRUE(alice_.fork_proof("shared")->valid(bob_id_.public_key()));
+}
+
+TEST_F(ConsClientRejectTest, CommitSkippingPositionsAsksForTheView) {
+  at_one_second([this] {
+    consistency::CommittedOp op = bob_op(2);
+    consistency::ViewCommitment view = op.commit.view;
+    view.global_seq = 3;  // alice holds position 1 only
+    op.commit = signed_by_bob(std::move(view));
+    forge_commit(op);
+  });
+  expect_only([](Counters& c) {
+    ++c["suspicions"];
+    ++c["view_queries"];
+    ++c["sent"];
+  });
+}
+
+TEST_F(ConsClientRejectTest, ReplayedCommitOfAnAppliedVersionIsADuplicate) {
+  at_one_second([this] { forge_commit(bob_op(1)); });
+  expect_only([](Counters& c) { ++c["duplicate_commits"]; });
+}
+
+TEST_F(ConsClientRejectTest, CommitNamingAnotherObjectIsBadHash) {
+  at_one_second([this] {
+    consistency::CommittedOp op = bob_op(2);
+    consistency::ViewCommitment view = op.commit.view;
+    view.object_key = "other";
+    op.commit = signed_by_bob(std::move(view));
+    forge_commit(op);
+  });
+  expect_only([](Counters& c) { ++c["rejected_bad_hash"]; });
+}
+
+TEST_F(ConsClientRejectTest, ViewUpdateWithAnotherChunkSizeIsBadHash) {
+  // Bob's true log, which would advance alice to version 2, under a
+  // chunk size that is not the object's.
+  at_one_second([this] {
+    common::BinaryWriter payload;
+    payload.str("shared");
+    payload.u32(32);
+    consistency::write_op_log(payload, bob_.object_state("shared")->
+                                           branches[0].log);
+    forge("bob", "alice", nr::MsgType::kViewUpdate, "forged", payload);
+  });
+  expect_only([](Counters& c) { ++c["rejected_bad_hash"]; });
+}
+
+TEST_F(ConsClientRejectTest, StaleBouncePastTheResubmitBudgetDropsTheOp) {
+  at_one_second([this] {
+    for (std::size_t i = 0; i <= consistency::kMaxResubmits; ++i) {
+      common::BinaryWriter error;
+      error.str("shared");
+      error.u64(2);
+      error.str("stale view");
+      consistency::write_op_log(error, {});
+      forge("bob", "alice", nr::MsgType::kConsOpError, "bounce", error);
+    }
+  });
+  expect_only([](Counters& c) {
+    // kMaxResubmits rebuilds of version 2, each re-sent; the next bounce
+    // drops the op.
+    c["stale_resubmits"] += consistency::kMaxResubmits;
+    c["sent"] += consistency::kMaxResubmits;
+    ++c["rejected"];
+    c["pending_version"] = 0;
+  });
+}
+
+TEST_F(ConsClientRejectTest, GossipThatGapsResyncsWithoutAccusing) {
+  at_one_second([this] {
+    consistency::ViewCommitment view = bob_op(2).commit.view;
+    view.global_seq = 3;
+    forge_gossip(signed_by_bob(std::move(view)));
+  });
+  expect_only([](Counters& c) {
+    ++c["suspicions"];
+    ++c["view_queries"];
+    ++c["sent"];
+  });
+  EXPECT_EQ(alice_.fork_proof("shared"), nullptr);
+}
+
+TEST_F(ConsClientRejectTest, GossipThatFailsToLinkResyncsWithoutAccusing) {
+  at_one_second([this] {
+    // The next position, but linked to a head alice never saw.
+    consistency::ViewCommitment view = bob_op(2).commit.view;
+    view.prev_commit_hash = common::Bytes(32, 0x55);
+    forge_gossip(signed_by_bob(std::move(view)));
+  });
+  expect_only([](Counters& c) {
+    ++c["suspicions"];
+    ++c["view_queries"];
+    ++c["sent"];
+  });
+  EXPECT_EQ(alice_.fork_proof("shared"), nullptr);
 }
 
 }  // namespace

@@ -34,17 +34,35 @@ struct Pair {
   std::vector<Envelope> bob_got;
 };
 
+ReliableOptions traced() {
+  ReliableOptions options;
+  options.trace = true;
+  return options;
+}
+
+/// Trace events of `kind` that `channel` recorded for `seq`.
+std::vector<ChannelEvent> events(const ReliableChannel& channel,
+                                 ChannelEvent::Kind kind, std::uint64_t seq) {
+  std::vector<ChannelEvent> out;
+  for (const ChannelEvent& e : channel.trace()) {
+    if (e.kind == kind && e.seq == seq) out.push_back(e);
+  }
+  return out;
+}
+
 TEST(ReliableChannelTest, DeliversAndAcksOnCleanLink) {
-  Pair p(1);
+  Pair p(1, traced());
   const std::uint64_t seq = p.alice.send("bob", "app", to_bytes("hello"));
-  EXPECT_EQ(p.alice.status(seq), DeliveryStatus::kPending);
+  EXPECT_EQ(p.alice.stats().acks_received, 0u);
+  EXPECT_TRUE(events(p.alice, ChannelEvent::Kind::kAckReceived, seq).empty());
   p.network.run();
 
   ASSERT_EQ(p.bob_got.size(), 1u);
   EXPECT_EQ(common::to_string(p.bob_got[0].payload), "hello");
   EXPECT_EQ(p.bob_got[0].from, "alice");
   EXPECT_EQ(p.bob_got[0].topic, "app");
-  EXPECT_EQ(p.alice.status(seq), DeliveryStatus::kAcked);
+  EXPECT_EQ(events(p.alice, ChannelEvent::Kind::kAckReceived, seq).size(),
+            1u);
   EXPECT_EQ(p.alice.stats().transmissions, 1u);
   EXPECT_EQ(p.alice.stats().retransmissions, 0u);
   EXPECT_EQ(p.alice.stats().acks_received, 1u);
@@ -52,7 +70,7 @@ TEST(ReliableChannelTest, DeliversAndAcksOnCleanLink) {
 }
 
 TEST(ReliableChannelTest, RetransmitsThroughLossUntilAcked) {
-  Pair p(7);
+  Pair p(7, traced());
   LinkConfig lossy;
   lossy.latency = kMillisecond;
   lossy.loss_probability = 0.3;
@@ -67,8 +85,10 @@ TEST(ReliableChannelTest, RetransmitsThroughLossUntilAcked) {
   // 8 attempts against 30% loss (both directions): all 20 get through.
   EXPECT_EQ(p.bob_got.size(), 20u);
   for (const std::uint64_t seq : seqs) {
-    EXPECT_EQ(p.alice.status(seq), DeliveryStatus::kAcked);
+    EXPECT_FALSE(
+        events(p.alice, ChannelEvent::Kind::kAckReceived, seq).empty());
   }
+  EXPECT_EQ(p.alice.stats().unreachable, 0u);
   EXPECT_GT(p.alice.stats().retransmissions, 0u);
   EXPECT_GT(p.alice.stats().bytes_retransmitted, 0u);
 }
@@ -114,7 +134,7 @@ TEST(ReliableChannelTest, ReorderedFramesStillDeliverExactlyOnceEach) {
 }
 
 TEST(ReliableChannelTest, GivesUpAfterMaxAttemptsAndReportsUnreachable) {
-  ReliableOptions options;
+  ReliableOptions options = traced();
   options.max_attempts = 3;
   options.initial_rto = 10 * kMillisecond;
   Pair p(1, options);
@@ -122,49 +142,19 @@ TEST(ReliableChannelTest, GivesUpAfterMaxAttemptsAndReportsUnreachable) {
   dead.loss_probability = 1.0;
   p.network.set_default_link(dead);
 
-  std::vector<std::tuple<std::string, std::string, std::uint64_t>> reported;
-  p.alice.set_unreachable_handler(
-      [&reported](const std::string& to, const std::string& topic,
-                  std::uint64_t seq) { reported.emplace_back(to, topic, seq); });
-
   const std::uint64_t seq = p.alice.send("bob", "app", to_bytes("void"));
   p.network.run();
 
-  EXPECT_EQ(p.alice.status(seq), DeliveryStatus::kUnreachable);
   EXPECT_EQ(p.alice.stats().transmissions, 3u);
   EXPECT_EQ(p.alice.stats().unreachable, 1u);
-  ASSERT_EQ(reported.size(), 1u);
-  EXPECT_EQ(std::get<0>(reported[0]), "bob");
-  EXPECT_EQ(std::get<1>(reported[0]), "app");
-  EXPECT_EQ(std::get<2>(reported[0]), seq);
+  const std::vector<ChannelEvent> gave_up =
+      events(p.alice, ChannelEvent::Kind::kUnreachable, seq);
+  ASSERT_EQ(gave_up.size(), 1u);
+  EXPECT_EQ(gave_up[0].peer, "bob");
+  EXPECT_EQ(gave_up[0].attempt, 3u);
+  EXPECT_EQ(p.alice.trace().back().kind, ChannelEvent::Kind::kUnreachable);
+  EXPECT_TRUE(events(p.alice, ChannelEvent::Kind::kAckReceived, seq).empty());
   EXPECT_TRUE(p.bob_got.empty());
-}
-
-TEST(ReliableChannelTest, GivenUpSeqsAreRememberedOnlyWithinTheWindow) {
-  ReliableOptions options;
-  options.dedup_window = 4;
-  options.max_attempts = 1;
-  options.initial_rto = 10 * kMillisecond;
-  Pair p(1, options);
-  LinkConfig dead;
-  dead.loss_probability = 1.0;
-  p.network.set_default_link(dead);
-
-  std::vector<std::uint64_t> seqs;
-  for (int i = 0; i < 6; ++i) {
-    seqs.push_back(p.alice.send("bob", "app", to_bytes("void")));
-    p.network.run();
-  }
-
-  // Every give-up is counted; status() remembers only the last four, and
-  // the first seq reads kPending again, as an acked seq past the window
-  // does.
-  EXPECT_EQ(p.alice.stats().unreachable, 6u);
-  EXPECT_EQ(p.alice.status(seqs[0]), DeliveryStatus::kPending);
-  EXPECT_EQ(p.alice.status(seqs[1]), DeliveryStatus::kPending);
-  for (std::size_t i = 2; i < seqs.size(); ++i) {
-    EXPECT_EQ(p.alice.status(seqs[i]), DeliveryStatus::kUnreachable);
-  }
 }
 
 TEST(ReliableChannelTest, RtoBacksOffExponentially) {
