@@ -1,6 +1,7 @@
 #include "crypto/hash.h"
 
 #include "common/error.h"
+#include "crypto/counters.h"
 #include "crypto/md5.h"
 #include "crypto/sha1.h"
 #include "crypto/sha256.h"
@@ -52,6 +53,11 @@ Bytes digest(HashKind kind, BytesView data) {
 
 Bytes md5(BytesView data) { return digest(HashKind::kMd5, data); }
 
-Bytes sha256(BytesView data) { return digest(HashKind::kSha256, data); }
+Bytes sha256(BytesView data) {
+  // Padded length in 64-byte blocks: the data, 0x80 and the 8-byte length.
+  counters().scalar_blocks.fetch_add((data.size() + 8) / 64 + 1,
+                                     std::memory_order_relaxed);
+  return digest(HashKind::kSha256, data);
+}
 
 }  // namespace tpnr::crypto

@@ -59,6 +59,7 @@ Bytes digest(HashKind kind, BytesView data);
 Bytes md5(BytesView data);
 
 /// One-shot SHA-256 — used by evidence hashes and SharedKey signatures.
+/// Adds its padded block count to counters().scalar_blocks.
 Bytes sha256(BytesView data);
 
 }  // namespace tpnr::crypto

@@ -83,7 +83,8 @@ void Md5::process_block(const std::uint8_t* block) noexcept {
 void Md5::update(BytesView data) {
   total_bytes_ += data.size();
   std::size_t offset = 0;
-  if (buffered_ > 0) {
+  // An empty view may carry a null pointer, which memcpy must not see.
+  if (buffered_ > 0 && !data.empty()) {
     const std::size_t take = std::min(data.size(), 64 - buffered_);
     std::memcpy(buffer_.data() + buffered_, data.data(), take);
     buffered_ += take;

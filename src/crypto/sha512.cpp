@@ -100,7 +100,8 @@ void Sha512Core::update(BytesView data) {
   total_lo_ += data.size();
   if (total_lo_ < prev) ++total_hi_;
   std::size_t offset = 0;
-  if (buffered_ > 0) {
+  // An empty view may carry a null pointer, which memcpy must not see.
+  if (buffered_ > 0 && !data.empty()) {
     const std::size_t take = std::min(data.size(), 128 - buffered_);
     std::memcpy(buffer_.data() + buffered_, data.data(), take);
     buffered_ += take;

@@ -1,8 +1,9 @@
-// The RSA fast path must be a pure speedup: Montgomery/CIOS modexp, CRT
-// signing and batched verification all have to be bit-for-bit identical to
-// the reference exponentiation, BigInt::mod_pow_classic. These tests pin
-// that down with randomized equivalence sweeps (512/1024/2048-bit), an edge
-// matrix over modulus widths, exponent shapes and bases, sign and verify
+// The RSA fast path must be a pure speedup: Montgomery/CIOS modexp, the dual
+// IFMA exponentiation of both CRT halves, CRT signing and batched
+// verification all have to be bit-for-bit identical to the reference
+// exponentiation, BigInt::mod_pow_classic. These tests pin that down with
+// randomized equivalence sweeps (512/1024/2048-bit), edge matrices over
+// modulus widths, exponent shapes and bases, sign and verify
 // checked against the reference computed over an independently built
 // RFC 8017 encoding, corrupted-signature rejection, the rsa_verify_many /
 // verify-memo interplay, and exact multiply counts under concurrent signing.
@@ -19,6 +20,7 @@
 #include "crypto/counters.h"
 #include "crypto/hash.h"
 #include "crypto/rsa.h"
+#include "crypto/rsa_ifma.h"
 
 namespace tpnr::crypto {
 namespace {
@@ -180,6 +182,135 @@ TEST(MontgomeryEquivalence, ModPowDispatcherMatchesClassicBothWays) {
   }
 }
 
+// The dual IFMA exponentiation, called directly, against the reference on
+// each half. Skipped where the CPU has no AVX-512 IFMA (the RSA tests below
+// then cover the scalar CRT path alone).
+class IfmaDualPowTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!IfmaDualPow::host_supported()) {
+      GTEST_SKIP() << "no AVX-512 IFMA on this CPU";
+    }
+  }
+
+  static void expect_matches_classic(const BigInt& p, const BigInt& q,
+                                     const BigInt& c, const BigInt& ep,
+                                     const BigInt& eq) {
+    const auto dual = IfmaDualPow::make(p, q);
+    ASSERT_TRUE(dual.has_value());
+    const auto [rp, rq] = dual->pow(c, ep, eq);
+    EXPECT_EQ(rp, c.mod_pow_classic(ep, p))
+        << p.bit_length() << "-bit p, c " << c.to_hex() << ", ep "
+        << ep.to_hex();
+    EXPECT_EQ(rq, c.mod_pow_classic(eq, q))
+        << q.bit_length() << "-bit q, c " << c.to_hex() << ", eq "
+        << eq.to_hex();
+  }
+};
+
+TEST_F(IfmaDualPowTest, RandomOperandsMatchClassicModPow) {
+  Drbg rng(std::uint64_t{0x1f3a});
+  for (const std::size_t bits : {256, 392, 512}) {
+    const BigInt p = BigInt::generate_prime(bits, rng);
+    const BigInt q = BigInt::generate_prime(bits, rng);
+    for (int i = 0; i < 3; ++i) {
+      const BigInt c = BigInt::random_below(p * q, rng);
+      expect_matches_classic(p, q, c, BigInt::random_below(p, rng),
+                             BigInt::random_below(q, rng));
+    }
+  }
+}
+
+TEST_F(IfmaDualPowTest, EdgeBasesMatchClassicModPow) {
+  Drbg rng(std::uint64_t{0x2b});
+  const BigInt p = BigInt::generate_prime(512, rng);
+  const BigInt q = BigInt::generate_prime(512, rng);
+  const BigInt ep = BigInt::random_below(p, rng);
+  const BigInt eq = BigInt::random_below(q, rng);
+  // c = 0 and c = p·q are 0 mod both primes; p - 1 and q - 1 are -1 in one
+  // half; bases at or above p and q are reduced first.
+  for (const BigInt& c :
+       {BigInt(0), p * q, p, q, p - BigInt(1), q - BigInt(1), BigInt(1),
+        p * q - BigInt(1), p + BigInt::random_below(p, rng),
+        (p * q).shifted_left(7) + BigInt(3)}) {
+    expect_matches_classic(p, q, c, ep, eq);
+    expect_matches_classic(p, q, c, BigInt(1), BigInt(2));
+  }
+}
+
+TEST_F(IfmaDualPowTest, ExponentShapesMatchClassicModPow) {
+  Drbg rng(std::uint64_t{0x3c});
+  const BigInt p = BigInt::generate_prime(512, rng);
+  const BigInt q = BigInt::generate_prime(392, rng);
+  const BigInt c = BigInt::random_below(p * q, rng);
+  const std::vector<std::pair<BigInt, BigInt>> exps = {
+      {BigInt(0), BigInt(0)},
+      {BigInt(0), BigInt::random_bits(300, rng)},
+      // Lengths 5k + 1: the top window holds one set bit over four zeros.
+      {pow2(500), pow2(385) + BigInt(1)},
+      // dp and dq of very different lengths: the short one's leading
+      // windows are all zero while the long one's run.
+      {BigInt::random_bits(511, rng), BigInt::random_bits(17, rng)},
+      {BigInt::random_bits(40, rng), BigInt::random_bits(391, rng)},
+      {BigInt::random_bits(512, rng), BigInt::random_bits(505, rng)},
+      // Long zero runs inside, and all ones.
+      {pow2(511) + pow2(5) + BigInt(1), pow2(390) + BigInt(31)},
+      {pow2(520) - BigInt(1), pow2(512) - BigInt(1)}};
+  for (const auto& [ep, eq] : exps) expect_matches_classic(p, q, c, ep, eq);
+}
+
+// Moduli made mostly of all-ones limbs at the widest allowed size make the
+// final carries ripple through many limbs.
+TEST_F(IfmaDualPowTest, AllOnesModuliAtTheWidthLimit) {
+  Drbg rng(std::uint64_t{0x4d});
+  const BigInt p = pow2(518) - BigInt(3);
+  const BigInt q = pow2(517) + pow2(300) - BigInt(1);
+  for (const BigInt& c : {p - BigInt(1), q - BigInt(1), pow2(517) - BigInt(1),
+                          BigInt::random_below(p * q, rng)}) {
+    expect_matches_classic(p, q, c, BigInt(1), BigInt(1));
+    expect_matches_classic(p, q, c, BigInt::random_bits(518, rng),
+                           BigInt::random_bits(517, rng));
+  }
+}
+
+// Under a modulus with a square factor, c = r is not 0 mod r^2 but c^2 is;
+// the almost-Montgomery chain then holds the modulus itself, which must
+// come out as 0.
+TEST_F(IfmaDualPowTest, ZeroResidueFromANonzeroBase) {
+  const BigInt r = pow2(200) + BigInt(235);
+  const BigInt n = r * r;
+  expect_matches_classic(n, n, r, BigInt(2), BigInt(77));
+  expect_matches_classic(n, n, r, BigInt(1), BigInt::from_hex("f00d1"));
+}
+
+TEST_F(IfmaDualPowTest, MakeRejectsUnfitModuli) {
+  const BigInt ok = pow2(511) + BigInt(1);
+  EXPECT_TRUE(IfmaDualPow::make(ok, pow2(518) - BigInt(1)).has_value());
+  EXPECT_FALSE(IfmaDualPow::make(ok, pow2(518) + BigInt(1)).has_value());
+  EXPECT_FALSE(IfmaDualPow::make(ok, pow2(300)).has_value());  // even
+  EXPECT_FALSE(IfmaDualPow::make(BigInt(1), ok).has_value());
+  EXPECT_FALSE(IfmaDualPow::make(BigInt(-7), ok).has_value());
+  const auto dual = IfmaDualPow::make(ok, ok);
+  ASSERT_TRUE(dual.has_value());
+  EXPECT_THROW((void)dual->pow(BigInt(2), pow2(520), BigInt(1)), CryptoError);
+  EXPECT_THROW((void)dual->pow(BigInt(-2), BigInt(3), BigInt(1)), CryptoError);
+}
+
+// One dual step is a Montgomery multiply in each half: a table of 32
+// powers (one conversion, 30 products), six steps per window below the top
+// one, and one conversion out.
+TEST_F(IfmaDualPowTest, CountsTwoModmulsPerDualStep) {
+  Drbg rng(std::uint64_t{0x5e});
+  const BigInt p = BigInt::generate_prime(256, rng);
+  const auto dual = IfmaDualPow::make(p, p);
+  ASSERT_TRUE(dual.has_value());
+  const std::uint64_t before = counters().mont_modmuls.load();
+  (void)dual->pow(BigInt(5), BigInt::random_bits(100, rng), BigInt(7));
+  const std::uint64_t windows = 20;  // 100 bits
+  EXPECT_EQ(counters().mont_modmuls.load() - before,
+            2 * (32 + 6 * (windows - 1)));
+}
+
 // Key generation dominates the suite's runtime; share one keypair per size.
 class RsaFastPathTest : public ::testing::Test {
  protected:
@@ -219,6 +350,33 @@ TEST_F(RsaFastPathTest, SignVerifyRoundTripAcrossSizesAndPaths) {
     EXPECT_EQ(fast_sig, classic_sig);
     EXPECT_TRUE(rsa_verify(key->pub, HashKind::kSha256, msg, classic_sig));
     EXPECT_TRUE(classic_verify(key->pub, msg, fast_sig));
+  }
+}
+
+// Private ops of keys up to 1036 bits run both CRT halves on the dual IFMA
+// path where the CPU has it; 2048-bit keys stay on the scalar halves. Either
+// way a private op counts one CRT sign and its signature is the reference.
+TEST_F(RsaFastPathTest, PrivateOpPathFollowsCpuAndPrimeWidth) {
+  const Bytes msg = to_bytes("path choice");
+  for (const RsaKeyPair* key : all_keys()) {
+    const RsaPrivateKey& priv = key->priv;
+    const bool dual = IfmaDualPow::host_supported() &&
+                      priv.n.bit_length() <= 1024;
+    EXPECT_EQ(IfmaDualPow::make(priv.p, priv.q).has_value(), dual);
+    ASSERT_NE(priv.crt_context(), nullptr);
+    const std::uint64_t crt_before = counters().crt_signs.load();
+    const std::uint64_t mm_before = counters().mont_modmuls.load();
+    EXPECT_EQ(rsa_sign(priv, HashKind::kSha256, msg), classic_sign(priv, msg));
+    EXPECT_EQ(counters().crt_signs.load() - crt_before, 1u);
+    if (dual) {
+      const std::size_t bits =
+          std::max(priv.d.mod(priv.p - BigInt(1)).bit_length(),
+                   priv.d.mod(priv.q - BigInt(1)).bit_length());
+      const std::uint64_t windows = (bits + 4) / 5;
+      EXPECT_EQ(counters().mont_modmuls.load() - mm_before,
+                2 * (32 + 6 * (windows - 1)))
+          << priv.n.bit_length() << "-bit key";
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -190,6 +191,20 @@ TEST(Sha256MbTest, CountersAttributeLaneWork) {
   EXPECT_GT(snap.mb_batches, 0u);
   // 64-byte messages pad to two blocks each; all lane blocks accounted.
   EXPECT_EQ(snap.mb_lane_blocks, 8u * 2u);
+}
+
+// The one-shot sha256 adds its padded block count to scalar_blocks: a
+// 1000-byte message pads to 16 blocks, 55 bytes still fit one block with
+// the 0x80 byte and the length, and 56 bytes need a second.
+TEST(Sha256MbTest, OneShotSha256CountsItsPaddedBlocks) {
+  for (const auto& [size, blocks] :
+       std::vector<std::pair<std::size_t, std::uint64_t>>{
+           {1000, 16}, {0, 1}, {55, 1}, {56, 2}, {64, 2}}) {
+    const std::uint64_t before = counters().scalar_blocks.load();
+    (void)sha256(Bytes(size, 0x61));
+    EXPECT_EQ(counters().scalar_blocks.load() - before, blocks)
+        << size << "-byte message";
+  }
 }
 
 }  // namespace
