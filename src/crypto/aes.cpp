@@ -4,6 +4,13 @@
 
 #include "common/error.h"
 
+#if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__)
+#define TPNR_HAVE_AESNI 1
+#include <immintrin.h>
+#else
+#define TPNR_HAVE_AESNI 0
+#endif
+
 namespace tpnr::crypto {
 
 namespace {
@@ -100,6 +107,12 @@ void Aes::expand_key(BytesView key) {
     round_keys_[static_cast<std::size_t>(i)] =
         round_keys_[static_cast<std::size_t>(i - nk)] ^ temp;
   }
+  for (std::size_t i = 0; i < static_cast<std::size_t>(total_words); ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      round_key_bytes_[4 * i + j] =
+          static_cast<std::uint8_t>(round_keys_[i] >> (8 * (3 - j)));
+    }
+  }
 }
 
 namespace {
@@ -141,9 +154,44 @@ void mix_columns(std::uint8_t state[16]) noexcept {
   }
 }
 
+#if TPNR_HAVE_AESNI
+__attribute__((target("aes,sse2"))) void encrypt_block_aesni(
+    const std::uint8_t* round_keys, int rounds, std::uint8_t* block) noexcept {
+  const auto* rk = reinterpret_cast<const __m128i*>(round_keys);
+  auto* io = reinterpret_cast<__m128i*>(block);
+  __m128i b = _mm_xor_si128(_mm_loadu_si128(io), _mm_loadu_si128(rk));
+  for (int round = 1; round < rounds; ++round) {
+    b = _mm_aesenc_si128(b, _mm_loadu_si128(rk + round));
+  }
+  _mm_storeu_si128(io, _mm_aesenclast_si128(b, _mm_loadu_si128(rk + rounds)));
+}
+#endif
+
 }  // namespace
 
+bool Aes::aesni_supported() noexcept {
+#if TPNR_HAVE_AESNI
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("aes") != 0;
+  }();
+  return supported;
+#else
+  return false;
+#endif
+}
+
 void Aes::encrypt_block(std::uint8_t* block) const noexcept {
+#if TPNR_HAVE_AESNI
+  if (aesni_supported()) {
+    encrypt_block_aesni(round_key_bytes_.data(), rounds_, block);
+    return;
+  }
+#endif
+  encrypt_block_portable(block);
+}
+
+void Aes::encrypt_block_portable(std::uint8_t* block) const noexcept {
   add_round_key(block, round_keys_.data());
   for (int round = 1; round < rounds_; ++round) {
     sub_bytes(block);
@@ -156,29 +204,38 @@ void Aes::encrypt_block(std::uint8_t* block) const noexcept {
   add_round_key(block, round_keys_.data() + 4 * rounds_);
 }
 
-AesCtr::AesCtr(BytesView key, BytesView nonce12) : aes_(key) {
+AesCtr::AesCtr(BytesView key, BytesView nonce12, std::uint32_t first_counter)
+    : aes_(key) {
   if (nonce12.size() != 12) {
     throw common::CryptoError("AesCtr: nonce must be 12 bytes");
   }
   std::memcpy(counter_block_.data(), nonce12.data(), 12);
-  // Low 4 bytes are the big-endian block counter, starting at 0.
+  for (std::size_t i = 0; i < 4; ++i) {
+    counter_block_[12 + i] =
+        static_cast<std::uint8_t>(first_counter >> (8 * (3 - i)));
+  }
 }
 
-void AesCtr::bump() noexcept {
+void AesCtr::next_keystream() noexcept {
+  keystream_ = counter_block_;
+  aes_.encrypt_block(keystream_.data());
   for (int i = 15; i >= 12; --i) {
     if (++counter_block_[static_cast<std::size_t>(i)] != 0) break;
   }
 }
 
 void AesCtr::apply(Bytes& data) {
-  for (auto& byte : data) {
-    if (pos_ == 16) {
-      keystream_ = counter_block_;
-      aes_.encrypt_block(keystream_.data());
-      bump();
-      pos_ = 0;
-    }
-    byte ^= keystream_[pos_++];
+  std::size_t i = 0;
+  // Use up the keystream block a previous call left part-spent, then whole
+  // blocks, then start a new block for the tail.
+  for (; i < data.size() && pos_ < 16; ++i) data[i] ^= keystream_[pos_++];
+  for (; i + 16 <= data.size(); i += 16) {
+    next_keystream();
+    for (std::size_t j = 0; j < 16; ++j) data[i + j] ^= keystream_[j];
+  }
+  if (i < data.size()) {
+    next_keystream();
+    for (pos_ = 0; i < data.size(); ++i) data[i] ^= keystream_[pos_++];
   }
 }
 

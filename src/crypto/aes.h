@@ -1,7 +1,9 @@
 // AES-128/192/256 block cipher (FIPS 197), forward direction only, and CTR
-// mode, which never runs the inverse cipher. Table-free S-box at
-// runtime (tables are computed once at static init). Not hardened against
-// cache-timing side channels — see DESIGN.md.
+// mode, which never runs the inverse cipher. On x86-64 CPUs with AES-NI
+// (CPUID, read once per process) a block runs on aesenc/aesenclast: no table
+// lookups. Elsewhere the portable rounds index an S-box computed at first
+// use; that fallback is not hardened against cache-timing side channels —
+// see DESIGN.md. The portable rounds are also the test oracle.
 #pragma once
 
 #include <array>
@@ -21,8 +23,14 @@ class Aes {
   /// Accepts 16-, 24- or 32-byte keys; throws CryptoError otherwise.
   explicit Aes(BytesView key);
 
-  /// Encrypts exactly one 16-byte block, in place.
+  /// Encrypts exactly one 16-byte block, in place, on AES-NI where the CPU
+  /// has it.
   void encrypt_block(std::uint8_t* block) const noexcept;
+  /// The same through the portable rounds, on every CPU.
+  void encrypt_block_portable(std::uint8_t* block) const noexcept;
+
+  /// Whether this CPU has AES-NI (CPUID, read once per process).
+  [[nodiscard]] static bool aesni_supported() noexcept;
 
   [[nodiscard]] int rounds() const noexcept { return rounds_; }
 
@@ -30,14 +38,18 @@ class Aes {
   void expand_key(BytesView key);
 
   std::array<std::uint32_t, 60> round_keys_{};
+  /// round_keys_ in block byte order, round r at byte 16r: the operand
+  /// layout of aesenc.
+  std::array<std::uint8_t, 240> round_key_bytes_{};
   int rounds_ = 0;
 };
 
-/// CTR mode keystream cipher: encrypt == decrypt. The 16-byte initial counter
-/// block is (nonce[12] || be32 counter starting at 0).
+/// CTR mode keystream cipher: encrypt == decrypt. The 16-byte counter block
+/// is (nonce[12] || be32 block counter), the counter starting at
+/// `first_counter` and wrapping modulo 2^32 without carrying into the nonce.
 class AesCtr {
  public:
-  AesCtr(BytesView key, BytesView nonce12);
+  AesCtr(BytesView key, BytesView nonce12, std::uint32_t first_counter = 0);
 
   /// XORs the keystream into `data` in place.
   void apply(Bytes& data);
@@ -48,7 +60,8 @@ class AesCtr {
   std::array<std::uint8_t, 16> keystream_{};
   std::size_t pos_ = 16;
 
-  void bump() noexcept;
+  /// keystream_ = E(counter block); then advances the counter.
+  void next_keystream() noexcept;
 };
 
 }  // namespace tpnr::crypto

@@ -57,7 +57,9 @@ Bytes sha256(BytesView data) {
   // Padded length in 64-byte blocks: the data, 0x80 and the 8-byte length.
   counters().scalar_blocks.fetch_add((data.size() + 8) / 64 + 1,
                                      std::memory_order_relaxed);
-  return digest(HashKind::kSha256, data);
+  Sha256 h;
+  h.update(data);
+  return h.finish();
 }
 
 }  // namespace tpnr::crypto

@@ -157,14 +157,15 @@ Bytes emsa_pkcs1_encode(HashKind kind, BytesView message, std::size_t em_len) {
 // MGF1 with SHA-256 (RFC 8017 §B.2.1) for the OAEP-like key wrap.
 Bytes mgf1(BytesView seed, std::size_t out_len) {
   Bytes out;
-  std::uint32_t counter = 0;
-  while (out.size() < out_len) {
-    Bytes input(seed.begin(), seed.end());
-    for (int i = 3; i >= 0; --i) {
-      input.push_back(static_cast<std::uint8_t>(counter >> (8 * i)));
+  out.reserve(out_len + 31);
+  Bytes input(seed.begin(), seed.end());
+  input.resize(seed.size() + 4);
+  std::uint8_t* const counter_be = input.data() + seed.size();
+  for (std::uint32_t counter = 0; out.size() < out_len; ++counter) {
+    for (int i = 0; i < 4; ++i) {
+      counter_be[i] = static_cast<std::uint8_t>(counter >> (8 * (3 - i)));
     }
     common::append(out, sha256(input));
-    ++counter;
   }
   out.resize(out_len);
   return out;

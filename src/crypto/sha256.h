@@ -1,13 +1,32 @@
 // SHA-256 and SHA-224 (FIPS 180-4). SHA-256 is the workhorse of the NR
 // protocol: evidence hashes and Azure SharedKey HMAC both run on it.
+//
+// The compression function has two kernels: the portable C++ rounds and,
+// on x86-64 CPUs with the SHA extensions (plus SSE4.1), the
+// sha256rnds2/sha256msg1/sha256msg2 instructions. One is chosen once per
+// process from CPUID; every caller below reaches the same choice, and the
+// portable kernel stays the fallback and the test oracle.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "crypto/hash.h"
 
 namespace tpnr::crypto {
+
+/// Compresses `nblocks` consecutive 64-byte blocks into `state` (a, ..., h):
+/// on SHA-NI where sha256_shani_supported(), else the portable rounds.
+void sha256_compress(std::uint32_t* state, const std::uint8_t* blocks,
+                     std::size_t nblocks) noexcept;
+
+/// The same through the portable rounds, on every CPU.
+void sha256_compress_portable(std::uint32_t* state, const std::uint8_t* blocks,
+                              std::size_t nblocks) noexcept;
+
+/// Whether this CPU has the SHA extensions and SSE4.1 (CPUID, read once).
+[[nodiscard]] bool sha256_shani_supported() noexcept;
 
 /// Captured compression state at a 64-byte block boundary. Lets a caller
 /// absorb a fixed prefix once (HMAC's ipad/opad blocks) and resume any
@@ -40,8 +59,6 @@ class Sha256Core : public Hash {
   [[nodiscard]] virtual std::array<std::uint32_t, 8> iv() const noexcept = 0;
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
-
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffered_ = 0;

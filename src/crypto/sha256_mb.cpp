@@ -82,6 +82,15 @@ Bytes scalar_digest(const TaggedMessage& m) {
 using CompressFn = void (*)(std::uint32_t*, const std::uint8_t* const*,
                             std::size_t);
 
+/// kScalar's one lane is the portable core on every CPU, so the engine the
+/// equivalence tests and the lane ablation call "scalar" is the same code
+/// wherever they run. Production singletons take the dispatching Sha256.
+void compress_x1_portable(std::uint32_t* state,
+                          const std::uint8_t* const* blocks,
+                          std::size_t nblocks) {
+  sha256_compress_portable(state, blocks[0], nblocks);
+}
+
 struct EngineInfo {
   CompressFn fn = nullptr;
   unsigned lanes = 1;
@@ -90,7 +99,7 @@ struct EngineInfo {
 EngineInfo engine_info(Sha256MbEngine engine) {
   switch (engine) {
     case Sha256MbEngine::kScalar:
-      return {nullptr, 1};
+      return {&compress_x1_portable, 1};
 #if TPNR_HAVE_MB_X4
     case Sha256MbEngine::kX4:
       return {&detail::sha256_mb_compress_x4, 4};
@@ -138,12 +147,17 @@ void hash_group(const EngineInfo& eng, std::span<const TaggedMessage> msgs,
       }
     }
     eng.fn(state.data(), ptrs.data(), nblocks);
-    counters().mb_batches.fetch_add(1, std::memory_order_relaxed);
-    counters().mb_lane_blocks.fetch_add(occupied * nblocks,
-                                        std::memory_order_relaxed);
-    // jobs-per-dispatch: mb_dispatch_jobs / mb_batches is the lane fill
-    // rate the fleet sweep gates on (idle replay lanes don't count).
-    counters().mb_dispatch_jobs.fetch_add(occupied, std::memory_order_relaxed);
+    if (lanes == 1) {
+      counters().scalar_blocks.fetch_add(nblocks, std::memory_order_relaxed);
+    } else {
+      counters().mb_batches.fetch_add(1, std::memory_order_relaxed);
+      counters().mb_lane_blocks.fetch_add(occupied * nblocks,
+                                          std::memory_order_relaxed);
+      // jobs-per-dispatch: mb_dispatch_jobs / mb_batches is the lane fill
+      // rate the fleet sweep gates on (idle replay lanes don't count).
+      counters().mb_dispatch_jobs.fetch_add(occupied,
+                                            std::memory_order_relaxed);
+    }
     for (std::size_t l = 0; l < occupied; ++l) {
       Bytes digest(32);
       for (int wd = 0; wd < 8; ++wd) {
@@ -166,7 +180,9 @@ std::vector<Bytes> many_core(Sha256MbEngine engine,
   if (eng.lanes == 0) {
     throw common::CryptoError("sha256_many: engine not available");
   }
-  if (eng.fn == nullptr || msgs.size() < 2) {
+  // A lone message on a lane engine runs on the dispatching one-lane core.
+  const bool lane_engine = eng.lanes > 1;
+  if (lane_engine && msgs.size() < 2) {
     for (std::size_t i = 0; i < msgs.size(); ++i) {
       out[i] = scalar_digest(msgs[i]);
     }
@@ -180,7 +196,7 @@ std::vector<Bytes> many_core(Sha256MbEngine engine,
     buckets[padded_blocks(total_len(msgs[i]))].push_back(i);
   }
   for (const auto& [nblocks, group] : buckets) {
-    if (group.size() == 1) {
+    if (lane_engine && group.size() == 1) {
       out[group[0]] = scalar_digest(msgs[group[0]]);
     } else {
       hash_group(eng, msgs, group, nblocks, out);

@@ -20,7 +20,7 @@ namespace tpnr::crypto {
 
 /// The implementations a batch call can run on.
 enum class Sha256MbEngine {
-  kScalar,  ///< one message at a time through the scalar core
+  kScalar,  ///< one message at a time through the portable scalar core
   kX4,      ///< 4 lanes, baseline vector ISA (SSE2 on x86-64)
   kX8Avx2,  ///< 8 lanes, AVX2 (only where compiled in and CPU-supported)
 };
