@@ -204,16 +204,12 @@ void Aes::encrypt_block_portable(std::uint8_t* block) const noexcept {
   add_round_key(block, round_keys_.data() + 4 * rounds_);
 }
 
-AesCtr::AesCtr(BytesView key, BytesView nonce12, std::uint32_t first_counter)
-    : aes_(key) {
+AesCtr::AesCtr(BytesView key, BytesView nonce12) : aes_(key) {
   if (nonce12.size() != 12) {
     throw common::CryptoError("AesCtr: nonce must be 12 bytes");
   }
   std::memcpy(counter_block_.data(), nonce12.data(), 12);
-  for (std::size_t i = 0; i < 4; ++i) {
-    counter_block_[12 + i] =
-        static_cast<std::uint8_t>(first_counter >> (8 * (3 - i)));
-  }
+  // Low 4 bytes are the big-endian block counter, starting at 0.
 }
 
 void AesCtr::next_keystream() noexcept {

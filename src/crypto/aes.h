@@ -1,9 +1,10 @@
 // AES-128/192/256 block cipher (FIPS 197), forward direction only, and CTR
 // mode, which never runs the inverse cipher. On x86-64 CPUs with AES-NI
-// (CPUID, read once per process) a block runs on aesenc/aesenclast: no table
-// lookups. Elsewhere the portable rounds index an S-box computed at first
-// use; that fallback is not hardened against cache-timing side channels —
-// see DESIGN.md. The portable rounds are also the test oracle.
+// (CPUID, read once per process) a block runs on aesenc/aesenclast, whose
+// rounds make no table lookups. Elsewhere the portable rounds index an S-box
+// computed at first use. Key expansion indexes the same S-box by key bytes
+// on every CPU, so neither path is hardened against cache-timing side
+// channels — see DESIGN.md. The portable rounds are also the test oracle.
 #pragma once
 
 #include <array>
@@ -45,11 +46,11 @@ class Aes {
 };
 
 /// CTR mode keystream cipher: encrypt == decrypt. The 16-byte counter block
-/// is (nonce[12] || be32 block counter), the counter starting at
-/// `first_counter` and wrapping modulo 2^32 without carrying into the nonce.
+/// is (nonce[12] || be32 block counter), the counter starting at 0 and
+/// wrapping modulo 2^32 without carrying into the nonce.
 class AesCtr {
  public:
-  AesCtr(BytesView key, BytesView nonce12, std::uint32_t first_counter = 0);
+  AesCtr(BytesView key, BytesView nonce12);
 
   /// XORs the keystream into `data` in place.
   void apply(Bytes& data);
@@ -62,6 +63,9 @@ class AesCtr {
 
   /// keystream_ = E(counter block); then advances the counter.
   void next_keystream() noexcept;
+
+  /// Test-only access to the counter block (tests/crypto/aes_hw_test.cpp).
+  friend struct AesCtrTestPeer;
 };
 
 }  // namespace tpnr::crypto

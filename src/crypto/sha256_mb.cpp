@@ -84,7 +84,9 @@ using CompressFn = void (*)(std::uint32_t*, const std::uint8_t* const*,
 
 /// kScalar's one lane is the portable core on every CPU, so the engine the
 /// equivalence tests and the lane ablation call "scalar" is the same code
-/// wherever they run. Production singletons take the dispatching Sha256.
+/// wherever they run. It is not the one-lane path production runs:
+/// singletons take the dispatching Sha256, which is SHA-NI where the CPU
+/// has it and then faster than any lane engine.
 void compress_x1_portable(std::uint32_t* state,
                           const std::uint8_t* const* blocks,
                           std::size_t nblocks) {

@@ -1,8 +1,10 @@
-// The AES-NI block path against the portable rounds, and CTR mode across a
-// wrap of its 32-bit block counter. The AES-NI tests skip on CPUs without
-// it; the counter test runs everywhere against the portable rounds.
+// The AES-NI block path against the portable rounds, and CTR mode applied in
+// uneven pieces and across a wrap of its 32-bit block counter. The AES-NI
+// tests skip on CPUs without it; the CTR tests run everywhere against the
+// portable rounds.
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 
 #include <gtest/gtest.h>
 
@@ -64,44 +66,90 @@ TEST_F(AesNiTest, Fips197VectorsOnBothPaths) {
   }
 }
 
-// The counter is the low 32 bits of the block and wraps to 0 without
-// carrying into the nonce. Applied whole and in uneven pieces.
-TEST(AesCtrWrapTest, CounterWrapsWithoutTouchingTheNonce) {
-  Drbg rng(std::uint64_t{198});
-  const Bytes key = rng.bytes(32);
-  const Bytes nonce = rng.bytes(12);
-  const Bytes plaintext = rng.bytes(4 * 16 + 5);
-
+// The keystream for `len` bytes from block counter `first` under the given
+// key and nonce, one portable block at a time.
+Bytes portable_keystream(const Bytes& key, const Bytes& nonce,
+                         std::uint32_t first, std::size_t len) {
   const Aes aes(key);
-  Bytes expected = plaintext;
-  for (std::size_t blk = 0; blk * 16 < expected.size(); ++blk) {
+  Bytes stream;
+  for (std::uint32_t ctr = first; stream.size() < len; ++ctr) {
     Bytes block = nonce;
-    const std::uint32_t ctr = 0xfffffffeu + static_cast<std::uint32_t>(blk);
     for (int i = 3; i >= 0; --i) {
       block.push_back(static_cast<std::uint8_t>(ctr >> (8 * i)));
     }
     aes.encrypt_block_portable(block.data());
-    for (std::size_t j = 0; j < 16 && blk * 16 + j < expected.size(); ++j) {
-      expected[blk * 16 + j] ^= block[j];
-    }
+    common::append(stream, block);
   }
+  stream.resize(len);
+  return stream;
+}
 
-  Bytes whole = plaintext;
-  AesCtr(key, nonce, 0xfffffffeu).apply(whole);
-  EXPECT_EQ(whole, expected);
+Bytes xor_bytes(Bytes a, const Bytes& b) {
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] ^= b[i];
+  return a;
+}
 
-  AesCtr pieces(key, nonce, 0xfffffffeu);
+// Applies `ctr` to `plaintext` in pieces of the given lengths.
+Bytes apply_in_pieces(AesCtr& ctr, const Bytes& plaintext,
+                      std::initializer_list<std::size_t> lengths) {
   Bytes out;
   std::size_t at = 0;
-  for (const std::size_t len : {3u, 16u, 29u, 0u, 21u}) {
+  for (const std::size_t len : lengths) {
     Bytes part(plaintext.begin() + static_cast<std::ptrdiff_t>(at),
                plaintext.begin() + static_cast<std::ptrdiff_t>(at + len));
-    pieces.apply(part);
+    ctr.apply(part);
     common::append(out, part);
     at += len;
   }
-  ASSERT_EQ(at, plaintext.size());
-  EXPECT_EQ(out, expected);
+  EXPECT_EQ(at, plaintext.size());
+  return out;
+}
+
+}  // namespace
+
+// Sets the block counter of a fresh AesCtr, so a test can reach the wrap
+// without 2^32 blocks of keystream.
+struct AesCtrTestPeer {
+  static void set_counter(AesCtr& ctr, std::uint32_t counter) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      ctr.counter_block_[12 + i] =
+          static_cast<std::uint8_t>(counter >> (8 * (3 - i)));
+    }
+  }
+};
+
+namespace {
+
+// Whole blocks, a part-used block carried across calls and an empty call.
+TEST(AesCtrPiecesTest, UnevenPiecesMatchThePortableKeystream) {
+  Drbg rng(std::uint64_t{198});
+  const Bytes key = rng.bytes(32);
+  const Bytes nonce = rng.bytes(12);
+  const Bytes plaintext = rng.bytes(4 * 16 + 5);
+  const Bytes expected = xor_bytes(
+      plaintext, portable_keystream(key, nonce, 0, plaintext.size()));
+
+  Bytes whole = plaintext;
+  AesCtr(key, nonce).apply(whole);
+  EXPECT_EQ(whole, expected);
+
+  AesCtr pieces(key, nonce);
+  EXPECT_EQ(apply_in_pieces(pieces, plaintext, {3, 16, 29, 0, 21}), expected);
+}
+
+// The counter is the low 32 bits of the block and wraps to 0 without
+// carrying into the nonce.
+TEST(AesCtrWrapTest, CounterWrapsWithoutTouchingTheNonce) {
+  Drbg rng(std::uint64_t{199});
+  const Bytes key = rng.bytes(32);
+  const Bytes nonce = rng.bytes(12);
+  const Bytes plaintext = rng.bytes(4 * 16 + 5);
+  const Bytes expected = xor_bytes(
+      plaintext, portable_keystream(key, nonce, 0xfffffffeu, plaintext.size()));
+
+  AesCtr ctr(key, nonce);
+  AesCtrTestPeer::set_counter(ctr, 0xfffffffeu);
+  EXPECT_EQ(apply_in_pieces(ctr, plaintext, {3, 16, 29, 0, 21}), expected);
 }
 
 }  // namespace
