@@ -59,32 +59,15 @@ std::string ConsClientActor::store_shared(const std::string& provider,
         "ConsClientActor::store_shared: object already tracked");
   }
 
-  SharedObject obj;
-  obj.provider = provider;
-  obj.ttp = ttp;
-  obj.object_key = object_key;
-  obj.txn_id = txn_ids_.next_id("cons");
+  SharedObject& obj = track(provider, ttp, object_key, *provider_key);
   obj.chunk_size = chunk_size;
-  obj.checker.emplace(object_key, *provider_key);
-
-  // The record commits to the post-store mirror, but the mirror itself
-  // stays empty until the provider's commit comes back — the consistency
-  // client is never optimistic.
-  const std::vector<Bytes> chunks = dyn::split_chunks(data, chunk_size);
-  const dyn::DynMerkleTree tree =
-      dyn::DynMerkleTree::build(dyn::chunk_views(chunks));
   PendingOp pending;
   pending.op = MutateOp::kStore;
   pending.chunk = Bytes(data.begin(), data.end());
-  pending.record = obj.chain.next_record(object_key, MutateOp::kStore, 0,
-                                         tree.leaf_count(), tree.root(), 0);
-  pending.client_sig = identity_->sign(pending.record.encode());
+  build_pending_record(obj, pending);
   pending_.open(object_key, std::move(pending));
-
-  const std::string txn_id = obj.txn_id;
-  objects_.emplace(object_key, std::move(obj));
   transmit_pending(object_key, 1);
-  return txn_id;
+  return obj.txn_id;
 }
 
 bool ConsClientActor::open_shared(const std::string& provider,
@@ -94,15 +77,20 @@ bool ConsClientActor::open_shared(const std::string& provider,
   if (provider_key == nullptr || objects_.count(object_key) != 0) {
     return false;
   }
-  SharedObject obj;
+  request_view(track(provider, ttp, object_key, *provider_key));
+  return true;
+}
+
+ConsClientActor::SharedObject& ConsClientActor::track(
+    const std::string& provider, const std::string& ttp,
+    const std::string& object_key, const crypto::RsaPublicKey& provider_key) {
+  SharedObject& obj = objects_[object_key];
   obj.provider = provider;
   obj.ttp = ttp;
   obj.object_key = object_key;
   obj.txn_id = txn_ids_.next_id("cons");
-  obj.checker.emplace(object_key, *provider_key);
-  auto it = objects_.emplace(object_key, std::move(obj)).first;
-  request_view(it->second);
-  return true;
+  obj.checker.emplace(object_key, provider_key);
+  return obj;
 }
 
 void ConsClientActor::request_view(SharedObject& obj) {
@@ -115,62 +103,33 @@ void ConsClientActor::request_view(SharedObject& obj) {
   send(std::move(header), payload.take(), std::move(evidence));
 }
 
-bool ConsClientActor::update(const std::string& object_key,
-                             std::uint64_t index, BytesView chunk) {
-  SharedObject* obj = mutable_object(object_key);
-  return obj != nullptr && begin_op(*obj, MutateOp::kUpdate, index, chunk);
-}
-
-bool ConsClientActor::insert(const std::string& object_key,
-                             std::uint64_t index, BytesView chunk) {
-  SharedObject* obj = mutable_object(object_key);
-  return obj != nullptr && begin_op(*obj, MutateOp::kInsert, index, chunk);
-}
-
-bool ConsClientActor::append_chunk(const std::string& object_key,
-                                   BytesView chunk) {
-  SharedObject* obj = mutable_object(object_key);
-  return obj != nullptr &&
-         begin_op(*obj, MutateOp::kAppend, obj->tree.leaf_count(), chunk);
-}
-
-bool ConsClientActor::erase(const std::string& object_key,
-                            std::uint64_t index) {
-  SharedObject* obj = mutable_object(object_key);
-  return obj != nullptr && begin_op(*obj, MutateOp::kErase, index, BytesView{});
-}
-
-bool ConsClientActor::begin_op(SharedObject& obj, MutateOp op,
+bool ConsClientActor::begin_op(const std::string& object_key, MutateOp op,
                                std::uint64_t index, BytesView chunk) {
-  if (!obj.opened || pending_.find(obj.object_key) != nullptr) return false;
+  SharedObject* obj = mutable_object(object_key);
+  if (obj == nullptr || !obj->opened || pending_.find(object_key) != nullptr) {
+    return false;
+  }
   PendingOp pending;
   pending.op = op;
   pending.index = index;
   pending.chunk = Bytes(chunk.begin(), chunk.end());
-  if (!build_pending_record(obj, pending)) return false;
-  pending_.open(obj.object_key, std::move(pending));
-  transmit_pending(obj.object_key, 1);
+  if (!build_pending_record(*obj, pending)) return false;
+  pending_.open(object_key, std::move(pending));
+  transmit_pending(object_key, 1);
   return true;
 }
 
 bool ConsClientActor::build_pending_record(SharedObject& obj,
                                            PendingOp& pending) {
   if (pending.op == MutateOp::kAppend) pending.index = obj.chunks.size();
-  if (dyn::check_chunk_op(pending.op, pending.index, pending.chunk,
-                          obj.chunks, obj.chunk_size) !=
-      dyn::ChunkOpFault::kNone) {
-    return false;  // store never rebuilds; the op may no longer apply
-  }
-
-  // Read the post-op root off the mirror and put the mirror straight back:
-  // it only really moves when the provider's commit comes back.
-  const dyn::ChunkMirror mirror{.tree = obj.tree, .chunks = obj.chunks};
-  dyn::ChunkOpUndo undo = dyn::apply_chunk_op(mirror, pending.op,
-                                              pending.index, pending.chunk);
-  pending.record = obj.chain.next_record(obj.object_key, pending.op,
-                                         pending.index, obj.tree.leaf_count(),
-                                         obj.tree.root(), 0);
-  dyn::undo_chunk_op(mirror, std::move(undo));
+  // The record commits to the post-op mirror, but the mirror only moves
+  // when the provider's commit comes back — the consistency client is
+  // never optimistic — so the staged op is undone at once.
+  std::optional<dyn::ObjectMirror::Staged> staged =
+      obj.stage(obj.object_key, pending.op, pending.index, pending.chunk);
+  if (!staged) return false;  // the op may no longer apply
+  obj.undo(std::move(staged->undo));
+  pending.record = std::move(staged->record);
   pending.client_sig = identity_->sign(pending.record.encode());
   return true;
 }
@@ -262,9 +221,7 @@ bool ConsClientActor::advance_mirror(SharedObject& obj,
       (client_key != nullptr && !op.record.verify_client(*client_key)) ||
       obj.chain.admit(op.record) != dyn::Admission::kNext ||
       rec.object_key != obj.object_key ||
-      dyn::apply_record({.tree = obj.tree, .chunks = obj.chunks},
-                        obj.chunk_size, rec,
-                        op.op_bytes) != dyn::ChunkOpFault::kNone) {
+      obj.apply(rec, op.op_bytes) != dyn::ChunkOpFault::kNone) {
     ++obj.rejected;
     return false;
   }

@@ -59,16 +59,13 @@ struct GossipOptions {
 
 class ConsClientActor final : public nr::NrActor {
  public:
-  /// Client-side state of one shared object.
-  struct SharedObject {
+  /// Client-side state of one shared object: the committed mirror, which
+  /// only commits move.
+  struct SharedObject : dyn::ObjectMirror {
     std::string provider;
     std::string ttp;
     std::string object_key;
     std::string txn_id;  ///< this client's request transaction
-    std::size_t chunk_size = 0;
-    std::vector<Bytes> chunks;  ///< committed mirror (commit-driven only)
-    dyn::DynMerkleTree tree;
-    dyn::VersionChain chain;
     std::optional<ForkChecker> checker;
     bool opened = false;  ///< view update (or own store commit) arrived
 
@@ -112,11 +109,19 @@ class ConsClientActor final : public nr::NrActor {
   // One submission may be in flight per object; these return false while
   // one is pending, before the object is opened, or on a bad index.
   bool update(const std::string& object_key, std::uint64_t index,
-              BytesView chunk);
+              BytesView chunk) {
+    return begin_op(object_key, dyn::MutateOp::kUpdate, index, chunk);
+  }
   bool insert(const std::string& object_key, std::uint64_t index,
-              BytesView chunk);
-  bool append_chunk(const std::string& object_key, BytesView chunk);
-  bool erase(const std::string& object_key, std::uint64_t index);
+              BytesView chunk) {
+    return begin_op(object_key, dyn::MutateOp::kInsert, index, chunk);
+  }
+  bool append_chunk(const std::string& object_key, BytesView chunk) {
+    return begin_op(object_key, dyn::MutateOp::kAppend, 0, chunk);
+  }
+  bool erase(const std::string& object_key, std::uint64_t index) {
+    return begin_op(object_key, dyn::MutateOp::kErase, index, {});
+  }
 
   /// Starts the periodic gossip timer. Peers are added with
   /// add_gossip_peer() (each must also be a trusted peer).
@@ -124,9 +129,6 @@ class ConsClientActor final : public nr::NrActor {
   /// One immediate gossip round, outside the timer cadence.
   void gossip_now();
   void add_gossip_peer(const std::string& peer_id);
-  [[nodiscard]] const std::vector<std::string>& gossip_peers() const noexcept {
-    return gossip_peers_;
-  }
 
   [[nodiscard]] const SharedObject* object(
       const std::string& object_key) const;
@@ -149,10 +151,15 @@ class ConsClientActor final : public nr::NrActor {
 
  private:
   SharedObject* mutable_object(const std::string& object_key);
-  bool begin_op(SharedObject& obj, dyn::MutateOp op, std::uint64_t index,
-                BytesView chunk);
+  /// Starts tracking `object_key` under a fresh txn id.
+  SharedObject& track(const std::string& provider, const std::string& ttp,
+                      const std::string& object_key,
+                      const crypto::RsaPublicKey& provider_key);
+  /// Builds and sends `op`; a kAppend's index is the object's chunk count.
+  bool begin_op(const std::string& object_key, dyn::MutateOp op,
+                std::uint64_t index, BytesView chunk);
   /// Builds (or rebuilds, after catch-up) `pending`'s record against the
-  /// current head. Returns false if the op no longer applies.
+  /// current head and signs it. Returns false if the op no longer applies.
   bool build_pending_record(SharedObject& obj, PendingOp& pending);
   /// Drops the object's pending op; a store's object goes with it, as its
   /// version 1 never committed.

@@ -11,20 +11,6 @@ namespace tpnr::consistency {
 using dyn::MutateOp;
 using dyn::VersionRecord;
 
-namespace {
-
-ConsProviderActor::Branch clone_branch(const ConsProviderActor::Branch& b) {
-  ConsProviderActor::Branch c;
-  c.chain = b.chain;
-  c.views = b.views;
-  c.log = b.log;
-  c.chunks = b.chunks;
-  c.tree = b.tree.clone();
-  return c;
-}
-
-}  // namespace
-
 ConsProviderActor::ConsProviderActor(std::string id, net::Network& network,
                                      pki::Identity& identity,
                                      crypto::Drbg& rng)
@@ -53,8 +39,9 @@ bool ConsProviderActor::fork_object(
     if (branch >= branch_count) return false;
   }
   state.branches.reserve(branch_count);
+  const Branch& main = state.branches.front();
   for (std::size_t i = 1; i < branch_count; ++i) {
-    state.branches.push_back(clone_branch(state.branches.front()));
+    state.branches.push_back(Branch{main.clone(), main.views, main.log});
   }
   for (const auto& [client, branch] : assignment) {
     state.branch_of[client] = branch;
@@ -91,18 +78,13 @@ void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
   const Bytes observed_head = r.bytes();
   r.expect_done();
 
-  // Envelope consistency before any state is touched: the loose fields
-  // must restate the signed record and the header must bind its new_root.
+  // The envelope, before any state is touched.
   const VersionRecord& rec = signed_record.record;
-  if (rec.object_key != object_key ||
-      static_cast<std::uint8_t>(rec.op) != op_byte ||
-      rec.chunk_index != index ||
-      !common::constant_time_equal(h.data_hash, rec.new_root)) {
-    ++stats_.rejected_bad_hash;
-    return;
-  }
-  if (!signed_record.verify_client(*sender_key)) {
-    ++stats_.rejected_bad_evidence;
+  if (!dyn::check_envelope(h,
+                           rec.object_key == object_key &&
+                               static_cast<std::uint8_t>(rec.op) == op_byte &&
+                               rec.chunk_index == index,
+                           signed_record, *sender_key, stats_)) {
     return;
   }
 
@@ -116,46 +98,39 @@ void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
       if (h.sender == state.creator &&
           main.chain.admit(signed_record) == dyn::Admission::kRetry) {
         ++receipts_resent_;
-        if (behavior_.send_commits) {
-          send_commit(h.sender, state.txn_id, object_key, state.chunk_size,
-                      main.log.front());
-        }
+        send_commit(h.sender, state.txn_id, object_key, main.chunk_size,
+                    main.log.front());
         return;
       }
-      send_op_error(h.sender, h.txn_id, object_key, rec.version,
-                    "object already exists", {});
+      send_op_error(h, object_key, rec.version, "object already exists");
       return;
     }
     Branch branch;
+    branch.chunk_size = chunk_size;
     if (chunk_size == 0 || chunk.empty() ||
         branch.chain.admit(signed_record) != dyn::Admission::kNext ||
         observed_head != ViewCommitment::genesis_link()) {
-      send_op_error(h.sender, h.txn_id, object_key, rec.version,
-                    "malformed store record", {});
+      send_op_error(h, object_key, rec.version, "malformed store record");
       return;
     }
-    if (dyn::apply_record({.tree = branch.tree, .chunks = branch.chunks},
-                          chunk_size, rec, chunk) != dyn::ChunkOpFault::kNone) {
-      send_op_error(h.sender, h.txn_id, object_key, rec.version,
-                    "store record root does not match the data", {});
+    if (branch.apply(rec, chunk) != dyn::ChunkOpFault::kNone) {
+      send_op_error(h, object_key, rec.version,
+                    "store record root does not match the data");
       return;
     }
-    SharedObjectState state;
+    SharedObjectState& state = objects_[object_key];
     state.txn_id = h.txn_id;
     state.creator = h.sender;
-    state.chunk_size = chunk_size;
     state.participants.push_back(h.sender);
     state.branches.push_back(std::move(branch));
-    const auto inserted = objects_.emplace(object_key, std::move(state)).first;
-    commit_op(object_key, inserted->second, 0, h.sender,
-              std::move(signed_record), std::move(chunk));
+    commit_op(object_key, state, 0, h.sender, std::move(signed_record),
+              std::move(chunk));
     return;
   }
 
   // Mutation path.
   if (it == objects_.end()) {
-    send_op_error(h.sender, h.txn_id, object_key, rec.version,
-                  "unknown object", {});
+    send_op_error(h, object_key, rec.version, "unknown object");
     return;
   }
   SharedObjectState& state = it->second;
@@ -169,14 +144,12 @@ void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
   const dyn::Admission admission = branch.chain.admit(signed_record);
   if (admission == dyn::Admission::kRetry) {
     ++receipts_resent_;
-    if (behavior_.send_commits) {
-      send_commit(h.sender, state.txn_id, object_key, state.chunk_size,
-                  branch.log[rec.version - 1]);
-    }
+    send_commit(h.sender, state.txn_id, object_key, branch.chunk_size,
+                branch.log[rec.version - 1]);
     return;
   }
   if (admission == dyn::Admission::kConflict) {
-    send_op_error(h.sender, h.txn_id, object_key, rec.version,
+    send_op_error(h, object_key, rec.version,
                   "version already committed to a different record",
                   suffix_from(branch, observed_head));
     return;
@@ -187,21 +160,19 @@ void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
   // suffix and re-submits against the new head.
   if (admission == dyn::Admission::kGap ||
       observed_head != branch.views.head_hash()) {
-    send_op_error(h.sender, h.txn_id, object_key, rec.version, "stale view",
+    send_op_error(h, object_key, rec.version, "stale view",
                   suffix_from(branch, observed_head));
     return;
   }
   if (admission == dyn::Admission::kUnlinked) {
-    send_op_error(h.sender, h.txn_id, object_key, rec.version,
-                  "record does not link to the committed head", {});
+    send_op_error(h, object_key, rec.version,
+                  "record does not link to the committed head");
     return;
   }
-  if (const dyn::ChunkOpFault fault =
-          dyn::apply_record({.tree = branch.tree, .chunks = branch.chunks},
-                            state.chunk_size, rec, chunk);
+  if (const dyn::ChunkOpFault fault = branch.apply(rec, chunk);
       fault != dyn::ChunkOpFault::kNone) {
-    send_op_error(h.sender, h.txn_id, object_key, rec.version,
-                  dyn::chunk_op_fault_reason(fault), {});
+    send_op_error(h, object_key, rec.version,
+                  dyn::chunk_op_fault_reason(fault));
     return;
   }
   commit_op(object_key, state, branch_index, h.sender,
@@ -255,10 +226,9 @@ void ConsProviderActor::commit_op(const std::string& object_key,
 
   // Fan the commit out to every client of THIS branch — the submitter's
   // copy doubles as its receipt.
-  if (!behavior_.send_commits) return;
   for (const std::string& client : state.participants) {
     if (state.branch_index(client) != branch_index) continue;
-    send_commit(client, state.txn_id, object_key, state.chunk_size, op);
+    send_commit(client, state.txn_id, object_key, branch.chunk_size, op);
     ++commits_sent_;
   }
 }
@@ -279,8 +249,7 @@ void ConsProviderActor::send_commit(const std::string& client,
   send(std::move(header), payload.take(), std::move(evidence));
 }
 
-void ConsProviderActor::send_op_error(const std::string& client,
-                                      const std::string& txn_id,
+void ConsProviderActor::send_op_error(const nr::MessageHeader& h,
                                       const std::string& object_key,
                                       std::uint64_t version,
                                       const std::string& reason,
@@ -291,13 +260,12 @@ void ConsProviderActor::send_op_error(const std::string& client,
   payload.u64(version);
   payload.str(reason);
   write_op_log(payload, suffix);
-  send(next_header(nr::MsgType::kConsOpError, client, /*ttp=*/"", txn_id,
+  send(next_header(nr::MsgType::kConsOpError, h.sender, /*ttp=*/"", h.txn_id,
                    Bytes{}, network_->now() + nr::kReplyWindow),
        payload.take());
 }
 
 void ConsProviderActor::handle_view_query(const nr::NrMessage& message) {
-  if (!behavior_.respond_to_view_query) return;
   const nr::MessageHeader& h = message.header;
   common::BinaryReader r(message.payload);
   const std::string object_key = r.str();
@@ -314,7 +282,7 @@ void ConsProviderActor::handle_view_query(const nr::NrMessage& message) {
       branch.views.head_hash(), network_->now() + nr::kReplyWindow);
   common::BinaryWriter payload;
   payload.str(object_key);
-  payload.u32(static_cast<std::uint32_t>(state.chunk_size));
+  payload.u32(static_cast<std::uint32_t>(branch.chunk_size));
   write_op_log(payload, branch.log);
   send(std::move(header), payload.take(), std::move(evidence));
 }

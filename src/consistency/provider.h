@@ -32,29 +32,20 @@
 
 namespace tpnr::consistency {
 
-/// Misbehaviour dials for the shared-object provider.
-struct ConsProviderBehavior {
-  bool send_commits = true;          ///< false: commits are withheld
-  bool respond_to_view_query = true; ///< false: joins/resyncs go unanswered
-};
-
 class ConsProviderActor final : public nr::NrActor {
  public:
-  /// One branch of an object's history. Honest objects have exactly one;
+  /// One branch of an object's history: its committed mirror plus the
+  /// view commitments and op log. Honest objects have exactly one;
   /// fork_object() clones more.
-  struct Branch {
-    dyn::VersionChain chain;
+  struct Branch : dyn::ObjectMirror {
     ViewHistory views;
     std::vector<CommittedOp> log;
-    std::vector<Bytes> chunks;  ///< committed mirror of this branch
-    dyn::DynMerkleTree tree;
   };
 
   /// Provider-side state of one shared object.
   struct SharedObjectState {
     std::string txn_id;   ///< the creating store's txn (commit fan-out key)
     std::string creator;
-    std::size_t chunk_size = 0;
     std::vector<std::string> participants;        ///< registration order
     std::map<std::string, std::size_t> branch_of; ///< client -> branch index
     std::vector<Branch> branches;                 ///< [0] is the main branch
@@ -75,11 +66,6 @@ class ConsProviderActor final : public nr::NrActor {
 
   ConsProviderActor(std::string id, net::Network& network,
                     pki::Identity& identity, crypto::Drbg& rng);
-
-  void set_behavior(ConsProviderBehavior behavior) { behavior_ = behavior; }
-  [[nodiscard]] const ConsProviderBehavior& behavior() const noexcept {
-    return behavior_;
-  }
 
   /// THE EQUIVOCATION ATTACK: split `object_key`'s state into
   /// `branch_count` identical branches and serve each client the branch
@@ -129,12 +115,12 @@ class ConsProviderActor final : public nr::NrActor {
   void send_commit(const std::string& client, const std::string& txn_id,
                    const std::string& object_key, std::size_t chunk_size,
                    const CommittedOp& op);
-  void send_op_error(const std::string& client, const std::string& txn_id,
+  /// Rejects the request `h` heads, with the log suffix it is missing.
+  void send_op_error(const nr::MessageHeader& h,
                      const std::string& object_key, std::uint64_t version,
                      const std::string& reason,
-                     std::span<const CommittedOp> suffix);
+                     std::span<const CommittedOp> suffix = {});
 
-  ConsProviderBehavior behavior_;
   std::map<std::string, SharedObjectState> objects_;  ///< by object key
   std::uint64_t receipts_resent_ = 0;
   std::uint64_t ops_rejected_ = 0;

@@ -23,12 +23,6 @@ const DynClientActor::DynObject* DynClientActor::object(
   return it == objects_.end() ? nullptr : &it->second;
 }
 
-const VersionChain* DynClientActor::chain(
-    const std::string& object_key) const {
-  const DynObject* obj = object(object_key);
-  return obj == nullptr ? nullptr : &obj->chain;
-}
-
 DynClientActor::DynObject* DynClientActor::mutable_object(
     const std::string& object_key) {
   const auto it = objects_.find(object_key);
@@ -61,67 +55,28 @@ std::string DynClientActor::store_dyn(const std::string& provider,
   obj.object_key = object_key;
   obj.txn_id = txn_ids_.next_id("dyn");
   obj.chunk_size = chunk_size;
-  obj.chunks = split_chunks(data, chunk_size);
-  obj.tree = DynMerkleTree::build(chunk_views(obj.chunks));
+  std::optional<ObjectMirror::Staged> staged =
+      obj.stage(object_key, MutateOp::kStore, 0, data);
   obj.tag_key = TagKey::derive(master_secret_, object_key);
   obj.alphas = std::make_shared<const std::vector<std::uint64_t>>(
       obj.tag_key.alphas(sectors_per_chunk(chunk_size)));
   obj.tags = make_tags(obj.tag_key, chunk_views(obj.chunks), *obj.alphas);
 
-  PendingOp pending;
-  pending.record = obj.chain.next_record(object_key, MutateOp::kStore, 0,
-                                         obj.tree.leaf_count(),
-                                         obj.tree.root(), 0);
-  pending.client_sig = identity_->sign(pending.record.encode());
-  pending.chunk = Bytes(data.begin(), data.end());
-  pending_.open(object_key, std::move(pending));
-
   const std::string txn_id = obj.txn_id;
   txn_to_object_[txn_id] = object_key;
-  objects_.emplace(object_key, std::move(obj));
-  transmit_pending(object_key, 1);
+  open_pending(objects_.emplace(object_key, std::move(obj)).first->second,
+               std::move(*staged), data);
   return txn_id;
 }
 
-bool DynClientActor::update(const std::string& object_key,
-                            std::uint64_t index, BytesView chunk) {
-  DynObject* obj = mutable_object(object_key);
-  return obj != nullptr &&
-         begin_mutation(*obj, MutateOp::kUpdate, index, chunk);
-}
-
-bool DynClientActor::insert(const std::string& object_key,
-                            std::uint64_t index, BytesView chunk) {
-  DynObject* obj = mutable_object(object_key);
-  return obj != nullptr &&
-         begin_mutation(*obj, MutateOp::kInsert, index, chunk);
-}
-
-bool DynClientActor::append_chunk(const std::string& object_key,
-                                  BytesView chunk) {
-  DynObject* obj = mutable_object(object_key);
-  return obj != nullptr &&
-         begin_mutation(*obj, MutateOp::kAppend, obj->tree.leaf_count(),
-                        chunk);
-}
-
-bool DynClientActor::erase(const std::string& object_key,
-                           std::uint64_t index) {
-  DynObject* obj = mutable_object(object_key);
-  return obj != nullptr &&
-         begin_mutation(*obj, MutateOp::kErase, index, BytesView{});
-}
-
-bool DynClientActor::begin_mutation(DynObject& obj, MutateOp op,
-                                    std::uint64_t index, BytesView chunk) {
+bool DynClientActor::begin_mutation(const std::string& object_key,
+                                    MutateOp op, std::uint64_t index,
+                                    BytesView chunk) {
+  DynObject* found = mutable_object(object_key);
   // One in-flight mutation per object.
-  if (pending_.find(obj.object_key) != nullptr) return false;
-  // The store serves aggregate challenges by slicing the object at a fixed
-  // chunk_size stride — refuse here what the provider would reject later.
-  if (check_chunk_op(op, index, chunk, obj.chunks, obj.chunk_size) !=
-      ChunkOpFault::kNone) {
-    return false;
-  }
+  if (found == nullptr || pending_.find(object_key) != nullptr) return false;
+  DynObject& obj = *found;
+  if (op == MutateOp::kAppend) index = obj.chunks.size();
 
   // The leaf hash feeds both the tag and the tree: hash the chunk once.
   Bytes leaf_hash;
@@ -130,18 +85,25 @@ bool DynClientActor::begin_mutation(DynObject& obj, MutateOp op,
     leaf_hash = DynMerkleTree::hash_chunk(chunk);
     tag = make_tag(obj.tag_key, chunk, leaf_hash, *obj.alphas);
   }
+  // The store serves aggregate challenges by slicing the object at a fixed
+  // chunk_size stride — staging refuses here what the provider would
+  // reject later.
+  std::optional<ObjectMirror::Staged> staged =
+      obj.stage(obj.object_key, op, index, chunk, tag, std::move(leaf_hash));
+  if (!staged) return false;
+  open_pending(obj, std::move(*staged), chunk);
+  return true;
+}
+
+void DynClientActor::open_pending(DynObject& obj, ObjectMirror::Staged staged,
+                                  BytesView bytes) {
   PendingOp pending;
-  pending.undo = apply_chunk_op(
-      {.tree = obj.tree, .chunks = obj.chunks, .tags = &obj.tags}, op, index,
-      chunk, tag, std::move(leaf_hash));
-  pending.record = obj.chain.next_record(obj.object_key, op, index,
-                                         obj.tree.leaf_count(),
-                                         obj.tree.root(), tag);
+  pending.record = std::move(staged.record);
+  pending.undo = std::move(staged.undo);
   pending.client_sig = identity_->sign(pending.record.encode());
-  pending.chunk = Bytes(chunk.begin(), chunk.end());
+  pending.chunk = Bytes(bytes.begin(), bytes.end());
   pending_.open(obj.object_key, std::move(pending));
   transmit_pending(obj.object_key, 1);
-  return true;
 }
 
 void DynClientActor::transmit_pending(const std::string& object_key,
@@ -197,8 +159,7 @@ void DynClientActor::revert_pending(DynObject& obj, PendingOp& pending) {
     txn_to_object_.erase(obj.txn_id);
     objects_.erase(object_key);  // `obj` is dead past this line
   } else {
-    undo_chunk_op({.tree = obj.tree, .chunks = obj.chunks, .tags = &obj.tags},
-                  std::move(pending.undo));
+    obj.undo(std::move(pending.undo));
   }
   pending_.retire(object_key);
 }

@@ -43,19 +43,15 @@ struct DynClientOptions {
 
 class DynClientActor final : public nr::NrActor {
  public:
-  /// Client-side state of one dynamic object.
-  struct DynObject {
+  /// Client-side state of one dynamic object: the optimistic mirror (its
+  /// chain holds countersigned records only) plus the PoR tag secrets.
+  struct DynObject : ObjectMirror {
     std::string provider;
     std::string ttp;
     std::string object_key;
     std::string txn_id;
-    std::size_t chunk_size = 0;
-    std::vector<Bytes> chunks;  ///< content mirror (inverse ops need bytes)
-    DynMerkleTree tree;         ///< rank-annotated mirror, O(log n) per op
-    std::vector<std::uint64_t> tags;
     TagKey tag_key;
     SharedAlphas alphas;  ///< α_j for this chunk size, shared with auditors
-    VersionChain chain;                 ///< countersigned records only
 
     // Outcome counters.
     std::uint64_t receipts = 0;
@@ -70,7 +66,7 @@ class DynClientActor final : public nr::NrActor {
     VersionRecord record;
     Bytes client_sig;
     Bytes chunk;  ///< op payload bytes (empty for erase; data for store)
-    ChunkOpUndo undo;  ///< restores the mirror if the op is rejected
+    ObjectMirror::Undo undo;  ///< restores the mirror if the op is rejected
   };
 
   /// `master_secret` seeds per-object TagKeys (shared with the auditor via
@@ -89,16 +85,27 @@ class DynClientActor final : public nr::NrActor {
   // One mutation may be in flight per object; these return false while one
   // is pending, on an unknown object, or on a bad index.
   bool update(const std::string& object_key, std::uint64_t index,
-              BytesView chunk);
+              BytesView chunk) {
+    return begin_mutation(object_key, MutateOp::kUpdate, index, chunk);
+  }
   bool insert(const std::string& object_key, std::uint64_t index,
-              BytesView chunk);
-  bool append_chunk(const std::string& object_key, BytesView chunk);
-  bool erase(const std::string& object_key, std::uint64_t index);
+              BytesView chunk) {
+    return begin_mutation(object_key, MutateOp::kInsert, index, chunk);
+  }
+  bool append_chunk(const std::string& object_key, BytesView chunk) {
+    return begin_mutation(object_key, MutateOp::kAppend, 0, chunk);
+  }
+  bool erase(const std::string& object_key, std::uint64_t index) {
+    return begin_mutation(object_key, MutateOp::kErase, index, {});
+  }
 
   [[nodiscard]] const DynObject* object(const std::string& object_key) const;
   /// Stable pointer into this actor's state — what the auditor pins its
   /// freshness checks against (must not outlive the actor).
-  [[nodiscard]] const VersionChain* chain(const std::string& object_key) const;
+  [[nodiscard]] const VersionChain* chain(const std::string& object_key) const {
+    const DynObject* obj = object(object_key);
+    return obj == nullptr ? nullptr : &obj->chain;
+  }
   /// The object's in-flight op, or nullptr when none is pending.
   [[nodiscard]] const PendingOp* pending(const std::string& object_key) const {
     return pending_.find(object_key);
@@ -111,8 +118,13 @@ class DynClientActor final : public nr::NrActor {
   DynObject* mutable_object(const std::string& object_key);
   /// The object a provider reply is about: known txn, sent by its provider.
   DynObject* reply_target(const nr::MessageHeader& h);
-  bool begin_mutation(DynObject& obj, MutateOp op, std::uint64_t index,
-                      BytesView chunk);
+  /// Stages and sends `op`; a kAppend's index is the object's chunk count.
+  bool begin_mutation(const std::string& object_key, MutateOp op,
+                      std::uint64_t index, BytesView chunk);
+  /// Signs `staged`'s record, opens it as the object's pending op carrying
+  /// `bytes`, and sends its first attempt.
+  void open_pending(DynObject& obj, ObjectMirror::Staged staged,
+                    BytesView bytes);
   /// Sends attempt `attempt` of the pending record under a fresh header and
   /// awaits its receipt.
   void transmit_pending(const std::string& object_key, std::size_t attempt);

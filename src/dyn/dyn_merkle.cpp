@@ -154,12 +154,6 @@ DynMerkleTree::NodePtr DynMerkleTree::rebalance(NodePtr node) {
 // ---------------------------------------------------------------------------
 // Mutations
 
-void DynMerkleTree::update(std::uint64_t index, BytesView chunk) {
-  Bytes leaf = hash_chunk(chunk);
-  ++hash_computations_;
-  update_leaf(index, std::move(leaf));
-}
-
 void DynMerkleTree::update_leaf(std::uint64_t index, Bytes leaf_hash) {
   if (index >= leaf_count()) {
     throw std::out_of_range("DynMerkleTree::update_leaf: index");
@@ -183,12 +177,6 @@ void DynMerkleTree::update_at(Node* node, std::uint64_t index,
   node->hash = interior_hash(node->left->rank, node->right->rank,
                              node->left->hash, node->right->hash);
   ++hash_computations_;
-}
-
-void DynMerkleTree::insert(std::uint64_t index, BytesView chunk) {
-  Bytes leaf = hash_chunk(chunk);
-  ++hash_computations_;
-  insert_leaf(index, std::move(leaf));
 }
 
 void DynMerkleTree::insert_leaf(std::uint64_t index, Bytes leaf_hash) {
@@ -505,24 +493,28 @@ const char* chunk_op_fault_reason(ChunkOpFault fault) {
   return kReasons[static_cast<std::size_t>(fault)];
 }
 
-ChunkOpFault check_chunk_op(MutateOp op, std::uint64_t index, BytesView chunk,
-                            std::span<const Bytes> chunks,
-                            std::size_t chunk_size) {
-  if (op == MutateOp::kStore) return ChunkOpFault::kStoreOp;
+ChunkOpFault ObjectMirror::check(MutateOp op, std::uint64_t index,
+                                 BytesView bytes) const {
   const std::uint64_t count = chunks.size();
+  if (op == MutateOp::kStore) {
+    if (count > 0) return ChunkOpFault::kStoreOp;
+    if (bytes.empty()) return ChunkOpFault::kNoChunkBytes;
+    return chunk_size == 0 ? ChunkOpFault::kOversizeChunk
+                           : ChunkOpFault::kNone;
+  }
   const bool inserting = op == MutateOp::kInsert || op == MutateOp::kAppend;
   if ((inserting ? index > count : index >= count) ||
       (op == MutateOp::kAppend && index != count)) {
     return ChunkOpFault::kIndexOutOfRange;
   }
   if (op == MutateOp::kErase) {
-    return chunk.empty() ? ChunkOpFault::kNone
+    return bytes.empty() ? ChunkOpFault::kNone
                          : ChunkOpFault::kEraseCarriesBytes;
   }
-  if (chunk.empty()) return ChunkOpFault::kNoChunkBytes;
-  if (chunk.size() > chunk_size) return ChunkOpFault::kOversizeChunk;
+  if (bytes.empty()) return ChunkOpFault::kNoChunkBytes;
+  if (bytes.size() > chunk_size) return ChunkOpFault::kOversizeChunk;
   const bool at_tail = inserting ? index == count : index + 1 == count;
-  if (!at_tail && chunk.size() != chunk_size) {
+  if (!at_tail && bytes.size() != chunk_size) {
     return ChunkOpFault::kShortInteriorChunk;
   }
   if (inserting && at_tail && count > 0 &&
@@ -532,99 +524,98 @@ ChunkOpFault check_chunk_op(MutateOp op, std::uint64_t index, BytesView chunk,
   return ChunkOpFault::kNone;
 }
 
-ChunkOpUndo apply_chunk_op(ChunkMirror mirror, MutateOp op,
-                           std::uint64_t index, BytesView chunk,
-                           std::uint64_t tag, Bytes leaf_hash) {
-  if (op == MutateOp::kStore) {
-    throw common::Error("apply_chunk_op: kStore is not a chunk op");
-  }
-  ChunkOpUndo undo;
+ObjectMirror::Undo ObjectMirror::change(MutateOp op, std::uint64_t index,
+                                        BytesView bytes, std::uint64_t tag,
+                                        Bytes leaf_hash) {
+  Undo undo;
   undo.op = op;
   undo.index = index;
-  undo.tree = mirror.tree.clone();
-  std::vector<std::uint64_t>* tags = mirror.tags;
+  undo.tree = tree.clone();
   const auto at = static_cast<std::ptrdiff_t>(index);
-  if (op == MutateOp::kErase) {
-    mirror.tree.erase(index);
-    undo.chunk = std::move(mirror.chunks[index]);
-    mirror.chunks.erase(mirror.chunks.begin() + at);
-    if (tags != nullptr) {
-      undo.tag = (*tags)[index];
-      tags->erase(tags->begin() + at);
-    }
+  if (op == MutateOp::kStore) {
+    chunks = split_chunks(bytes, chunk_size);
+    tree = DynMerkleTree::build(chunk_views(chunks));
+    tags.assign(chunks.size(), 0);
     return undo;
   }
-  if (leaf_hash.empty()) leaf_hash = DynMerkleTree::hash_chunk(chunk);
+  if (op == MutateOp::kErase) {
+    tree.erase(index);
+    undo.chunk = std::move(chunks[index]);
+    chunks.erase(chunks.begin() + at);
+    undo.tag = tags[index];
+    tags.erase(tags.begin() + at);
+    return undo;
+  }
+  if (leaf_hash.empty()) leaf_hash = DynMerkleTree::hash_chunk(bytes);
   if (op == MutateOp::kUpdate) {
-    mirror.tree.update_leaf(index, std::move(leaf_hash));
-    undo.chunk = std::exchange(mirror.chunks[index],
-                               Bytes(chunk.begin(), chunk.end()));
-    if (tags != nullptr) undo.tag = std::exchange((*tags)[index], tag);
+    tree.update_leaf(index, std::move(leaf_hash));
+    undo.chunk =
+        std::exchange(chunks[index], Bytes(bytes.begin(), bytes.end()));
+    undo.tag = std::exchange(tags[index], tag);
   } else {
-    mirror.tree.insert_leaf(index, std::move(leaf_hash));
-    mirror.chunks.insert(mirror.chunks.begin() + at,
-                         Bytes(chunk.begin(), chunk.end()));
-    if (tags != nullptr) tags->insert(tags->begin() + at, tag);
+    tree.insert_leaf(index, std::move(leaf_hash));
+    chunks.insert(chunks.begin() + at, Bytes(bytes.begin(), bytes.end()));
+    tags.insert(tags.begin() + at, tag);
   }
   return undo;
 }
 
-void undo_chunk_op(ChunkMirror mirror, ChunkOpUndo undo) {
-  std::vector<std::uint64_t>* tags = mirror.tags;
-  const auto at = static_cast<std::ptrdiff_t>(undo.index);
-  switch (undo.op) {
+void ObjectMirror::undo(Undo saved) {
+  const auto at = static_cast<std::ptrdiff_t>(saved.index);
+  switch (saved.op) {
+    case MutateOp::kStore:
+      chunks.clear();
+      tags.clear();
+      break;
     case MutateOp::kUpdate:
-      mirror.chunks[undo.index] = std::move(undo.chunk);
-      if (tags != nullptr) (*tags)[undo.index] = undo.tag;
+      chunks[saved.index] = std::move(saved.chunk);
+      tags[saved.index] = saved.tag;
       break;
     case MutateOp::kInsert:
     case MutateOp::kAppend:
-      mirror.chunks.erase(mirror.chunks.begin() + at);
-      if (tags != nullptr) tags->erase(tags->begin() + at);
+      chunks.erase(chunks.begin() + at);
+      tags.erase(tags.begin() + at);
       break;
     case MutateOp::kErase:
-      mirror.chunks.insert(mirror.chunks.begin() + at, std::move(undo.chunk));
-      if (tags != nullptr) tags->insert(tags->begin() + at, undo.tag);
-      break;
-    case MutateOp::kStore:
+      chunks.insert(chunks.begin() + at, std::move(saved.chunk));
+      tags.insert(tags.begin() + at, saved.tag);
       break;
   }
-  mirror.tree = std::move(undo.tree);
+  tree = std::move(saved.tree);
 }
 
-ChunkOpFault apply_record(ChunkMirror mirror, std::size_t chunk_size,
-                          const VersionRecord& rec, BytesView bytes) {
+std::optional<ObjectMirror::Staged> ObjectMirror::stage(
+    const std::string& object_key, MutateOp op, std::uint64_t index,
+    BytesView chunk, std::uint64_t tag, Bytes leaf_hash) {
+  if (check(op, index, chunk) != ChunkOpFault::kNone) return std::nullopt;
+  Undo undo = change(op, index, chunk, tag, std::move(leaf_hash));
+  return Staged{.record = chain.next_record(object_key, op, index,
+                                            tree.leaf_count(), tree.root(),
+                                            tag),
+                .undo = std::move(undo)};
+}
+
+ChunkOpFault ObjectMirror::apply(const VersionRecord& rec, BytesView bytes) {
   if ((rec.op == MutateOp::kStore) != (rec.version == 1)) {
     return ChunkOpFault::kStoreOp;
   }
-  if (rec.op == MutateOp::kStore) {
-    if (bytes.empty()) return ChunkOpFault::kNoChunkBytes;
-    if (chunk_size == 0) return ChunkOpFault::kOversizeChunk;
-    std::vector<Bytes> chunks = split_chunks(bytes, chunk_size);
-    DynMerkleTree tree = DynMerkleTree::build(chunk_views(chunks));
-    if (tree.leaf_count() != rec.chunk_count) return ChunkOpFault::kChunkCount;
-    if (!common::constant_time_equal(tree.root(), rec.new_root)) {
-      return ChunkOpFault::kNewRoot;
-    }
-    mirror.chunks = std::move(chunks);
-    mirror.tree = std::move(tree);
-    return ChunkOpFault::kNone;
-  }
-  if (const ChunkOpFault fault = check_chunk_op(
-          rec.op, rec.chunk_index, bytes, mirror.chunks, chunk_size);
+  if (const ChunkOpFault fault = check(rec.op, rec.chunk_index, bytes);
       fault != ChunkOpFault::kNone) {
     return fault;
   }
-  ChunkOpUndo undo =
-      apply_chunk_op(mirror, rec.op, rec.chunk_index, bytes, rec.chunk_tag);
+  Undo saved = change(rec.op, rec.chunk_index, bytes, rec.chunk_tag, {});
   ChunkOpFault fault = ChunkOpFault::kNone;
-  if (mirror.tree.leaf_count() != rec.chunk_count) {
+  if (tree.leaf_count() != rec.chunk_count) {
     fault = ChunkOpFault::kChunkCount;
-  } else if (!common::constant_time_equal(mirror.tree.root(), rec.new_root)) {
+  } else if (!common::constant_time_equal(tree.root(), rec.new_root)) {
     fault = ChunkOpFault::kNewRoot;
   }
-  if (fault != ChunkOpFault::kNone) undo_chunk_op(mirror, std::move(undo));
+  if (fault != ChunkOpFault::kNone) undo(std::move(saved));
   return fault;
+}
+
+ObjectMirror ObjectMirror::clone() const {
+  return {chunk_size, chunks, tree.clone(), tags, chain};
 }
 
 }  // namespace tpnr::dyn

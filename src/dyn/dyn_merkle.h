@@ -3,8 +3,8 @@
 // DPDP rank trees the ROADMAP cites).
 //
 // Unlike crypto::MerkleTree — which is rebuilt from the full byte buffer on
-// every change — DynMerkleTree supports update / insert / append / erase of
-// single chunks with O(log n) node re-hashes: the tree is height-balanced
+// every change — DynMerkleTree supports update / insert / erase of single
+// leaves with O(log n) node re-hashes: the tree is height-balanced
 // (AVL by leaf rank), so a mutation touches one root-to-leaf path plus a
 // constant number of rotation nodes. Every interior hash commits to the
 // LEAF RANKS of its children, so an inclusion proof simultaneously proves
@@ -21,7 +21,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/bytes.h"
@@ -63,9 +65,9 @@ class DynMerkleTree {
   DynMerkleTree& operator=(const DynMerkleTree&) = delete;
 
   /// Canonical balanced build over `chunks` (leaf hashes run through the
-  /// multi-lane SHA-256 engine). A tree mutated by update() only keeps the
-  /// build shape, so update-only histories stay byte-identical to a fresh
-  /// build over the final chunk vector.
+  /// multi-lane SHA-256 engine). A tree mutated by update_leaf() only keeps
+  /// the build shape, so update-only histories stay byte-identical to a
+  /// fresh build over the final chunk vector.
   static DynMerkleTree build(std::span<const BytesView> chunks);
 
   [[nodiscard]] std::uint64_t leaf_count() const noexcept {
@@ -80,12 +82,9 @@ class DynMerkleTree {
 
   // Mutations. Each re-hashes O(log n) nodes — hash_computations() meters
   // exactly how many. All throw std::out_of_range on a bad index.
-  void update(std::uint64_t index, BytesView chunk);
   void update_leaf(std::uint64_t index, Bytes leaf_hash);
   /// Inserts BEFORE `index` (index == leaf_count() appends).
-  void insert(std::uint64_t index, BytesView chunk);
   void insert_leaf(std::uint64_t index, Bytes leaf_hash);
-  void append(BytesView chunk) { insert(leaf_count(), chunk); }
   void erase(std::uint64_t index);
 
   /// Batched proof for sorted, deduplicated `indices`. Throws
@@ -102,8 +101,9 @@ class DynMerkleTree {
                            std::vector<VerifiedLeaf>& out);
 
   /// Node hashes computed since construction or reset — the O(log n)
-  /// counter the mutation tests assert on. Leaf and interior hashes both
-  /// count; the canonical build counts 2n−1.
+  /// counter the mutation tests assert on. The canonical build counts its
+  /// leaf hashes too (2n−1); a mutation takes its leaf hash ready-made and
+  /// counts interior nodes only.
   [[nodiscard]] std::uint64_t hash_computations() const noexcept {
     return hash_computations_;
   }
@@ -172,14 +172,11 @@ Bytes join_chunks(std::span<const Bytes> chunks);
 /// Non-owning views over an owned chunk vector (for span-taking APIs).
 std::vector<BytesView> chunk_views(std::span<const Bytes> chunks);
 
-// ---- The chunk-op rule ---------------------------------------------------
+// ---- The object mirror ---------------------------------------------------
 //
 // A dynamic or shared object is one byte string that the store re-slices at
 // a fixed chunk_size stride, so every chunk op must keep "only the last
-// chunk may be short". check_chunk_op is that data-layout policy and
-// apply_chunk_op the one way an op reaches a mirror; the dyn and
-// consistency clients and providers all go through them, the committing
-// side by way of apply_record.
+// chunk may be short": ObjectMirror::check is that data-layout policy.
 
 /// Why a chunk op was refused (kNone: it was not).
 enum class ChunkOpFault : std::uint8_t {
@@ -197,48 +194,65 @@ enum class ChunkOpFault : std::uint8_t {
 /// The reason a rejection of `fault` carries.
 const char* chunk_op_fault_reason(ChunkOpFault fault);
 
-/// The stride rule: may `op` at `index`, carrying `chunk`, apply to an
-/// object sliced into `chunks` at `chunk_size`? Checks the index range per
-/// op (append only at the end), that an erase carries no bytes, that a
-/// written chunk is non-empty and at most one stride, that only the tail
-/// may be short, and that nothing is appended after a short tail.
-ChunkOpFault check_chunk_op(MutateOp op, std::uint64_t index, BytesView chunk,
-                            std::span<const Bytes> chunks,
-                            std::size_t chunk_size);
+/// One versioned object as an actor mirrors it, the one owner of its state
+/// that the dyn and consistency actors' per-object states derive from: the
+/// chunks its stride slices it into, their rank tree, a PoR tag per chunk
+/// (kept in step with the chunks; all 0 on a shared object, whose records
+/// carry chunk_tag 0) and the chain of records that commit to them.
+struct ObjectMirror {
+  /// What undo() needs to restore the exact pre-op state.
+  struct Undo {
+    MutateOp op = MutateOp::kUpdate;
+    std::uint64_t index = 0;
+    /// The pre-op tree. Shapes are history-dependent (rotations need not
+    /// invert), so it is restored, never re-derived by an inverse op.
+    DynMerkleTree tree;
+    Bytes chunk;  ///< the chunk an update replaced or an erase removed
+    std::uint64_t tag = 0;
+  };
+  /// A client op applied to the mirror: the record to sign and its undo.
+  struct Staged {
+    VersionRecord record;
+    Undo undo;
+  };
 
-/// An actor's mirror of one chunked object. PoR tags, where the actor keeps
-/// them, ride along chunk for chunk.
-struct ChunkMirror {
-  DynMerkleTree& tree;
-  std::vector<Bytes>& chunks;
-  std::vector<std::uint64_t>* tags = nullptr;
-};
-
-/// What undo_chunk_op needs to restore a mirror to its exact pre-op state.
-struct ChunkOpUndo {
-  MutateOp op = MutateOp::kUpdate;
-  std::uint64_t index = 0;
-  /// The pre-op tree. Shapes are history-dependent (rotations need not
-  /// invert), so it is restored, never re-derived by an inverse op.
+  std::size_t chunk_size = 0;
+  std::vector<Bytes> chunks;
   DynMerkleTree tree;
-  Bytes chunk;  ///< the chunk an update replaced or an erase removed
-  std::uint64_t tag = 0;
+  std::vector<std::uint64_t> tags;
+  VersionChain chain;  ///< countersigned records; apply() never extends it
+
+  /// The stride rule: may `op` at `index`, carrying `bytes`, apply? Checks
+  /// the index range per op (append only at the end), that an erase
+  /// carries no bytes, that a written chunk is non-empty and at most one
+  /// stride, that only the tail may be short, and that nothing is appended
+  /// after a short tail. A kStore (`bytes` the whole object) needs an
+  /// empty mirror, some bytes and a stride.
+  [[nodiscard]] ChunkOpFault check(MutateOp op, std::uint64_t index,
+                                   BytesView bytes) const;
+
+  /// Stages a client op: refuses (nullopt) what check() refuses, else
+  /// applies it, `tag` being the written chunk's tag and `leaf_hash` its
+  /// precomputed leaf hash (empty: hashed here, once), and returns the
+  /// record of `object_key`'s next version that commits to the result. A
+  /// kStore builds the mirror from `chunk`, the whole object, every tag 0.
+  std::optional<Staged> stage(const std::string& object_key, MutateOp op,
+                              std::uint64_t index, BytesView chunk,
+                              std::uint64_t tag = 0, Bytes leaf_hash = {});
+  void undo(Undo saved);
+
+  /// Applies `rec`, its chunk in `bytes` (the whole object for a kStore,
+  /// which is only ever version 1) and its tag in rec.chunk_tag, and
+  /// checks its chunk_count and new_root against the result. On any fault
+  /// the mirror is left unchanged.
+  ChunkOpFault apply(const VersionRecord& rec, BytesView bytes);
+
+  /// Deep copy: the tree by DynMerkleTree::clone (equivocating branches).
+  [[nodiscard]] ObjectMirror clone() const;
+
+ private:
+  Undo change(MutateOp op, std::uint64_t index, BytesView bytes,
+              std::uint64_t tag, Bytes leaf_hash);
 };
-
-/// Applies a checked op to `mirror`: `tag` is the written chunk's tag, and
-/// `leaf_hash` its precomputed leaf hash (empty: hashed here, once).
-ChunkOpUndo apply_chunk_op(ChunkMirror mirror, MutateOp op,
-                           std::uint64_t index, BytesView chunk,
-                           std::uint64_t tag = 0, Bytes leaf_hash = {});
-void undo_chunk_op(ChunkMirror mirror, ChunkOpUndo undo);
-
-/// Applies `rec` to `mirror`, an object sliced at `chunk_size`, and checks
-/// the record's chunk_count and new_root against the result. A kStore
-/// record (only ever version 1) builds the mirror from the object `bytes`
-/// (PoR tags are the caller's to set); any other op must keep the stride
-/// rule (check_chunk_op), carries its chunk in `bytes` and its tag in
-/// rec.chunk_tag. On any fault the mirror is left unchanged.
-ChunkOpFault apply_record(ChunkMirror mirror, std::size_t chunk_size,
-                          const VersionRecord& rec, BytesView bytes);
 
 }  // namespace tpnr::dyn

@@ -46,6 +46,22 @@ void write_through(storage::ObjectStore& store, const VersionRecord& rec,
 
 }  // namespace
 
+bool check_envelope(const nr::MessageHeader& h, bool restated,
+                    const SignedVersionRecord& signed_record,
+                    const crypto::RsaPublicKey& client,
+                    nr::ActorStats& stats) {
+  if (!restated || !common::constant_time_equal(
+                       h.data_hash, signed_record.record.new_root)) {
+    ++stats.rejected_bad_hash;
+    return false;
+  }
+  if (!signed_record.verify_client(client)) {
+    ++stats.rejected_bad_evidence;
+    return false;
+  }
+  return true;
+}
+
 DynProviderActor::DynProviderActor(std::string id, net::Network& network,
                                    pki::Identity& identity,
                                    crypto::Drbg& rng)
@@ -75,13 +91,12 @@ void DynProviderActor::on_message(const nr::NrMessage& message) {
   }
 }
 
-void DynProviderActor::send_receipt(const std::string& client,
-                                    const std::string& txn_id,
+void DynProviderActor::send_receipt(const nr::MessageHeader& h,
                                     nr::MsgType flag,
                                     const SignedVersionRecord& rec) {
-  if (!behavior_.send_receipts || peer_key(client) == nullptr) return;
+  if (peer_key(h.sender) == nullptr) return;
   auto [header, evidence] =
-      make_receipt(flag, client, /*ttp=*/"", txn_id, rec.record.new_root,
+      make_receipt(flag, h.sender, /*ttp=*/"", h.txn_id, rec.record.new_root,
                    network_->now() + nr::kReplyWindow);
   common::BinaryWriter payload;
   payload.str(rec.record.object_key);
@@ -89,8 +104,7 @@ void DynProviderActor::send_receipt(const std::string& client,
   send(std::move(header), payload.take(), std::move(evidence));
 }
 
-void DynProviderActor::send_mutate_error(const std::string& client,
-                                         const std::string& txn_id,
+void DynProviderActor::send_mutate_error(const nr::MessageHeader& h,
                                          const std::string& object_key,
                                          std::uint64_t version,
                                          const std::string& reason) {
@@ -99,7 +113,7 @@ void DynProviderActor::send_mutate_error(const std::string& client,
   payload.str(object_key);
   payload.u64(version);
   payload.str(reason);
-  send(next_header(nr::MsgType::kMutateError, client, /*ttp=*/"", txn_id,
+  send(next_header(nr::MsgType::kMutateError, h.sender, /*ttp=*/"", h.txn_id,
                    Bytes{}, network_->now() + nr::kReplyWindow),
        payload.take());
 }
@@ -118,20 +132,13 @@ void DynProviderActor::handle_dyn_store(const nr::NrMessage& message) {
   signed_record.record = VersionRecord::decode(r.bytes());
   signed_record.client_sig = r.bytes();
   r.expect_done();
-  if (chunk_size == 0 || data.empty()) {
-    ++stats_.rejected_bad_hash;
-    return;
-  }
 
   // The record IS the agreement: the header must bind to its new_root and
-  // the client signature must cover it.
+  // the client signature must cover it. The payload carries the object and
+  // its stride; the record is checked against them below.
   const VersionRecord& rec = signed_record.record;
-  if (!common::constant_time_equal(h.data_hash, rec.new_root)) {
-    ++stats_.rejected_bad_hash;
-    return;
-  }
-  if (!signed_record.verify_client(*sender_key)) {
-    ++stats_.rejected_bad_evidence;
+  if (!check_envelope(h, chunk_size != 0 && !data.empty(), signed_record,
+                      *sender_key, stats_)) {
     return;
   }
 
@@ -144,10 +151,9 @@ void DynProviderActor::handle_dyn_store(const nr::NrMessage& message) {
     if (rec.op == MutateOp::kStore &&
         chain.admit(signed_record) == Admission::kRetry) {
       ++receipts_resent_;
-      send_receipt(h.sender, h.txn_id, nr::MsgType::kDynStoreReceipt,
-                   chain.records().front());
+      send_receipt(h, nr::MsgType::kDynStoreReceipt, chain.records().front());
     } else {
-      send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
+      send_mutate_error(h, object_key, rec.version,
                         "object exists under a different record");
     }
     return;
@@ -159,15 +165,14 @@ void DynProviderActor::handle_dyn_store(const nr::NrMessage& message) {
   state.txn_id = h.txn_id;
   state.client = h.sender;
   state.chunk_size = chunk_size;
-  state.tags = std::move(tags);
   if (rec.op != MutateOp::kStore || rec.object_key != object_key ||
       state.chain.admit(signed_record) != Admission::kNext ||
-      apply_record({.tree = state.tree, .chunks = state.chunks}, chunk_size,
-                   rec, data) != ChunkOpFault::kNone ||
-      state.tags.size() != state.chunks.size()) {
+      state.apply(rec, data) != ChunkOpFault::kNone ||
+      tags.size() != state.chunks.size()) {
     ++stats_.rejected_bad_hash;
     return;
   }
+  state.tags = std::move(tags);
 
   const auto nro =
       nr::open_evidence(*identity_, *sender_key, h, message.evidence);
@@ -176,14 +181,8 @@ void DynProviderActor::handle_dyn_store(const nr::NrMessage& message) {
     return;
   }
 
-  signed_record.countersign(*identity_);
-  state.chain.append(signed_record);
-  write_through(store_, rec, state.chunks, network_->now());
-  journal_evidence("dyn-nro", h.txn_id, h.sender, object_key, chunk_size, h,
-                   *nro);
-  const auto [it, inserted] = objects_.emplace(object_key, std::move(state));
-  send_receipt(h.sender, h.txn_id, nr::MsgType::kDynStoreReceipt,
-               it->second.chain.records().back());
+  commit(objects_.emplace(object_key, std::move(state)).first->second, h,
+         std::move(signed_record), *nro);
 }
 
 void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
@@ -204,8 +203,7 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
   const VersionRecord& rec = signed_record.record;
   const auto it = objects_.find(object_key);
   if (it == objects_.end()) {
-    send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
-                      "unknown object");
+    send_mutate_error(h, object_key, rec.version, "unknown object");
     return;
   }
   DynObjectState& state = it->second;
@@ -214,20 +212,15 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
     return;
   }
 
-  // Envelope consistency: the loose payload fields must restate the signed
-  // record (an erase carries neither bytes nor a tag), the header must bind
-  // to its new_root, and the client signature must verify — all before any
-  // state is touched.
-  if (rec.object_key != object_key ||
-      static_cast<std::uint8_t>(rec.op) != op_byte ||
-      rec.chunk_index != index || rec.chunk_tag != tag ||
-      (rec.op == MutateOp::kErase && (tag != 0 || !chunk.empty())) ||
-      !common::constant_time_equal(h.data_hash, rec.new_root)) {
-    ++stats_.rejected_bad_hash;
-    return;
-  }
-  if (!signed_record.verify_client(*sender_key)) {
-    ++stats_.rejected_bad_evidence;
+  // The envelope: the loose payload fields restate the signed record (an
+  // erase carries neither bytes nor a tag).
+  if (!check_envelope(
+          h,
+          rec.object_key == object_key &&
+              static_cast<std::uint8_t>(rec.op) == op_byte &&
+              rec.chunk_index == index && rec.chunk_tag == tag &&
+              (rec.op != MutateOp::kErase || (tag == 0 && chunk.empty())),
+          signed_record, *sender_key, stats_)) {
     return;
   }
 
@@ -239,19 +232,18 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
       break;
     case Admission::kRetry:
       ++receipts_resent_;
-      send_receipt(h.sender, h.txn_id, nr::MsgType::kMutateReceipt,
+      send_receipt(h, nr::MsgType::kMutateReceipt,
                    state.chain.records()[rec.version - 1]);
       return;
     case Admission::kConflict:
-      send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
+      send_mutate_error(h, object_key, rec.version,
                         "version already committed to a different record");
       return;
     case Admission::kGap:
-      send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
-                        "version gap");
+      send_mutate_error(h, object_key, rec.version, "version gap");
       return;
     case Admission::kUnlinked:
-      send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
+      send_mutate_error(h, object_key, rec.version,
                         "old root does not match the committed head");
       return;
   }
@@ -266,26 +258,34 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
   // The stride rule against the committed mirror (the same check the client
   // made before sending), then the claimed post-op count and root: a fault
   // leaves the mirror as it was and rejects.
-  if (const ChunkOpFault fault = apply_record(
-          {.tree = state.tree, .chunks = state.chunks, .tags = &state.tags},
-          state.chunk_size, rec, chunk);
+  if (const ChunkOpFault fault = state.apply(rec, chunk);
       fault != ChunkOpFault::kNone) {
-    send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
-                      mutate_error_reason(fault));
+    send_mutate_error(h, object_key, rec.version, mutate_error_reason(fault));
     return;
   }
 
-  // Commit: countersign, extend the chain, and write the mutated object
-  // through to the store (which journals a MutationRecord). A store that
+  commit(state, h, std::move(signed_record), *nro);
+}
+
+void DynProviderActor::commit(DynObjectState& state,
+                              const nr::MessageHeader& h,
+                              SignedVersionRecord signed_record,
+                              const nr::OpenedEvidence& nro) {
+  // Countersign, extend the chain, and write the object through to the
+  // store (which journals a MutationRecord after version 1). A store that
   // ACKs but drops the write — arm_stale_mutations() — diverges here, and
   // the next audit answered from the store exposes it.
   signed_record.countersign(*identity_);
-  state.chain.append(signed_record);
+  state.chain.append(std::move(signed_record));
+  const SignedVersionRecord& committed = state.chain.records().back();
+  const VersionRecord& rec = committed.record;
   write_through(store_, rec, state.chunks, network_->now());
-  journal_evidence("dyn-nro", h.txn_id, h.sender, object_key,
-                   state.chunk_size, h, *nro);
-  send_receipt(h.sender, h.txn_id, nr::MsgType::kMutateReceipt,
-               state.chain.records().back());
+  journal_evidence("dyn-nro", h.txn_id, h.sender, rec.object_key,
+                   state.chunk_size, h, nro);
+  send_receipt(h,
+               rec.op == MutateOp::kStore ? nr::MsgType::kDynStoreReceipt
+                                          : nr::MsgType::kMutateReceipt,
+               committed);
 }
 
 void DynProviderActor::handle_agg_challenge(const nr::NrMessage& message) {

@@ -1,9 +1,9 @@
 // The dynamic-data provider — Bob extended with chunk-level mutations and
 // compact aggregated audits.
 //
-// For every dynamic object the provider keeps an in-memory mirror (chunk
-// bytes, rank-annotated tree, PoR tags) plus its own copy of the version
-// chain; the COMMIT path validates a mutation against that mirror in
+// For every dynamic object the provider keeps an ObjectMirror (chunk
+// bytes, rank-annotated tree, PoR tags and its own copy of the version
+// chain); the COMMIT path validates a mutation against that mirror in
 // O(log n) (root check on the incrementally maintained tree) before
 // countersigning.
 //
@@ -28,31 +28,27 @@
 
 namespace tpnr::dyn {
 
-/// Misbehaviour dials for the dynamic provider.
-struct DynProviderBehavior {
-  bool send_receipts = true;      ///< false: withholds receipts (unfair Bob)
-};
+/// The envelope of a request that carries a client-signed record, checked
+/// before any state is touched: the payload's loose fields restate the
+/// record (`restated`), the header's data_hash is the record's new_root,
+/// and the client signature verifies. A failure counts in `stats` as
+/// rejected_bad_hash (the first two) or rejected_bad_evidence.
+[[nodiscard]] bool check_envelope(const nr::MessageHeader& h, bool restated,
+                                  const SignedVersionRecord& signed_record,
+                                  const crypto::RsaPublicKey& client,
+                                  nr::ActorStats& stats);
 
 class DynProviderActor final : public nr::NrActor {
  public:
-  /// Provider-side state of one dynamic object.
-  struct DynObjectState {
+  /// Provider-side state of one dynamic object: the committed mirror the
+  /// commit path checks against, chain included.
+  struct DynObjectState : ObjectMirror {
     std::string txn_id;
     std::string client;  ///< who may mutate (the storing identity)
-    std::size_t chunk_size = 0;
-    std::vector<Bytes> chunks;  ///< committed mirror (commit-path checks)
-    DynMerkleTree tree;
-    std::vector<std::uint64_t> tags;
-    VersionChain chain;  ///< the provider's copy (countersigned records)
   };
 
   DynProviderActor(std::string id, net::Network& network,
                    pki::Identity& identity, crypto::Drbg& rng);
-
-  void set_behavior(DynProviderBehavior behavior) { behavior_ = behavior; }
-  [[nodiscard]] const DynProviderBehavior& behavior() const noexcept {
-    return behavior_;
-  }
 
   [[nodiscard]] storage::ObjectStore& store() noexcept { return store_; }
   [[nodiscard]] const DynObjectState* object_state(
@@ -76,15 +72,21 @@ class DynProviderActor final : public nr::NrActor {
   void handle_mutate(const nr::NrMessage& message);
   void handle_agg_challenge(const nr::NrMessage& message);
 
-  /// Countersigns `record`‖`client_sig` and sends the receipt carrying the
-  /// full SignedVersionRecord back to `client`.
-  void send_receipt(const std::string& client, const std::string& txn_id,
-                    nr::MsgType flag, const SignedVersionRecord& rec);
-  void send_mutate_error(const std::string& client, const std::string& txn_id,
+  /// Sends the receipt carrying the countersigned `rec` back to the sender
+  /// of the request `h` heads.
+  void send_receipt(const nr::MessageHeader& h, nr::MsgType flag,
+                    const SignedVersionRecord& rec);
+  /// Rejects the request `h` heads.
+  void send_mutate_error(const nr::MessageHeader& h,
                          const std::string& object_key, std::uint64_t version,
                          const std::string& reason);
+  /// Commits a checked record `state` has applied: countersigns it,
+  /// extends the chain, writes the object through to the store, journals
+  /// the NRO and sends the receipt.
+  void commit(DynObjectState& state, const nr::MessageHeader& h,
+              SignedVersionRecord signed_record,
+              const nr::OpenedEvidence& nro);
 
-  DynProviderBehavior behavior_;
   storage::ObjectStore store_;
   std::map<std::string, DynObjectState> objects_;  ///< by object key
   std::uint64_t receipts_resent_ = 0;

@@ -110,8 +110,8 @@ class VersionChain {
   /// Appends if the record extends the head consistently (admit() is kNext,
   /// and its op and chunk_count follow from the head); otherwise returns
   /// false and (if non-null) explains in `why`. A record for this object
-  /// that admit() calls kNext and apply_record() accepted on a mirror of
-  /// this chain always appends.
+  /// that admit() calls kNext and ObjectMirror::apply() accepted on this
+  /// chain's mirror always appends.
   bool append(SignedVersionRecord rec, std::string* why = nullptr);
 
   /// The version and link rule plus retry idempotency: where `rec` stands

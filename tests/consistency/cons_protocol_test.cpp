@@ -238,7 +238,12 @@ TEST_F(ConsProtocolTest, StaleSubmissionCatchesUpAndResubmits) {
 
 TEST_F(ConsProtocolTest, WithheldCommitsTimeOutWithoutAccusation) {
   shared_object("doc", 4);
-  bob_.set_behavior(ConsProviderBehavior{.send_commits = false});
+  // Every commit bob sends alice is lost, her own receipts included.
+  network_.set_adversary("bob", "alice", [](const net::Envelope&) {
+    net::AdversaryAction action;
+    action.kind = net::AdversaryAction::Kind::kDrop;
+    return action;
+  });
 
   crypto::Drbg data_rng(std::uint64_t{55});
   ASSERT_TRUE(alice_.update("doc", 0, data_rng.bytes(kChunkSize)));
@@ -335,6 +340,11 @@ TEST_F(ConsProtocolTest, EquivocationArmsDivergentStoreServing) {
   EXPECT_NE(alice_branch.chunks, carol_branch.chunks)
       << "divergent branches must hold different bytes";
   EXPECT_NE(alice_branch.views.head_hash(), carol_branch.views.head_hash());
+  // Forking deep-copies each branch's tree: each one's root is its own
+  // chain head, and the two differ.
+  EXPECT_EQ(alice_branch.tree.root(), alice_branch.chain.head_root());
+  EXPECT_EQ(carol_branch.tree.root(), carol_branch.chain.head_root());
+  EXPECT_NE(alice_branch.tree.root(), carol_branch.tree.root());
 }
 
 TEST_F(ConsProtocolTest, HonestRunWithGossipNeverAccuses) {

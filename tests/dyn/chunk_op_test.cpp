@@ -1,10 +1,11 @@
-// Table-driven oracle for the chunk-op rule (check_chunk_op) and its applier
-// (apply_chunk_op / undo_chunk_op): every op × index ∈ {0, mid, last, count,
-// count+1} × chunk size ∈ {0, short, full, over}, on objects whose tail is
-// full and objects whose tail is short. The oracle judges an op by the
+// Table-driven oracle for the chunk-op rule (ObjectMirror::check) and the
+// mirror's appliers (stage / undo / apply): every op × index ∈
+// {0, mid, last, count, count+1} × chunk size ∈ {0, short, full, over}, on
+// objects whose tail is full and objects whose tail is short. The oracle judges an op by the
 // layout it leaves behind — every chunk non-empty and at most one stride,
 // only the last one short — rather than by restating the rule.
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,16 @@ std::vector<Case> all_cases() {
     }
   }
   return cases;
+}
+
+/// A mirror of `chunks` at kStride with PoR tags 10, 11, ...
+ObjectMirror mirror_of(const std::vector<Bytes>& chunks) {
+  ObjectMirror mirror;
+  mirror.chunk_size = kStride;
+  mirror.chunks = chunks;
+  mirror.tree = DynMerkleTree::build(chunk_views(chunks));
+  for (std::size_t i = 0; i < chunks.size(); ++i) mirror.tags.push_back(10 + i);
+  return mirror;
 }
 
 /// The layout invariant the store's fixed-stride slicing needs.
@@ -116,24 +127,31 @@ ChunkOpFault expected_fault(const Case& c, const std::vector<Bytes>& before,
 }
 
 void check_verdict_and_apply(const Case& c) {
-  std::vector<Bytes> chunks = object_chunks(c.tail);
+  const std::vector<Bytes> chunks_before = object_chunks(c.tail);
   const Bytes chunk(c.chunk_size, 0xee);
   std::vector<Bytes> expected_chunks;
   const ChunkOpFault expected =
-      expected_fault(c, chunks, chunk, &expected_chunks);
-  const ChunkOpFault verdict =
-      check_chunk_op(c.op, c.index, chunk, chunks, kStride);
+      expected_fault(c, chunks_before, chunk, &expected_chunks);
+  ObjectMirror mirror = mirror_of(chunks_before);
+  const ChunkOpFault verdict = mirror.check(c.op, c.index, chunk);
   ASSERT_EQ(verdict, expected) << chunk_op_fault_reason(verdict) << " vs "
                                << chunk_op_fault_reason(expected);
-  if (verdict != ChunkOpFault::kNone) return;
 
-  DynMerkleTree tree = DynMerkleTree::build(chunk_views(chunks));
-  std::vector<std::uint64_t> tags = {10, 11, 12, 13, 14};
-  const std::vector<Bytes> chunks_before = chunks;
+  const std::vector<Bytes>& chunks = mirror.chunks;
+  const std::vector<std::uint64_t>& tags = mirror.tags;
+  const DynMerkleTree& tree = mirror.tree;
   const std::vector<std::uint64_t> tags_before = tags;
   const Bytes root_before = tree.root();
-  const ChunkMirror mirror{.tree = tree, .chunks = chunks, .tags = &tags};
-  ChunkOpUndo undo = apply_chunk_op(mirror, c.op, c.index, chunk, 99);
+  // Staging refuses exactly what the rule refuses, and leaves the mirror.
+  std::optional<ObjectMirror::Staged> staged =
+      mirror.stage("obj", c.op, c.index, chunk, 99);
+  ASSERT_EQ(staged.has_value(), verdict == ChunkOpFault::kNone);
+  if (!staged) {
+    EXPECT_EQ(chunks, chunks_before);
+    EXPECT_EQ(tags, tags_before);
+    EXPECT_EQ(tree.root(), root_before);
+    return;
+  }
 
   EXPECT_EQ(chunks, expected_chunks);
   ASSERT_EQ(tags.size(), chunks.size());
@@ -150,61 +168,76 @@ void check_verdict_and_apply(const Case& c) {
     EXPECT_EQ(tree.root(), DynMerkleTree::build(chunk_views(chunks)).root());
   }
   EXPECT_EQ(split_chunks(join_chunks(chunks), kStride), chunks);
+  // The staged record commits to the post-op mirror.
+  EXPECT_EQ(staged->record.op, c.op);
+  EXPECT_EQ(staged->record.chunk_index, c.index);
+  EXPECT_EQ(staged->record.chunk_count, tree.leaf_count());
+  EXPECT_EQ(staged->record.new_root, tree.root());
+  EXPECT_EQ(staged->record.chunk_tag, 99u);
 
-  undo_chunk_op(mirror, std::move(undo));
+  mirror.undo(std::move(staged->undo));
   EXPECT_EQ(chunks, chunks_before);
   EXPECT_EQ(tags, tags_before);
   EXPECT_EQ(tree.root(), root_before);
 }
 
 void check_record_form(const Case& c) {
-  std::vector<Bytes> chunks = object_chunks(c.tail);
+  const std::vector<Bytes> chunks_before = object_chunks(c.tail);
   const Bytes chunk(c.chunk_size, 0xee);
-  DynMerkleTree tree = DynMerkleTree::build(chunk_views(chunks));
+  ObjectMirror mirror = mirror_of(chunks_before);
+  const std::vector<Bytes>& chunks = mirror.chunks;
+  const std::vector<std::uint64_t> tags_before = mirror.tags;
+  const DynMerkleTree& tree = mirror.tree;
   const Bytes root_before = tree.root();
-  const std::vector<Bytes> chunks_before = chunks;
-  const ChunkMirror mirror{.tree = tree, .chunks = chunks};
-  const ChunkOpFault verdict =
-      check_chunk_op(c.op, c.index, chunk, chunks, kStride);
+  const ChunkOpFault verdict = mirror.check(c.op, c.index, chunk);
   if (verdict != ChunkOpFault::kNone) {
-    // Refused by the rule: apply_record refuses it the same way, untouched.
+    // Refused by the rule: apply refuses it the same way, untouched.
     VersionRecord refused;
     refused.version = 2;
     refused.op = c.op;
     refused.chunk_index = c.index;
-    EXPECT_EQ(apply_record(mirror, kStride, refused, chunk), verdict);
+    EXPECT_EQ(mirror.apply(refused, chunk), verdict);
     EXPECT_EQ(tree.root(), root_before);
     EXPECT_EQ(chunks, chunks_before);
+    EXPECT_EQ(mirror.tags, tags_before);
     return;
   }
 
   // The honest record: count and root of the applied op.
-  ChunkOpUndo probe = apply_chunk_op(mirror, c.op, c.index, chunk);
+  std::optional<ObjectMirror::Staged> probe =
+      mirror.stage("obj", c.op, c.index, chunk, 99);
+  ASSERT_TRUE(probe.has_value());
   VersionRecord rec;
   rec.version = 2;
   rec.op = c.op;
   rec.chunk_index = c.index;
   rec.chunk_count = tree.leaf_count();
   rec.new_root = tree.root();
-  undo_chunk_op(mirror, std::move(probe));
+  rec.chunk_tag = 99;
+  mirror.undo(std::move(probe->undo));
 
   VersionRecord wrong_count = rec;
   ++wrong_count.chunk_count;
-  EXPECT_EQ(apply_record(mirror, kStride, wrong_count, chunk),
-            ChunkOpFault::kChunkCount);
+  EXPECT_EQ(mirror.apply(wrong_count, chunk), ChunkOpFault::kChunkCount);
   EXPECT_EQ(tree.root(), root_before);
   EXPECT_EQ(chunks, chunks_before);
+  EXPECT_EQ(mirror.tags, tags_before);
 
   VersionRecord wrong_root = rec;
   wrong_root.new_root = crypto::sha256(Bytes{1});
-  EXPECT_EQ(apply_record(mirror, kStride, wrong_root, chunk),
-            ChunkOpFault::kNewRoot);
+  EXPECT_EQ(mirror.apply(wrong_root, chunk), ChunkOpFault::kNewRoot);
   EXPECT_EQ(tree.root(), root_before);
   EXPECT_EQ(chunks, chunks_before);
+  EXPECT_EQ(mirror.tags, tags_before);
 
-  EXPECT_EQ(apply_record(mirror, kStride, rec, chunk), ChunkOpFault::kNone);
+  EXPECT_EQ(mirror.apply(rec, chunk), ChunkOpFault::kNone);
   EXPECT_EQ(tree.root(), rec.new_root);
   EXPECT_EQ(tree.leaf_count(), rec.chunk_count);
+  // The tags follow the record: the written chunk carries its chunk_tag.
+  ASSERT_EQ(mirror.tags.size(), chunks.size());
+  if (c.op != MutateOp::kErase) {
+    EXPECT_EQ(mirror.tags[c.index], 99u);
+  }
 }
 
 TEST(ChunkOpOracleTest, VerdictAndAppliedMirrorMatchTheOracle) {
@@ -219,8 +252,8 @@ TEST(ChunkOpOracleTest, RecordFormChecksCountAndRoot) {
   for (const Case& c : all_cases()) {
     SCOPED_TRACE(case_name(c));
     check_record_form(c);
-    accepted += check_chunk_op(c.op, c.index, Bytes(c.chunk_size, 0xee),
-                               object_chunks(c.tail), kStride) ==
+    accepted += mirror_of(object_chunks(c.tail))
+                    .check(c.op, c.index, Bytes(c.chunk_size, 0xee)) ==
                 ChunkOpFault::kNone;
   }
   EXPECT_GT(accepted, 0u);
@@ -236,14 +269,14 @@ TEST(ApplyRecordTest, StoreBuildsTheMirrorOrLeavesIt) {
   store.chunk_count = built.leaf_count();
   store.new_root = built.root();
 
-  DynMerkleTree tree;
-  std::vector<Bytes> chunks;
-  const ChunkMirror mirror{.tree = tree, .chunks = chunks};
+  ObjectMirror mirror;
   const auto refuses = [&](const VersionRecord& rec, std::size_t chunk_size,
                            BytesView data, ChunkOpFault fault) {
-    EXPECT_EQ(apply_record(mirror, chunk_size, rec, data), fault);
-    EXPECT_TRUE(chunks.empty());
-    EXPECT_EQ(tree.leaf_count(), 0u);
+    mirror.chunk_size = chunk_size;
+    EXPECT_EQ(mirror.apply(rec, data), fault);
+    EXPECT_TRUE(mirror.chunks.empty());
+    EXPECT_TRUE(mirror.tags.empty());
+    EXPECT_EQ(mirror.tree.leaf_count(), 0u);
   };
   refuses(store, 0, bytes, ChunkOpFault::kOversizeChunk);
   refuses(store, kStride, Bytes{}, ChunkOpFault::kNoChunkBytes);
@@ -261,9 +294,39 @@ TEST(ApplyRecordTest, StoreBuildsTheMirrorOrLeavesIt) {
   wrong.op = MutateOp::kAppend;
   refuses(wrong, kStride, Bytes(kStride, 1), ChunkOpFault::kStoreOp);
 
-  EXPECT_EQ(apply_record(mirror, kStride, store, bytes), ChunkOpFault::kNone);
-  EXPECT_EQ(chunks, object);
-  EXPECT_EQ(tree.root(), built.root());
+  mirror.chunk_size = kStride;
+  EXPECT_EQ(mirror.apply(store, bytes), ChunkOpFault::kNone);
+  EXPECT_EQ(mirror.chunks, object);
+  EXPECT_EQ(mirror.tree.root(), built.root());
+  EXPECT_EQ(mirror.tags, std::vector<std::uint64_t>(object.size(), 0));
+  // Only an empty mirror takes a store.
+  EXPECT_EQ(mirror.apply(store, bytes), ChunkOpFault::kStoreOp);
+  EXPECT_EQ(mirror.chunks, object);
+}
+
+TEST(ApplyRecordTest, StagedStoreIsTheRecordApplyAccepts) {
+  const Bytes bytes = join_chunks(object_chunks(Tail::kShort));
+  ObjectMirror client;
+  client.chunk_size = kStride;
+  std::optional<ObjectMirror::Staged> staged =
+      client.stage("obj", MutateOp::kStore, 0, bytes);
+  ASSERT_TRUE(staged.has_value());
+  EXPECT_EQ(staged->record.version, 1u);
+  EXPECT_EQ(staged->record.chunk_count, client.chunks.size());
+  EXPECT_EQ(staged->record.new_root, client.tree.root());
+  EXPECT_EQ(client.tags, std::vector<std::uint64_t>(client.chunks.size(), 0));
+
+  ObjectMirror provider;
+  provider.chunk_size = kStride;
+  EXPECT_EQ(provider.apply(staged->record, bytes), ChunkOpFault::kNone);
+  EXPECT_EQ(provider.chunks, client.chunks);
+
+  // Undoing the store empties the client's mirror again.
+  client.undo(std::move(staged->undo));
+  EXPECT_TRUE(client.chunks.empty());
+  EXPECT_TRUE(client.tags.empty());
+  EXPECT_EQ(client.tree.root(), DynMerkleTree::empty_root());
+  EXPECT_FALSE(client.stage("obj", MutateOp::kStore, 0, Bytes{}).has_value());
 }
 
 TEST(ChunkOpRuleTest, EveryFaultHasAReason) {

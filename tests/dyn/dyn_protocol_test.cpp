@@ -66,6 +66,15 @@ class DynProtocolTest : public ::testing::Test {
     return *obj;
   }
 
+  /// Drops every message bob sends alice (his receipts) until cleared.
+  void withhold_receipts() {
+    network_.set_adversary("bob", "alice", [](const net::Envelope&) {
+      net::AdversaryAction action;
+      action.kind = net::AdversaryAction::Kind::kDrop;
+      return action;
+    });
+  }
+
   net::Network network_;
   crypto::Drbg rng_;
   pki::Identity alice_id_;
@@ -187,14 +196,14 @@ TEST_F(DynProtocolTest, RejectedMutationsRevertTheOptimisticMirror) {
 
 TEST_F(DynProtocolTest, WithheldReceiptsAreRetriedIdempotently) {
   stored("doc", 8);
-  bob_.set_behavior({.send_receipts = false});
+  withhold_receipts();
   crypto::Drbg data_rng(std::uint64_t{44});
 
-  // The receipt comes back only after the provider turns fair again, so the
+  // The receipt comes back only once the link passes it again, so the
   // client's retries hit the already-committed version: the provider must
   // re-issue the receipt WITHOUT re-applying.
   network_.schedule(20 * common::kSecond,
-                    [this] { bob_.set_behavior({.send_receipts = true}); });
+                    [this] { network_.clear_adversary("bob", "alice"); });
   ASSERT_TRUE(alice_.update("doc", 2, data_rng.bytes(kChunkSize)));
   network_.run();
 
@@ -215,7 +224,7 @@ TEST_F(DynProtocolTest, ExhaustedRetriesRevertToTheChainHead) {
   const auto& obj = stored("doc", 8);
   const Bytes root_before = obj.tree.root();
   const std::vector<Bytes> chunks_before = obj.chunks;
-  bob_.set_behavior({.send_receipts = false});
+  withhold_receipts();
   crypto::Drbg data_rng(std::uint64_t{45});
 
   ASSERT_TRUE(alice_.insert("doc", 3, data_rng.bytes(kChunkSize)));

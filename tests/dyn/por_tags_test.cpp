@@ -186,7 +186,7 @@ TEST(PorTagsTest, UntouchedTagsSurviveInsertAndErase) {
   EXPECT_EQ(tags, recomputed);  // only the new position differs from f.tags
 
   DynMerkleTree tree = DynMerkleTree::build(chunk_views(f.chunks));
-  tree.insert(40, fresh);
+  tree.insert_leaf(40, DynMerkleTree::hash_chunk(fresh));
   const AggChallenge challenge{/*seed=*/606, /*count=*/40};
   const AggResponse response = make_agg_response(
       challenge, tree, chunk_views(chunks), tags, kChunkSize, 2);

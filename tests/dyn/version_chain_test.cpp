@@ -77,12 +77,12 @@ struct History {
     record.prev_record_hash = chain.head_hash();
     switch (op) {
       case MutateOp::kUpdate:
-        tree.update(index, chunk);
+        tree.update_leaf(index, DynMerkleTree::hash_chunk(chunk));
         chunks[index] = std::move(chunk);
         break;
       case MutateOp::kInsert:
       case MutateOp::kAppend:
-        tree.insert(index, chunk);
+        tree.insert_leaf(index, DynMerkleTree::hash_chunk(chunk));
         chunks.insert(chunks.begin() + static_cast<std::ptrdiff_t>(index),
                       std::move(chunk));
         record.chunk_tag = 1;  // any nonzero placeholder

@@ -179,8 +179,8 @@ TEST_F(HostileMessageTest, DynStoreWithHostileTagCount) {
 }
 
 /// A joined client's object has chunk size 0 until the provider names it.
-/// Here alice stores "shared" via bob and carol joins it, but bob leaves
-/// carol's view query unanswered, so her chunk size is still 0 when bob's
+/// Here alice stores "shared" via bob and carol joins it, but bob's answer
+/// to carol's view query is lost, so her chunk size is still 0 when bob's
 /// own provider-signed log reaches her naming chunk size 0. The v1 store it
 /// carries cannot be sliced at that size: the commit is refused (counted in
 /// `rejected`), and no exception may escape network.run().
@@ -197,11 +197,14 @@ class ZeroChunkSizeTest : public HostileMessageTest {
     bob_.trust_peer("carol", carol_id_.public_key());
     alice_.store_shared("bob", "ttp", "shared", Bytes(256, 7), 64);
     network_.run();
-    consistency::ConsProviderBehavior silent;
-    silent.respond_to_view_query = false;
-    bob_.set_behavior(silent);
+    network_.set_adversary("bob", "carol", [](const net::Envelope&) {
+      net::AdversaryAction action;
+      action.kind = net::AdversaryAction::Kind::kDrop;
+      return action;
+    });
     carol_.open_shared("bob", "ttp", "shared");
     network_.run();
+    network_.clear_adversary("bob", "carol");
   }
 
   [[nodiscard]] const std::vector<consistency::CommittedOp>& bob_log() const {
@@ -464,9 +467,15 @@ TEST_F(TruncatedPayloadTest, DynMutateError) {
       alice.store_dyn("bob", "ttp", "doc", Bytes(256, 5), 64);
   network_.run();
   ASSERT_NE(alice.object("doc"), nullptr);
-  dyn::DynProviderBehavior withhold;
-  withhold.send_receipts = false;
-  bob.set_behavior(withhold);
+  // Bob's receipts are lost; the hostile error below still gets through.
+  network_.set_adversary("bob", "alice", [](const net::Envelope& envelope) {
+    net::AdversaryAction action;
+    if (nr::NrMessage::decode(envelope.payload).header.flag ==
+        nr::MsgType::kMutateReceipt) {
+      action.kind = net::AdversaryAction::Kind::kDrop;
+    }
+    return action;
+  });
   ASSERT_TRUE(alice.update("doc", 1, Bytes(64, 9)));
 
   // The error names the pending version; only its reason is cut short. A

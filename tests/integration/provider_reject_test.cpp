@@ -125,10 +125,12 @@ CraftedOp craft(Fault fault, const std::string& key,
   dyn::DynMerkleTree after = tree.clone();
   switch (c.op) {
     case MutateOp::kUpdate:
-      if (c.index < count) after.update(c.index, c.chunk);
+      if (c.index < count) {
+        after.update_leaf(c.index, dyn::DynMerkleTree::hash_chunk(c.chunk));
+      }
       break;
     case MutateOp::kAppend:
-      after.insert(c.index, c.chunk);
+      after.insert_leaf(c.index, dyn::DynMerkleTree::hash_chunk(c.chunk));
       break;
     case MutateOp::kErase:
       after.erase(c.index);
@@ -478,7 +480,7 @@ dyn::VersionRecord update_record(const std::string& key,
                                  const dyn::DynMerkleTree& tree,
                                  std::uint64_t index, BytesView chunk) {
   dyn::DynMerkleTree after = tree.clone();
-  after.update(index, chunk);
+  after.update_leaf(index, dyn::DynMerkleTree::hash_chunk(chunk));
   return chain.next_record(key, MutateOp::kUpdate, index, after.leaf_count(),
                            after.root(), 0);
 }

@@ -3,17 +3,17 @@
 #
 #   bash tests/scripts/src_lines.sh
 #
-# Prints the lines of the tracked src/**/*.cpp and src/**/*.h files per
-# top-level src/ directory, then the total, which is exactly
+# Prints the lines of the tracked src/**/*.cpp, src/**/*.h and src/**/*.inl
+# files per top-level src/ directory, then the total, which is exactly
 #
-#   git ls-files src | grep -E '\.(cpp|h)$' | xargs cat | wc -l
+#   git ls-files src | grep -E '\.(cpp|h|inl)$' | xargs cat | wc -l
 #
 # run from the repository root.
 set -euo pipefail
 
 cd "$(dirname "$0")/../.."
 
-files() { git ls-files src | grep -E '\.(cpp|h)$'; }
+files() { git ls-files src | grep -E '\.(cpp|h|inl)$'; }
 
 files | while IFS= read -r file; do
   dir="${file#src/}"
