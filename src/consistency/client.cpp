@@ -123,12 +123,10 @@ bool ConsClientActor::build_pending_record(SharedObject& obj,
                                            PendingOp& pending) {
   if (pending.op == MutateOp::kAppend) pending.index = obj.chunks.size();
   // The record commits to the post-op mirror, but the mirror only moves
-  // when the provider's commit comes back — the consistency client is
-  // never optimistic — so the staged op is undone at once.
+  // when the provider's commit comes back, so only the record is kept.
   std::optional<dyn::ObjectMirror::Staged> staged =
       obj.stage(obj.object_key, pending.op, pending.index, pending.chunk);
   if (!staged) return false;  // the op may no longer apply
-  obj.undo(std::move(staged->undo));
   pending.record = std::move(staged->record);
   pending.client_sig = identity_->sign(pending.record.encode());
   return true;

@@ -1,12 +1,12 @@
 // The shared-object client — a fork-checking participant in a multi-client
 // object.
 //
-// Unlike the dynamic-data client, the mirror here is NOT optimistic: other
-// clients' operations interleave with ours in the provider's global order,
-// so the local mirror only advances when a provider-signed kConsCommit
-// arrives (our own submissions included — the broadcast commit doubles as
-// the receipt). Every commitment the client witnesses, from any source,
-// funnels through its per-object ForkChecker:
+// As in the dynamic-data client, the mirror only moves on provider-signed
+// evidence: other clients' operations interleave with ours in the
+// provider's global order, so the local mirror advances when a
+// provider-signed kConsCommit arrives (our own submissions included — the
+// broadcast commit doubles as the receipt). Every commitment the client
+// witnesses, from any source, funnels through its per-object ForkChecker:
 //
 //   * kConsCommit   — the provider's broadcast for each committed op;
 //   * kViewUpdate   — the replayable log answering open_shared()/re-syncs;

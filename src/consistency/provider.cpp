@@ -38,11 +38,10 @@ bool ConsProviderActor::fork_object(
   for (const auto& [client, branch] : assignment) {
     if (branch >= branch_count) return false;
   }
-  state.branches.reserve(branch_count);
-  const Branch& main = state.branches.front();
-  for (std::size_t i = 1; i < branch_count; ++i) {
-    state.branches.push_back(Branch{main.clone(), main.views, main.log});
-  }
+  // Every branch starts as a copy of the main one; the copies share the
+  // tree's nodes until a mutation copies its path.
+  state.branches.reserve(branch_count);  // keeps front() valid below
+  state.branches.resize(branch_count, state.branches.front());
   for (const auto& [client, branch] : assignment) {
     state.branch_of[client] = branch;
   }

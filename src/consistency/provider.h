@@ -36,7 +36,7 @@ class ConsProviderActor final : public nr::NrActor {
  public:
   /// One branch of an object's history: its committed mirror plus the
   /// view commitments and op log. Honest objects have exactly one;
-  /// fork_object() clones more.
+  /// fork_object() copies more.
   struct Branch : dyn::ObjectMirror {
     ViewHistory views;
     std::vector<CommittedOp> log;

@@ -1,7 +1,5 @@
 #include "crypto/hmac.h"
 
-#include <mutex>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.h"
@@ -132,39 +130,6 @@ Bytes hmac(HashKind kind, BytesView key, BytesView data) {
 
 Bytes hmac_sha256(BytesView key, BytesView data) {
   return hmac(HashKind::kSha256, key, data);
-}
-
-namespace {
-
-// Process-wide key-state cache. Keys are identified by their SHA-256 digest
-// so raw key bytes never sit in the map. Bounded: recurring keys (account
-// keys, session MACs) number in the dozens; a runaway caller just cycles
-// the cache instead of growing it.
-constexpr std::size_t kHmacCacheCap = 256;
-std::mutex g_hmac_cache_mu;
-std::unordered_map<Bytes, HmacKeyState, common::BytesHash>& hmac_cache() {
-  static std::unordered_map<Bytes, HmacKeyState, common::BytesHash> cache;
-  return cache;
-}
-
-}  // namespace
-
-Bytes hmac_sha256_cached(BytesView key, BytesView data) {
-  Bytes id = sha256(key);
-  std::lock_guard<std::mutex> lock(g_hmac_cache_mu);
-  auto& cache = hmac_cache();
-  auto it = cache.find(id);
-  if (it == cache.end()) {
-    if (cache.size() >= kHmacCacheCap) cache.clear();
-    it = cache.emplace(std::move(id), HmacKeyState(HashKind::kSha256, key))
-             .first;
-  }
-  return it->second.mac(data);
-}
-
-void hmac_cache_clear() {
-  std::lock_guard<std::mutex> lock(g_hmac_cache_mu);
-  hmac_cache().clear();
 }
 
 }  // namespace tpnr::crypto

@@ -42,9 +42,9 @@ class Hmac {
 /// from the stored midstates. Immutable after construction and safe to share
 /// across threads; mac() allocates nothing but the result.
 ///
-/// This is the per-key object behind hmac_sha256_cached() — SharedKey
-/// request signing and TPNR session MACs reuse one key across thousands of
-/// messages, so the two pad compressions amortize to zero.
+/// Whoever owns a recurring key owns its state (the secure channel's record
+/// MAC, a PoR TagKey), so the two pad compressions amortize to zero across
+/// its messages.
 class HmacKeyState {
  public:
   /// `kind` must be kSha224 or kSha256; throws CryptoError otherwise.
@@ -69,14 +69,5 @@ Bytes hmac(HashKind kind, BytesView key, BytesView data);
 
 /// One-shot HMAC-SHA256, the variant used by SharedKey and the NR channel.
 Bytes hmac_sha256(BytesView key, BytesView data);
-
-/// HMAC-SHA256 through a process-wide HmacKeyState cache keyed by the key's
-/// digest: the first call for a key derives its pad midstates, later calls
-/// resume them. Bit-identical to hmac_sha256, the uncached reference.
-/// Thread-safe.
-Bytes hmac_sha256_cached(BytesView key, BytesView data);
-
-/// Drops every cached HmacKeyState (tests).
-void hmac_cache_clear();
 
 }  // namespace tpnr::crypto

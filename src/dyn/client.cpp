@@ -60,7 +60,10 @@ std::string DynClientActor::store_dyn(const std::string& provider,
   obj.tag_key = TagKey::derive(master_secret_, object_key);
   obj.alphas = std::make_shared<const std::vector<std::uint64_t>>(
       obj.tag_key.alphas(sectors_per_chunk(chunk_size)));
-  obj.tags = make_tags(obj.tag_key, chunk_views(obj.chunks), *obj.alphas);
+  // The staged build already hashed every chunk: tag over its leaves.
+  ObjectMirror::Change& change = staged->change;
+  change.tags = make_tags(obj.tag_key, chunk_views(change.chunks),
+                          change.tree.leaf_hashes(), *obj.alphas);
 
   const std::string txn_id = obj.txn_id;
   txn_to_object_[txn_id] = object_key;
@@ -99,7 +102,7 @@ void DynClientActor::open_pending(DynObject& obj, ObjectMirror::Staged staged,
                                   BytesView bytes) {
   PendingOp pending;
   pending.record = std::move(staged.record);
-  pending.undo = std::move(staged.undo);
+  pending.change = std::move(staged.change);
   pending.client_sig = identity_->sign(pending.record.encode());
   pending.chunk = Bytes(bytes.begin(), bytes.end());
   pending_.open(obj.object_key, std::move(pending));
@@ -129,8 +132,9 @@ void DynClientActor::transmit_pending(const std::string& object_key,
   if (is_store) {
     payload.u32(static_cast<std::uint32_t>(obj->chunk_size));
     payload.bytes(pending.chunk);  // the full object
-    payload.u32(static_cast<std::uint32_t>(obj->tags.size()));
-    for (const std::uint64_t tag : obj->tags) payload.u64(tag);
+    const std::vector<std::uint64_t>& tags = pending.change.tags;
+    payload.u32(static_cast<std::uint32_t>(tags.size()));
+    for (const std::uint64_t tag : tags) payload.u64(tag);
   } else {
     payload.u8(static_cast<std::uint8_t>(pending.record.op));
     payload.u64(pending.record.chunk_index);
@@ -148,18 +152,16 @@ void DynClientActor::transmit_pending(const std::string& object_key,
       [this](const std::string& key) {
         DynObject& stalled = *mutable_object(key);
         ++stalled.timeouts;
-        revert_pending(stalled, *pending_.find(key));
+        drop_pending(stalled);
       });
 }
 
-void DynClientActor::revert_pending(DynObject& obj, PendingOp& pending) {
+void DynClientActor::drop_pending(DynObject& obj) {
   const std::string object_key = obj.object_key;
-  if (pending.record.op == MutateOp::kStore) {
+  if (pending_.find(object_key)->record.op == MutateOp::kStore) {
     // Version 1 never committed — the object does not exist.
     txn_to_object_.erase(obj.txn_id);
     objects_.erase(object_key);  // `obj` is dead past this line
-  } else {
-    obj.undo(std::move(pending.undo));
   }
   pending_.retire(object_key);
 }
@@ -208,7 +210,7 @@ void DynClientActor::handle_receipt(const nr::NrMessage& message) {
     return;
   }
 
-  const PendingOp* pending = pending_.find(obj->object_key);
+  PendingOp* pending = pending_.find(obj->object_key);
   if (pending == nullptr ||
       pending->record.version != signed_record.record.version) {
     // A retry crossed with its receipt: the version is already committed
@@ -236,6 +238,7 @@ void DynClientActor::handle_receipt(const nr::NrMessage& message) {
                                 "the local chain: " +
                                 why);
   }
+  obj->commit(std::move(pending->change));
   ++obj->receipts;
   pending_.retire(obj->object_key);
   // The dynamic NRR: journal it the moment it verifies, like the static
@@ -253,10 +256,10 @@ void DynClientActor::handle_mutate_error(const nr::NrMessage& message) {
   const std::uint64_t version = r.u64();
   (void)r.str();  // human-readable reason; narration only
   r.expect_done();
-  PendingOp* pending = pending_.find(obj->object_key);
+  const PendingOp* pending = pending_.find(obj->object_key);
   if (pending == nullptr || pending->record.version != version) return;
   ++obj->rejected;
-  revert_pending(*obj, *pending);
+  drop_pending(*obj);
 }
 
 }  // namespace tpnr::dyn

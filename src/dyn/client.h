@@ -2,18 +2,20 @@
 //
 // Where nr::ClientActor treats every object as store-once, DynClientActor
 // keeps a 32-bytes-per-chunk mirror (leaf hashes in a DynMerkleTree, plus
-// the chunk bytes for inverse ops), tags every chunk with the PoR secret,
-// and drives the versioned mutation flow:
+// the chunk bytes), tags every chunk with the PoR secret, and drives the
+// versioned mutation flow:
 //
 //   kDynStoreRequest  -> chunks + tags + client-signed VersionRecord (v1)
 //   kMutateRequest    -> one chunk op + its tag + client-signed record
 //   kDynStoreReceipt / kMutateReceipt <- the provider's countersignature
 //
-// The version number is the idempotency key (the PR 3 pattern): a retry
+// The version number is the idempotency key, as for static stores: a retry
 // re-sends the SAME signed record under a fresh header, and the provider
-// re-issues the receipt without re-applying. Mutations are optimistic — the
-// mirror advances when the request is sent and is restored to its exact
-// pre-op state if the provider rejects.
+// re-issues the receipt without re-applying. An op is computed when it is
+// sent and committed when its receipt arrives: the pending op carries the
+// staged change, and the mirror only ever holds what the countersigned
+// chain commits to. A rejected or timed-out op just drops its pending
+// entry.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +32,8 @@
 namespace tpnr::dyn {
 
 /// Receipt wait per store/mutation attempt, `retries` being
-/// DynClientOptions::mutate_retries; the op reverts after the last attempt.
+/// DynClientOptions::mutate_retries; the op is dropped after the last
+/// attempt.
 [[nodiscard]] constexpr nr::RetryPolicy mutate_wait(std::size_t retries) {
   return {15 * common::kSecond, 5 * common::kSecond, retries};
 }
@@ -43,8 +46,8 @@ struct DynClientOptions {
 
 class DynClientActor final : public nr::NrActor {
  public:
-  /// Client-side state of one dynamic object: the optimistic mirror (its
-  /// chain holds countersigned records only) plus the PoR tag secrets.
+  /// Client-side state of one dynamic object: the mirror of its
+  /// countersigned chain plus the PoR tag secrets.
   struct DynObject : ObjectMirror {
     std::string provider;
     std::string ttp;
@@ -56,8 +59,8 @@ class DynClientActor final : public nr::NrActor {
     // Outcome counters.
     std::uint64_t receipts = 0;
     std::uint64_t duplicate_receipts = 0;
-    std::uint64_t rejected = 0;  ///< kMutateError received (op reverted)
-    std::uint64_t timeouts = 0;  ///< retries exhausted, op reverted
+    std::uint64_t rejected = 0;  ///< kMutateError received (op dropped)
+    std::uint64_t timeouts = 0;  ///< retries exhausted, op dropped
   };
 
   /// An object's in-flight client-signed record (idempotency key: its
@@ -66,7 +69,7 @@ class DynClientActor final : public nr::NrActor {
     VersionRecord record;
     Bytes client_sig;
     Bytes chunk;  ///< op payload bytes (empty for erase; data for store)
-    ObjectMirror::Undo undo;  ///< restores the mirror if the op is rejected
+    ObjectMirror::Change change;  ///< what the receipt commits
   };
 
   /// `master_secret` seeds per-object TagKeys (shared with the auditor via
@@ -128,8 +131,8 @@ class DynClientActor final : public nr::NrActor {
   /// Sends attempt `attempt` of the pending record under a fresh header and
   /// awaits its receipt.
   void transmit_pending(const std::string& object_key, std::size_t attempt);
-  /// Restores the pre-op mirror and retires the pending op.
-  void revert_pending(DynObject& obj, PendingOp& pending);
+  /// Retires the pending op; a store's object never existed.
+  void drop_pending(DynObject& obj);
   void handle_receipt(const nr::NrMessage& message);
   void handle_mutate_error(const nr::NrMessage& message);
 

@@ -89,120 +89,105 @@ DynMerkleTree DynMerkleTree::build(std::span<const BytesView> chunks) {
 DynMerkleTree::NodePtr DynMerkleTree::build_range(
     std::span<const Bytes> leaf_hashes) {
   if (leaf_hashes.empty()) return nullptr;
-  if (leaf_hashes.size() == 1) {
-    auto leaf = std::make_unique<Node>();
-    leaf->hash = leaf_hashes.front();
-    return leaf;
-  }
+  if (leaf_hashes.size() == 1) return leaf(leaf_hashes.front());
   const std::size_t mid = (leaf_hashes.size() + 1) / 2;  // left gets ceil
-  auto node = std::make_unique<Node>();
-  node->left = build_range(leaf_hashes.first(mid));
-  node->right = build_range(leaf_hashes.subspan(mid));
-  refresh(node.get());
+  NodePtr left = build_range(leaf_hashes.first(mid));
+  NodePtr right = build_range(leaf_hashes.subspan(mid));
+  return interior(std::move(left), std::move(right));
+}
+
+DynMerkleTree::NodePtr DynMerkleTree::leaf(Bytes leaf_hash) {
+  auto node = std::make_shared<Node>();
+  node->hash = std::move(leaf_hash);
   return node;
 }
 
-void DynMerkleTree::refresh(Node* node) {
-  node->rank = node->left->rank + node->right->rank;
-  node->height = 1 + std::max(node->left->height, node->right->height);
-  node->hash = interior_hash(node->left->rank, node->right->rank,
-                             node->left->hash, node->right->hash);
+DynMerkleTree::NodePtr DynMerkleTree::interior(NodePtr left, NodePtr right) {
+  auto node = std::make_shared<Node>();
+  node->rank = left->rank + right->rank;
+  node->height = 1 + std::max(left->height, right->height);
+  node->hash = interior_hash(left->rank, right->rank, left->hash, right->hash);
+  node->left = std::move(left);
+  node->right = std::move(right);
   ++hash_computations_;
+  return node;
 }
 
 // ---------------------------------------------------------------------------
-// Balancing (AVL by leaf rank; interior nodes always have two children)
+// Balancing (AVL by leaf rank; interior nodes always have two children).
+// No node is modified once built: each step makes new nodes over the old
+// subtrees, so every copy of the tree keeps its own shape.
 
-DynMerkleTree::NodePtr DynMerkleTree::rotate_left(NodePtr node) {
-  NodePtr pivot = std::move(node->right);
-  node->right = std::move(pivot->left);
-  refresh(node.get());
-  pivot->left = std::move(node);
-  refresh(pivot.get());
-  return pivot;
+DynMerkleTree::NodePtr DynMerkleTree::rotate_left(const NodePtr& left,
+                                                  const Node& right) {
+  NodePtr lowered = interior(left, right.left);
+  return interior(std::move(lowered), right.right);
 }
 
-DynMerkleTree::NodePtr DynMerkleTree::rotate_right(NodePtr node) {
-  NodePtr pivot = std::move(node->left);
-  node->left = std::move(pivot->right);
-  refresh(node.get());
-  pivot->right = std::move(node);
-  refresh(pivot.get());
-  return pivot;
+DynMerkleTree::NodePtr DynMerkleTree::rotate_right(const Node& left,
+                                                   const NodePtr& right) {
+  NodePtr lowered = interior(left.right, right);
+  return interior(left.left, std::move(lowered));
 }
 
 DynMerkleTree::NodePtr DynMerkleTree::rebalance(NodePtr node) {
-  const int balance = height_of(node->left.get()) -
-                      height_of(node->right.get());
+  const Node& left = *node->left;
+  const Node& right = *node->right;
+  const int balance = left.height - right.height;
   if (balance > 1) {
-    if (height_of(node->left->left.get()) <
-        height_of(node->left->right.get())) {
-      node->left = rotate_left(std::move(node->left));
+    if (height_of(left.left.get()) < height_of(left.right.get())) {
+      return rotate_right(*rotate_left(left.left, *left.right), node->right);
     }
-    return rotate_right(std::move(node));
+    return rotate_right(left, node->right);
   }
   if (balance < -1) {
-    if (height_of(node->right->right.get()) <
-        height_of(node->right->left.get())) {
-      node->right = rotate_right(std::move(node->right));
+    if (height_of(right.right.get()) < height_of(right.left.get())) {
+      return rotate_left(node->left, *rotate_right(*right.left, right.right));
     }
-    return rotate_left(std::move(node));
+    return rotate_left(node->left, right);
   }
   return node;
 }
 
 // ---------------------------------------------------------------------------
-// Mutations
+// Mutations (path copying: the nodes above the touched leaf and the
+// rotation nodes are new, every other subtree is shared)
 
 void DynMerkleTree::update_leaf(std::uint64_t index, Bytes leaf_hash) {
   if (index >= leaf_count()) {
     throw std::out_of_range("DynMerkleTree::update_leaf: index");
   }
-  update_at(root_.get(), index, std::move(leaf_hash));
+  root_ = update_at(*root_, index, std::move(leaf_hash));
 }
 
-void DynMerkleTree::update_at(Node* node, std::uint64_t index,
-                              Bytes&& leaf_hash) {
-  if (node->is_leaf()) {
-    node->hash = std::move(leaf_hash);
-    return;
-  }
-  if (index < node->left->rank) {
-    update_at(node->left.get(), index, std::move(leaf_hash));
-  } else {
-    update_at(node->right.get(), index - node->left->rank,
-              std::move(leaf_hash));
-  }
+DynMerkleTree::NodePtr DynMerkleTree::update_at(const Node& node,
+                                                std::uint64_t index,
+                                                Bytes&& leaf_hash) {
+  if (node.is_leaf()) return leaf(std::move(leaf_hash));
   // Shape is unchanged: only the path hashes are recomputed.
-  node->hash = interior_hash(node->left->rank, node->right->rank,
-                             node->left->hash, node->right->hash);
-  ++hash_computations_;
+  if (index < node.left->rank) {
+    return interior(update_at(*node.left, index, std::move(leaf_hash)),
+                    node.right);
+  }
+  return interior(node.left, update_at(*node.right, index - node.left->rank,
+                                       std::move(leaf_hash)));
 }
 
 void DynMerkleTree::insert_leaf(std::uint64_t index, Bytes leaf_hash) {
   if (index > leaf_count()) {
     throw std::out_of_range("DynMerkleTree::insert_leaf: index");
   }
-  root_ = insert_at(std::move(root_), index, std::move(leaf_hash));
+  root_ = insert_at(root_, index, std::move(leaf_hash));
 }
 
-DynMerkleTree::NodePtr DynMerkleTree::insert_at(NodePtr node,
+DynMerkleTree::NodePtr DynMerkleTree::insert_at(const NodePtr& node,
                                                 std::uint64_t index,
                                                 Bytes&& leaf_hash) {
   if (node == nullptr || node->is_leaf()) {
-    auto fresh = std::make_unique<Node>();
-    fresh->hash = std::move(leaf_hash);
+    NodePtr fresh = leaf(std::move(leaf_hash));
     if (node == nullptr) return fresh;
-    auto parent = std::make_unique<Node>();
-    if (index == 0) {
-      parent->left = std::move(fresh);
-      parent->right = std::move(node);
-    } else {
-      parent->left = std::move(node);
-      parent->right = std::move(fresh);
-    }
-    refresh(parent.get());
-    return parent;
+    return index == 0 ? interior(std::move(fresh), node)
+                      : interior(node, std::move(fresh));
   }
   // Route boundary inserts toward the shorter side so repeated appends keep
   // the tree shallow without extra rotations.
@@ -211,34 +196,32 @@ DynMerkleTree::NodePtr DynMerkleTree::insert_at(NodePtr node,
       index < left_rank ||
       (index == left_rank && node->left->height < node->right->height);
   if (go_left) {
-    node->left = insert_at(std::move(node->left), index, std::move(leaf_hash));
-  } else {
-    node->right = insert_at(std::move(node->right), index - left_rank,
-                            std::move(leaf_hash));
+    return rebalance(interior(
+        insert_at(node->left, index, std::move(leaf_hash)), node->right));
   }
-  refresh(node.get());
-  return rebalance(std::move(node));
+  return rebalance(interior(
+      node->left,
+      insert_at(node->right, index - left_rank, std::move(leaf_hash))));
 }
 
 void DynMerkleTree::erase(std::uint64_t index) {
   if (index >= leaf_count()) {
     throw std::out_of_range("DynMerkleTree::erase: index");
   }
-  root_ = erase_at(std::move(root_), index);
+  root_ = erase_at(*root_, index);
 }
 
-DynMerkleTree::NodePtr DynMerkleTree::erase_at(NodePtr node,
+DynMerkleTree::NodePtr DynMerkleTree::erase_at(const Node& node,
                                                std::uint64_t index) {
-  if (node->is_leaf()) return nullptr;  // the parent collapses to the sibling
-  if (index < node->left->rank) {
-    node->left = erase_at(std::move(node->left), index);
-    if (node->left == nullptr) return std::move(node->right);
-  } else {
-    node->right = erase_at(std::move(node->right), index - node->left->rank);
-    if (node->right == nullptr) return std::move(node->left);
+  if (node.is_leaf()) return nullptr;  // the parent collapses to the sibling
+  if (index < node.left->rank) {
+    NodePtr left = erase_at(*node.left, index);
+    if (left == nullptr) return node.right;
+    return rebalance(interior(std::move(left), node.right));
   }
-  refresh(node.get());
-  return rebalance(std::move(node));
+  NodePtr right = erase_at(*node.right, index - node.left->rank);
+  if (right == nullptr) return node.left;
+  return rebalance(interior(node.left, std::move(right)));
 }
 
 // ---------------------------------------------------------------------------
@@ -427,24 +410,6 @@ std::size_t DynBatchProof::encoded_size() const {
   return 8 + 4 + nodes.size();
 }
 
-DynMerkleTree DynMerkleTree::clone() const {
-  DynMerkleTree copy;
-  if (root_ != nullptr) copy.root_ = clone_node(root_.get());
-  return copy;
-}
-
-DynMerkleTree::NodePtr DynMerkleTree::clone_node(const Node* node) {
-  auto out = std::make_unique<Node>();
-  out->hash = node->hash;
-  out->rank = node->rank;
-  out->height = node->height;
-  if (!node->is_leaf()) {
-    out->left = clone_node(node->left.get());
-    out->right = clone_node(node->right.get());
-  }
-  return out;
-}
-
 std::vector<Bytes> split_chunks(BytesView data, std::size_t chunk_size) {
   if (chunk_size == 0) throw common::Error("split_chunks: zero chunk size");
   std::vector<Bytes> chunks;
@@ -524,75 +489,64 @@ ChunkOpFault ObjectMirror::check(MutateOp op, std::uint64_t index,
   return ChunkOpFault::kNone;
 }
 
-ObjectMirror::Undo ObjectMirror::change(MutateOp op, std::uint64_t index,
-                                        BytesView bytes, std::uint64_t tag,
-                                        Bytes leaf_hash) {
-  Undo undo;
-  undo.op = op;
-  undo.index = index;
-  undo.tree = tree.clone();
-  const auto at = static_cast<std::ptrdiff_t>(index);
+ObjectMirror::Change ObjectMirror::compute(MutateOp op, std::uint64_t index,
+                                           BytesView bytes, std::uint64_t tag,
+                                           Bytes leaf_hash) const {
+  Change change{op, index, tree, {}, {}};
   if (op == MutateOp::kStore) {
-    chunks = split_chunks(bytes, chunk_size);
-    tree = DynMerkleTree::build(chunk_views(chunks));
-    tags.assign(chunks.size(), 0);
-    return undo;
+    change.chunks = split_chunks(bytes, chunk_size);
+    change.tree = DynMerkleTree::build(chunk_views(change.chunks));
+    change.tags.assign(change.chunks.size(), 0);
+    return change;
   }
   if (op == MutateOp::kErase) {
-    tree.erase(index);
-    undo.chunk = std::move(chunks[index]);
-    chunks.erase(chunks.begin() + at);
-    undo.tag = tags[index];
-    tags.erase(tags.begin() + at);
-    return undo;
+    change.tree.erase(index);
+    return change;
   }
   if (leaf_hash.empty()) leaf_hash = DynMerkleTree::hash_chunk(bytes);
   if (op == MutateOp::kUpdate) {
-    tree.update_leaf(index, std::move(leaf_hash));
-    undo.chunk =
-        std::exchange(chunks[index], Bytes(bytes.begin(), bytes.end()));
-    undo.tag = std::exchange(tags[index], tag);
+    change.tree.update_leaf(index, std::move(leaf_hash));
   } else {
-    tree.insert_leaf(index, std::move(leaf_hash));
-    chunks.insert(chunks.begin() + at, Bytes(bytes.begin(), bytes.end()));
-    tags.insert(tags.begin() + at, tag);
+    change.tree.insert_leaf(index, std::move(leaf_hash));
   }
-  return undo;
+  change.chunks.emplace_back(bytes.begin(), bytes.end());
+  change.tags.push_back(tag);
+  return change;
 }
 
-void ObjectMirror::undo(Undo saved) {
-  const auto at = static_cast<std::ptrdiff_t>(saved.index);
-  switch (saved.op) {
-    case MutateOp::kStore:
-      chunks.clear();
-      tags.clear();
+void ObjectMirror::commit(Change change) {
+  const auto at = static_cast<std::ptrdiff_t>(change.index);
+  switch (change.op) {
+    case MutateOp::kStore:  // the whole object; no rule binds its index
+      chunks = std::move(change.chunks);
+      tags = std::move(change.tags);
       break;
     case MutateOp::kUpdate:
-      chunks[saved.index] = std::move(saved.chunk);
-      tags[saved.index] = saved.tag;
+      chunks[change.index] = std::move(change.chunks.front());
+      tags[change.index] = change.tags.front();
       break;
     case MutateOp::kInsert:
     case MutateOp::kAppend:
+      chunks.insert(chunks.begin() + at, std::move(change.chunks.front()));
+      tags.insert(tags.begin() + at, change.tags.front());
+      break;
+    case MutateOp::kErase:
       chunks.erase(chunks.begin() + at);
       tags.erase(tags.begin() + at);
       break;
-    case MutateOp::kErase:
-      chunks.insert(chunks.begin() + at, std::move(saved.chunk));
-      tags.insert(tags.begin() + at, saved.tag);
-      break;
   }
-  tree = std::move(saved.tree);
+  tree = std::move(change.tree);
 }
 
 std::optional<ObjectMirror::Staged> ObjectMirror::stage(
     const std::string& object_key, MutateOp op, std::uint64_t index,
-    BytesView chunk, std::uint64_t tag, Bytes leaf_hash) {
+    BytesView chunk, std::uint64_t tag, Bytes leaf_hash) const {
   if (check(op, index, chunk) != ChunkOpFault::kNone) return std::nullopt;
-  Undo undo = change(op, index, chunk, tag, std::move(leaf_hash));
-  return Staged{.record = chain.next_record(object_key, op, index,
-                                            tree.leaf_count(), tree.root(),
-                                            tag),
-                .undo = std::move(undo)};
+  Change change = compute(op, index, chunk, tag, std::move(leaf_hash));
+  VersionRecord record =
+      chain.next_record(object_key, op, index, change.tree.leaf_count(),
+                        change.tree.root(), tag);
+  return Staged{.record = std::move(record), .change = std::move(change)};
 }
 
 ChunkOpFault ObjectMirror::apply(const VersionRecord& rec, BytesView bytes) {
@@ -603,19 +557,15 @@ ChunkOpFault ObjectMirror::apply(const VersionRecord& rec, BytesView bytes) {
       fault != ChunkOpFault::kNone) {
     return fault;
   }
-  Undo saved = change(rec.op, rec.chunk_index, bytes, rec.chunk_tag, {});
-  ChunkOpFault fault = ChunkOpFault::kNone;
-  if (tree.leaf_count() != rec.chunk_count) {
-    fault = ChunkOpFault::kChunkCount;
-  } else if (!common::constant_time_equal(tree.root(), rec.new_root)) {
-    fault = ChunkOpFault::kNewRoot;
+  Change change = compute(rec.op, rec.chunk_index, bytes, rec.chunk_tag, {});
+  if (change.tree.leaf_count() != rec.chunk_count) {
+    return ChunkOpFault::kChunkCount;
   }
-  if (fault != ChunkOpFault::kNone) undo(std::move(saved));
-  return fault;
-}
-
-ObjectMirror ObjectMirror::clone() const {
-  return {chunk_size, chunks, tree.clone(), tags, chain};
+  if (!common::constant_time_equal(change.tree.root(), rec.new_root)) {
+    return ChunkOpFault::kNewRoot;
+  }
+  commit(std::move(change));
+  return ChunkOpFault::kNone;
 }
 
 }  // namespace tpnr::dyn

@@ -16,7 +16,10 @@
 //   empty    = H(0x02)
 //
 // The tree stores hashes only — chunk bytes stay with their owner — so a
-// client can mirror the provider's tree at 32 bytes per chunk.
+// client can mirror the provider's tree at 32 bytes per chunk. Nodes are
+// immutable and shared: a mutation copies only its root-to-leaf path, so
+// copying a tree is O(1) and a copy never sees the original's later
+// mutations (nor the original the copy's).
 #pragma once
 
 #include <cstdint>
@@ -59,11 +62,6 @@ class DynMerkleTree {
   /// Empty tree (leaf_count() == 0, root() == empty_root()).
   DynMerkleTree() = default;
 
-  DynMerkleTree(DynMerkleTree&&) noexcept = default;
-  DynMerkleTree& operator=(DynMerkleTree&&) noexcept = default;
-  DynMerkleTree(const DynMerkleTree&) = delete;
-  DynMerkleTree& operator=(const DynMerkleTree&) = delete;
-
   /// Canonical balanced build over `chunks` (leaf hashes run through the
   /// multi-lane SHA-256 engine). A tree mutated by update_leaf() only keeps
   /// the build shape, so update-only histories stay byte-identical to a
@@ -80,8 +78,9 @@ class DynMerkleTree {
   /// Leaf hash of chunk `index`. Throws std::out_of_range.
   [[nodiscard]] const Bytes& leaf_hash(std::uint64_t index) const;
 
-  // Mutations. Each re-hashes O(log n) nodes — hash_computations() meters
-  // exactly how many. All throw std::out_of_range on a bad index.
+  // Mutations. Each re-hashes and allocates O(log n) nodes (the path it
+  // copies) — hash_computations() meters exactly how many hashes. All throw
+  // std::out_of_range on a bad index.
   void update_leaf(std::uint64_t index, Bytes leaf_hash);
   /// Inserts BEFORE `index` (index == leaf_count() appends).
   void insert_leaf(std::uint64_t index, Bytes leaf_hash);
@@ -100,10 +99,10 @@ class DynMerkleTree {
   static bool verify_batch(const DynBatchProof& proof, BytesView root,
                            std::vector<VerifiedLeaf>& out);
 
-  /// Node hashes computed since construction or reset — the O(log n)
-  /// counter the mutation tests assert on. The canonical build counts its
-  /// leaf hashes too (2n−1); a mutation takes its leaf hash ready-made and
-  /// counts interior nodes only.
+  /// Node hashes computed since construction or reset (a copy carries the
+  /// original's count) — the O(log n) counter the mutation tests assert
+  /// on. The canonical build counts its leaf hashes too (2n−1); a mutation
+  /// takes its leaf hash ready-made and counts interior nodes only.
   [[nodiscard]] std::uint64_t hash_computations() const noexcept {
     return hash_computations_;
   }
@@ -122,23 +121,18 @@ class DynMerkleTree {
   /// Batch form through the multi-lane engine.
   static std::vector<Bytes> hash_chunks(std::span<const BytesView> chunks);
 
-  /// Structural deep copy (no hashing — hash_computations() of the copy
-  /// starts at 0). The optimistic-mutation path snapshots the tree with
-  /// this so a provider rejection can restore the EXACT pre-op shape —
-  /// shapes are history-dependent, so a canonical rebuild would not do.
-  [[nodiscard]] DynMerkleTree clone() const;
-
  private:
+  struct Node;
+  using NodePtr = std::shared_ptr<const Node>;
   struct Node {
-    std::unique_ptr<Node> left;
-    std::unique_ptr<Node> right;
+    NodePtr left;
+    NodePtr right;
     Bytes hash;
     std::uint64_t rank = 1;  ///< leaves in this subtree
     int height = 0;          ///< 0 for a leaf
 
     [[nodiscard]] bool is_leaf() const noexcept { return left == nullptr; }
   };
-  using NodePtr = std::unique_ptr<Node>;
 
   static std::uint64_t rank_of(const Node* node) noexcept {
     return node ? node->rank : 0;
@@ -147,16 +141,19 @@ class DynMerkleTree {
     return node ? node->height : -1;
   }
 
-  void refresh(Node* node);  ///< recompute rank/height/hash from children
-  NodePtr rotate_left(NodePtr node);
-  NodePtr rotate_right(NodePtr node);
+  static NodePtr leaf(Bytes leaf_hash);
+  /// A new interior node over `left` and `right`: rank, height and hash.
+  NodePtr interior(NodePtr left, NodePtr right);
+  /// The rotations of an interior node over `left` and `right`.
+  NodePtr rotate_left(const NodePtr& left, const Node& right);
+  NodePtr rotate_right(const Node& left, const NodePtr& right);
   NodePtr rebalance(NodePtr node);
   NodePtr build_range(std::span<const Bytes> leaf_hashes);
-  void update_at(Node* node, std::uint64_t index, Bytes&& leaf_hash);
-  NodePtr insert_at(NodePtr node, std::uint64_t index, Bytes&& leaf_hash);
-  NodePtr erase_at(NodePtr node, std::uint64_t index);
+  NodePtr update_at(const Node& node, std::uint64_t index, Bytes&& leaf_hash);
+  NodePtr insert_at(const NodePtr& node, std::uint64_t index,
+                    Bytes&& leaf_hash);
+  NodePtr erase_at(const Node& node, std::uint64_t index);
   static Bytes reference_hash(const Node* node);
-  static NodePtr clone_node(const Node* node);
 
   NodePtr root_;
   std::uint64_t hash_computations_ = 0;
@@ -199,21 +196,28 @@ const char* chunk_op_fault_reason(ChunkOpFault fault);
 /// chunks its stride slices it into, their rank tree, a PoR tag per chunk
 /// (kept in step with the chunks; all 0 on a shared object, whose records
 /// carry chunk_tag 0) and the chain of records that commit to them.
+///
+/// An op is computed, then committed: stage() and apply() compute the next
+/// state without touching this one (the tree copy is O(1) and the op copies
+/// only its O(log n) path), and commit() installs it. A refused or faulty
+/// op leaves nothing to restore.
 struct ObjectMirror {
-  /// What undo() needs to restore the exact pre-op state.
-  struct Undo {
+  /// A computed op, not yet installed: the post-op tree and the chunk and
+  /// tag edit at `index`.
+  struct Change {
     MutateOp op = MutateOp::kUpdate;
     std::uint64_t index = 0;
-    /// The pre-op tree. Shapes are history-dependent (rotations need not
-    /// invert), so it is restored, never re-derived by an inverse op.
     DynMerkleTree tree;
-    Bytes chunk;  ///< the chunk an update replaced or an erase removed
-    std::uint64_t tag = 0;
+    /// Written at `index`: one chunk, none for an erase, every chunk for a
+    /// kStore.
+    std::vector<Bytes> chunks;
+    std::vector<std::uint64_t> tags;  ///< one per written chunk
   };
-  /// A client op applied to the mirror: the record to sign and its undo.
+  /// A client op computed against the mirror: the record to sign and the
+  /// change it commits to.
   struct Staged {
     VersionRecord record;
-    Undo undo;
+    Change change;
   };
 
   std::size_t chunk_size = 0;
@@ -231,28 +235,30 @@ struct ObjectMirror {
   [[nodiscard]] ChunkOpFault check(MutateOp op, std::uint64_t index,
                                    BytesView bytes) const;
 
-  /// Stages a client op: refuses (nullopt) what check() refuses, else
-  /// applies it, `tag` being the written chunk's tag and `leaf_hash` its
-  /// precomputed leaf hash (empty: hashed here, once), and returns the
-  /// record of `object_key`'s next version that commits to the result. A
-  /// kStore builds the mirror from `chunk`, the whole object, every tag 0.
-  std::optional<Staged> stage(const std::string& object_key, MutateOp op,
-                              std::uint64_t index, BytesView chunk,
-                              std::uint64_t tag = 0, Bytes leaf_hash = {});
-  void undo(Undo saved);
+  /// Computes a client op: refuses (nullopt) what check() refuses, else
+  /// returns the record of `object_key`'s next version and the change it
+  /// commits to, `tag` being the written chunk's tag and `leaf_hash` its
+  /// precomputed leaf hash (empty: hashed here, once). A kStore builds
+  /// from `chunk`, the whole object, every tag 0.
+  [[nodiscard]] std::optional<Staged> stage(const std::string& object_key,
+                                            MutateOp op, std::uint64_t index,
+                                            BytesView chunk,
+                                            std::uint64_t tag = 0,
+                                            Bytes leaf_hash = {}) const;
+
+  /// Installs a change computed against this mirror's current state.
+  void commit(Change change);
 
   /// Applies `rec`, its chunk in `bytes` (the whole object for a kStore,
-  /// which is only ever version 1) and its tag in rec.chunk_tag, and
-  /// checks its chunk_count and new_root against the result. On any fault
-  /// the mirror is left unchanged.
+  /// which is only ever version 1) and its tag in rec.chunk_tag: checks
+  /// the op, computes it, checks its chunk_count and new_root against the
+  /// result, and only then commits. On any fault the mirror is unchanged.
   ChunkOpFault apply(const VersionRecord& rec, BytesView bytes);
 
-  /// Deep copy: the tree by DynMerkleTree::clone (equivocating branches).
-  [[nodiscard]] ObjectMirror clone() const;
-
  private:
-  Undo change(MutateOp op, std::uint64_t index, BytesView bytes,
-              std::uint64_t tag, Bytes leaf_hash);
+  [[nodiscard]] Change compute(MutateOp op, std::uint64_t index,
+                               BytesView bytes, std::uint64_t tag,
+                               Bytes leaf_hash) const;
 };
 
 }  // namespace tpnr::dyn

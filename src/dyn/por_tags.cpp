@@ -72,18 +72,21 @@ std::vector<std::uint64_t> chunk_sectors(BytesView chunk,
   return sectors;
 }
 
+TagKey::TagKey(BytesView prf_key, BytesView alpha_key)
+    : prf_(crypto::HashKind::kSha256, prf_key),
+      alpha_(crypto::HashKind::kSha256, alpha_key) {}
+
 TagKey TagKey::derive(BytesView master, std::string_view object_key) {
   const Bytes label = common::to_bytes(object_key);
-  TagKey key;
-  key.prf_key =
-      crypto::hmac_sha256(master, common::concat({common::to_bytes("tpnr.dyn.tag.prf:"), label}));
-  key.alpha_key =
-      crypto::hmac_sha256(master, common::concat({common::to_bytes("tpnr.dyn.tag.alpha:"), label}));
-  return key;
+  const auto subkey = [&](std::string_view domain) {
+    return crypto::hmac_sha256(
+        master, common::concat({common::to_bytes(domain), label}));
+  };
+  return TagKey(subkey("tpnr.dyn.tag.prf:"), subkey("tpnr.dyn.tag.alpha:"));
 }
 
 std::uint64_t TagKey::prf(BytesView leaf_hash) const {
-  return mac_to_field(crypto::hmac_sha256_cached(prf_key, leaf_hash));
+  return mac_to_field(prf_.mac(leaf_hash));
 }
 
 std::vector<std::uint64_t> TagKey::alphas(std::size_t sector_count) const {
@@ -92,7 +95,7 @@ std::vector<std::uint64_t> TagKey::alphas(std::size_t sector_count) const {
     common::BinaryWriter w;
     w.str("alpha");
     w.u64(j);
-    out[j] = mac_to_field(crypto::hmac_sha256_cached(alpha_key, w.data()));
+    out[j] = mac_to_field(alpha_.mac(w.data()));
   }
   return out;
 }
@@ -109,11 +112,11 @@ std::uint64_t make_tag(const TagKey& key, BytesView chunk, BytesView leaf_hash,
 
 std::vector<std::uint64_t> make_tags(const TagKey& key,
                                      std::span<const BytesView> chunks,
+                                     std::span<const Bytes> leaf_hashes,
                                      std::span<const std::uint64_t> alphas) {
-  const auto leaves = DynMerkleTree::hash_chunks(chunks);
   std::vector<std::uint64_t> tags(chunks.size());
   for (std::size_t i = 0; i < chunks.size(); ++i) {
-    tags[i] = make_tag(key, chunks[i], leaves[i], alphas);
+    tags[i] = make_tag(key, chunks[i], leaf_hashes[i], alphas);
   }
   return tags;
 }

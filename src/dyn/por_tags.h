@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "crypto/hmac.h"
 #include "dyn/dyn_merkle.h"
 
 namespace tpnr::dyn {
@@ -72,10 +73,13 @@ std::vector<std::uint64_t> chunk_sectors(BytesView chunk,
                                          std::size_t sector_count);
 
 /// The client/auditor tagging secret. The provider never sees it — it only
-/// stores the resulting tags.
-struct TagKey {
-  Bytes prf_key;    ///< keys PRF_k(leaf_hash)
-  Bytes alpha_key;  ///< derives the sector coefficients α_j
+/// stores the resulting tags. It holds the HMAC key states of its two keys,
+/// keyed once when it is built, so a PRF call costs one keyed HMAC.
+class TagKey {
+ public:
+  /// The empty-keyed placeholder a target holds until it is assigned a
+  /// derived key.
+  TagKey() : TagKey({}, {}) {}
 
   /// Deterministic per-object key from a master secret (domain-separated by
   /// the object key, so objects cannot cross-satisfy challenges).
@@ -87,6 +91,12 @@ struct TagKey {
   /// α_0 .. α_{sector_count−1}.
   [[nodiscard]] std::vector<std::uint64_t> alphas(
       std::size_t sector_count) const;
+
+ private:
+  TagKey(BytesView prf_key, BytesView alpha_key);
+
+  crypto::HmacKeyState prf_;    ///< keys PRF_k(leaf_hash)
+  crypto::HmacKeyState alpha_;  ///< derives the sector coefficients α_j
 };
 
 /// One object's α vector for one chunk size. It is derived once
@@ -99,11 +109,13 @@ using SharedAlphas = std::shared_ptr<const std::vector<std::uint64_t>>;
                                      BytesView leaf_hash,
                                      std::span<const std::uint64_t> alphas);
 
-/// Tags every chunk of an object (leaf hashes run through the multi-lane
-/// SHA-256 engine). The α vector's length fixes the sector count, so short
-/// chunks are padded to the object's stride.
+/// Tags every chunk of an object, `leaf_hashes` being the chunks' leaf
+/// hashes in the same order (a tree build has them already). The α
+/// vector's length fixes the sector count, so short chunks are padded to
+/// the object's stride.
 std::vector<std::uint64_t> make_tags(const TagKey& key,
                                      std::span<const BytesView> chunks,
+                                     std::span<const Bytes> leaf_hashes,
                                      std::span<const std::uint64_t> alphas);
 
 /// A compact-audit challenge: (seed, count) is all that travels on the wire;

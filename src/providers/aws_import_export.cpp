@@ -43,7 +43,7 @@ Bytes AwsImportExport::sign_job(BytesView secret, const std::string& job_id,
                                 const Manifest& manifest) {
   Bytes input = common::to_bytes(job_id);
   common::append(input, manifest.encode());
-  return crypto::hmac_sha256_cached(secret, input);
+  return crypto::hmac_sha256(secret, input);
 }
 
 std::optional<std::string> AwsImportExport::create_job(
@@ -52,7 +52,7 @@ std::optional<std::string> AwsImportExport::create_job(
   if (secret_it == user_secrets_.end()) return std::nullopt;
   // The e-mailed manifest itself is authenticated with the user secret.
   const Bytes expected =
-      crypto::hmac_sha256_cached(secret_it->second, manifest.encode());
+      crypto::hmac_sha256(secret_it->second, manifest.encode());
   if (!common::constant_time_equal(expected, manifest_signature)) {
     return std::nullopt;
   }

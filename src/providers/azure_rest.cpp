@@ -92,10 +92,8 @@ std::string canonicalize(const RestRequest& request) {
 std::string shared_key_authorization(const std::string& account,
                                      BytesView account_key,
                                      const RestRequest& request) {
-  // The account key signs every request in the account's lifetime; the
-  // cached key state skips the HMAC pad compressions on all but the first.
-  const Bytes mac = crypto::hmac_sha256_cached(
-      account_key, common::to_bytes(canonicalize(request)));
+  const Bytes mac =
+      crypto::hmac_sha256(account_key, common::to_bytes(canonicalize(request)));
   return "SharedKey " + account + ":" + common::base64_encode(mac);
 }
 

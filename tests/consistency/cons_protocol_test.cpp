@@ -340,11 +340,74 @@ TEST_F(ConsProtocolTest, EquivocationArmsDivergentStoreServing) {
   EXPECT_NE(alice_branch.chunks, carol_branch.chunks)
       << "divergent branches must hold different bytes";
   EXPECT_NE(alice_branch.views.head_hash(), carol_branch.views.head_hash());
-  // Forking deep-copies each branch's tree: each one's root is its own
-  // chain head, and the two differ.
+  // Each branch's root is its own chain head, and the two differ.
   EXPECT_EQ(alice_branch.tree.root(), alice_branch.chain.head_root());
   EXPECT_EQ(carol_branch.tree.root(), carol_branch.chain.head_root());
   EXPECT_NE(alice_branch.tree.root(), carol_branch.tree.root());
+}
+
+TEST_F(ConsProtocolTest, ForkedBranchesShareOneTreeThenDivergeIndependently) {
+  shared_object("doc", 4);
+  ASSERT_TRUE(bob_.fork_object("doc", {{"alice", 0}, {"carol", 1}}));
+  const auto& branches = bob_.object_state("doc")->branches;
+  ASSERT_EQ(branches.size(), 2u);
+  const Bytes root = branches[0].tree.root();
+  EXPECT_EQ(root, branches[0].chain.head_root());
+  EXPECT_EQ(branches[1].tree.root(), root);
+  EXPECT_EQ(branches[1].chunks, branches[0].chunks);
+
+  // A commit on one branch moves that branch's tree only.
+  crypto::Drbg data_rng(std::uint64_t{556});
+  ASSERT_TRUE(alice_.update("doc", 0, data_rng.bytes(kChunkSize)));
+  network_.run();
+  EXPECT_NE(branches[0].tree.root(), root);
+  EXPECT_EQ(branches[0].tree.root(), branches[0].chain.head_root());
+  EXPECT_EQ(branches[1].tree.root(), root);
+  EXPECT_EQ(branches[1].tree.recompute_root_reference(), root);
+  EXPECT_EQ(branches[1].chain.head_version(), 1u);
+
+  const Bytes alice_root = branches[0].tree.root();
+  ASSERT_TRUE(carol_.insert("doc", 1, data_rng.bytes(kChunkSize)));
+  network_.run();
+  EXPECT_EQ(branches[1].tree.root(), branches[1].chain.head_root());
+  EXPECT_EQ(branches[1].tree.leaf_count(), 5u);
+  EXPECT_EQ(branches[0].tree.root(), alice_root);
+  EXPECT_EQ(branches[0].tree.recompute_root_reference(), alice_root);
+  EXPECT_EQ(branches[0].tree.leaf_count(), 4u);
+}
+
+TEST_F(ConsProtocolTest, StaleBounceKeepsTheMirrorAtTheChainHead) {
+  shared_object("doc", 4);
+  // Carol misses alice's commit, as in StaleSubmissionCatchesUpAndResubmits;
+  // after every event her mirror is exactly her chain head.
+  const auto run_checking_mirror = [this] {
+    while (network_.run(1) > 0) {
+      const auto* obj = carol_.object("doc");
+      ASSERT_EQ(obj->tree.root(), obj->chain.head_root());
+      ASSERT_EQ(obj->chunks.size(), obj->chain.head_chunk_count());
+    }
+  };
+  network_.set_adversary("bob", "carol", [](const net::Envelope&) {
+    net::AdversaryAction action;
+    action.kind = net::AdversaryAction::Kind::kDrop;
+    return action;
+  });
+  crypto::Drbg data_rng(std::uint64_t{45});
+  ASSERT_TRUE(alice_.append_chunk("doc", data_rng.bytes(kChunkSize)));
+  run_checking_mirror();
+  network_.clear_adversary("bob", "carol");
+
+  const auto* carol_obj = carol_.object("doc");
+  const Bytes stale_root = carol_obj->tree.root();
+  ASSERT_TRUE(carol_.update("doc", 1, data_rng.bytes(kChunkSize)));
+  EXPECT_EQ(carol_obj->tree.root(), stale_root);  // staged, not committed
+  run_checking_mirror();
+
+  EXPECT_EQ(carol_obj->stale_resubmits, 1u);
+  EXPECT_EQ(carol_obj->receipts, 1u);
+  EXPECT_EQ(carol_obj->chain.head_version(), 3u);
+  EXPECT_EQ(carol_obj->chunks.size(), 5u);
+  EXPECT_EQ(carol_obj->tree.root(), alice_.object("doc")->tree.root());
 }
 
 TEST_F(ConsProtocolTest, HonestRunWithGossipNeverAccuses) {

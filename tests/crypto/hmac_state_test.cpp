@@ -1,12 +1,11 @@
 // HmacKeyState (midstate-resumed HMAC) against RFC 4231 vectors and the
-// plain Hmac implementation, plus the process-wide keyed cache.
+// plain Hmac implementation.
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "crypto/counters.h"
 #include "crypto/hmac.h"
 
 namespace tpnr::crypto {
@@ -65,34 +64,6 @@ TEST(HmacKeyStateTest, RejectsUnsupportedKinds) {
                common::CryptoError);
   EXPECT_THROW(HmacKeyState(HashKind::kSha512, Bytes(16, 1)),
                common::CryptoError);
-}
-
-TEST(HmacKeyStateTest, CachedOneShotMatchesAndCountsMidstateHits) {
-  hmac_cache_clear();
-  counters().reset();
-  const Bytes key = common::to_bytes("shared-account-key");
-  for (int i = 0; i < 5; ++i) {
-    const Bytes msg = common::to_bytes("request " + std::to_string(i));
-    EXPECT_EQ(hmac_sha256_cached(key, msg), hmac_sha256(key, msg));
-  }
-  const CounterSnapshot snap = counters().snapshot();
-  // One derivation for the key, five resumed MACs.
-  EXPECT_GE(snap.hmac_midstate_hits, 5u);
-}
-
-// More distinct keys than the cache holds: it restarts cold on overflow,
-// and every tag — before and after the restart — matches the uncached
-// reference.
-TEST(HmacKeyStateTest, CachedMatchesPlainThroughCacheOverflow) {
-  hmac_cache_clear();
-  const Bytes msg = common::to_bytes("m");
-  for (int round = 0; round < 2; ++round) {
-    for (int i = 0; i < 300; ++i) {
-      const Bytes key = common::to_bytes("key-" + std::to_string(i));
-      ASSERT_EQ(hmac_sha256_cached(key, msg), hmac_sha256(key, msg))
-          << "round " << round << " key " << i;
-    }
-  }
 }
 
 }  // namespace

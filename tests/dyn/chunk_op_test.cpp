@@ -1,5 +1,5 @@
 // Table-driven oracle for the chunk-op rule (ObjectMirror::check) and the
-// mirror's appliers (stage / undo / apply): every op × index ∈
+// mirror's appliers (stage / commit / apply): every op × index ∈
 // {0, mid, last, count, count+1} × chunk size ∈ {0, short, full, over}, on
 // objects whose tail is full and objects whose tail is short. The oracle judges an op by the
 // layout it leaves behind — every chunk non-empty and at most one stride,
@@ -142,17 +142,19 @@ void check_verdict_and_apply(const Case& c) {
   const DynMerkleTree& tree = mirror.tree;
   const std::vector<std::uint64_t> tags_before = tags;
   const Bytes root_before = tree.root();
-  // Staging refuses exactly what the rule refuses, and leaves the mirror.
+  // Staging refuses exactly what the rule refuses, and either way leaves
+  // the mirror: only commit() moves it.
   std::optional<ObjectMirror::Staged> staged =
       mirror.stage("obj", c.op, c.index, chunk, 99);
   ASSERT_EQ(staged.has_value(), verdict == ChunkOpFault::kNone);
-  if (!staged) {
-    EXPECT_EQ(chunks, chunks_before);
-    EXPECT_EQ(tags, tags_before);
-    EXPECT_EQ(tree.root(), root_before);
-    return;
-  }
+  EXPECT_EQ(chunks, chunks_before);
+  EXPECT_EQ(tags, tags_before);
+  EXPECT_EQ(tree.root(), root_before);
+  EXPECT_EQ(tree.recompute_root_reference(), root_before);
+  if (!staged) return;
 
+  const VersionRecord record = staged->record;
+  mirror.commit(std::move(staged->change));
   EXPECT_EQ(chunks, expected_chunks);
   ASSERT_EQ(tags.size(), chunks.size());
   if (c.op != MutateOp::kErase) {
@@ -169,16 +171,11 @@ void check_verdict_and_apply(const Case& c) {
   }
   EXPECT_EQ(split_chunks(join_chunks(chunks), kStride), chunks);
   // The staged record commits to the post-op mirror.
-  EXPECT_EQ(staged->record.op, c.op);
-  EXPECT_EQ(staged->record.chunk_index, c.index);
-  EXPECT_EQ(staged->record.chunk_count, tree.leaf_count());
-  EXPECT_EQ(staged->record.new_root, tree.root());
-  EXPECT_EQ(staged->record.chunk_tag, 99u);
-
-  mirror.undo(std::move(staged->undo));
-  EXPECT_EQ(chunks, chunks_before);
-  EXPECT_EQ(tags, tags_before);
-  EXPECT_EQ(tree.root(), root_before);
+  EXPECT_EQ(record.op, c.op);
+  EXPECT_EQ(record.chunk_index, c.index);
+  EXPECT_EQ(record.chunk_count, tree.leaf_count());
+  EXPECT_EQ(record.new_root, tree.root());
+  EXPECT_EQ(record.chunk_tag, 99u);
 }
 
 void check_record_form(const Case& c) {
@@ -203,18 +200,18 @@ void check_record_form(const Case& c) {
     return;
   }
 
-  // The honest record: count and root of the applied op.
-  std::optional<ObjectMirror::Staged> probe =
+  // The honest record: count and root of the computed op.
+  const std::optional<ObjectMirror::Staged> probe =
       mirror.stage("obj", c.op, c.index, chunk, 99);
   ASSERT_TRUE(probe.has_value());
   VersionRecord rec;
   rec.version = 2;
   rec.op = c.op;
   rec.chunk_index = c.index;
-  rec.chunk_count = tree.leaf_count();
-  rec.new_root = tree.root();
+  rec.chunk_count = probe->change.tree.leaf_count();
+  rec.new_root = probe->change.tree.root();
   rec.chunk_tag = 99;
-  mirror.undo(std::move(probe->undo));
+  EXPECT_EQ(tree.root(), root_before);
 
   VersionRecord wrong_count = rec;
   ++wrong_count.chunk_count;
@@ -302,6 +299,16 @@ TEST(ApplyRecordTest, StoreBuildsTheMirrorOrLeavesIt) {
   // Only an empty mirror takes a store.
   EXPECT_EQ(mirror.apply(store, bytes), ChunkOpFault::kStoreOp);
   EXPECT_EQ(mirror.chunks, object);
+
+  // No rule binds a store's chunk_index (it arrives in a signed record):
+  // the store is still the whole object.
+  ObjectMirror other;
+  other.chunk_size = kStride;
+  wrong = store;
+  wrong.chunk_index = 7;
+  EXPECT_EQ(other.apply(wrong, bytes), ChunkOpFault::kNone);
+  EXPECT_EQ(other.chunks, object);
+  EXPECT_EQ(other.tags, mirror.tags);
 }
 
 TEST(ApplyRecordTest, StagedStoreIsTheRecordApplyAccepts) {
@@ -311,22 +318,24 @@ TEST(ApplyRecordTest, StagedStoreIsTheRecordApplyAccepts) {
   std::optional<ObjectMirror::Staged> staged =
       client.stage("obj", MutateOp::kStore, 0, bytes);
   ASSERT_TRUE(staged.has_value());
+  const ObjectMirror::Change& change = staged->change;
   EXPECT_EQ(staged->record.version, 1u);
-  EXPECT_EQ(staged->record.chunk_count, client.chunks.size());
-  EXPECT_EQ(staged->record.new_root, client.tree.root());
-  EXPECT_EQ(client.tags, std::vector<std::uint64_t>(client.chunks.size(), 0));
-
-  ObjectMirror provider;
-  provider.chunk_size = kStride;
-  EXPECT_EQ(provider.apply(staged->record, bytes), ChunkOpFault::kNone);
-  EXPECT_EQ(provider.chunks, client.chunks);
-
-  // Undoing the store empties the client's mirror again.
-  client.undo(std::move(staged->undo));
+  EXPECT_EQ(staged->record.chunk_count, change.chunks.size());
+  EXPECT_EQ(staged->record.new_root, change.tree.root());
+  EXPECT_EQ(change.tags, std::vector<std::uint64_t>(change.chunks.size(), 0));
+  // Staging the store leaves the client's mirror empty.
   EXPECT_TRUE(client.chunks.empty());
   EXPECT_TRUE(client.tags.empty());
   EXPECT_EQ(client.tree.root(), DynMerkleTree::empty_root());
   EXPECT_FALSE(client.stage("obj", MutateOp::kStore, 0, Bytes{}).has_value());
+
+  ObjectMirror provider;
+  provider.chunk_size = kStride;
+  EXPECT_EQ(provider.apply(staged->record, bytes), ChunkOpFault::kNone);
+  client.commit(std::move(staged->change));
+  EXPECT_EQ(provider.chunks, client.chunks);
+  EXPECT_EQ(provider.tags, client.tags);
+  EXPECT_EQ(provider.tree.root(), client.tree.root());
 }
 
 TEST(ChunkOpRuleTest, EveryFaultHasAReason) {

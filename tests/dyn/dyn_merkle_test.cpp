@@ -272,20 +272,36 @@ TEST(DynMerkleTest, BatchProofRoundTripsAndDetectsTampering) {
   EXPECT_FALSE(DynMerkleTree::verify_batch(proof, chunks[0], leaves));
 }
 
-TEST(DynMerkleTest, CloneIsIndependentAndHashFree) {
+TEST(DynMerkleTest, CopyIsIndependentOfLaterMutations) {
   crypto::Drbg rng(std::uint64_t{88});
   const auto chunks = random_chunks(33, rng);
   DynMerkleTree tree = DynMerkleTree::build(chunk_views(chunks));
   const Bytes root = tree.root();
+  const std::uint64_t hashed = tree.hash_computations();
 
-  DynMerkleTree copy = tree.clone();
-  EXPECT_EQ(copy.hash_computations(), 0u);  // pure structural copy
-  tree.erase(5);
-  tree.update_leaf(0, leaf(rng.bytes(kChunkSize)));
-  EXPECT_EQ(copy.root(), root);
-  EXPECT_EQ(copy.leaf_count(), 33u);
+  // Mutating a copy leaves the original's shape, hashes and count alone.
+  DynMerkleTree copy = tree;
+  EXPECT_EQ(copy.hash_computations(), hashed);  // copying hashes nothing
+  copy.erase(5);
+  copy.update_leaf(0, leaf(rng.bytes(kChunkSize)));
+  copy.insert_leaf(17, leaf(rng.bytes(kChunkSize)));
+  EXPECT_EQ(tree.root(), root);
+  EXPECT_EQ(tree.recompute_root_reference(), root);
+  EXPECT_EQ(tree.leaf_count(), 33u);
+  EXPECT_EQ(tree.hash_computations(), hashed);
   EXPECT_EQ(copy.root(), copy.recompute_root_reference());
-  EXPECT_NE(tree.root(), copy.root());
+  EXPECT_NE(copy.root(), root);
+
+  // And the other way round: the copy keeps the pre-mutation tree.
+  const DynMerkleTree snapshot = copy;
+  const Bytes copy_root = copy.root();
+  copy.update_leaf(3, leaf(rng.bytes(kChunkSize)));
+  copy.erase(0);
+  EXPECT_EQ(snapshot.root(), copy_root);
+  EXPECT_EQ(snapshot.recompute_root_reference(), copy_root);
+  EXPECT_EQ(snapshot.leaf_count(), 33u);
+  EXPECT_EQ(copy.root(), copy.recompute_root_reference());
+  EXPECT_EQ(copy.leaf_count(), 32u);
 }
 
 TEST(DynMerkleTest, SplitChunksStridesWithShortTail) {

@@ -66,6 +66,19 @@ class DynProtocolTest : public ::testing::Test {
     return *obj;
   }
 
+  /// Runs the network one event at a time, checking after each that the
+  /// client's mirror of `key` (when it exists) is its chain head: the
+  /// mirror moves only on a countersigned receipt.
+  void run_checking_mirror(const std::string& key) {
+    while (network_.run(1) > 0) {
+      const auto* obj = alice_.object(key);
+      if (obj == nullptr) continue;
+      ASSERT_EQ(obj->tree.root(), obj->chain.head_root());
+      ASSERT_EQ(obj->chunks.size(), obj->chain.head_chunk_count());
+      ASSERT_EQ(obj->tags.size(), obj->chunks.size());
+    }
+  }
+
   /// Drops every message bob sends alice (his receipts) until cleared.
   void withhold_receipts() {
     network_.set_adversary("bob", "alice", [](const net::Envelope&) {
@@ -228,10 +241,11 @@ TEST_F(DynProtocolTest, ExhaustedRetriesRevertToTheChainHead) {
   crypto::Drbg data_rng(std::uint64_t{45});
 
   ASSERT_TRUE(alice_.insert("doc", 3, data_rng.bytes(kChunkSize)));
-  EXPECT_NE(alice_.object("doc")->tree.root(), root_before);  // optimistic
+  // Sent, not yet receipted: the mirror has not moved.
+  EXPECT_EQ(alice_.object("doc")->tree.root(), root_before);
   network_.run();
 
-  // All retries timed out: the mirror is back at the countersigned head.
+  // All retries timed out: the mirror is still at the countersigned head.
   EXPECT_EQ(obj.timeouts, 1u);
   EXPECT_EQ(obj.receipts, 1u);  // just the store
   EXPECT_EQ(alice_.pending("doc"), nullptr);
@@ -243,6 +257,44 @@ TEST_F(DynProtocolTest, ExhaustedRetriesRevertToTheChainHead) {
   // The provider DID apply it (receipts were only withheld) — the divergence
   // is visible, not silent: its chain is one version ahead.
   EXPECT_EQ(bob_.object_state("doc")->chain.head_version(), 2u);
+}
+
+TEST_F(DynProtocolTest, MirrorIsTheChainHeadAfterEveryEvent) {
+  crypto::Drbg data_rng(std::uint64_t{46});
+  alice_.store_dyn("bob", "ttp", "doc", data_rng.bytes(8 * kChunkSize),
+                   kChunkSize);
+  run_checking_mirror("doc");
+  const auto& obj = *alice_.object("doc");
+  ASSERT_EQ(obj.chain.head_version(), 1u);
+
+  // A receipt withheld until after the first retry, then let through: the
+  // mirror moves once, on the receipt.
+  withhold_receipts();
+  network_.schedule(20 * common::kSecond,
+                    [this] { network_.clear_adversary("bob", "alice"); });
+  ASSERT_TRUE(alice_.update("doc", 2, data_rng.bytes(kChunkSize)));
+  run_checking_mirror("doc");
+  EXPECT_EQ(obj.chain.head_version(), 2u);
+  EXPECT_EQ(obj.receipts, 2u);
+
+  // Every receipt withheld: the retries run out and the op is dropped.
+  withhold_receipts();
+  ASSERT_TRUE(alice_.append_chunk("doc", data_rng.bytes(kChunkSize)));
+  run_checking_mirror("doc");
+  EXPECT_EQ(obj.timeouts, 1u);
+  EXPECT_EQ(obj.chain.head_version(), 2u);
+  EXPECT_EQ(bob_.object_state("doc")->chain.head_version(), 3u);
+
+  // Bob committed the append alice never saw, so her next version 3 is a
+  // conflict: a kMutateError, and again only the pending entry goes.
+  network_.clear_adversary("bob", "alice");
+  ASSERT_TRUE(alice_.erase("doc", 0));
+  run_checking_mirror("doc");
+  EXPECT_EQ(obj.rejected, 1u);
+  EXPECT_EQ(alice_.pending("doc"), nullptr);
+  EXPECT_EQ(obj.chain.head_version(), 2u);
+  EXPECT_EQ(obj.chunks.size(), 8u);
+  EXPECT_EQ(obj.tree.root(), obj.tree.recompute_root_reference());
 }
 
 TEST_F(DynProtocolTest, AggregatedAuditVerifiesLargeObjectEndToEnd) {

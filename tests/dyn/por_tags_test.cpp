@@ -32,7 +32,7 @@ struct Fixture {
     tree = DynMerkleTree::build(chunk_views(chunks));
     key = TagKey::derive(rng.bytes(32), "por-object");
     alphas = key.alphas(sectors_per_chunk(kChunkSize));
-    tags = make_tags(key, chunk_views(chunks), alphas);
+    tags = make_tags(key, chunk_views(chunks), tree.leaf_hashes(), alphas);
   }
 };
 
@@ -182,7 +182,9 @@ TEST(PorTagsTest, UntouchedTagsSurviveInsertAndErase) {
   tags.insert(tags.begin() + 40,
               make_tag(f.key, fresh, fresh_leaf, f.alphas));
 
-  const auto recomputed = make_tags(f.key, chunk_views(chunks), f.alphas);
+  const auto recomputed =
+      make_tags(f.key, chunk_views(chunks),
+                DynMerkleTree::hash_chunks(chunk_views(chunks)), f.alphas);
   EXPECT_EQ(tags, recomputed);  // only the new position differs from f.tags
 
   DynMerkleTree tree = DynMerkleTree::build(chunk_views(f.chunks));
@@ -209,7 +211,8 @@ TEST(PorTagsTest, AggregatedResponseIsCompact) {
   const DynMerkleTree tree = DynMerkleTree::build(chunk_views(chunks));
   const TagKey key = TagKey::derive(rng.bytes(32), "por-object");
   const auto alphas = key.alphas(sectors_per_chunk(kBigChunk));
-  const auto tags = make_tags(key, chunk_views(chunks), alphas);
+  const auto tags =
+      make_tags(key, chunk_views(chunks), tree.leaf_hashes(), alphas);
 
   const AggChallenge challenge{/*seed=*/1, /*count=*/64};
   const AggResponse response =

@@ -122,7 +122,7 @@ CraftedOp craft(Fault fault, const std::string& key,
     case Fault::kWrongNewRoot:
       break;
   }
-  dyn::DynMerkleTree after = tree.clone();
+  dyn::DynMerkleTree after = tree;
   switch (c.op) {
     case MutateOp::kUpdate:
       if (c.index < count) {
@@ -479,7 +479,7 @@ dyn::VersionRecord update_record(const std::string& key,
                                  const dyn::VersionChain& chain,
                                  const dyn::DynMerkleTree& tree,
                                  std::uint64_t index, BytesView chunk) {
-  dyn::DynMerkleTree after = tree.clone();
+  dyn::DynMerkleTree after = tree;
   after.update_leaf(index, dyn::DynMerkleTree::hash_chunk(chunk));
   return chain.next_record(key, MutateOp::kUpdate, index, after.leaf_count(),
                            after.root(), 0);

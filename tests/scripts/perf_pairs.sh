@@ -7,12 +7,21 @@
 #
 #   python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 #
-# once on each side, alternating which side runs first. The script prints
-# every run's ops_per_s, cpu_us_per_op, setup_s and peak_rss_mb, then each
-# side's median and quartiles per metric and how many pairs the working tree
-# won (ties count for neither side). A gain is worth claiming only when the working
-# tree wins at least nine pairs in ten and the medians differ by more than
-# the base's interquartile distance.
+# once on each side, alternating which side runs first. The metrics are the
+# working tree's BENCHMARK.json `end_to_end` list (name, which way is
+# better, bound). The script prints every run's value of each, then per
+# metric each side's median and quartiles, how many pairs the working tree
+# won (ties count for neither side), and a verdict:
+#
+#   worse       the change median is worse than the base median by more
+#               than the metric's bound (a fraction of the base median);
+#   unresolved  the base's interquartile range, as a fraction of its
+#               median, is wider than the bound: too spread out to tell;
+#   ok          neither.
+#
+# It exits 1 when any metric is `worse`. A gain is worth claiming only when
+# the working tree wins at least nine pairs in ten and the medians differ by
+# more than the base's interquartile distance.
 #
 # Usage: perf_pairs.sh <base-rev> <workload> [pairs=10] [seconds=30] [seed=11]
 #
@@ -63,15 +72,15 @@ for ((pair = 1; pair <= PAIRS; ++pair)); do
   done
 done
 
-python3 - "$WORKDIR" "$PAIRS" <<'EOF'
+python3 - "$WORKDIR" "$PAIRS" "$ROOT/BENCHMARK.json" <<'EOF'
 import json
 import statistics
 import sys
 
-workdir, pairs = sys.argv[1], int(sys.argv[2])
-# metric -> True when higher is better
-METRICS = {"ops_per_s": True, "cpu_us_per_op": False, "setup_s": False,
-           "peak_rss_mb": False}
+workdir, pairs, benchmark = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+with open(benchmark) as f:
+    METRICS = json.load(f)["end_to_end"]
+NAMES = [m["name"] for m in METRICS]
 
 
 def metrics(side, pair):
@@ -80,18 +89,17 @@ def metrics(side, pair):
     if summary["failed"] > 0:
         print(f"warning: {side} pair {pair}: {summary['failed']} of "
               f"{summary['attempted']} ops failed", file=sys.stderr)
-    return {m: summary["metrics"][m]["value"] for m in METRICS}
+    return {m: summary["metrics"][m]["value"] for m in NAMES}
 
 
 runs = {side: [metrics(side, p) for p in range(1, pairs + 1)]
         for side in ("base", "change")}
 
-print(f"{'pair':>4} {'side':>6} " +
-      " ".join(f"{m:>14}" for m in METRICS))
+print(f"{'pair':>4} {'side':>6} " + " ".join(f"{m:>17}" for m in NAMES))
 for p in range(pairs):
     for side in ("base", "change"):
         print(f"{p + 1:>4} {side:>6} " +
-              " ".join(f"{runs[side][p][m]:>14.3f}" for m in METRICS))
+              " ".join(f"{runs[side][p][m]:>17.3f}" for m in NAMES))
 
 
 def quartiles(values):
@@ -101,20 +109,36 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def fraction(delta, base):
+    if base == 0:
+        return 0.0 if delta == 0 else float("inf")
+    return delta / abs(base)
+
+
 print()
-for metric, higher in METRICS.items():
-    stats = {}
-    for side in ("base", "change"):
-        stats[side] = quartiles([r[metric] for r in runs[side]])
-    wins = 0
-    for b, c in zip(runs["base"], runs["change"]):
-        if c[metric] != b[metric] and (c[metric] > b[metric]) == higher:
-            wins += 1
-    (bq1, bmed, bq3), (cq1, cmed, cq3) = stats["base"], stats["change"]
-    print(f"{metric} ({'higher' if higher else 'lower'} is better): "
-          f"base median {bmed:.3f} [q1 {bq1:.3f}, q3 {bq3:.3f}], "
+flagged = []
+for metric in METRICS:
+    name, bound = metric["name"], metric["bound"]
+    higher = metric["better"] == "higher"
+    (bq1, bmed, bq3), (cq1, cmed, cq3) = (
+        quartiles([r[name] for r in runs[side]]) for side in ("base", "change"))
+    wins = sum(1 for b, c in zip(runs["base"], runs["change"])
+               if c[name] != b[name] and (c[name] > b[name]) == higher)
+    worse_by = fraction(bmed - cmed if higher else cmed - bmed, bmed)
+    spread = fraction(bq3 - bq1, bmed)
+    if spread > bound:
+        verdict = "unresolved"
+    elif worse_by > bound:
+        verdict = "worse"
+        flagged.append(name)
+    else:
+        verdict = "ok"
+    print(f"{name} ({'higher' if higher else 'lower'} is better, bound "
+          f"{bound:.0%}): base median {bmed:.3f} [q1 {bq1:.3f}, q3 {bq3:.3f}], "
           f"change median {cmed:.3f} [q1 {cq1:.3f}, q3 {cq3:.3f}], "
-          f"change wins {wins}/{pairs}, "
-          f"|median delta| {abs(cmed - bmed):.3f} vs base IQR "
-          f"{bq3 - bq1:.3f}")
+          f"change wins {wins}/{pairs}, change worse by {worse_by:+.1%}, "
+          f"base IQR {spread:.1%} of its median: {verdict}")
+if flagged:
+    print(f"worse beyond the bound: {', '.join(flagged)}")
+    sys.exit(1)
 EOF
